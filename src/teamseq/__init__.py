@@ -10,8 +10,8 @@ interpolants from cutfree derivations.
 from .calculus import (Derivation, RuleApp, check_derivation, check_inference,
                        cutrank, derivation_from_json, derivation_to_json,
                        height, is_cutfree)
-from .errors import (ArityMismatch, CaseMismatch, ContainsCut,
-                     DegreeOutOfRange, DerivationCheckError, DomainMismatch,
+from .errors import (ArityMismatch, ContainsCut, DegreeOutOfRange,
+                     DerivationCheckError, DomainMismatch,
                      FormulaNotDuplicated, InvalidPath, LabelAbsent,
                      NonClassicalAntecedent, NonClassicalInput,
                      NonClassicalLambda1, NonClassicalNegation,
@@ -22,8 +22,8 @@ from .interpolation import (InterpolationResult, NotEntailed, PolarityBounds,
                             VerificationReport, craig_lyndon,
                             interpolate_partition, polarity_bounds,
                             verify_interpolant)
-from .prover import (ClassicalCountermodel, lift_countermodel,
-                     prove_classical, prove_or_countermodel)
+from .prover import (ClassicalCountermodel, prove_classical,
+                     prove_or_countermodel)
 from .resolutions import (LabelledFormula, ResolutionStep,
                           apply_resolution_step, gd_label,
                           partial_resolutions, resolution_steps, resolutions,

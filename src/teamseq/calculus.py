@@ -19,8 +19,9 @@ from dataclasses import dataclass, field
 
 from .errors import ArityMismatch, DerivationCheckError, RuleViolation
 from .syntax import (And, Bot, Formula, Gd, Neg, Or, Prop, Sequent,
-                     formula_from_json, formula_to_json, is_classical, mset,
-                     mset_add, mset_leq, mset_remove, mset_sub, render,
+                     formula_from_json, formula_to_json, gd_sides,
+                     is_classical, mset, mset_add, mset_leq, mset_remove,
+                     mset_sub, render, sequent_from_json, sequent_to_json,
                      subformula_at, substitute_at, symbol_count)
 
 AXIOMS = ("At", "LBot")
@@ -150,9 +151,7 @@ def make_lor(p1: Derivation, p2: Derivation, disj: Or, weak=()) -> Derivation:
 
 def make_lgd(p1: Derivation, p2: Derivation, host: Formula, path) -> Derivation:
     path = tuple(path)
-    node = subformula_at(host, path)
-    ant = mset_add(mset_remove(p1.conclusion.ant,
-                               substitute_at(host, path, node.left)), host)
+    ant = mset_add(mset_remove(p1.conclusion.ant, gd_sides(host, path)[0]), host)
     concl = Sequent(ant, p1.conclusion.suc)
     return Derivation(concl, RuleApp("LGd", pos=concl.ant.index(host),
                                      formula=host, path=path), (p1, p2))
@@ -160,14 +159,22 @@ def make_lgd(p1: Derivation, p2: Derivation, host: Formula, path) -> Derivation:
 
 def make_rgd(premise: Derivation, host: Formula, path, side: str) -> Derivation:
     path = tuple(path)
-    node = subformula_at(host, path)
-    chosen = node.left if side == "L" else node.right
+    left, right = gd_sides(host, path)
     suc = mset_add(mset_remove(premise.conclusion.suc,
-                               substitute_at(host, path, chosen)), host)
+                               left if side == "L" else right), host)
     concl = Sequent(premise.conclusion.ant, suc)
     return Derivation(concl, RuleApp("RGd", pos=concl.suc.index(host),
                                      formula=host, path=path, side=side),
                       (premise,))
+
+
+def replay_rgd(d: Derivation, steps) -> Derivation:
+    """Reintroduce global disjunctions below `d`.  `steps` lists right
+    deep-rule applications (formula-before, path, side) root-first, as
+    `resolution_steps` and succedent inversion record them."""
+    for before, path, side in reversed(steps):
+        d = make_rgd(d, before, path, side)
+    return d
 
 
 def make_cut(p1: Derivation, p2: Derivation, cutformula: Formula) -> Derivation:
@@ -439,14 +446,12 @@ def ruleapp_from_json(obj) -> RuleApp:
 
 
 def derivation_to_json(d: Derivation):
-    from .syntax import sequent_to_json
     return {"rule": ruleapp_to_json(d.rule),
             "conclusion": sequent_to_json(d.conclusion),
             "premises": [derivation_to_json(p) for p in d.premises]}
 
 
 def derivation_from_json(obj) -> Derivation:
-    from .syntax import sequent_from_json
     return Derivation(sequent_from_json(obj["conclusion"]),
                       ruleapp_from_json(obj["rule"]),
                       tuple(derivation_from_json(p) for p in obj["premises"]))

@@ -24,6 +24,7 @@ from .semantics import (DEFAULT_MAX_VARS, Team, closure_properties,
 from .syntax import (PartitionSequent, Sequent, formula_to_json,
                      parse_formula, parse_sequent, props, render,
                      render_sequent, sequent_to_json)
+from .transforms import eliminate_cuts, normalize, resolve_derivation
 
 
 def _parse_plain_sequent(text: str) -> Sequent:
@@ -38,6 +39,10 @@ def _load_json(path: str):
         return json.load(fh)
 
 
+def _budget(args, default: int) -> int:
+    return default if args.budget is None else args.budget
+
+
 def _emit(args, payload: dict, text: str) -> None:
     if args.json:
         print(json.dumps(payload))
@@ -47,7 +52,7 @@ def _emit(args, payload: dict, text: str) -> None:
 
 def _cmd_prove(args) -> int:
     s = _parse_plain_sequent(args.sequent)
-    out = prove_or_countermodel(s, node_budget=args.budget if args.budget is not None else DEFAULT_NODE_BUDGET)
+    out = prove_or_countermodel(s, node_budget=_budget(args, DEFAULT_NODE_BUDGET))
     if isinstance(out, Team):
         print(json.dumps(team_to_json(out)))
         return 1
@@ -79,7 +84,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_valid(args) -> int:
     s = _parse_plain_sequent(args.sequent)
-    result = sequent_valid(s, max_vars=args.budget if args.budget is not None else DEFAULT_MAX_VARS)
+    result = sequent_valid(s, max_vars=_budget(args, DEFAULT_MAX_VARS))
     _emit(args, {"valid": result}, "valid" if result else "invalid")
     return 0 if result else 1
 
@@ -98,7 +103,7 @@ def _cmd_resolutions(args) -> int:
 def _cmd_closure(args) -> int:
     f = parse_formula(args.formula)
     domain = tuple(sorted(props(f)))
-    rep = closure_properties(f, domain, max_vars=args.budget if args.budget is not None else DEFAULT_MAX_VARS)
+    rep = closure_properties(f, domain, max_vars=_budget(args, DEFAULT_MAX_VARS))
     payload = {"empty_team": rep.empty_team,
                "downward_closed": rep.downward_closed,
                "union_closed": rep.union_closed,
@@ -108,24 +113,15 @@ def _cmd_closure(args) -> int:
     return 0
 
 
-def _cmd_normalize(args) -> int:
-    from .transforms import normalize
+def _cmd_transform(args) -> int:
+    """normalize / cutelim: print the transformed derivation."""
     d = derivation_from_json(_load_json(args.file))
     check_derivation(d)
-    print(json.dumps(derivation_to_json(normalize(d))))
-    return 0
-
-
-def _cmd_cutelim(args) -> int:
-    from .transforms import eliminate_cuts
-    d = derivation_from_json(_load_json(args.file))
-    check_derivation(d)
-    print(json.dumps(derivation_to_json(eliminate_cuts(d))))
+    print(json.dumps(derivation_to_json(args.transform(d))))
     return 0
 
 
 def _cmd_resolve(args) -> int:
-    from .transforms import resolve_derivation
     d = derivation_from_json(_load_json(args.file))
     check_derivation(d)
     res = resolve_derivation(d)
@@ -149,7 +145,7 @@ def _cmd_interpolate(args) -> int:
         # default partition: antecedent left, succedent right
         p = PartitionSequent(p.ant, (), (), p.suc)
     d = prove_or_countermodel(p.flatten(),
-                              node_budget=args.budget if args.budget is not None else DEFAULT_NODE_BUDGET)
+                              node_budget=_budget(args, DEFAULT_NODE_BUDGET))
     if isinstance(d, Team):
         _emit(args, {"valid": False, "countermodel": team_to_json(d)},
               f"not valid; countermodel {json.dumps(team_to_json(d))}")
@@ -182,9 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "cap (valid/closure)")
     ap.add_argument("--json", action="store_true",
                     help="machine-readable output")
-    ap.add_argument("--seed", type=int, default=None,
-                    help="seed for randomized workflows (reserved; all "
-                         "current subcommands are deterministic)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("prove", help="derivation (exit 0) or countermodel "
@@ -218,12 +211,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("normalize", help="phase normal form of a derivation "
                                          "JSON file")
     p.add_argument("file")
-    p.set_defaults(fn=_cmd_normalize)
+    p.set_defaults(fn=_cmd_transform, transform=normalize)
 
     p = sub.add_parser("cutelim", help="eliminate cuts from a derivation "
                                        "JSON file")
     p.add_argument("file")
-    p.set_defaults(fn=_cmd_cutelim)
+    p.set_defaults(fn=_cmd_transform, transform=eliminate_cuts)
 
     p = sub.add_parser("resolve", help="classical branches per antecedent "
                                        "resolution")

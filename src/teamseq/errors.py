@@ -84,10 +84,6 @@ class NonClassicalInput(TeamSeqError):
     """A classical-only routine received a nonclassical formula."""
 
 
-class CaseMismatch(TeamSeqError):
-    """Countermodel lifting applied to an unsupported rule/premise shape."""
-
-
 class NonClassicalLambda1(TeamSeqError):
     """Interpolation requires the first succedent block to be classical."""
 

@@ -20,11 +20,12 @@ from .calculus import (Derivation, check_derivation, is_cutfree, make_at,
                        make_rand, make_rgd, make_rneg, make_ror)
 from .errors import (ContainsCut, NonClassicalLambda1, PartitionMismatch,
                      ResourceLimit, ShapeMismatch, TeamSeqError)
-from .prover import prove_or_countermodel
+from .prover import DEFAULT_NODE_BUDGET, prove_or_countermodel
 from .semantics import Team, sequent_valid
 from .syntax import (And, BOT, Bot, Formula, Gd, Neg, Or, PartitionSequent,
-                     Sequent, is_classical, mset, mset_add, mset_remove,
-                     render, signed_props, subformula_at, substitute_at)
+                     Sequent, gd_sides, is_classical, mset, mset_add,
+                     mset_remove, render, signed_props)
+from .transforms import weaken
 
 
 @dataclass(frozen=True)
@@ -65,20 +66,6 @@ def polarity_bounds(p: PartitionSequent) -> PolarityBounds:
     pos = (g1p | l1n) & (g2n | d2p)
     neg = (g1n | l1p) & (g2p | d2n)
     return PolarityBounds(pos, neg)
-
-
-def _weaken_r(d, fs):
-    from .transforms import weaken
-    for f in fs:
-        d = weaken(d, "R", f)
-    return d
-
-
-def _weaken_l(d, fs):
-    from .transforms import weaken
-    for f in fs:
-        d = weaken(d, "L", f)
-    return d
 
 
 def _allocate_weak(weak, l1, d2):
@@ -189,8 +176,8 @@ def _interp(d: Derivation, g1, g2, l1, d2):
             (a2, lb, rb) = _interp(d.premises[1], g1, g2,
                                    mset_add(lam1, f.right), d2r)
             phi = Or(a1, a2)
-            left = make_ror(make_rand(_weaken_r(la, (a2,)),
-                                      _weaken_r(lb, (a1,)), f, w1), phi)
+            left = make_ror(make_rand(weaken(la, "R", a2),
+                                      weaken(lb, "R", a1), f, w1), phi)
             right = make_lor(ra, rb, phi, w2)
             return phi, left, right
         d2p = mset_remove(d2r, f)
@@ -200,8 +187,8 @@ def _interp(d: Derivation, g1, g2, l1, d2):
                                mset_add(d2p, f.right))
         phi = And(p1, p2)
         left = make_rand(la, lb, phi, w1)
-        right = make_land(make_rand(_weaken_l(ra, (p2,)),
-                                    _weaken_l(rb, (p1,)), f, w2), phi)
+        right = make_land(make_rand(weaken(ra, "L", p2),
+                                    weaken(rb, "L", p1), f, w2), phi)
         return phi, left, right
 
     if tag == "LOr":
@@ -213,8 +200,8 @@ def _interp(d: Derivation, g1, g2, l1, d2):
             (a2, lb, rb) = _interp(d.premises[1], mset_add(g1p, f.right), g2,
                                    l1r, d2r)
             phi = Or(a1, a2)
-            left = make_ror(make_lor(_weaken_r(la, (a2,)),
-                                     _weaken_r(lb, (a1,)), f, w1), phi)
+            left = make_ror(make_lor(weaken(la, "R", a2),
+                                     weaken(lb, "R", a1), f, w1), phi)
             right = make_lor(ra, rb, phi, w2)
             return phi, left, right
         g2p = mset_remove(g2, f)
@@ -224,22 +211,20 @@ def _interp(d: Derivation, g1, g2, l1, d2):
                                l1r, d2r)
         phi = And(a1, a2)
         left = make_rand(la, lb, phi, w1)
-        right = make_lor(make_land(_weaken_l(ra, (a2,)), phi),
-                         make_land(_weaken_l(rb, (a1,)), phi), f, w2)
+        right = make_lor(make_land(weaken(ra, "L", a2), phi),
+                         make_land(weaken(rb, "L", a1), phi), f, w2)
         return phi, left, right
 
     if tag == "LGd":
-        node = subformula_at(f, r.path)
-        fl = substitute_at(f, r.path, node.left)
-        fr = substitute_at(f, r.path, node.right)
+        fl, fr = gd_sides(f, r.path)
         if f in g1:
             g1p = mset_remove(g1, f)
             (p1, la, ra) = _interp(d.premises[0], mset_add(g1p, fl), g2, l1, d2)
             (p2, lb, rb) = _interp(d.premises[1], mset_add(g1p, fr), g2, l1, d2)
             if all(is_classical(g) for g in d2):
                 phi = Or(p1, p2)
-                left = make_ror(make_lgd(_weaken_r(la, (p2,)),
-                                         _weaken_r(lb, (p1,)), f, r.path), phi)
+                left = make_ror(make_lgd(weaken(la, "R", p2),
+                                         weaken(lb, "R", p1), f, r.path), phi)
                 right = make_lor(ra, rb, phi, ())
                 return phi, left, right
             phi = Gd(p1, p2)
@@ -252,8 +237,8 @@ def _interp(d: Derivation, g1, g2, l1, d2):
         (p2, lb, rb) = _interp(d.premises[1], g1, mset_add(g2p, fr), l1, d2)
         phi = And(p1, p2)
         left = make_rand(la, lb, phi, ())
-        right = make_lgd(make_land(_weaken_l(ra, (p2,)), phi),
-                         make_land(_weaken_l(rb, (p1,)), phi), f, r.path)
+        right = make_lgd(make_land(weaken(ra, "L", p2), phi),
+                         make_land(weaken(rb, "L", p1), phi), f, r.path)
         return phi, left, right
 
     if tag == "RGd":
@@ -261,9 +246,8 @@ def _interp(d: Derivation, g1, g2, l1, d2):
             raise PartitionMismatch(
                 f"nonclassical principal {render(f)} outside the second "
                 f"succedent block")
-        node = subformula_at(f, r.path)
-        chosen = node.left if r.side == "L" else node.right
-        fc = substitute_at(f, r.path, chosen)
+        fl, fr = gd_sides(f, r.path)
+        fc = fl if r.side == "L" else fr
         phi, l, rr = _interp(d.premises[0], g1, g2, l1,
                              mset_add(mset_remove(d2, f), fc))
         return phi, l, make_rgd(rr, f, r.path, r.side)
@@ -290,7 +274,7 @@ def interpolate_partition(d: Derivation,
 
 
 def craig_lyndon(phi: Formula, psi: Formula,
-                 node_budget: int = 10 ** 6):
+                 node_budget: int = DEFAULT_NODE_BUDGET):
     """Interpolant between an entailment's two sides, or NotEntailed with
     a countermodel."""
     out = prove_or_countermodel(Sequent((phi,), (psi,)), node_budget)

@@ -15,15 +15,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .calculus import (Derivation, RuleApp, make_at, make_land, make_lbot,
-                       make_lgd, make_lneg, make_lor, make_rand, make_rgd,
-                       make_rneg, make_ror)
-from .errors import CaseMismatch, NonClassicalInput, ResourceLimit
+from .calculus import (Derivation, make_at, make_land, make_lbot, make_lgd,
+                       make_lneg, make_lor, make_rand, make_rneg, make_ror,
+                       replay_rgd)
+from .errors import NonClassicalInput, ResourceLimit
 from .resolutions import resolution_choices, resolution_steps
 from .semantics import Team, eval_classical
-from .syntax import (And, Bot, Formula, Neg, Or, Prop, Sequent, gd_paths,
-                     is_classical, mset, mset_add, mset_remove,
-                     subformula_at, substitute_at)
+from .syntax import (And, Bot, Formula, Neg, Or, Prop, Sequent, first_gd,
+                     gd_sides, mset, mset_add, mset_remove)
 
 DEFAULT_NODE_BUDGET = 10 ** 6
 
@@ -54,28 +53,6 @@ def _restrict_team(team: Team, alpha: Formula) -> Team:
     keep = frozenset(v for v in team.members
                      if not eval_classical(alpha, dict(zip(team.domain, v))))
     return Team(team.domain, keep)
-
-
-def lift_countermodel(rule: RuleApp, premise_models) -> Team:
-    """Turn countermodels of a rule's premise(s) into one of its conclusion."""
-    models = list(premise_models)
-    if not models:
-        raise CaseMismatch(f"{rule.rule}: no premise countermodel supplied")
-    if len({m.domain for m in models}) != 1:
-        raise CaseMismatch("premise countermodels on different domains")
-    match rule.rule:
-        case "LNeg":
-            return _restrict_team(models[0], rule.formula.child)
-        case "RNeg" | "LAnd" | "ROr" | "LOr" | "LGd":
-            return models[0]
-        case "RAnd":
-            return models[0]
-        case "RGd":
-            if len(models) != 2:
-                raise CaseMismatch("RGd lifting needs countermodels to both "
-                                   "disjunct premises")
-            return Team(models[0].domain, models[0].members | models[1].members)
-    raise CaseMismatch(f"no countermodel lifting for rule {rule.rule}")
 
 
 # ---------------------------------------------------------------------------
@@ -169,29 +146,6 @@ def prove_classical(s: Sequent, domain=None,
 # ---------------------------------------------------------------------------
 # Full proof search
 
-def _stage2_candidates(suc):
-    """Succedent resolution candidates in search order, as pairings
-    (formula, chosen resolution) in canonical formula order."""
-    return resolution_choices(suc)
-
-
-def _rebuild_succedent(deriv: Derivation, pairing) -> Derivation:
-    """Reintroduce the succedent's global disjunctions above `deriv`,
-    walking each formula's resolution steps in reverse."""
-    for formula, chosen in pairing:
-        steps = resolution_steps(formula, chosen)
-        for before, path, side in reversed(steps):
-            deriv = make_rgd(deriv, before, path, side)
-    return deriv
-
-
-def _first_gd_formula(ant):
-    for f in ant:
-        if not is_classical(f):
-            return f, gd_paths(f)[0]
-    return None
-
-
 def _search_branch(ant, suc, domain, budget, candidates):
     """Stage 2 + 3 for one classical antecedent: returns a Derivation of
     `ant => suc` or the union team over all failed candidates."""
@@ -205,7 +159,9 @@ def _search_branch(ant, suc, domain, budget, candidates):
         seen.add(lam)
         out = _prove_classical(ant, lam, domain, budget)
         if isinstance(out, Derivation):
-            return _rebuild_succedent(out, pairing)
+            # the last formula's steps end nearest the root
+            return replay_rgd(out, [step for f, r in reversed(pairing)
+                                    for step in resolution_steps(f, r)])
         failures.append(out.team)
     members = frozenset().union(*(t.members for t in failures))
     return Team(domain, members)
@@ -213,18 +169,16 @@ def _search_branch(ant, suc, domain, budget, candidates):
 
 def _search(ant, suc, domain, budget, candidates):
     budget.spend("antecedent split")
-    hit = _first_gd_formula(ant)
+    hit = first_gd(ant)
     if hit is None:
         return _search_branch(ant, suc, domain, budget, candidates)
     f, path = hit
-    node = subformula_at(f, path)
+    fl, fr = gd_sides(f, path)
     rest = mset_remove(ant, f)
-    left = _search(mset_add(rest, substitute_at(f, path, node.left)),
-                   suc, domain, budget, candidates)
+    left = _search(mset_add(rest, fl), suc, domain, budget, candidates)
     if isinstance(left, Team):
         return left
-    right = _search(mset_add(rest, substitute_at(f, path, node.right)),
-                    suc, domain, budget, candidates)
+    right = _search(mset_add(rest, fr), suc, domain, budget, candidates)
     if isinstance(right, Team):
         return right
     return make_lgd(left, right, f, path)
@@ -240,5 +194,5 @@ def prove_or_countermodel(s: Sequent, node_budget: int = DEFAULT_NODE_BUDGET):
     """
     domain = tuple(sorted(s.props()))
     budget = _Budget(node_budget)
-    candidates = _stage2_candidates(s.suc)
+    candidates = resolution_choices(s.suc)
     return _search(s.ant, s.suc, domain, budget, candidates)

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import DegreeOutOfRange, LabelAbsent
-from .syntax import (And, Bot, Formula, Gd, Neg, Or, Prop, gd_paths, mset,
-                     render, subformula_at, substitute_at)
+from .syntax import (And, Bot, Formula, Gd, Neg, Or, Prop, gd_paths, gd_sides,
+                     mset, render)
 
 
 def resolutions_ordered(f: Formula) -> tuple[Formula, ...]:
@@ -74,9 +74,6 @@ class LabelledFormula:
     formula: Formula
     labels: tuple[tuple[tuple[int, ...], int], ...]
 
-    def label_map(self) -> dict[tuple[int, ...], int]:
-        return dict(self.labels)
-
     def path_of(self, label: int) -> tuple[int, ...] | None:
         for path, lab in self.labels:
             if lab == label:
@@ -105,10 +102,8 @@ def apply_resolution_step(lf: LabelledFormula, step: ResolutionStep) -> Labelled
     path = lf.path_of(step.label)
     if path is None:
         raise LabelAbsent(f"label {step.label} not present in {render(lf.formula)}")
-    node = subformula_at(lf.formula, path)
-    assert isinstance(node, Gd)
     keep = 0 if step.side == "L" else 1
-    new_formula = substitute_at(lf.formula, path, (node.left, node.right)[keep])
+    new_formula = gd_sides(lf.formula, path)[keep]
     new_labels = []
     plen = len(path)
     for p, lab in lf.labels:
@@ -157,13 +152,10 @@ def resolution_steps(f: Formula, target: Formula) -> tuple[tuple[Formula, tuple[
                 raise ValueError(f"{render(target)} is not a resolution of {render(f)}")
             return tuple(steps)
         path = paths[0]
-        node = cur
-        for i in path:
-            node = (node.left, node.right)[i]
-        left_version = substitute_at(cur, path, node.left)
+        left_version, right_version = gd_sides(cur, path)
         if target in resolutions(left_version):
             steps.append((cur, path, "L"))
             cur = left_version
         else:
             steps.append((cur, path, "R"))
-            cur = substitute_at(cur, path, node.right)
+            cur = right_version

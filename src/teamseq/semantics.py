@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 
-from .errors import DomainMismatch, ResourceLimit
+from .errors import DomainMismatch, ParseError, ResourceLimit
 from .syntax import (And, Bot, BOT, Formula, Gd, Neg, Or, Prop, Sequent,
                      props)
 
@@ -43,7 +43,11 @@ def team_to_json(t: Team):
 
 
 def team_from_json(obj) -> Team:
-    return Team(tuple(obj["vars"]), frozenset(tuple(row) for row in obj["team"]))
+    try:
+        return Team(tuple(obj["vars"]),
+                    frozenset(tuple(row) for row in obj["team"]))
+    except (TypeError, ValueError) as e:
+        raise ParseError(f"bad team: {e}") from e
 
 
 def eval_classical(f: Formula, valuation: dict[str, int]) -> bool:
@@ -94,10 +98,6 @@ class _Space:
         self._sets: dict[Formula, int] = {}
         self._memo: dict[tuple[Formula, int], bool] = {}
 
-    def val_bit(self, vindex: int, var: str) -> int:
-        i = self.domain.index(var)
-        return (vindex >> (self.n - 1 - i)) & 1
-
     def valuation(self, vindex: int) -> tuple[int, ...]:
         return tuple((vindex >> (self.n - 1 - i)) & 1 for i in range(self.n))
 
@@ -116,12 +116,6 @@ class _Space:
         members = frozenset(self.valuation(i) for i in range(self.nvals)
                             if (mask >> i) & 1)
         return Team(self.domain, members)
-
-    def _check_domain(self, f: Formula) -> None:
-        extra = props(f) - set(self.domain)
-        if extra:
-            raise DomainMismatch(f"variables {sorted(extra)} outside domain "
-                                 f"{self.domain}")
 
     # -- single-team satisfaction (memoized, early exit) -------------------
     def sat(self, mask: int, f: Formula) -> bool:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import InvalidPath, NonClassicalNegation, ParseError
 
@@ -22,7 +21,13 @@ _VAR_RE = re.compile(r"[a-z][a-zA-Z0-9_]*")
 
 
 class Formula:
-    """Base class; concrete nodes are Prop, Bot, Neg, And, Or, Gd."""
+    """Base class; concrete nodes are Prop, Bot, Neg, And, Or, Gd.
+
+    `render`, `props` and `is_classical` cache their value in the node's
+    instance `__dict__` on first use, outside the dataclass fields, so
+    equality, hashing and `repr` are unaffected and the value lives exactly
+    as long as the node.
+    """
 
     __slots__ = ()
 
@@ -85,21 +90,25 @@ def children(f: Formula) -> tuple[Formula, ...]:
     raise TypeError(f"not a formula: {f!r}")
 
 
-@lru_cache(maxsize=None)
 def is_classical(f: Formula) -> bool:
     """True iff no global disjunction occurs in f."""
-    if isinstance(f, Gd):
-        return False
-    return all(is_classical(c) for c in children(f))
+    cache = f.__dict__
+    out = cache.get("_classical")
+    if out is None:
+        out = cache["_classical"] = not isinstance(f, Gd) and \
+            all(is_classical(c) for c in children(f))
+    return out
 
 
-@lru_cache(maxsize=None)
 def props(f: Formula) -> frozenset[str]:
-    if isinstance(f, Prop):
-        return frozenset({f.name})
-    out: frozenset[str] = frozenset()
-    for c in children(f):
-        out |= props(c)
+    cache = f.__dict__
+    out = cache.get("_props")
+    if out is None:
+        if isinstance(f, Prop):
+            out = frozenset({f.name})
+        else:
+            out = frozenset().union(*map(props, children(f)))
+        cache["_props"] = out
     return out
 
 
@@ -191,6 +200,26 @@ def gd_count(f: Formula) -> int:
     return len(gd_paths(f))
 
 
+def gd_sides(f: Formula, path) -> tuple[Formula, Formula]:
+    """`f` with the global disjunction at `path` replaced by its left and by
+    its right disjunct: the two premise formulas of a deep rule."""
+    node = subformula_at(f, path)
+    if not isinstance(node, Gd):
+        raise InvalidPath(f"path {list(path)} does not address a global "
+                          f"disjunction in {render(f)}")
+    return substitute_at(f, path, node.left), substitute_at(f, path, node.right)
+
+
+def first_gd(formulas):
+    """The first nonclassical formula of a canonical multiset and the path
+    of its lowest-labelled global disjunction (the next left deep-rule
+    split), or None when every formula is classical."""
+    for f in formulas:
+        if not is_classical(f):
+            return f, gd_paths(f)[0]
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Rendering
 
@@ -198,23 +227,29 @@ _PREC = {Gd: 1, Or: 2, And: 3, Neg: 4, Prop: 5, Bot: 5}
 _OPS = {Gd: "||", Or: "|", And: "&"}
 
 
-@lru_cache(maxsize=None)
 def render(f: Formula) -> str:
-    return _render(f, 0)
+    cache = f.__dict__
+    out = cache.get("_text")
+    if out is None:
+        prec = _PREC[type(f)]
+        match f:
+            case Prop(name):
+                out = name
+            case Bot():
+                out = "bot"
+            case Neg(c):
+                out = "~" + _render_in(c, prec)
+            case And(l, r) | Or(l, r) | Gd(l, r):
+                out = (f"{_render_in(l, prec + 1)} {_OPS[type(f)]} "
+                       f"{_render_in(r, prec)}")
+        cache["_text"] = out
+    return out
 
 
-def _render(f: Formula, ctx: int) -> str:
-    prec = _PREC[type(f)]
-    match f:
-        case Prop(name):
-            return name
-        case Bot():
-            return "bot"
-        case Neg(c):
-            s = "~" + _render(c, prec)
-        case And(l, r) | Or(l, r) | Gd(l, r):
-            s = f"{_render(l, prec + 1)} {_OPS[type(f)]} {_render(r, prec)}"
-    return f"({s})" if prec < ctx else s
+def _render_in(f: Formula, ctx: int) -> str:
+    """`render(f)`, parenthesized when f binds more loosely than `ctx`."""
+    s = render(f)
+    return f"({s})" if _PREC[type(f)] < ctx else s
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +517,10 @@ def formula_to_json(f: Formula):
 def formula_from_json(obj) -> Formula:
     op = obj["op"]
     if op == "prop":
-        return Prop(obj["name"])
+        try:
+            return Prop(obj["name"])
+        except (TypeError, ValueError) as e:
+            raise ParseError(f"bad variable name {obj['name']!r}") from e
     if op == "bot":
         return BOT
     if op == "neg":

@@ -16,18 +16,18 @@ disjunct).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .calculus import (Derivation, is_cutfree, make_at, make_cut,
+from .calculus import (Derivation, RuleApp, is_cutfree, make_at, make_cut,
                        make_land, make_lbot, make_lgd, make_lneg, make_lor,
-                       make_rand, make_rgd, make_rneg, make_ror)
+                       make_rand, make_rgd, make_rneg, make_ror, replay_rgd)
 from .errors import (ContainsCut, FormulaNotDuplicated, NonClassicalAntecedent,
                      NonClassicalInput, NonClassicalRightContraction,
                      ShapeMismatch)
 from .resolutions import resolution_steps, resolutions_multiset
-from .syntax import (And, Formula, Gd, Neg, Or, Sequent, gd_paths,
-                     is_classical, mset, mset_add, mset_remove, mset_sub,
-                     render, subformula_at, substitute_at)
+from .syntax import (And, Formula, Gd, Neg, Or, Sequent, first_gd, gd_paths,
+                     gd_sides, is_classical, mset, mset_add, mset_remove,
+                     mset_sub, render, subformula_at, substitute_at)
 
 _STRUCTURAL = ("LC", "RC", "LOrI", "RAndI")
 
@@ -38,10 +38,10 @@ def _guard_gt(d: Derivation) -> None:
                             f"independent-context/structural rule {d.rule.rule}")
 
 
-def _rebuild(d: Derivation, premises, weak=None) -> Derivation:
-    """Reapply d's root rule over transformed premises."""
-    r = d.rule
-    w = r.weak if weak is None else mset(weak)
+def _rebuild(r: RuleApp, premises, weak=None) -> Derivation:
+    """Apply the rule `r` describes over (transformed) premises, with the
+    implicit weakening `weak` in place of `r.weak` when given."""
+    w = (r.weak or ()) if weak is None else weak
     match r.rule:
         case "LNeg":
             return make_lneg(premises[0], r.formula)
@@ -83,10 +83,10 @@ def weaken(d: Derivation, side: str, f: Formula) -> Derivation:
             else Sequent(c.ant, mset_add(c.suc, f))
         return _axiom_on(d, seq)
     if tag in ("RAnd", "LOr") and side == "R":
-        return _rebuild(d, d.premises, weak=mset_add(d.rule.weak or (), f))
+        return _rebuild(d.rule, d.premises, weak=mset_add(d.rule.weak or (), f))
     if tag == "Cut":
-        return _rebuild(d, (weaken(d.premises[0], side, f), d.premises[1]))
-    return _rebuild(d, tuple(weaken(p, side, f) for p in d.premises))
+        return _rebuild(d.rule, (weaken(d.premises[0], side, f), d.premises[1]))
+    return _rebuild(d.rule, tuple(weaken(p, side, f) for p in d.premises))
 
 
 def _weaken_all(d: Derivation, side: str, fs) -> Derivation:
@@ -106,8 +106,9 @@ class _Item:
     path: tuple[int, ...] = ()
 
 
-_ITEM_SIDE = {"LNeg": "ant", "RNeg": "suc", "LAnd": "ant", "RAnd": "suc",
-              "LOr": "ant", "ROr": "suc", "LGd": "ant", "RGd": "suc"}
+# side of the principal formula per logical rule ('ant' or 'suc')
+_PRINCIPAL_SIDE = {"LNeg": "ant", "RNeg": "suc", "LAnd": "ant", "RAnd": "suc",
+                   "LOr": "ant", "ROr": "suc", "LGd": "ant", "RGd": "suc"}
 
 
 def _item_outputs(item: _Item, seq: Sequent) -> list[Sequent]:
@@ -131,21 +132,12 @@ def _item_outputs(item: _Item, seq: Sequent) -> list[Sequent]:
             return [Sequent(mset_add(rest, f.left), s),
                     Sequent(mset_add(rest, f.right), s)]
         case "LGd":
-            node = subformula_at(f, item.path)
             rest = mset_remove(a, f)
-            return [Sequent(mset_add(rest, substitute_at(f, item.path, node.left)), s),
-                    Sequent(mset_add(rest, substitute_at(f, item.path, node.right)), s)]
+            return [Sequent(mset_add(rest, g), s) for g in gd_sides(f, item.path)]
         case "RGd":
-            node = subformula_at(f, item.path)
             rest = mset_remove(s, f)
-            return [Sequent(a, mset_add(rest, substitute_at(f, item.path, node.left))),
-                    Sequent(a, mset_add(rest, substitute_at(f, item.path, node.right)))]
+            return [Sequent(a, mset_add(rest, g)) for g in gd_sides(f, item.path)]
     raise ShapeMismatch(f"unknown inversion item {item.tag}")
-
-
-def _resolve_gd(f: Formula, path, side: str) -> Formula:
-    node = subformula_at(f, path)
-    return substitute_at(f, path, node.left if side == "L" else node.right)
 
 
 def _path_rel(p: tuple, q: tuple):
@@ -171,10 +163,7 @@ def _invert(d: Derivation, item: _Item):
             return _axiom_on(d, outs[0]), "L"
         return [_axiom_on(d, o) for o in outs]
 
-    principal_side = {"LNeg": "ant", "RNeg": "suc", "LAnd": "ant", "ROr": "suc",
-                      "RAnd": "suc", "LOr": "ant", "LGd": "ant", "RGd": "suc",
-                      "Cut": None}[r.rule]
-    if principal_side == item.seq_side and r.formula == item.active:
+    if _PRINCIPAL_SIDE.get(r.rule) == item.seq_side and r.formula == item.active:
         return _invert_principal(d, item)
     return _invert_context(d, item)
 
@@ -191,7 +180,7 @@ def _invert_context(d: Derivation, item: _Item):
             def rebuilt(suc_repl, ant_add):
                 w = mset_add(mset_remove(weak, item.active), *suc_repl)
                 prems = tuple(_weaken_all(p, "L", ant_add) for p in d.premises)
-                return _rebuild(d, prems, weak=w)
+                return _rebuild(d.rule, prems, weak=w)
 
             match item.tag:
                 case "RNeg":
@@ -202,7 +191,7 @@ def _invert_context(d: Derivation, item: _Item):
                 case "ROr":
                     return [rebuilt((item.active.left, item.active.right), ())]
                 case "RGd":
-                    return rebuilt((_resolve_gd(item.active, item.path, "L"),), ()), "L"
+                    return rebuilt((gd_sides(item.active, item.path)[0],), ()), "L"
             raise ShapeMismatch(f"item {item.tag} cannot sit in a weakening slot")
 
     if r.rule == "Cut":
@@ -217,11 +206,11 @@ def _invert_context(d: Derivation, item: _Item):
         if item.tag == "RGd":
             out, side = sub
             prems = (out, other) if in_first else (other, out)
-            return _rebuild(d, prems), side
+            return _rebuild(d.rule, prems), side
         outs = []
         for o in sub:
             prems = (o, other) if in_first else (other, o)
-            outs.append(_rebuild(d, prems))
+            outs.append(_rebuild(d.rule, prems))
         return outs
 
     if item.tag == "RGd":
@@ -234,11 +223,11 @@ def _invert_context(d: Derivation, item: _Item):
                 f"right deep-rule inversion through {r.rule} with a "
                 f"nonclassical antecedent")
         out, side = _invert(d.premises[0], item)
-        return _rebuild(d, (out,)), side
+        return _rebuild(d.rule, (out,)), side
 
     subs = [_invert(p, item) for p in d.premises]
     n_out = len(_item_outputs(item, c))
-    return [_rebuild(d, tuple(sub[k] for sub in subs)) for k in range(n_out)]
+    return [_rebuild(d.rule, tuple(sub[k] for sub in subs)) for k in range(n_out)]
 
 
 def _invert_principal(d: Derivation, item: _Item):
@@ -262,32 +251,32 @@ def _invert_principal(d: Derivation, item: _Item):
         i, rest = item.path[0], item.path[1:]
         child = (chi.left, chi.right)[i]
         u = _invert(d.premises[0], _Item("LGd", "ant", child, rest))
-        return [make_land(u[k], _resolve_gd(chi, item.path, s))
-                for k, s in ((0, "L"), (1, "R"))]
+        return [make_land(u[k], g)
+                for k, g in enumerate(gd_sides(chi, item.path))]
     if t_i == "LGd" and t_r == "LOr":
         chi = item.active
         i, rest = item.path[0], item.path[1:]
         child = (chi.left, chi.right)[i]
         u = _invert(d.premises[i], _Item("LGd", "ant", child, rest))
         outs = []
-        for k, s in ((0, "L"), (1, "R")):
+        for k, g in enumerate(gd_sides(chi, item.path)):
             prems = (u[k], d.premises[1]) if i == 0 else (d.premises[0], u[k])
-            outs.append(make_lor(prems[0], prems[1],
-                                 _resolve_gd(chi, item.path, s), r.weak or ()))
+            outs.append(make_lor(prems[0], prems[1], g, r.weak or ()))
         return outs
     if t_i == "RGd" and t_r == "ROr":
         chi = item.active
         i, rest = item.path[0], item.path[1:]
         child = (chi.left, chi.right)[i]
         o, s = _invert(d.premises[0], _Item("RGd", "suc", child, rest))
-        return make_ror(o, _resolve_gd(chi, item.path, s)), s
+        return make_ror(o, gd_sides(chi, item.path)["LR".index(s)]), s
     if t_i == "RGd" and t_r == "RAnd":
         chi = item.active
         i, rest = item.path[0], item.path[1:]
         child = (chi.left, chi.right)[i]
         o, s = _invert(d.premises[i], _Item("RGd", "suc", child, rest))
         prems = (o, d.premises[1]) if i == 0 else (d.premises[0], o)
-        return make_rand(prems[0], prems[1], _resolve_gd(chi, item.path, s),
+        return make_rand(prems[0], prems[1],
+                         gd_sides(chi, item.path)["LR".index(s)],
                          r.weak or ()), s
 
     # a deep rule inside a formula the shallow item decomposes
@@ -296,15 +285,13 @@ def _invert_principal(d: Derivation, item: _Item):
         i, rest = r.path[0], r.path[1:]
         child = (chi.left, chi.right)[i]
         if t_i == "LAnd":
-            u = [_invert(p, _Item("LAnd", "ant",
-                                  _resolve_gd(chi, r.path, s)))[0]
-                 for p, s in zip(d.premises, ("L", "R"))]
+            u = [_invert(p, _Item("LAnd", "ant", g))[0]
+                 for p, g in zip(d.premises, gd_sides(chi, r.path))]
             return [make_lgd(u[0], u[1], child, rest)]
         # LOr item: two outputs, the deep rule lands inside one disjunct
-        u1 = _invert(d.premises[0], _Item("LOr", "ant",
-                                          _resolve_gd(chi, r.path, "L")))
-        u2 = _invert(d.premises[1], _Item("LOr", "ant",
-                                          _resolve_gd(chi, r.path, "R")))
+        chi_l, chi_r = gd_sides(chi, r.path)
+        u1 = _invert(d.premises[0], _Item("LOr", "ant", chi_l))
+        u2 = _invert(d.premises[1], _Item("LOr", "ant", chi_r))
         outs = []
         for k in (0, 1):
             if k == i:
@@ -317,7 +304,7 @@ def _invert_principal(d: Derivation, item: _Item):
         i, rest = r.path[0], r.path[1:]
         child = (chi.left, chi.right)[i]
         u = _invert(d.premises[0], _Item(t_i, "suc",
-                                         _resolve_gd(chi, r.path, r.side)))
+                                         gd_sides(chi, r.path)["LR".index(r.side)]))
         if t_i == "ROr":
             return [make_rgd(u[0], child, rest, r.side)]
         outs = list(u)
@@ -330,37 +317,28 @@ def _invert_principal(d: Derivation, item: _Item):
 def _invert_lgd_lgd(d: Derivation, item: _Item):
     chi = item.active
     pi, pr = item.path, d.rule.path
-    node = subformula_at(chi, pi)
-    chi_l = substitute_at(chi, pi, node.left)
-    chi_r = substitute_at(chi, pi, node.right)
+    chi_l, chi_r = gd_sides(chi, pi)
     if pr == pi:
         return [d.premises[0], d.premises[1]]
+    prem_l, prem_r = gd_sides(chi, pr)
     rel = _path_rel(pr, pi)
     if rel == "disjoint":
-        u1 = _invert(d.premises[0], _Item("LGd", "ant",
-                                          _resolve_gd(chi, pr, "L"), pi))
-        u2 = _invert(d.premises[1], _Item("LGd", "ant",
-                                          _resolve_gd(chi, pr, "R"), pi))
+        u1 = _invert(d.premises[0], _Item("LGd", "ant", prem_l, pi))
+        u2 = _invert(d.premises[1], _Item("LGd", "ant", prem_r, pi))
         return [make_lgd(u1[0], u2[0], chi_l, pr),
                 make_lgd(u1[1], u2[1], chi_r, pr)]
     if rel[0] == "p_inside_q":
         # the root rule's occurrence lies inside the item's disjunct j
         _, j, _rest = rel
-        u1 = _invert(d.premises[0], _Item("LGd", "ant",
-                                          _resolve_gd(chi, pr, "L"), pi))
+        u1 = _invert(d.premises[0], _Item("LGd", "ant", prem_l, pi))
+        u2 = _invert(d.premises[1], _Item("LGd", "ant", prem_r, pi))
         if j == 0:
-            u2 = _invert(d.premises[1], _Item("LGd", "ant",
-                                              _resolve_gd(chi, pr, "R"), pi))
             return [make_lgd(u1[0], u2[0], chi_l, pi + rel[2]), u1[1]]
-        u2 = _invert(d.premises[1], _Item("LGd", "ant",
-                                          _resolve_gd(chi, pr, "R"), pi))
         return [u1[0], make_lgd(u1[1], u2[1], chi_r, pi + rel[2])]
     # the item's occurrence lies inside the root rule's disjunct j
     _, j, rest = rel
     pj = d.premises[j]
-    w = _invert(pj, _Item("LGd", "ant",
-                          _resolve_gd(chi, pr, "L" if j == 0 else "R"),
-                          pr + rest))
+    w = _invert(pj, _Item("LGd", "ant", (prem_l, prem_r)[j], pr + rest))
     other = d.premises[1 - j]
     outs = []
     for k, host in ((0, chi_l), (1, chi_r)):
@@ -375,25 +353,25 @@ def _invert_rgd_rgd(d: Derivation, item: _Item):
     sr = d.rule.side
     if pr == pi:
         return d.premises[0], sr
-    prem_formula = _resolve_gd(chi, pr, sr)
+    prem_formula = gd_sides(chi, pr)["LR".index(sr)]
     rel = _path_rel(pr, pi)
     if rel == "disjoint":
         o, s = _invert(d.premises[0], _Item("RGd", "suc", prem_formula, pi))
-        return make_rgd(o, _resolve_gd(chi, pi, s), pr, sr), s
+        return make_rgd(o, gd_sides(chi, pi)["LR".index(s)], pr, sr), s
     if rel[0] == "p_inside_q":
         # root rule's occurrence inside the item's disjunct j
         _, j, rest = rel
         o, s = _invert(d.premises[0], _Item("RGd", "suc", prem_formula, pi))
         if (0 if s == "L" else 1) == j:
-            return make_rgd(o, _resolve_gd(chi, pi, s), pi + rest, sr), s
+            return make_rgd(o, gd_sides(chi, pi)["LR".index(s)], pi + rest, sr), s
         return o, s
     # item's occurrence inside the root rule's disjunct j
     _, j, rest = rel
     if (0 if sr == "L" else 1) == j:
         o, s = _invert(d.premises[0], _Item("RGd", "suc", prem_formula, pr + rest))
-        return make_rgd(o, _resolve_gd(chi, pi, s), pr, sr), s
+        return make_rgd(o, gd_sides(chi, pi)["LR".index(s)], pr, sr), s
     # the item's occurrence sits in the discarded disjunct: reintroduce
-    return make_rgd(d.premises[0], _resolve_gd(chi, pi, "L"), pr, sr), "L"
+    return make_rgd(d.premises[0], gd_sides(chi, pi)[0], pr, sr), "L"
 
 
 def invert(d: Derivation, tag: str, pos: int, path=()):
@@ -402,7 +380,7 @@ def invert(d: Derivation, tag: str, pos: int, path=()):
 
     Returns a list of derivations; for tag 'RGd' a pair (derivation, side).
     """
-    side = _ITEM_SIDE.get(tag)
+    side = _PRINCIPAL_SIDE.get(tag)
     if side is None:
         raise ShapeMismatch(f"unknown inversion tag {tag}")
     pool = d.conclusion.ant if side == "ant" else d.conclusion.suc
@@ -450,17 +428,15 @@ def _contract(d: Derivation, side: str, f: Formula) -> Derivation:
             else Sequent(c.ant, mset_remove(c.suc, f))
         return _axiom_on(d, seq)
 
-    principal_side = {"LNeg": "L", "RNeg": "R", "LAnd": "L", "ROr": "R",
-                      "RAnd": "R", "LOr": "L", "LGd": "L", "RGd": "R",
-                      "Cut": None}[r.rule]
-    if principal_side == side and r.formula == f:
+    if _PRINCIPAL_SIDE.get(r.rule) == ("ant" if side == "L" else "suc") \
+            and r.formula == f:
         return _contract_principal(d, side, f)
 
     if r.rule in ("RAnd", "LOr") and side == "R":
         weak = r.weak or ()
         if f in weak:
-            return _rebuild(d, d.premises, weak=mset_remove(weak, f))
-        return _rebuild(d, tuple(_contract(p, side, f) for p in d.premises))
+            return _rebuild(d.rule, d.premises, weak=mset_remove(weak, f))
+        return _rebuild(d.rule, tuple(_contract(p, side, f) for p in d.premises))
 
     if r.rule == "Cut":
         phi = r.cutformula
@@ -472,12 +448,12 @@ def _contract(d: Derivation, side: str, f: Formula) -> Derivation:
             c1 = mset_remove(p1.conclusion.suc, phi).count(f)
             c2 = p2.conclusion.suc.count(f)
         if c1 >= 2:
-            return _rebuild(d, (_contract(p1, side, f), p2))
+            return _rebuild(d.rule, (_contract(p1, side, f), p2))
         if c2 >= 2:
-            return _rebuild(d, (p1, _contract(p2, side, f)))
+            return _rebuild(d.rule, (p1, _contract(p2, side, f)))
         raise ShapeMismatch("contraction across the two premises of a cut")
 
-    return _rebuild(d, tuple(_contract(p, side, f) for p in d.premises))
+    return _rebuild(d.rule, tuple(_contract(p, side, f) for p in d.premises))
 
 
 def _contract_principal(d: Derivation, side: str, f: Formula) -> Derivation:
@@ -502,7 +478,7 @@ def _contract_principal(d: Derivation, side: str, f: Formula) -> Derivation:
         case "RAnd":
             weak = r.weak or ()
             if f in weak:
-                return _rebuild(d, d.premises, weak=mset_remove(weak, f))
+                return _rebuild(d.rule, d.premises, weak=mset_remove(weak, f))
             u1 = _invert(d.premises[0], _Item("RAnd", "suc", f))[0]
             u2 = _invert(d.premises[1], _Item("RAnd", "suc", f))[1]
             return make_rand(_contract(u1, "R", f.left),
@@ -515,9 +491,7 @@ def _contract_principal(d: Derivation, side: str, f: Formula) -> Derivation:
                             _contract(u2, "L", f.right), f, weak)
         case "LGd":
             pi = r.path
-            node = subformula_at(f, pi)
-            fl = substitute_at(f, pi, node.left)
-            fr = substitute_at(f, pi, node.right)
+            fl, fr = gd_sides(f, pi)
             u1 = _invert(d.premises[0], _Item("LGd", "ant", f, pi))[0]
             u2 = _invert(d.premises[1], _Item("LGd", "ant", f, pi))[1]
             return make_lgd(_contract(u1, "L", fl), _contract(u2, "L", fr),
@@ -558,26 +532,14 @@ def _push_rgd(host: Formula, path, side: str, n: Derivation) -> Derivation:
     return make_rgd(n, host, path, side)
 
 
-def _push_classical(tag: str, principal: Formula, weak, premises):
-    """Insert a classical rule below normalized premises, commuting it
-    past their deep-rule segments."""
-    weak = mset(weak or ())
+def _push_classical(r: RuleApp, premises):
+    """Insert the classical rule `r` below normalized premises, commuting
+    it past their deep-rule segments."""
+    tag, principal = r.rule, r.formula
 
-    def apply_now(prems):
-        match tag:
-            case "LNeg":
-                return make_lneg(prems[0], principal)
-            case "RNeg":
-                return make_rneg(prems[0], principal)
-            case "LAnd":
-                return make_land(prems[0], principal)
-            case "ROr":
-                return make_ror(prems[0], principal)
-            case "RAnd":
-                return make_rand(prems[0], prems[1], principal, weak)
-            case "LOr":
-                return make_lor(prems[0], prems[1], principal, weak)
-        raise ShapeMismatch(f"not a classical rule: {tag}")
+    def on(formula):
+        """The pushed rule with another principal formula."""
+        return replace(r, formula=formula)
 
     prems = list(premises)
 
@@ -589,25 +551,24 @@ def _push_classical(tag: str, principal: Formula, weak, premises):
         # active formulas of the pushed rule, per premise slot
         if tag == "LAnd" and g in (principal.left, principal.right):
             i = 0 if g == principal.left else 1
-            outs = [_push_classical(tag, substitute_at(principal, (i,), gk),
-                                    weak, [n.premises[k]])
-                    for k, gk in enumerate(_gd_sides(g, gpath))]
+            outs = [_push_classical(on(substitute_at(principal, (i,), gk)),
+                                    [n.premises[k]])
+                    for k, gk in enumerate(gd_sides(g, gpath))]
             return make_lgd(outs[0], outs[1], principal, (i,) + gpath)
         if tag == "LOr" and idx == 0 and g == principal.left:
-            outs = [_push_classical(tag, substitute_at(principal, (0,), gk),
-                                    weak, [n.premises[k], prems[1]])
-                    for k, gk in enumerate(_gd_sides(g, gpath))]
+            outs = [_push_classical(on(substitute_at(principal, (0,), gk)),
+                                    [n.premises[k], prems[1]])
+                    for k, gk in enumerate(gd_sides(g, gpath))]
             return make_lgd(outs[0], outs[1], principal, (0,) + gpath)
         if tag == "LOr" and idx == 1 and g == principal.right:
-            outs = [_push_classical(tag, substitute_at(principal, (1,), gk),
-                                    weak, [prems[0], n.premises[k]])
-                    for k, gk in enumerate(_gd_sides(g, gpath))]
+            outs = [_push_classical(on(substitute_at(principal, (1,), gk)),
+                                    [prems[0], n.premises[k]])
+                    for k, gk in enumerate(gd_sides(g, gpath))]
             return make_lgd(outs[0], outs[1], principal, (1,) + gpath)
         # negation actives are classical, so only context cases remain;
         # shared-context occurrence: align the other premise by inversion
         if len(prems) == 1:
-            outs = [_push_classical(tag, principal, weak, [n.premises[k]])
-                    for k in (0, 1)]
+            outs = [_push_classical(r, [n.premises[k]]) for k in (0, 1)]
             return make_lgd(outs[0], outs[1], g, gpath)
         other = prems[1 - idx]
         aligned = _invert(other, _Item("LGd", "ant", g, gpath))
@@ -615,7 +576,7 @@ def _push_classical(tag: str, principal: Formula, weak, premises):
         for k in (0, 1):
             pair = [n.premises[k], aligned[k]] if idx == 0 \
                 else [aligned[k], n.premises[k]]
-            outs.append(_push_classical(tag, principal, weak, pair))
+            outs.append(_push_classical(r, pair))
         return make_lgd(outs[0], outs[1], g, gpath)
 
     # then below a right deep rule
@@ -623,32 +584,27 @@ def _push_classical(tag: str, principal: Formula, weak, premises):
         if n.rule.rule != "RGd":
             continue
         h, hpath, hside = n.rule.formula, n.rule.path, n.rule.side
-        resolved = _resolve_gd(h, hpath, hside)
+        resolved = gd_sides(h, hpath)["LR".index(hside)]
         # negation actives are classical, so they never hold the occurrence
         if tag == "ROr" and h in (principal.left, principal.right):
             i = 0 if h == principal.left else 1
-            out = _push_classical(tag, substitute_at(principal, (i,), resolved),
-                                  weak, [n.premises[0]])
+            out = _push_classical(on(substitute_at(principal, (i,), resolved)),
+                                  [n.premises[0]])
             return make_rgd(out, principal, (i,) + hpath, hside)
         if tag == "RAnd" and ((idx == 0 and h == principal.left)
                               or (idx == 1 and h == principal.right)):
             i = idx
             pair = [n.premises[0], prems[1]] if i == 0 else [prems[0], n.premises[0]]
-            out = _push_classical(tag, substitute_at(principal, (i,), resolved),
-                                  weak, pair)
+            out = _push_classical(on(substitute_at(principal, (i,), resolved)),
+                                  pair)
             return make_rgd(out, principal, (i,) + hpath, hside)
         # context occurrence: commute straight down (the restricted binary
         # rules cannot reach here: their classical contexts exclude h)
         assert tag not in ("RAnd", "LOr"), tag
-        out = _push_classical(tag, principal, weak, [n.premises[0]])
+        out = _push_classical(r, [n.premises[0]])
         return _push_rgd(h, hpath, hside, out)
 
-    return apply_now(prems)
-
-
-def _gd_sides(f: Formula, path) -> tuple[Formula, Formula]:
-    node = subformula_at(f, path)
-    return (substitute_at(f, path, node.left), substitute_at(f, path, node.right))
+    return _rebuild(r, prems)
 
 
 def normalize(d: Derivation) -> Derivation:
@@ -670,7 +626,7 @@ def _norm(d: Derivation) -> Derivation:
         return make_lgd(ps[0], ps[1], r.formula, r.path)
     if r.rule == "RGd":
         return _push_rgd(r.formula, r.path, r.side, ps[0])
-    return _push_classical(r.rule, r.formula, r.weak, ps)
+    return _push_classical(r, ps)
 
 
 # ---------------------------------------------------------------------------
@@ -687,7 +643,7 @@ def _celim(d: Derivation) -> Derivation:
     ps = tuple(_celim(p) for p in d.premises)
     if d.rule.rule == "Cut":
         return _ccut(ps[0], ps[1], d.rule.cutformula)
-    return _rebuild(d, ps) if ps else d
+    return _rebuild(d.rule, ps) if ps else d
 
 
 def _ccut(d1: Derivation, d2: Derivation, phi: Formula) -> Derivation:
@@ -719,7 +675,7 @@ def _ccut(d1: Derivation, d2: Derivation, phi: Formula) -> Derivation:
 
     if not left_principal:
         if r1.rule in ("LNeg", "RNeg", "LAnd", "ROr"):
-            return _rebuild(d1, (_ccut(d1.premises[0], d2, phi),))
+            return _rebuild(d1.rule, (_ccut(d1.premises[0], d2, phi),))
         if r1.rule in ("RAnd", "LOr"):
             weak = r1.weak or ()
             if phi in weak:
@@ -727,17 +683,17 @@ def _ccut(d1: Derivation, d2: Derivation, phi: Formula) -> Derivation:
                                           mset_remove(d2.conclusion.ant, phi))
                               for p in d1.premises)
                 new_weak = mset_remove(weak, phi) + d2.conclusion.suc
-                return _rebuild(d1, prems, weak=new_weak)
-            return _rebuild(d1, tuple(_ccut(p, d2, phi) for p in d1.premises))
+                return _rebuild(d1.rule, prems, weak=new_weak)
+            return _rebuild(d1.rule, tuple(_ccut(p, d2, phi) for p in d1.premises))
         raise ShapeMismatch(f"unexpected rule {r1.rule} in classical cut")
 
     right_principal = r2.rule in ("LNeg", "LAnd", "LOr") and r2.formula == phi
 
     if not right_principal:
         if r2.rule in ("LNeg", "RNeg", "LAnd", "ROr"):
-            return _rebuild(d2, (_ccut(d1, d2.premises[0], phi),))
+            return _rebuild(d2.rule, (_ccut(d1, d2.premises[0], phi),))
         if r2.rule in ("RAnd", "LOr"):
-            return _rebuild(d2, tuple(_ccut(d1, p, phi) for p in d2.premises))
+            return _rebuild(d2.rule, tuple(_ccut(d1, p, phi) for p in d2.premises))
         raise ShapeMismatch(f"unexpected rule {r2.rule} in classical cut")
 
     # principal on both sides: reduce the rank
@@ -773,17 +729,10 @@ def _ccut(d1: Derivation, d2: Derivation, phi: Formula) -> Derivation:
 # ---------------------------------------------------------------------------
 # Full cut elimination
 
-def _first_gd_in(ms):
-    for f in ms:
-        if not is_classical(f):
-            return f, gd_paths(f)[0]
-    return None
-
-
 def _family(n: Derivation) -> dict[tuple, Derivation]:
     """Split a cutfree derivation along every antecedent global
     disjunction: one derivation per antecedent resolution."""
-    hit = _first_gd_in(n.conclusion.ant)
+    hit = first_gd(n.conclusion.ant)
     if hit is None:
         return {n.conclusion.ant: n}
     f, path = hit
@@ -814,28 +763,20 @@ def _classicalize_suc(d: Derivation, entries):
         path = gd_paths(f)[0]
         d, side = _invert(d, _Item("RGd", "suc", f, path))
         records.append((key, f, path, side))
-        cur[pick] = (key, _resolve_gd(f, path, side))
-
-
-def _rebuild_records(d: Derivation, records) -> Derivation:
-    for _key, before, path, side in reversed(records):
-        d = make_rgd(d, before, path, side)
-    return d
+        cur[pick] = (key, gd_sides(f, path)["LR".index(side)])
 
 
 def _build_lgd_family(target_ant, suc, family) -> Derivation:
-    hit = _first_gd_in(target_ant)
+    hit = first_gd(target_ant)
     if hit is None:
         out = family[mset(target_ant)]
         assert out.conclusion == Sequent(target_ant, suc)
         return out
     f, path = hit
-    node = subformula_at(f, path)
     rest = mset_remove(target_ant, f)
-    dl = _build_lgd_family(mset_add(rest, substitute_at(f, path, node.left)),
-                           suc, family)
-    dr = _build_lgd_family(mset_add(rest, substitute_at(f, path, node.right)),
-                           suc, family)
+    fl, fr = gd_sides(f, path)
+    dl = _build_lgd_family(mset_add(rest, fl), suc, family)
+    dr = _build_lgd_family(mset_add(rest, fr), suc, family)
     return make_lgd(dl, dr, f, path)
 
 
@@ -876,8 +817,8 @@ def _eliminate_one(d1: Derivation, d2: Derivation, phi: Formula) -> Derivation:
                                                            sig_entries)
             c2, recs2, _finals2 = right_cache[theta_key]
             spliced = _ccut(c1, c2, alpha)
-            rebuilt = _rebuild_records(spliced, ctx_recs + recs2)
-            big[key] = rebuilt
+            big[key] = replay_rgd(spliced,
+                                  [rec[1:] for rec in ctx_recs + recs2])
     return _build_lgd_family(gamma + pi, delta + sigma, big)
 
 
@@ -892,7 +833,7 @@ def eliminate_cuts(d: Derivation) -> Derivation:
     ps = tuple(eliminate_cuts(p) for p in d.premises)
     if d.rule.rule == "Cut":
         return _eliminate_one(ps[0], ps[1], d.rule.cutformula)
-    return _rebuild(d, ps) if ps else d
+    return _rebuild(d.rule, ps) if ps else d
 
 
 # ---------------------------------------------------------------------------
@@ -936,9 +877,7 @@ def reassemble(res: ResolvedDerivation) -> Derivation:
     endsequent from the classical branches."""
     family = {}
     for xi, c in res.branches.items():
-        d = c
-        for formula, chosen in res.pairings[xi]:
-            for before, path, side in reversed(resolution_steps(formula, chosen)):
-                d = make_rgd(d, before, path, side)
-        family[xi] = d
+        # the last formula's steps end nearest the root
+        family[xi] = replay_rgd(c, [step for f, r in reversed(res.pairings[xi])
+                                    for step in resolution_steps(f, r)])
     return _build_lgd_family(res.gamma, res.delta, family)

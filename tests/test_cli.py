@@ -39,6 +39,9 @@ def test_check_round_trip(tmp_path, capsys):
     path.write_text(json.dumps(blob))
     code, out = invoke(capsys, "check", str(path))
     assert code == 1
+    # a malformed variable name is an input error, not a failed check
+    path.write_text(json.dumps(blob).replace('"name": "p"', '"name": "P"'))
+    assert invoke(capsys, "check", str(path))[0] == 2
 
 
 def test_valid_exit_codes(capsys):
@@ -55,6 +58,10 @@ def test_eval(tmp_path, capsys):
     path.write_text(json.dumps({"vars": ["p"], "team": [[1], [0]]}))
     code, out = invoke(capsys, "eval", "p || ~p", "--team", str(path))
     assert code == 1 and out.strip() == "false"
+    # rows that are not 0/1 valuations of the domain are input errors
+    for rows in ([[2]], [[1, 0]]):
+        path.write_text(json.dumps({"vars": ["p"], "team": rows}))
+        assert invoke(capsys, "eval", "p", "--team", str(path))[0] == 2
 
 
 def test_resolutions_degree(capsys):
@@ -85,6 +92,13 @@ def test_normalize_cutelim_resolve(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)
     assert len(payload["branches"]) == 2
+    # the implicit-weakening field is optional in derivation JSON
+    code, out = invoke(capsys, "prove", "p, q => p & q")
+    blob = json.loads(out)
+    del blob["rule"]["weak"]
+    path.write_text(json.dumps(blob))
+    for cmd in ("check", "normalize", "cutelim", "resolve"):
+        assert invoke(capsys, cmd, str(path))[0] == 0
 
 
 def test_interpolate(capsys):

@@ -3,18 +3,15 @@ from itertools import product
 
 import pytest
 
-from teamseq.calculus import (Derivation, RuleApp, check_derivation,
-                              is_cutfree)
+from teamseq.calculus import Derivation, check_derivation, is_cutfree
 from teamseq.errors import NonClassicalInput, ResourceLimit
-from teamseq.prover import (ClassicalCountermodel, lift_countermodel,
-                            prove_classical, prove_or_countermodel,
-                            _stage2_candidates)
-from teamseq.resolutions import resolutions_multiset
+from teamseq.prover import (ClassicalCountermodel, prove_classical,
+                            prove_or_countermodel)
+from teamseq.resolutions import resolution_choices, resolutions_multiset
 from teamseq.semantics import (Team, big_or, eval_classical,
                                find_countermodel_bruteforce, satisfies,
                                sequent_valid)
-from teamseq.syntax import (And, Gd, Neg, Prop, Sequent, mset,
-                            parse_formula, parse_sequent)
+from teamseq.syntax import Prop, Sequent, mset, parse_formula, parse_sequent
 
 from conftest import gen_sequent, gen_side
 
@@ -126,7 +123,7 @@ def test_stage2_candidate_count_matches_resolutions():
     rng = random.Random(109)
     for _ in range(100):
         suc = gen_side(rng, 2, 3, 2)
-        cands = _stage2_candidates(suc)
+        cands = resolution_choices(suc)
         as_multisets = {mset(r for _, r in pairing) for pairing in cands}
         assert as_multisets == set(resolutions_multiset(suc))
 
@@ -134,36 +131,6 @@ def test_stage2_candidate_count_matches_resolutions():
 def test_budget_exhaustion():
     with pytest.raises(ResourceLimit):
         prove_or_countermodel(ps("p => p"), node_budget=0)
-
-
-def test_lift_countermodel_cases():
-    t = team("p", (1,), (0,))
-    # negation on the left restricts to the refuting valuations
-    out = lift_countermodel(RuleApp("LNeg", formula=Neg(p)), [t])
-    assert out == team("p", (0,))
-    # the two-premise deep right rule takes unions
-    out = lift_countermodel(RuleApp("RGd", formula=Gd(p, Neg(p))),
-                            [team("p", (1,)), team("p", (0,))])
-    assert out == t
-    # pass-through cases
-    for tag in ("RNeg", "LAnd", "ROr", "LOr", "LGd", "RAnd"):
-        assert lift_countermodel(RuleApp(tag, formula=And(p, p)), [t]) == t
-    from teamseq.errors import CaseMismatch
-    with pytest.raises(CaseMismatch):
-        lift_countermodel(RuleApp("Cut", cutformula=p), [t])
-    with pytest.raises(CaseMismatch):
-        lift_countermodel(RuleApp("RGd", formula=Gd(p, q)), [t])
-
-
-def test_lift_matches_oracle_on_lneg():
-    # countermodel of the premise maps to one of the conclusion
-    t = team("p", (1,), (0,))
-    s_prem = ps("=> p, p")  # t refutes it
-    assert not satisfies(t, big_or(s_prem.suc))
-    lifted = lift_countermodel(RuleApp("LNeg", formula=Neg(p)), [t])
-    s_concl = ps("~p => p")
-    assert all(satisfies(lifted, f) for f in s_concl.ant)
-    assert not satisfies(lifted, big_or(s_concl.suc))
 
 
 def test_reported_countermodel_is_first_failing_branch():

@@ -1,11 +1,13 @@
+import gc
 import random
+import weakref
 
 import pytest
 
 from teamseq.errors import (InvalidPath, NonClassicalNegation, ParseError)
 from teamseq.syntax import (And, BOT, Gd, Neg, Or, PartitionSequent, Prop,
                             Sequent, formula_from_json, formula_to_json,
-                            gd_paths, is_classical, parse_formula,
+                            gd_paths, gd_sides, is_classical, parse_formula,
                             parse_sequent, props, render, sequent_from_json,
                             sequent_to_json, signed_props, subformula_at,
                             substitute_at, symbol_count)
@@ -60,6 +62,18 @@ def test_render_round_trip_random():
         assert parse_formula(render(f)) == f
 
 
+def test_cached_values_leave_formulas_unchanged_and_collectable():
+    f = parse_formula("p & (q || ~r)")
+    g = parse_formula("p & (q || ~r)")
+    assert (render(f), props(f), is_classical(f)) == \
+        ("p & (q || ~r)", {"p", "q", "r"}, False)
+    assert f == g and hash(f) == hash(g) and repr(f) == repr(g)
+    ref = weakref.ref(f)
+    del f
+    gc.collect()
+    assert ref() is None
+
+
 def test_is_classical():
     assert is_classical(parse_formula("p & ~q"))
     assert not is_classical(parse_formula("p || q"))
@@ -98,6 +112,10 @@ def test_substitute_at():
         subformula_at(p, (0,))
     with pytest.raises(InvalidPath):
         substitute_at(host, (1, 0, 0), q)
+    assert gd_sides(host, (1,)) == (parse_formula("p & q"),
+                                    parse_formula("p & r"))
+    with pytest.raises(InvalidPath):
+        gd_sides(host, (0,))
 
 
 def test_substitute_then_read_back():
@@ -175,6 +193,8 @@ def test_formula_json_shape():
 def test_bad_variable_name():
     with pytest.raises(ParseError):
         parse_formula("P")
+    with pytest.raises(ParseError):
+        formula_from_json({"op": "prop", "name": "P"})
     with pytest.raises(ValueError):
         Prop("Q")
     with pytest.raises(ValueError):
