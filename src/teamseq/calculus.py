@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import ArityMismatch, DerivationCheckError, RuleViolation
+from .errors import (ArityMismatch, DerivationCheckError, ParseError,
+                     RuleViolation)
 from .syntax import (And, Bot, Formula, Gd, Neg, Or, Prop, Sequent,
                      formula_from_json, formula_to_json, gd_sides,
                      is_classical, mset, mset_add, mset_leq, mset_remove,
@@ -424,9 +425,32 @@ def ruleapp_to_json(r: RuleApp):
     return out
 
 
+# the JSON type of each rule field; every field but `rule` is optional
+_RULE_FIELDS = {"rule": str, "pos": int, "pos2": int, "formula": dict,
+                "path": list, "side": str, "weak": list, "cutformula": dict,
+                "split": list}
+
+
+def _bad_json(what: str, value) -> ParseError:
+    return ParseError(f"bad derivation: {what} is a {type(value).__name__}")
+
+
 def ruleapp_from_json(obj) -> RuleApp:
+    if not isinstance(obj, dict) or "rule" not in obj:
+        raise ParseError("bad derivation: a rule needs an object with \"rule\"")
+    for key, value in obj.items():
+        kind = _RULE_FIELDS.get(key)
+        if kind is not None and (not isinstance(value, kind)
+                                 or isinstance(value, bool)):
+            raise _bad_json(f"rule field {key!r}", value)
+    if "path" in obj and not all(type(step) is int for step in obj["path"]):
+        raise ParseError(f"bad derivation: path {obj['path']!r} is not "
+                         f"an array of integers")
     split = None
     if "split" in obj:
+        if len(obj["split"]) != 2 or \
+                not all(isinstance(part, list) for part in obj["split"]):
+            raise ParseError("bad derivation: split is not two arrays")
         a, b = obj["split"]
         split = (mset(formula_from_json(x) for x in a),
                  mset(formula_from_json(x) for x in b))
@@ -452,6 +476,10 @@ def derivation_to_json(d: Derivation):
 
 
 def derivation_from_json(obj) -> Derivation:
-    return Derivation(sequent_from_json(obj["conclusion"]),
-                      ruleapp_from_json(obj["rule"]),
+    if not isinstance(obj, dict):
+        raise _bad_json("a derivation", obj)
+    if not isinstance(obj.get("premises"), list):
+        raise _bad_json("premises", obj.get("premises"))
+    return Derivation(sequent_from_json(obj.get("conclusion")),
+                      ruleapp_from_json(obj.get("rule")),
                       tuple(derivation_from_json(p) for p in obj["premises"]))

@@ -151,11 +151,12 @@ def _cmd_interpolate(args) -> int:
               f"not valid; countermodel {json.dumps(team_to_json(d))}")
         return 1
     res = interpolate_partition(d, p)
-    verified = bool(verify_interpolant(res, p))
+    report = verify_interpolant(res, p)
     if args.json:
         payload = {"interpolant": render(res.interpolant),
                    "interpolant_ast": formula_to_json(res.interpolant),
-                   "verified": verified}
+                   "verified": report.ok,
+                   "oracle_checked": report.oracle_checked}
         if args.verbose:
             payload["left_derivation"] = derivation_to_json(res.left_derivation)
             payload["right_derivation"] = derivation_to_json(res.right_derivation)
@@ -242,6 +243,9 @@ def run(argv) -> int:
         return args.fn(args)
     except ResourceLimit as e:
         print(f"budget exhausted: {e}", file=sys.stderr)
+        return 3
+    except RecursionError:
+        print("budget exhausted: nesting too deep", file=sys.stderr)
         return 3
     except (ParseError, FileNotFoundError, json.JSONDecodeError, KeyError) as e:
         print(f"input error: {e}", file=sys.stderr)

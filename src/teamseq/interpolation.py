@@ -288,6 +288,7 @@ def craig_lyndon(phi: Formula, psi: Formula,
 class VerificationReport:
     ok: bool
     failures: tuple[str, ...]
+    oracle_checked: bool  # False: a goal was beyond the oracle's budget
 
     def __bool__(self):
         return self.ok
@@ -314,12 +315,14 @@ def verify_interpolant(result: InterpolationResult,
             failures.append(f"{name} derivation concludes {deriv.conclusion}, "
                             f"expected {goal}")
 
+    oracle_checked = True
     for name, goal in (("left", left_goal), ("right", right_goal)):
         try:
             if not sequent_valid(goal):
                 failures.append(f"{name} sequent {goal} is not valid")
         except ResourceLimit:
-            pass  # beyond desk scale; the checked derivation still certifies
+            # beyond desk scale; the checked derivation still certifies
+            oracle_checked = False
 
     bounds = polarity_bounds(partition)
     pos, neg = signed_props(phi)
@@ -329,4 +332,4 @@ def verify_interpolant(result: InterpolationResult,
     if not neg <= bounds.negative:
         failures.append(f"negative variables {sorted(neg - bounds.negative)} "
                         f"outside the allowed vocabulary")
-    return VerificationReport(not failures, tuple(failures))
+    return VerificationReport(not failures, tuple(failures), oracle_checked)

@@ -5,18 +5,35 @@ here enumerates exhaustively (the split-disjunction clause searches all
 covers t = s + u), so it is doubly exponential in the number of variables;
 `max_vars` caps that (default 4).  This module is the ground truth against
 which the calculus, prover, and transformations are tested.
+
+Satisfaction sets over all teams are bitmasks with one bit per team.  The
+cover transform behind the split disjunction counts pairs of teams per
+union, and it keeps those counts in 64-bit lanes of one Python int: at
+`DEFAULT_MAX_VARS` = 4 variables there are 2^16 teams, so a count is at
+most 2^16 * 2^16 = 2^32 and fits a lane.  That lane bound rests on the
+four-variable cap: over a wider domain the transform raises
+`ResourceLimit` rather than overflow a lane.  Single-team satisfaction
+never builds a mask over all teams, so it works on any domain size.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import reduce
+from operator import and_, mul
 
 from .errors import DomainMismatch, ParseError, ResourceLimit
 from .syntax import (And, Bot, BOT, Formula, Gd, Neg, Or, Prop, Sequent,
                      props)
 
 DEFAULT_MAX_VARS = 4
+
+_LANE = 64  # bits per count lane of the cover transform
+_LANE_BYTES = _LANE // 8
+_BIT_OF_ASCII = bytes.maketrans(b"01", b"\x00\x01")
+_ASCII_OF_TOP = bytes.maketrans(b"\x7f\x80", b"01")
 
 
 @dataclass(frozen=True)
@@ -94,7 +111,6 @@ class _Space:
         self.n = len(self.domain)
         self.nvals = 1 << self.n
         self.nteams = 1 << self.nvals
-        self.full = (1 << self.nteams) - 1
         self._sets: dict[Formula, int] = {}
         self._memo: dict[tuple[Formula, int], bool] = {}
 
@@ -216,26 +232,59 @@ class _Space:
         Counts covers via zeta/Moebius transforms on the subset lattice:
         with A(t) = #{s <= t in sl} and B likewise, the number of pairs
         with union exactly t is sum_{r <= t} (-1)^{|t\\r|} A(r)B(r).
+
+        Team t's counts sit in lane t, bits [64t, 64t + 64), of one int,
+        so each transform step over valuation i is one shifted add or
+        subtract on the lanes whose index has bit i clear.  The zeta
+        transform runs on A and B together, A in the low and B in the high
+        half of each lane; both are at most 2^16.  The lane-wise product
+        goes through `array`, and the Moebius transform runs on whole
+        lanes.  Every partial Moebius sum counts pairs, so it is >= 0 and
+        no lane borrows.  The largest count is 2^16 * 2^16 = 2^32 at the
+        four-variable cap `DEFAULT_MAX_VARS`, which is why the lanes are
+        64 bits wide.  Lane masks are rebuilt per step, not kept, and each
+        intermediate is freed before the next is built: at four variables
+        every one of them is 512 KB.
         """
-        n_t = self.nteams
-        a = [(sl >> t) & 1 for t in range(n_t)]
-        b = [(sr >> t) & 1 for t in range(n_t)]
+        if self.n > DEFAULT_MAX_VARS:
+            raise ResourceLimit(f"cover transform over {self.n} variables "
+                                f"exceeds the {DEFAULT_MAX_VARS}-variable "
+                                f"lane bound")
+        nbytes = self.nteams * _LANE_BYTES
+        ab = self._lanes_of(sl) | self._lanes_of(sr) << _LANE // 2
         for i in range(self.nvals):
-            bit = 1 << i
-            for t in range(n_t):
-                if t & bit:
-                    a[t] += a[t ^ bit]
-                    b[t] += b[t ^ bit]
-        p = [x * y for x, y in zip(a, b)]
+            ab += (ab & self._low_lanes(i)) << (_LANE << i)
+        halves = array("I")  # 32-bit items: A(t), B(t) in some order
+        halves.frombytes(ab.to_bytes(nbytes, sys.byteorder))
+        del ab
+        products = array("Q", map(mul, halves[::2], halves[1::2]))
+        del halves
+        p = int.from_bytes(products.tobytes(), sys.byteorder)
+        del products
         for i in range(self.nvals):
-            bit = 1 << i
-            for t in range(n_t):
-                if t & bit:
-                    p[t] -= p[t ^ bit]
-        out = 0
-        for t in range(n_t):
-            if p[t]:
-                out |= 1 << t
+            p -= (p & self._low_lanes(i)) << (_LANE << i)
+        # a lane plus 2^63 - 1 reaches its top bit iff the lane is nonzero
+        p += self._repeat((1 << _LANE - 1) - 1, _LANE)
+        top = p.to_bytes(nbytes, "little")[_LANE_BYTES - 1::_LANE_BYTES]
+        return int(top.translate(_ASCII_OF_TOP)[::-1], 2)
+
+    def _lanes_of(self, mask: int) -> int:
+        """Bit t of `mask` as the count 0 or 1 in lane t."""
+        bits = format(mask, "b")[::-1].encode().translate(_BIT_OF_ASCII)
+        buf = bytearray(self.nteams * _LANE_BYTES)
+        buf[:len(bits) * _LANE_BYTES:_LANE_BYTES] = bits
+        return int.from_bytes(buf, "little")
+
+    def _low_lanes(self, i: int) -> int:
+        """All-ones lanes at the team indices with bit i clear."""
+        return self._repeat((1 << (_LANE << i)) - 1, _LANE << (i + 1))
+
+    def _repeat(self, unit: int, period: int) -> int:
+        """`unit` repeated every `period` bits across all lanes."""
+        out, width = unit, period
+        while width < self.nteams * _LANE:
+            out |= out << width
+            width <<= 1
         return out
 
 
@@ -257,13 +306,20 @@ def satisfies(team: Team, f: Formula) -> bool:
 def sequent_valid(s: Sequent, max_vars: int = DEFAULT_MAX_VARS) -> bool:
     """True iff every team satisfying the antecedent satisfies the split
     disjunction of the succedent, over the sequent's own variables."""
-    domain = tuple(sorted(s.props()))
-    space = _space_for(domain, max_vars)
+    space = _space_for(tuple(sorted(s.props())), max_vars)
+    return _bad_teams(space, s) == 0
+
+
+def _bad_teams(space: _Space, s: Sequent) -> int:
+    """Set of the team masks that satisfy every antecedent formula but not
+    the split disjunction of the succedent.  The set of all teams is built
+    only for an empty antecedent."""
     goal = space.sat_set(big_or(s.suc))
-    hyp = space.full
-    for f in s.ant:
-        hyp &= space.sat_set(f)
-    return hyp & ~goal == 0
+    if s.ant:
+        hyp = reduce(and_, map(space.sat_set, s.ant))
+    else:
+        hyp = (1 << space.nteams) - 1
+    return hyp & ~goal
 
 
 def _ordered_masks(space: _Space) -> list[int]:
@@ -277,13 +333,8 @@ def _ordered_masks(space: _Space) -> list[int]:
 def find_countermodel_bruteforce(s: Sequent,
                                  max_vars: int = DEFAULT_MAX_VARS) -> Team | None:
     """First team (by size, then membership order) witnessing invalidity."""
-    domain = tuple(sorted(s.props()))
-    space = _space_for(domain, max_vars)
-    goal = space.sat_set(big_or(s.suc))
-    hyp = space.full
-    for f in s.ant:
-        hyp &= space.sat_set(f)
-    bad = hyp & ~goal
+    space = _space_for(tuple(sorted(s.props())), max_vars)
+    bad = _bad_teams(space, s)
     if bad == 0:
         return None
     for m in _ordered_masks(space):

@@ -514,8 +514,15 @@ def formula_to_json(f: Formula):
     raise TypeError(f"not a formula: {f!r}")
 
 
+_BINOPS = {"and": And, "or": Or, "gd": Gd}
+
+
 def formula_from_json(obj) -> Formula:
-    op = obj["op"]
+    try:
+        op = obj["op"]
+    except TypeError:
+        raise ParseError(f"bad formula: a {type(obj).__name__}, "
+                         f"not an object") from None
     if op == "prop":
         try:
             return Prop(obj["name"])
@@ -525,9 +532,9 @@ def formula_from_json(obj) -> Formula:
         return BOT
     if op == "neg":
         return Neg(formula_from_json(obj["c"]))
-    binops = {"and": And, "or": Or, "gd": Gd}
-    if op in binops:
-        return binops[op](formula_from_json(obj["l"]), formula_from_json(obj["r"]))
+    binop = _BINOPS.get(op) if isinstance(op, str) else None
+    if binop is not None:
+        return binop(formula_from_json(obj["l"]), formula_from_json(obj["r"]))
     raise ParseError(f"unknown formula op {op!r}")
 
 
@@ -537,5 +544,8 @@ def sequent_to_json(s: Sequent):
 
 
 def sequent_from_json(obj) -> Sequent:
+    if not (isinstance(obj, dict) and isinstance(obj.get("ant"), list)
+            and isinstance(obj.get("suc"), list)):
+        raise ParseError("bad sequent: needs the arrays \"ant\" and \"suc\"")
     return Sequent(tuple(formula_from_json(x) for x in obj["ant"]),
                    tuple(formula_from_json(x) for x in obj["suc"]))

@@ -28,9 +28,9 @@ def test_prove_valid_exit_0(capsys):
 
 
 def test_check_round_trip(tmp_path, capsys):
-    code, out = invoke(capsys, "prove", "p & q => q & p")
+    code, derivation = invoke(capsys, "prove", "p & q => q & p")
     path = tmp_path / "d.json"
-    path.write_text(out)
+    path.write_text(derivation)
     code, out = invoke(capsys, "check", str(path))
     assert code == 0
     # corrupt it
@@ -42,6 +42,12 @@ def test_check_round_trip(tmp_path, capsys):
     # a malformed variable name is an input error, not a failed check
     path.write_text(json.dumps(blob).replace('"name": "p"', '"name": "P"'))
     assert invoke(capsys, "check", str(path))[0] == 2
+    # so is a field of the wrong JSON type
+    for field, value in (("pos", "x"), ("premises", 5)):
+        bad = json.loads(derivation)
+        (bad["rule"] if field == "pos" else bad)[field] = value
+        path.write_text(json.dumps(bad))
+        assert invoke(capsys, "check", str(path))[0] == 2, field
 
 
 def test_valid_exit_codes(capsys):
@@ -62,6 +68,15 @@ def test_eval(tmp_path, capsys):
     for rows in ([[2]], [[1, 0]]):
         path.write_text(json.dumps({"vars": ["p"], "team": rows}))
         assert invoke(capsys, "eval", "p", "--team", str(path))[0] == 2
+    # one team over six variables, far beyond the oracle's sweep cap
+    path.write_text(json.dumps({"vars": list("abcdef"),
+                                "team": [[1, 0, 0, 0, 0, 0],
+                                         [0, 1, 0, 0, 0, 0],
+                                         [1, 1, 1, 1, 0, 1]]}))
+    code, out = invoke(capsys, "eval", "(a || b) | ~f", "--team", str(path))
+    assert code == 0 and out.strip() == "true"
+    code, out = invoke(capsys, "eval", "a || b", "--team", str(path))
+    assert code == 1 and out.strip() == "false"
 
 
 def test_resolutions_degree(capsys):
@@ -111,6 +126,14 @@ def test_interpolate(capsys):
     assert payload["interpolant"] == "p" and payload["verified"]
     code, out = invoke(capsys, "interpolate", "p => q")
     assert code == 1
+    # the report says whether the oracle ran: it does on the golden
+    # sequent, and not with five variables per flank, beyond its cap
+    for text, checked in (("(p||q)|r ; ~p => r|s ; q||x", True),
+                          ("a|b|c|d|e ; a => a|b|c|d|e ; a", False)):
+        code, out = invoke(capsys, "--json", "interpolate", text)
+        payload = json.loads(out)
+        assert code == 0 and payload["verified"]
+        assert payload["oracle_checked"] is checked
 
 
 def test_usage_and_parse_errors(capsys):
@@ -121,6 +144,11 @@ def test_usage_and_parse_errors(capsys):
 
 def test_budget_exit_3(capsys):
     assert run(["--budget", "0", "prove", "p => p"]) == 3
+    capsys.readouterr()
+    deep = " & ".join(["p"] * 1500)
+    assert run(["valid", f"{deep} => p"]) == 3
+    assert capsys.readouterr().err.strip() == \
+        "budget exhausted: nesting too deep"
 
 
 def test_interpolate_rejects_nonclassical_first_block(capsys):

@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from teamseq.errors import DomainMismatch, ResourceLimit
-from teamseq.semantics import (Team, big_or, closure_properties,
+from teamseq.semantics import (Team, _Space, big_or, closure_properties,
                                eval_classical, find_countermodel_bruteforce,
                                satisfies, sequent_valid, team_from_json,
                                team_to_json)
@@ -112,6 +112,75 @@ def test_budget():
         sequent_valid(ps("a & b & c & d & e => a"))
     # four variables is the default cap and stays feasible
     assert sequent_valid(ps("a & b & c & d => a & b"))
+
+
+def loop_or_set(space, sl, sr):
+    """Reference cover transform: the zeta/Moebius count one team at a
+    time, as plain Python loops over the subset lattice."""
+    n_t = space.nteams
+    a = [(sl >> t) & 1 for t in range(n_t)]
+    b = [(sr >> t) & 1 for t in range(n_t)]
+    for i in range(space.nvals):
+        bit = 1 << i
+        for t in range(n_t):
+            if t & bit:
+                a[t] += a[t ^ bit]
+                b[t] += b[t ^ bit]
+    p = [x * y for x, y in zip(a, b)]
+    for i in range(space.nvals):
+        bit = 1 << i
+        for t in range(n_t):
+            if t & bit:
+                p[t] -= p[t ^ bit]
+    out = 0
+    for t in range(n_t):
+        if p[t]:
+            out |= 1 << t
+    return out
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_or_set_matches_loop_reference(n):
+    space = _Space(("a", "b", "c", "d")[:n])
+    full = (1 << space.nteams) - 1
+    top = 1 << (space.nteams - 1)  # the team of all valuations
+    if n < 4:
+        edge = [0, 1, full, 2, top]  # none, {empty team}, all, one team
+        cases = [(x, y) for x in edge for y in edge]
+    else:  # the reference takes about half a second per call here
+        cases = [(0, full), (1, full), (full, full), (2, top)]
+    rng = random.Random(53 + n)
+    for density in (0.01, 0.1, 0.5, 0.9):
+        for _ in range(1 if n == 4 else 12):
+            x, y = (sum(1 << t for t in range(space.nteams)
+                        if rng.random() < density) for _ in range(2))
+            cases.append((x, y))
+    for x, y in cases:
+        assert space._or_set(x, y) == loop_or_set(space, x, y), (n, x, y)
+
+
+def test_or_set_refuses_beyond_lane_bound():
+    # 2^32 * 2^32 covers would overflow a 64-bit lane at five variables;
+    # the check comes before any lane is built
+    with pytest.raises(ResourceLimit):
+        _Space(tuple("abcde"))._or_set(1, 1)
+
+
+def test_single_team_beyond_the_cap():
+    # six variables: the set of all teams would be a 2^64-bit mask, but one
+    # team's satisfaction never builds it.  Satisfaction is local, so the
+    # team restricted to the formula's variables gives the same verdict.
+    domain = tuple("abcdef")
+    rng = random.Random(59)
+    members = frozenset({(1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0),
+                         (1, 1, 1, 1, 0, 1)})
+    big = Team(domain, members)
+    small = Team(("a", "b"), frozenset(v[:2] for v in members))
+    assert not satisfies(big, pf("a || b"))
+    assert satisfies(big, pf("(a || b) | ~f"))  # {100000, 111101} + {010000}
+    for _ in range(40):
+        f = gen_formula(rng, rng.randint(0, 3), 2, vars=("a", "b"))
+        assert satisfies(big, f) == satisfies(small, f)
 
 
 def test_countermodel_golden():
