@@ -247,6 +247,9 @@ def run(argv) -> int:
     except RecursionError:
         print("budget exhausted: nesting too deep", file=sys.stderr)
         return 3
+    except MemoryError:
+        print("budget exhausted: out of memory", file=sys.stderr)
+        return 3
     except (ParseError, FileNotFoundError, json.JSONDecodeError, KeyError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return 2

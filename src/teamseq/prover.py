@@ -146,39 +146,46 @@ def prove_classical(s: Sequent, domain=None,
 # ---------------------------------------------------------------------------
 # Full proof search
 
-def _search_branch(ant, suc, domain, budget, candidates):
+def _search_branch(ant, suc, domain, budget):
     """Stage 2 + 3 for one classical antecedent: returns a Derivation of
-    `ant => suc` or the union team over all failed candidates."""
-    failures: list[Team] = []
-    seen: set[tuple] = set()
-    for pairing in candidates:
+    `ant => suc`, or the countermodel team made of the distinct witnesses
+    of the failed candidates.
+
+    Candidates are pulled one at a time, each for one budget unit.  A
+    failed candidate's witness v satisfies `ant` and falsifies each of its
+    formulas; classical formulas are flat, so a later candidate that a
+    stored witness falsifies throughout fails too.  Such a candidate is
+    skipped without search: it adds no valuation but still costs its unit.
+    """
+    witnesses: list[tuple[tuple[int, ...], dict[str, int]]] = []
+    for pairing in resolution_choices(suc):
         budget.spend("succedent candidate")
         lam = mset(r for _, r in pairing)
-        if lam in seen:
+        if any(not any(eval_classical(r, v) for r in lam)
+               for _, v in witnesses):
             continue
-        seen.add(lam)
         out = _prove_classical(ant, lam, domain, budget)
         if isinstance(out, Derivation):
             # the last formula's steps end nearest the root
             return replay_rgd(out, [step for f, r in reversed(pairing)
                                     for step in resolution_steps(f, r)])
-        failures.append(out.team)
-    members = frozenset().union(*(t.members for t in failures))
-    return Team(domain, members)
+        witnesses.extend((row, dict(zip(domain, row)))
+                         for row in out.team.members)
+    return Team(domain, frozenset(row for row, _ in witnesses))
 
 
-def _search(ant, suc, domain, budget, candidates):
+def _search(ant, suc, domain, budget):
     budget.spend("antecedent split")
     hit = first_gd(ant)
     if hit is None:
-        return _search_branch(ant, suc, domain, budget, candidates)
+        return _search_branch(ant, suc, domain, budget)
     f, path = hit
     fl, fr = gd_sides(f, path)
     rest = mset_remove(ant, f)
-    left = _search(mset_add(rest, fl), suc, domain, budget, candidates)
+    left = _search(mset_add(rest, fl), suc, domain, budget)
     if isinstance(left, Team):
         return left
-    right = _search(mset_add(rest, fr), suc, domain, budget, candidates)
+    right = _search(mset_add(rest, fr), suc, domain, budget)
     if isinstance(right, Team):
         return right
     return make_lgd(left, right, f, path)
@@ -189,10 +196,11 @@ def prove_or_countermodel(s: Sequent, node_budget: int = DEFAULT_NODE_BUDGET):
 
     Deterministic: antecedent splits take the first nonclassical formula
     (canonical order) at its lowest-labelled occurrence; succedent
-    candidates are tried left-disjunct first; the reported countermodel is
-    the one lifted from the first failing antecedent branch.
+    candidates are tried left-disjunct first; the reported countermodel
+    comes from the first failing antecedent branch and is the union of the
+    distinct witnesses found there.  A candidate that a stored witness
+    already refutes is skipped: it adds no valuation to the team but still
+    costs one unit of `node_budget`.
     """
     domain = tuple(sorted(s.props()))
-    budget = _Budget(node_budget)
-    candidates = resolution_choices(s.suc)
-    return _search(s.ant, s.suc, domain, budget, candidates)
+    return _search(s.ant, s.suc, domain, _Budget(node_budget))

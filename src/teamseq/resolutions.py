@@ -8,47 +8,71 @@ assigned left-to-right (infix position), matching `syntax.gd_paths`.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import product
 
 from .errors import DegreeOutOfRange, LabelAbsent
-from .syntax import (And, Bot, Formula, Gd, Neg, Or, Prop, gd_paths, gd_sides,
-                     mset, render)
+from .syntax import (Formula, Gd, gd_paths, gd_sides, is_classical, mset,
+                     render)
+
+
+def iter_resolutions(f: Formula) -> Iterator[Formula]:
+    """Resolutions of `f`, generated lazily: left disjunct alternatives
+    first, each resolution once.  A classical subformula is its own only
+    resolution and is yielded as is."""
+    if is_classical(f):
+        yield f
+    elif isinstance(f, Gd):
+        yield from iter_resolutions(f.left)
+        for x in iter_resolutions(f.right):
+            if not is_resolution(f.left, x):
+                yield x
+    else:
+        op = type(f)  # And or Or with a global disjunction below
+        for a in iter_resolutions(f.left):
+            for b in iter_resolutions(f.right):
+                yield op(a, b)
 
 
 def resolutions_ordered(f: Formula) -> tuple[Formula, ...]:
     """Resolutions in deterministic order: left disjunct alternatives first."""
-    match f:
-        case Prop() | Bot():
-            return (f,)
-        case Neg(c):
-            return tuple(Neg(b) for b in resolutions_ordered(c))
-        case And(l, r):
-            return tuple(And(a, b)
-                         for a in resolutions_ordered(l)
-                         for b in resolutions_ordered(r))
-        case Or(l, r):
-            return tuple(Or(a, b)
-                         for a in resolutions_ordered(l)
-                         for b in resolutions_ordered(r))
-        case Gd(l, r):
-            seen: dict[Formula, None] = {}
-            for x in resolutions_ordered(l) + resolutions_ordered(r):
-                seen.setdefault(x, None)
-            return tuple(seen)
-    raise TypeError(f"not a formula: {f!r}")
+    return tuple(iter_resolutions(f))
 
 
 def resolutions(f: Formula) -> frozenset[Formula]:
-    return frozenset(resolutions_ordered(f))
+    return frozenset(iter_resolutions(f))
 
 
-def resolution_choices(formulas) -> tuple[tuple[tuple[Formula, Formula], ...], ...]:
+def is_resolution(f: Formula, target: Formula) -> bool:
+    """Whether `target` is a resolution of `f`, decided on the structure:
+    a global disjunction matches through either side, `&` and `|` match
+    their own connective child by child, and a classical formula matches
+    only itself."""
+    if isinstance(f, Gd):
+        return is_resolution(f.left, target) or is_resolution(f.right, target)
+    if is_classical(f):
+        return f == target
+    return (type(target) is type(f) and is_resolution(f.left, target.left)
+            and is_resolution(f.right, target.right))
+
+
+def resolution_choices(formulas) -> Iterator[tuple[tuple[Formula, Formula], ...]]:
     """All resolution functions for a multiset, as (formula, resolution)
-    pairings; formulas in canonical order, choices enumerated left-first."""
+    pairings; formulas in canonical order, choices enumerated left-first.
+
+    The pairings are generated lazily, one per pull, so a caller that stops
+    early pays neither the time nor the memory of the rest."""
     ordered = mset(formulas)
-    per = [[(f, r) for r in resolutions_ordered(f)] for f in ordered]
-    return tuple(product(*per)) if per else ((),)
+
+    def extend(i, prefix):
+        if i == len(ordered):
+            yield prefix
+            return
+        f = ordered[i]
+        for r in iter_resolutions(f):
+            yield from extend(i + 1, prefix + ((f, r),))
+
+    return extend(0, ())
 
 
 def resolutions_multiset(formulas) -> frozenset[tuple[Formula, ...]]:
@@ -153,7 +177,7 @@ def resolution_steps(f: Formula, target: Formula) -> tuple[tuple[Formula, tuple[
             return tuple(steps)
         path = paths[0]
         left_version, right_version = gd_sides(cur, path)
-        if target in resolutions(left_version):
+        if is_resolution(left_version, target):
             steps.append((cur, path, "L"))
             cur = left_version
         else:

@@ -517,24 +517,34 @@ def formula_to_json(f: Formula):
 _BINOPS = {"and": And, "or": Or, "gd": Gd}
 
 
-def formula_from_json(obj) -> Formula:
+def _field(obj, key: str):
+    """`obj[key]` for a formula's JSON object, or a ParseError that says
+    what is wrong."""
     try:
-        op = obj["op"]
+        return obj[key]
+    except KeyError:
+        raise ParseError(f"bad formula: missing field {key!r}") from None
     except TypeError:
         raise ParseError(f"bad formula: a {type(obj).__name__}, "
                          f"not an object") from None
+
+
+def formula_from_json(obj) -> Formula:
+    op = _field(obj, "op")
     if op == "prop":
+        name = _field(obj, "name")
         try:
-            return Prop(obj["name"])
+            return Prop(name)
         except (TypeError, ValueError) as e:
-            raise ParseError(f"bad variable name {obj['name']!r}") from e
+            raise ParseError(f"bad variable name {name!r}") from e
     if op == "bot":
         return BOT
     if op == "neg":
-        return Neg(formula_from_json(obj["c"]))
+        return Neg(formula_from_json(_field(obj, "c")))
     binop = _BINOPS.get(op) if isinstance(op, str) else None
     if binop is not None:
-        return binop(formula_from_json(obj["l"]), formula_from_json(obj["r"]))
+        return binop(formula_from_json(_field(obj, "l")),
+                     formula_from_json(_field(obj, "r")))
     raise ParseError(f"unknown formula op {op!r}")
 
 

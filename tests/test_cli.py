@@ -1,4 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from teamseq.calculus import derivation_from_json
 from teamseq.cli import run
@@ -149,6 +155,33 @@ def test_budget_exit_3(capsys):
     assert run(["valid", f"{deep} => p"]) == 3
     assert capsys.readouterr().err.strip() == \
         "budget exhausted: nesting too deep"
+
+
+def test_out_of_memory_exits_3():
+    # five variables admit 2^32 teams, whose team-set masks do not fit in
+    # a 256 MB address space; the limit is set in the child only
+    resource = pytest.importorskip("resource")
+    limit = 256 << 20
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH", "")]))}
+
+    def teamseq(*argv):
+        return subprocess.run(
+            [sys.executable, "-c", "from teamseq.cli import main; main()",
+             "--budget", "5", *argv],
+            env=env, preexec_fn=cap_address_space, capture_output=True,
+            text=True, timeout=60)
+
+    # under the same limit a small domain still gets its verdict
+    assert teamseq("valid", "a & b => a").returncode == 0
+    proc = teamseq("valid", "a & b & c & d & e => a")
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.strip() == "budget exhausted: out of memory"
 
 
 def test_interpolate_rejects_nonclassical_first_block(capsys):

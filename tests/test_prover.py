@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import product
 
 import pytest
@@ -131,6 +132,27 @@ def test_stage2_candidate_count_matches_resolutions():
 def test_budget_exhaustion():
     with pytest.raises(ResourceLimit):
         prove_or_countermodel(ps("p => p"), node_budget=0)
+
+
+def test_budget_bounds_candidate_enumeration():
+    # 2^16 succedent candidates: the budget stops the stream after ten
+    # units instead of after building all of them
+    k = 16
+    s = ps(" & ".join(f"b{i}" for i in range(k)) + " => "
+           + " & ".join(f"(a{i}||b{i})" for i in range(k)))
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimit):
+        prove_or_countermodel(s, node_budget=10)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_countermodel_is_union_of_distinct_witnesses():
+    # the candidate ~p fails at p=1, q=0, and that witness already refutes
+    # the candidate q, which is skipped
+    s = ps("=> ~p || q")
+    out = prove_or_countermodel(s)
+    assert out == team("pq", (1, 0))
+    assert not satisfies(out, big_or(s.suc))
 
 
 def test_reported_countermodel_is_first_failing_branch():

@@ -1,15 +1,17 @@
 import random
+from itertools import product
 
 import pytest
 
 from teamseq.errors import DegreeOutOfRange, LabelAbsent
 from teamseq.resolutions import (ResolutionStep, apply_resolution_step,
-                                 gd_label, partial_resolutions,
-                                 resolution_steps, resolutions,
-                                 resolutions_multiset)
+                                 gd_label, is_resolution, partial_resolutions,
+                                 resolution_choices, resolution_steps,
+                                 resolutions, resolutions_multiset,
+                                 resolutions_ordered)
 from teamseq.semantics import Team, satisfies, sequent_valid
-from teamseq.syntax import (Gd, Prop, Sequent, gd_count, is_classical, mset,
-                            parse_formula)
+from teamseq.syntax import (And, Bot, Gd, Neg, Or, Prop, Sequent, gd_count,
+                            is_classical, mset, parse_formula)
 
 from conftest import gen_formula, gen_side
 
@@ -35,6 +37,55 @@ def test_resolutions_are_classical():
         assert all(is_classical(g) for g in rs)
         if is_classical(f):
             assert rs == {f}
+
+
+def eager_resolutions(f):
+    """Reference: the resolutions built bottom-up as whole tuples, left
+    disjunct alternatives first, duplicates dropped at each `||`."""
+    match f:
+        case Prop() | Bot():
+            return (f,)
+        case Neg(c):
+            return tuple(Neg(b) for b in eager_resolutions(c))
+        case And(l, r) | Or(l, r):
+            return tuple(type(f)(a, b) for a in eager_resolutions(l)
+                         for b in eager_resolutions(r))
+        case Gd(l, r):
+            return tuple(dict.fromkeys(eager_resolutions(l)
+                                       + eager_resolutions(r)))
+
+
+def test_lazy_resolutions_match_eager_reference():
+    rng = random.Random(83)
+    for _ in range(200):
+        f = gen_formula(rng, rng.randint(0, 5), 4)
+        assert resolutions_ordered(f) == eager_resolutions(f)
+
+
+def test_is_resolution_matches_membership():
+    # positives from each formula's own resolutions, negatives from the
+    # resolutions of the other formulas
+    rng = random.Random(89)
+    fs = [gen_formula(rng, rng.randint(0, 4), 3, vars=("p", "q"))
+          for _ in range(80)]
+    pool = {t for f in fs for t in resolutions(f)}
+    positives = negatives = 0
+    for f in fs:
+        rs = resolutions(f)
+        for t in pool:
+            assert is_resolution(f, t) == (t in rs), (f, t)
+            positives += t in rs
+            negatives += t not in rs
+    assert positives >= 80 and negatives >= 1000
+
+
+def test_resolution_choices_are_the_ordered_product():
+    rng = random.Random(97)
+    for _ in range(100):
+        fs = gen_side(rng, 3, 3, 3)
+        eager = list(product(*[[(f, r) for r in resolutions_ordered(f)]
+                               for f in mset(fs)]))
+        assert list(resolution_choices(fs)) == eager
 
 
 def test_resolutions_multiset_golden():

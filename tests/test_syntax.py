@@ -195,6 +195,12 @@ def test_bad_variable_name():
         parse_formula("P")
     with pytest.raises(ParseError):
         formula_from_json({"op": "prop", "name": "P"})
+    # a missing field is named, not raised as a bare KeyError
+    for obj, field in [({"op": "neg"}, "'c'"), ({"op": "prop"}, "'name'"),
+                       ({"op": "and", "l": {"op": "bot"}}, "'r'"),
+                       ({"name": "p"}, "'op'")]:
+        with pytest.raises(ParseError, match=f"missing field {field}"):
+            formula_from_json(obj)
     with pytest.raises(ValueError):
         Prop("Q")
     with pytest.raises(ValueError):
