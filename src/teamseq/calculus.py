@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import (ArityMismatch, DerivationCheckError, ParseError,
-                     RuleViolation)
+from .errors import (ArityMismatch, DerivationCheckError, InvalidPath,
+                     ParseError, RuleViolation, ShapeMismatch)
 from .syntax import (And, Bot, Formula, Gd, Neg, Or, Prop, Sequent,
                      formula_from_json, formula_to_json, gd_sides,
                      is_classical, mset, mset_add, mset_leq, mset_remove,
@@ -215,6 +215,70 @@ def make_lori(p1: Derivation, p2: Derivation, disj: Or) -> Derivation:
 
 
 # ---------------------------------------------------------------------------
+# The backward step.  Proof search, inversion and interpolation read each
+# logical rule root-first: the premises its principal formula leaves
+# behind, and the rule rebuilt over new premises.
+
+# side of the principal formula per logical rule ('ant' or 'suc')
+PRINCIPAL_SIDE = {"LNeg": "ant", "RNeg": "suc", "LAnd": "ant", "RAnd": "suc",
+                  "LOr": "ant", "ROr": "suc", "LGd": "ant", "RGd": "suc"}
+
+
+def premises_of(tag: str, ant, suc, f: Formula, path=(), side: str = "L"):
+    """The premises `(ant, suc)` of the logical rule `tag` with principal
+    `f` in `ant => suc`, one pair per premise: RAnd and LOr without
+    implicit weakening, the deep rules at `path`, RGd on `side`."""
+    match tag:
+        case "LNeg":
+            return [(mset_remove(ant, f), mset_add(suc, f.child))]
+        case "RNeg":
+            return [(mset_add(ant, f.child), mset_remove(suc, f))]
+        case "LAnd":
+            return [(mset_add(mset_remove(ant, f), f.left, f.right), suc)]
+        case "ROr":
+            return [(ant, mset_add(mset_remove(suc, f), f.left, f.right))]
+        case "RAnd":
+            rest = mset_remove(suc, f)
+            return [(ant, mset_add(rest, f.left)), (ant, mset_add(rest, f.right))]
+        case "LOr":
+            rest = mset_remove(ant, f)
+            return [(mset_add(rest, f.left), suc), (mset_add(rest, f.right), suc)]
+        case "LGd":
+            rest = mset_remove(ant, f)
+            return [(mset_add(rest, g), suc) for g in gd_sides(f, path)]
+        case "RGd":
+            g = gd_sides(f, path)["LR".index(side)]
+            return [(ant, mset_add(mset_remove(suc, f), g))]
+    raise ShapeMismatch(f"no backward step for rule {tag}")
+
+
+def rebuild(r: RuleApp, premises, weak=None) -> Derivation:
+    """Apply the rule `r` describes over new premises, with the implicit
+    weakening `weak` in place of `r.weak` when given."""
+    w = (r.weak or ()) if weak is None else weak
+    match r.rule:
+        case "LNeg":
+            return make_lneg(premises[0], r.formula)
+        case "RNeg":
+            return make_rneg(premises[0], r.formula)
+        case "LAnd":
+            return make_land(premises[0], r.formula)
+        case "ROr":
+            return make_ror(premises[0], r.formula)
+        case "RAnd":
+            return make_rand(premises[0], premises[1], r.formula, w)
+        case "LOr":
+            return make_lor(premises[0], premises[1], r.formula, w)
+        case "LGd":
+            return make_lgd(premises[0], premises[1], r.formula, r.path)
+        case "RGd":
+            return make_rgd(premises[0], r.formula, r.path, r.side)
+        case "Cut":
+            return make_cut(premises[0], premises[1], r.cutformula)
+    raise ShapeMismatch(f"cannot rebuild rule {r.rule}")
+
+
+# ---------------------------------------------------------------------------
 # Checking
 
 _ARITY = {"At": 0, "LBot": 0,
@@ -232,6 +296,17 @@ def _principal(rule: RuleApp, seq: Sequent, side: str) -> Formula:
                             f"principal mismatch: meta {render(rule.formula)} vs "
                             f"conclusion {render(f)}")
     return f
+
+
+def _deep_node(rule: RuleApp, f: Formula) -> Gd:
+    """The global disjunction a deep rule's `path` addresses in `f`."""
+    try:
+        node = subformula_at(f, rule.path or ())
+    except InvalidPath as e:
+        raise RuleViolation(rule.rule, str(e)) from e
+    if not isinstance(node, Gd):
+        raise RuleViolation(rule.rule, "path must address a global disjunction")
+    return node
 
 
 def check_inference(conclusion: Sequent, rule: RuleApp, premises) -> None:
@@ -314,9 +389,7 @@ def check_inference(conclusion: Sequent, rule: RuleApp, premises) -> None:
             want(premises[1], mset_add(gam, f.right), lam, "right premise")
         case "LGd":
             f = _principal(rule, conclusion, "ant")
-            node = subformula_at(f, rule.path or ())
-            if not isinstance(node, Gd):
-                raise RuleViolation(tag, "path must address a global disjunction")
+            node = _deep_node(rule, f)
             gam = mset_remove(conclusion.ant, f)
             want(premises[0],
                  mset_add(gam, substitute_at(f, rule.path, node.left)),
@@ -326,9 +399,7 @@ def check_inference(conclusion: Sequent, rule: RuleApp, premises) -> None:
                  conclusion.suc, "right premise")
         case "RGd":
             f = _principal(rule, conclusion, "suc")
-            node = subformula_at(f, rule.path or ())
-            if not isinstance(node, Gd):
-                raise RuleViolation(tag, "path must address a global disjunction")
+            node = _deep_node(rule, f)
             if rule.side not in ("L", "R"):
                 raise RuleViolation(tag, f"bad side {rule.side!r}")
             chosen = node.left if rule.side == "L" else node.right

@@ -35,8 +35,13 @@ def _parse_plain_sequent(text: str) -> Sequent:
 
 
 def _load_json(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    """Parsed JSON of a file; unreadable, non-UTF-8 or malformed input is
+    a ParseError, so it exits 2 and never reads as a verdict."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as e:
+        raise ParseError(f"cannot read {path}: {e}") from e
 
 
 def _budget(args, default: int) -> int:
@@ -250,7 +255,7 @@ def run(argv) -> int:
     except MemoryError:
         print("budget exhausted: out of memory", file=sys.stderr)
         return 3
-    except (ParseError, FileNotFoundError, json.JSONDecodeError, KeyError) as e:
+    except (ParseError, KeyError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return 2
     except TeamSeqError as e:

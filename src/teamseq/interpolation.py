@@ -7,24 +7,28 @@ variables are confined to both flanks.  The first succedent block must be
 classical; otherwise no interpolant need exist.
 
 The extraction walks the derivation once, assigning each axiom its local
-interpolant and combining premise interpolants per rule and per the block
-holding the principal formula; both flank derivations are built alongside.
+interpolant and combining premise interpolants per the flank holding the
+principal formula: a one-premise rule steps back on that flank with
+`calculus.premises_of` and is rebuilt there, and a two-premise rule joins
+the two interpolants with `|` (left flank; `||` for a left deep rule under
+a nonclassical D2) or `&` (right flank).  Both flank derivations are built
+alongside.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .calculus import (Derivation, check_derivation, is_cutfree, make_at,
-                       make_land, make_lbot, make_lgd, make_lneg, make_lor,
-                       make_rand, make_rgd, make_rneg, make_ror)
+from .calculus import (PRINCIPAL_SIDE, Derivation, check_derivation,
+                       is_cutfree, make_at, make_land, make_lbot, make_lgd,
+                       make_lneg, make_lor, make_rand, make_rgd, make_rneg,
+                       make_ror, premises_of, rebuild)
 from .errors import (ContainsCut, NonClassicalLambda1, PartitionMismatch,
                      ResourceLimit, ShapeMismatch, TeamSeqError)
 from .prover import DEFAULT_NODE_BUDGET, prove_or_countermodel
 from .semantics import Team, sequent_valid
 from .syntax import (And, BOT, Bot, Formula, Gd, Neg, Or, PartitionSequent,
-                     Sequent, gd_sides, is_classical, mset, mset_add,
-                     mset_remove, render, signed_props)
+                     Sequent, is_classical, mset, mset_add, signed_props)
 from .transforms import weaken
 
 
@@ -126,133 +130,43 @@ def _interp(d: Derivation, g1, g2, l1, d2):
                 make_rneg(make_lbot(mset_add(g1, BOT), l1), nb),
                 make_lneg(make_lbot(g2, mset_add(d2, BOT)), nb))
 
+    if tag not in PRINCIPAL_SIDE:
+        raise ShapeMismatch(f"interpolation does not handle rule {tag}")
     f = r.formula
+    if len(d.premises) == 2:
+        w1, w2, l1, d2 = _allocate_weak(r.weak, l1, d2)
+    # the flank holding the principal formula: (G1, L1) or (G2, D2)
+    on_left = f in (g1 if PRINCIPAL_SIDE[tag] == "ant" else l1)
+    if on_left:
+        prems = premises_of(tag, g1, l1, f, r.path, r.side)
+        subs = [_interp(p, a, g2, s, d2) for p, (a, s) in zip(d.premises, prems)]
+    else:
+        prems = premises_of(tag, g2, d2, f, r.path, r.side)
+        subs = [_interp(p, g1, a, l1, s) for p, (a, s) in zip(d.premises, prems)]
 
-    if tag == "LNeg":
-        if f in g1:
-            phi, l, rr = _interp(d.premises[0], mset_remove(g1, f), g2,
-                                 mset_add(l1, f.child), d2)
-            return phi, make_lneg(l, f), rr
-        phi, l, rr = _interp(d.premises[0], g1, mset_remove(g2, f),
-                             l1, mset_add(d2, f.child))
-        return phi, l, make_lneg(rr, f)
+    if len(subs) == 1:  # LNeg RNeg LAnd ROr RGd
+        phi, l, rr = subs[0]
+        if on_left:
+            return phi, rebuild(r, (l,)), rr
+        return phi, l, rebuild(r, (rr,))
 
-    if tag == "RNeg":
-        if f in l1:
-            phi, l, rr = _interp(d.premises[0], mset_add(g1, f.child), g2,
-                                 mset_remove(l1, f), d2)
-            return phi, make_rneg(l, f), rr
-        phi, l, rr = _interp(d.premises[0], g1, mset_add(g2, f.child),
-                             l1, mset_remove(d2, f))
-        return phi, l, make_rneg(rr, f)
-
-    if tag == "LAnd":
-        if f in g1:
-            phi, l, rr = _interp(d.premises[0],
-                                 mset_add(mset_remove(g1, f), f.left, f.right),
-                                 g2, l1, d2)
-            return phi, make_land(l, f), rr
-        phi, l, rr = _interp(d.premises[0], g1,
-                             mset_add(mset_remove(g2, f), f.left, f.right),
-                             l1, d2)
-        return phi, l, make_land(rr, f)
-
-    if tag == "ROr":
-        if f in l1:
-            phi, l, rr = _interp(d.premises[0], g1, g2,
-                                 mset_add(mset_remove(l1, f), f.left, f.right),
-                                 d2)
-            return phi, make_ror(l, f), rr
-        phi, l, rr = _interp(d.premises[0], g1, g2, l1,
-                             mset_add(mset_remove(d2, f), f.left, f.right))
-        return phi, l, make_ror(rr, f)
-
-    if tag == "RAnd":
-        w1, w2, l1r, d2r = _allocate_weak(r.weak, l1, d2)
-        if f in l1r:
-            lam1 = mset_remove(l1r, f)
-            (a1, la, ra) = _interp(d.premises[0], g1, g2,
-                                   mset_add(lam1, f.left), d2r)
-            (a2, lb, rb) = _interp(d.premises[1], g1, g2,
-                                   mset_add(lam1, f.right), d2r)
-            phi = Or(a1, a2)
-            left = make_ror(make_rand(weaken(la, "R", a2),
-                                      weaken(lb, "R", a1), f, w1), phi)
-            right = make_lor(ra, rb, phi, w2)
-            return phi, left, right
-        d2p = mset_remove(d2r, f)
-        (p1, la, ra) = _interp(d.premises[0], g1, g2, l1r,
-                               mset_add(d2p, f.left))
-        (p2, lb, rb) = _interp(d.premises[1], g1, g2, l1r,
-                               mset_add(d2p, f.right))
+    # RAnd LOr LGd
+    (p1, la, ra), (p2, lb, rb) = subs
+    if not on_left:
         phi = And(p1, p2)
-        left = make_rand(la, lb, phi, w1)
-        right = make_land(make_rand(weaken(ra, "L", p2),
-                                    weaken(rb, "L", p1), f, w2), phi)
-        return phi, left, right
-
-    if tag == "LOr":
-        w1, w2, l1r, d2r = _allocate_weak(r.weak, l1, d2)
-        if f in g1:
-            g1p = mset_remove(g1, f)
-            (a1, la, ra) = _interp(d.premises[0], mset_add(g1p, f.left), g2,
-                                   l1r, d2r)
-            (a2, lb, rb) = _interp(d.premises[1], mset_add(g1p, f.right), g2,
-                                   l1r, d2r)
-            phi = Or(a1, a2)
-            left = make_ror(make_lor(weaken(la, "R", a2),
-                                     weaken(lb, "R", a1), f, w1), phi)
-            right = make_lor(ra, rb, phi, w2)
-            return phi, left, right
-        g2p = mset_remove(g2, f)
-        (a1, la, ra) = _interp(d.premises[0], g1, mset_add(g2p, f.left),
-                               l1r, d2r)
-        (a2, lb, rb) = _interp(d.premises[1], g1, mset_add(g2p, f.right),
-                               l1r, d2r)
-        phi = And(a1, a2)
-        left = make_rand(la, lb, phi, w1)
-        right = make_lor(make_land(weaken(ra, "L", a2), phi),
-                         make_land(weaken(rb, "L", a1), phi), f, w2)
-        return phi, left, right
-
-    if tag == "LGd":
-        fl, fr = gd_sides(f, r.path)
-        if f in g1:
-            g1p = mset_remove(g1, f)
-            (p1, la, ra) = _interp(d.premises[0], mset_add(g1p, fl), g2, l1, d2)
-            (p2, lb, rb) = _interp(d.premises[1], mset_add(g1p, fr), g2, l1, d2)
-            if all(is_classical(g) for g in d2):
-                phi = Or(p1, p2)
-                left = make_ror(make_lgd(weaken(la, "R", p2),
-                                         weaken(lb, "R", p1), f, r.path), phi)
-                right = make_lor(ra, rb, phi, ())
-                return phi, left, right
-            phi = Gd(p1, p2)
-            left = make_lgd(make_rgd(la, phi, (), "L"),
-                            make_rgd(lb, phi, (), "R"), f, r.path)
-            right = make_lgd(ra, rb, phi, ())
-            return phi, left, right
-        g2p = mset_remove(g2, f)
-        (p1, la, ra) = _interp(d.premises[0], g1, mset_add(g2p, fl), l1, d2)
-        (p2, lb, rb) = _interp(d.premises[1], g1, mset_add(g2p, fr), l1, d2)
-        phi = And(p1, p2)
-        left = make_rand(la, lb, phi, ())
-        right = make_lgd(make_land(weaken(ra, "L", p2), phi),
-                         make_land(weaken(rb, "L", p1), phi), f, r.path)
-        return phi, left, right
-
-    if tag == "RGd":
-        if f not in d2:
-            raise PartitionMismatch(
-                f"nonclassical principal {render(f)} outside the second "
-                f"succedent block")
-        fl, fr = gd_sides(f, r.path)
-        fc = fl if r.side == "L" else fr
-        phi, l, rr = _interp(d.premises[0], g1, g2, l1,
-                             mset_add(mset_remove(d2, f), fc))
-        return phi, l, make_rgd(rr, f, r.path, r.side)
-
-    raise ShapeMismatch(f"interpolation does not handle rule {tag}")
+        inner = (weaken(ra, "L", p2), weaken(rb, "L", p1))
+        if tag == "RAnd":
+            right = make_land(rebuild(r, inner, w2), phi)
+        else:
+            right = rebuild(r, [make_land(e, phi) for e in inner], w2)
+        return phi, make_rand(la, lb, phi, w1), right
+    if tag == "LGd" and not all(is_classical(g) for g in d2):
+        phi = Gd(p1, p2)
+        left = rebuild(r, (make_rgd(la, phi, (), "L"), make_rgd(lb, phi, (), "R")))
+        return phi, left, make_lgd(ra, rb, phi, ())
+    phi = Or(p1, p2)
+    left = rebuild(r, (weaken(la, "R", p2), weaken(lb, "R", p1)), w1)
+    return phi, make_ror(left, phi), make_lor(ra, rb, phi, w2)
 
 
 def interpolate_partition(d: Derivation,

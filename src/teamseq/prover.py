@@ -7,22 +7,23 @@ succedent's resolutions (the right deep rule is only "invertible" in the
 choice sense, so this stage is a disjunctive search with backtracking).
 Stage 3 is a backward search over the invertible classical rules, which
 either closes every branch with an axiom or exposes an invalid atomic
-sequent.  Failures produce countermodels that are lifted back down the
-inverted rules; successes reassemble a cutfree derivation.
+sequent, whose valuation is a countermodel of the sequent it was reached
+from.  Stages 1 and 3 step back through a rule with
+`calculus.premises_of` and reassemble a cutfree derivation with
+`calculus.rebuild`; stage 2 replays right deep rules.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .calculus import (Derivation, make_at, make_land, make_lbot, make_lgd,
-                       make_lneg, make_lor, make_rand, make_rneg, make_ror,
-                       replay_rgd)
+from .calculus import (PRINCIPAL_SIDE, Derivation, RuleApp, make_at,
+                       make_lbot, premises_of, rebuild, replay_rgd)
 from .errors import NonClassicalInput, ResourceLimit
 from .resolutions import resolution_choices, resolution_steps
 from .semantics import Team, eval_classical
 from .syntax import (And, Bot, Formula, Neg, Or, Prop, Sequent, first_gd,
-                     gd_sides, mset, mset_add, mset_remove)
+                     mset)
 
 DEFAULT_NODE_BUDGET = 10 ** 6
 
@@ -41,87 +42,48 @@ class _Budget:
 
 @dataclass(frozen=True)
 class ClassicalCountermodel:
-    """Failure trace of the classical search: the lifted countermodel team
-    and the invalid atomic sequent it originated from."""
+    """Failure trace of the classical search: the one-valuation team of
+    the invalid atomic sequent it reached.  The classical rules are
+    invertible, so that valuation satisfies every antecedent formula and
+    falsifies every succedent formula on the path down to the root."""
 
     team: Team
     atomic: Sequent
 
 
-def _restrict_team(team: Team, alpha: Formula) -> Team:
-    """Keep the valuations whose singleton fails `alpha`."""
-    keep = frozenset(v for v in team.members
-                     if not eval_classical(alpha, dict(zip(team.domain, v))))
-    return Team(team.domain, keep)
+def _step(prove, tag: str, ant, suc, f: Formula, path=()):
+    """Prove each premise of the rule `tag` on `f` with `prove`: the first
+    failure, or the rule rebuilt over the premise derivations."""
+    subs = []
+    for a, s in premises_of(tag, ant, suc, f, path):
+        sub = prove(a, s)
+        if not isinstance(sub, Derivation):
+            return sub
+        subs.append(sub)
+    return rebuild(RuleApp(tag, formula=f, path=path), subs)
 
 
 # ---------------------------------------------------------------------------
 # Classical backward search
 
-def _first(pool, pred):
-    for f in pool:
-        if pred(f):
-            return f
-    return None
+# stage 3 expands the first formula of the first rule that applies
+_CLASSICAL_RULES = (("LAnd", And), ("ROr", Or), ("LNeg", Neg), ("RNeg", Neg),
+                    ("RAnd", And), ("LOr", Or))
 
 
 def _prove_classical(ant, suc, domain, budget: _Budget):
     budget.spend("classical sequent")
-    bot = Bot()
-    if bot in ant:
+    if Bot() in ant:
         return make_lbot(ant, suc)
-    shared = _first(ant, lambda f: isinstance(f, Prop) and f in suc)
-    if shared is not None:
-        return make_at(ant, suc, shared)
+    for f in ant:
+        if isinstance(f, Prop) and f in suc:
+            return make_at(ant, suc, f)
 
-    f = _first(ant, lambda g: isinstance(g, And))
-    if f is not None:
-        sub = _prove_classical(mset_add(mset_remove(ant, f), f.left, f.right),
-                               suc, domain, budget)
-        return sub if isinstance(sub, ClassicalCountermodel) else make_land(sub, f)
-
-    f = _first(suc, lambda g: isinstance(g, Or))
-    if f is not None:
-        sub = _prove_classical(ant, mset_add(mset_remove(suc, f), f.left, f.right),
-                               domain, budget)
-        return sub if isinstance(sub, ClassicalCountermodel) else make_ror(sub, f)
-
-    f = _first(ant, lambda g: isinstance(g, Neg))
-    if f is not None:
-        sub = _prove_classical(mset_remove(ant, f), mset_add(suc, f.child),
-                               domain, budget)
-        if isinstance(sub, ClassicalCountermodel):
-            return ClassicalCountermodel(_restrict_team(sub.team, f.child),
-                                         sub.atomic)
-        return make_lneg(sub, f)
-
-    f = _first(suc, lambda g: isinstance(g, Neg))
-    if f is not None:
-        sub = _prove_classical(mset_add(ant, f.child), mset_remove(suc, f),
-                               domain, budget)
-        return sub if isinstance(sub, ClassicalCountermodel) else make_rneg(sub, f)
-
-    f = _first(suc, lambda g: isinstance(g, And))
-    if f is not None:
-        rest = mset_remove(suc, f)
-        left = _prove_classical(ant, mset_add(rest, f.left), domain, budget)
-        if isinstance(left, ClassicalCountermodel):
-            return left
-        right = _prove_classical(ant, mset_add(rest, f.right), domain, budget)
-        if isinstance(right, ClassicalCountermodel):
-            return right
-        return make_rand(left, right, f)
-
-    f = _first(ant, lambda g: isinstance(g, Or))
-    if f is not None:
-        rest = mset_remove(ant, f)
-        left = _prove_classical(mset_add(rest, f.left), suc, domain, budget)
-        if isinstance(left, ClassicalCountermodel):
-            return left
-        right = _prove_classical(mset_add(rest, f.right), suc, domain, budget)
-        if isinstance(right, ClassicalCountermodel):
-            return right
-        return make_lor(left, right, f)
+    for tag, kind in _CLASSICAL_RULES:
+        for f in ant if PRINCIPAL_SIDE[tag] == "ant" else suc:
+            if isinstance(f, kind):
+                return _step(lambda a, s: _prove_classical(a, s, domain, budget),
+                             tag, ant, suc, f)
 
     # atomic and not an axiom: the valuation making the antecedent true
     v = tuple(1 if Prop(x) in ant else 0 for x in domain)
@@ -180,15 +142,8 @@ def _search(ant, suc, domain, budget):
     if hit is None:
         return _search_branch(ant, suc, domain, budget)
     f, path = hit
-    fl, fr = gd_sides(f, path)
-    rest = mset_remove(ant, f)
-    left = _search(mset_add(rest, fl), suc, domain, budget)
-    if isinstance(left, Team):
-        return left
-    right = _search(mset_add(rest, fr), suc, domain, budget)
-    if isinstance(right, Team):
-        return right
-    return make_lgd(left, right, f, path)
+    return _step(lambda a, s: _search(a, s, domain, budget),
+                 "LGd", ant, suc, f, path)
 
 
 def prove_or_countermodel(s: Sequent, node_budget: int = DEFAULT_NODE_BUDGET):

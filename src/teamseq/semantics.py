@@ -63,6 +63,8 @@ def team_from_json(obj) -> Team:
     try:
         return Team(tuple(obj["vars"]),
                     frozenset(tuple(row) for row in obj["team"]))
+    except KeyError as e:
+        raise ParseError(f"bad team: missing field {e}") from e
     except (TypeError, ValueError) as e:
         raise ParseError(f"bad team: {e}") from e
 

@@ -18,9 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .calculus import (Derivation, RuleApp, is_cutfree, make_at, make_cut,
-                       make_land, make_lbot, make_lgd, make_lneg, make_lor,
-                       make_rand, make_rgd, make_rneg, make_ror, replay_rgd)
+from .calculus import (PRINCIPAL_SIDE, Derivation, RuleApp, is_cutfree,
+                       make_at, make_land, make_lbot, make_lgd, make_lneg,
+                       make_lor, make_rand, make_rgd, make_rneg, make_ror,
+                       premises_of, rebuild, replay_rgd)
 from .errors import (ContainsCut, FormulaNotDuplicated, NonClassicalAntecedent,
                      NonClassicalInput, NonClassicalRightContraction,
                      ShapeMismatch)
@@ -38,36 +39,10 @@ def _guard_gt(d: Derivation) -> None:
                             f"independent-context/structural rule {d.rule.rule}")
 
 
-def _rebuild(r: RuleApp, premises, weak=None) -> Derivation:
-    """Apply the rule `r` describes over (transformed) premises, with the
-    implicit weakening `weak` in place of `r.weak` when given."""
-    w = (r.weak or ()) if weak is None else weak
-    match r.rule:
-        case "LNeg":
-            return make_lneg(premises[0], r.formula)
-        case "RNeg":
-            return make_rneg(premises[0], r.formula)
-        case "LAnd":
-            return make_land(premises[0], r.formula)
-        case "ROr":
-            return make_ror(premises[0], r.formula)
-        case "RAnd":
-            return make_rand(premises[0], premises[1], r.formula, w)
-        case "LOr":
-            return make_lor(premises[0], premises[1], r.formula, w)
-        case "LGd":
-            return make_lgd(premises[0], premises[1], r.formula, r.path)
-        case "RGd":
-            return make_rgd(premises[0], r.formula, r.path, r.side)
-        case "Cut":
-            return make_cut(premises[0], premises[1], r.cutformula)
-    raise ShapeMismatch(f"cannot rebuild rule {r.rule}")
-
-
-def _axiom_on(d: Derivation, seq: Sequent) -> Derivation:
+def _axiom_on(d: Derivation, ant, suc) -> Derivation:
     if d.rule.rule == "At":
-        return make_at(seq.ant, seq.suc, d.rule.formula)
-    return make_lbot(seq.ant, seq.suc)
+        return make_at(ant, suc, d.rule.formula)
+    return make_lbot(ant, suc)
 
 
 # ---------------------------------------------------------------------------
@@ -79,14 +54,14 @@ def weaken(d: Derivation, side: str, f: Formula) -> Derivation:
     tag = d.rule.rule
     c = d.conclusion
     if tag in ("At", "LBot"):
-        seq = Sequent(mset_add(c.ant, f), c.suc) if side == "L" \
-            else Sequent(c.ant, mset_add(c.suc, f))
-        return _axiom_on(d, seq)
+        if side == "L":
+            return _axiom_on(d, mset_add(c.ant, f), c.suc)
+        return _axiom_on(d, c.ant, mset_add(c.suc, f))
     if tag in ("RAnd", "LOr") and side == "R":
-        return _rebuild(d.rule, d.premises, weak=mset_add(d.rule.weak or (), f))
+        return rebuild(d.rule, d.premises, weak=mset_add(d.rule.weak or (), f))
     if tag == "Cut":
-        return _rebuild(d.rule, (weaken(d.premises[0], side, f), d.premises[1]))
-    return _rebuild(d.rule, tuple(weaken(p, side, f) for p in d.premises))
+        return rebuild(d.rule, (weaken(d.premises[0], side, f), d.premises[1]))
+    return rebuild(d.rule, tuple(weaken(p, side, f) for p in d.premises))
 
 
 def _weaken_all(d: Derivation, side: str, fs) -> Derivation:
@@ -101,43 +76,8 @@ def _weaken_all(d: Derivation, side: str, fs) -> Derivation:
 @dataclass(frozen=True)
 class _Item:
     tag: str            # LNeg RNeg LAnd RAnd LOr ROr LGd RGd
-    seq_side: str       # 'ant' or 'suc'
     active: Formula
     path: tuple[int, ...] = ()
-
-
-# side of the principal formula per logical rule ('ant' or 'suc')
-_PRINCIPAL_SIDE = {"LNeg": "ant", "RNeg": "suc", "LAnd": "ant", "RAnd": "suc",
-                   "LOr": "ant", "ROr": "suc", "LGd": "ant", "RGd": "suc"}
-
-
-def _item_outputs(item: _Item, seq: Sequent) -> list[Sequent]:
-    """The transformed sequent(s); for the RGd item both side options."""
-    a, s, f = seq.ant, seq.suc, item.active
-    match item.tag:
-        case "LNeg":
-            return [Sequent(mset_remove(a, f), mset_add(s, f.child))]
-        case "RNeg":
-            return [Sequent(mset_add(a, f.child), mset_remove(s, f))]
-        case "LAnd":
-            return [Sequent(mset_add(mset_remove(a, f), f.left, f.right), s)]
-        case "ROr":
-            return [Sequent(a, mset_add(mset_remove(s, f), f.left, f.right))]
-        case "RAnd":
-            rest = mset_remove(s, f)
-            return [Sequent(a, mset_add(rest, f.left)),
-                    Sequent(a, mset_add(rest, f.right))]
-        case "LOr":
-            rest = mset_remove(a, f)
-            return [Sequent(mset_add(rest, f.left), s),
-                    Sequent(mset_add(rest, f.right), s)]
-        case "LGd":
-            rest = mset_remove(a, f)
-            return [Sequent(mset_add(rest, g), s) for g in gd_sides(f, item.path)]
-        case "RGd":
-            rest = mset_remove(s, f)
-            return [Sequent(a, mset_add(rest, g)) for g in gd_sides(f, item.path)]
-    raise ShapeMismatch(f"unknown inversion item {item.tag}")
 
 
 def _path_rel(p: tuple, q: tuple):
@@ -158,12 +98,13 @@ def _invert(d: Derivation, item: _Item):
     _guard_gt(d)
     r = d.rule
     if r.rule in ("At", "LBot"):
-        outs = _item_outputs(item, d.conclusion)
-        if item.tag == "RGd":
-            return _axiom_on(d, outs[0]), "L"
-        return [_axiom_on(d, o) for o in outs]
+        outs = [_axiom_on(d, a, s)
+                for a, s in premises_of(item.tag, d.conclusion.ant,
+                                        d.conclusion.suc, item.active, item.path)]
+        return (outs[0], "L") if item.tag == "RGd" else outs
 
-    if _PRINCIPAL_SIDE.get(r.rule) == item.seq_side and r.formula == item.active:
+    if PRINCIPAL_SIDE.get(r.rule) == PRINCIPAL_SIDE[item.tag] \
+            and r.formula == item.active:
         return _invert_principal(d, item)
     return _invert_context(d, item)
 
@@ -171,16 +112,15 @@ def _invert(d: Derivation, item: _Item):
 def _invert_context(d: Derivation, item: _Item):
     """The item's active occurrence is a context formula of the root rule."""
     r = d.rule
-    c = d.conclusion
 
-    if r.rule in ("RAnd", "LOr") and item.seq_side == "suc":
+    if r.rule in ("RAnd", "LOr") and PRINCIPAL_SIDE[item.tag] == "suc":
         weak = r.weak or ()
         if item.active in weak:
             # introduced by the implicit weakening: rebuild, adjusting the slot
             def rebuilt(suc_repl, ant_add):
                 w = mset_add(mset_remove(weak, item.active), *suc_repl)
                 prems = tuple(_weaken_all(p, "L", ant_add) for p in d.premises)
-                return _rebuild(d.rule, prems, weak=w)
+                return rebuild(d.rule, prems, weak=w)
 
             match item.tag:
                 case "RNeg":
@@ -197,7 +137,7 @@ def _invert_context(d: Derivation, item: _Item):
     if r.rule == "Cut":
         phi = r.cutformula
         p1, p2 = d.premises
-        if item.seq_side == "ant":
+        if PRINCIPAL_SIDE[item.tag] == "ant":
             in_first = item.active in p1.conclusion.ant
         else:
             in_first = item.active in mset_remove(p1.conclusion.suc, phi)
@@ -206,11 +146,11 @@ def _invert_context(d: Derivation, item: _Item):
         if item.tag == "RGd":
             out, side = sub
             prems = (out, other) if in_first else (other, out)
-            return _rebuild(d.rule, prems), side
+            return rebuild(d.rule, prems), side
         outs = []
         for o in sub:
             prems = (o, other) if in_first else (other, o)
-            outs.append(_rebuild(d.rule, prems))
+            outs.append(rebuild(d.rule, prems))
         return outs
 
     if item.tag == "RGd":
@@ -223,11 +163,10 @@ def _invert_context(d: Derivation, item: _Item):
                 f"right deep-rule inversion through {r.rule} with a "
                 f"nonclassical antecedent")
         out, side = _invert(d.premises[0], item)
-        return _rebuild(d.rule, (out,)), side
+        return rebuild(d.rule, (out,)), side
 
     subs = [_invert(p, item) for p in d.premises]
-    n_out = len(_item_outputs(item, c))
-    return [_rebuild(d.rule, tuple(sub[k] for sub in subs)) for k in range(n_out)]
+    return [rebuild(d.rule, prems) for prems in zip(*subs)]
 
 
 def _invert_principal(d: Derivation, item: _Item):
@@ -250,14 +189,14 @@ def _invert_principal(d: Derivation, item: _Item):
         chi = item.active
         i, rest = item.path[0], item.path[1:]
         child = (chi.left, chi.right)[i]
-        u = _invert(d.premises[0], _Item("LGd", "ant", child, rest))
+        u = _invert(d.premises[0], _Item("LGd", child, rest))
         return [make_land(u[k], g)
                 for k, g in enumerate(gd_sides(chi, item.path))]
     if t_i == "LGd" and t_r == "LOr":
         chi = item.active
         i, rest = item.path[0], item.path[1:]
         child = (chi.left, chi.right)[i]
-        u = _invert(d.premises[i], _Item("LGd", "ant", child, rest))
+        u = _invert(d.premises[i], _Item("LGd", child, rest))
         outs = []
         for k, g in enumerate(gd_sides(chi, item.path)):
             prems = (u[k], d.premises[1]) if i == 0 else (d.premises[0], u[k])
@@ -267,13 +206,13 @@ def _invert_principal(d: Derivation, item: _Item):
         chi = item.active
         i, rest = item.path[0], item.path[1:]
         child = (chi.left, chi.right)[i]
-        o, s = _invert(d.premises[0], _Item("RGd", "suc", child, rest))
+        o, s = _invert(d.premises[0], _Item("RGd", child, rest))
         return make_ror(o, gd_sides(chi, item.path)["LR".index(s)]), s
     if t_i == "RGd" and t_r == "RAnd":
         chi = item.active
         i, rest = item.path[0], item.path[1:]
         child = (chi.left, chi.right)[i]
-        o, s = _invert(d.premises[i], _Item("RGd", "suc", child, rest))
+        o, s = _invert(d.premises[i], _Item("RGd", child, rest))
         prems = (o, d.premises[1]) if i == 0 else (d.premises[0], o)
         return make_rand(prems[0], prems[1],
                          gd_sides(chi, item.path)["LR".index(s)],
@@ -285,13 +224,13 @@ def _invert_principal(d: Derivation, item: _Item):
         i, rest = r.path[0], r.path[1:]
         child = (chi.left, chi.right)[i]
         if t_i == "LAnd":
-            u = [_invert(p, _Item("LAnd", "ant", g))[0]
+            u = [_invert(p, _Item("LAnd", g))[0]
                  for p, g in zip(d.premises, gd_sides(chi, r.path))]
             return [make_lgd(u[0], u[1], child, rest)]
         # LOr item: two outputs, the deep rule lands inside one disjunct
         chi_l, chi_r = gd_sides(chi, r.path)
-        u1 = _invert(d.premises[0], _Item("LOr", "ant", chi_l))
-        u2 = _invert(d.premises[1], _Item("LOr", "ant", chi_r))
+        u1 = _invert(d.premises[0], _Item("LOr", chi_l))
+        u2 = _invert(d.premises[1], _Item("LOr", chi_r))
         outs = []
         for k in (0, 1):
             if k == i:
@@ -303,8 +242,8 @@ def _invert_principal(d: Derivation, item: _Item):
         chi = item.active
         i, rest = r.path[0], r.path[1:]
         child = (chi.left, chi.right)[i]
-        u = _invert(d.premises[0], _Item(t_i, "suc",
-                                         gd_sides(chi, r.path)["LR".index(r.side)]))
+        u = _invert(d.premises[0],
+                    _Item(t_i, gd_sides(chi, r.path)["LR".index(r.side)]))
         if t_i == "ROr":
             return [make_rgd(u[0], child, rest, r.side)]
         outs = list(u)
@@ -323,22 +262,22 @@ def _invert_lgd_lgd(d: Derivation, item: _Item):
     prem_l, prem_r = gd_sides(chi, pr)
     rel = _path_rel(pr, pi)
     if rel == "disjoint":
-        u1 = _invert(d.premises[0], _Item("LGd", "ant", prem_l, pi))
-        u2 = _invert(d.premises[1], _Item("LGd", "ant", prem_r, pi))
+        u1 = _invert(d.premises[0], _Item("LGd", prem_l, pi))
+        u2 = _invert(d.premises[1], _Item("LGd", prem_r, pi))
         return [make_lgd(u1[0], u2[0], chi_l, pr),
                 make_lgd(u1[1], u2[1], chi_r, pr)]
     if rel[0] == "p_inside_q":
         # the root rule's occurrence lies inside the item's disjunct j
         _, j, _rest = rel
-        u1 = _invert(d.premises[0], _Item("LGd", "ant", prem_l, pi))
-        u2 = _invert(d.premises[1], _Item("LGd", "ant", prem_r, pi))
+        u1 = _invert(d.premises[0], _Item("LGd", prem_l, pi))
+        u2 = _invert(d.premises[1], _Item("LGd", prem_r, pi))
         if j == 0:
             return [make_lgd(u1[0], u2[0], chi_l, pi + rel[2]), u1[1]]
         return [u1[0], make_lgd(u1[1], u2[1], chi_r, pi + rel[2])]
     # the item's occurrence lies inside the root rule's disjunct j
     _, j, rest = rel
     pj = d.premises[j]
-    w = _invert(pj, _Item("LGd", "ant", (prem_l, prem_r)[j], pr + rest))
+    w = _invert(pj, _Item("LGd", (prem_l, prem_r)[j], pr + rest))
     other = d.premises[1 - j]
     outs = []
     for k, host in ((0, chi_l), (1, chi_r)):
@@ -356,19 +295,19 @@ def _invert_rgd_rgd(d: Derivation, item: _Item):
     prem_formula = gd_sides(chi, pr)["LR".index(sr)]
     rel = _path_rel(pr, pi)
     if rel == "disjoint":
-        o, s = _invert(d.premises[0], _Item("RGd", "suc", prem_formula, pi))
+        o, s = _invert(d.premises[0], _Item("RGd", prem_formula, pi))
         return make_rgd(o, gd_sides(chi, pi)["LR".index(s)], pr, sr), s
     if rel[0] == "p_inside_q":
         # root rule's occurrence inside the item's disjunct j
         _, j, rest = rel
-        o, s = _invert(d.premises[0], _Item("RGd", "suc", prem_formula, pi))
+        o, s = _invert(d.premises[0], _Item("RGd", prem_formula, pi))
         if (0 if s == "L" else 1) == j:
             return make_rgd(o, gd_sides(chi, pi)["LR".index(s)], pi + rest, sr), s
         return o, s
     # item's occurrence inside the root rule's disjunct j
     _, j, rest = rel
     if (0 if sr == "L" else 1) == j:
-        o, s = _invert(d.premises[0], _Item("RGd", "suc", prem_formula, pr + rest))
+        o, s = _invert(d.premises[0], _Item("RGd", prem_formula, pr + rest))
         return make_rgd(o, gd_sides(chi, pi)["LR".index(s)], pr, sr), s
     # the item's occurrence sits in the discarded disjunct: reintroduce
     return make_rgd(d.premises[0], gd_sides(chi, pi)[0], pr, sr), "L"
@@ -380,7 +319,7 @@ def invert(d: Derivation, tag: str, pos: int, path=()):
 
     Returns a list of derivations; for tag 'RGd' a pair (derivation, side).
     """
-    side = _PRINCIPAL_SIDE.get(tag)
+    side = PRINCIPAL_SIDE.get(tag)
     if side is None:
         raise ShapeMismatch(f"unknown inversion tag {tag}")
     pool = d.conclusion.ant if side == "ant" else d.conclusion.suc
@@ -399,8 +338,7 @@ def invert(d: Derivation, tag: str, pos: int, path=()):
     if tag == "RGd" and not all(is_classical(g) for g in d.conclusion.ant):
         raise NonClassicalAntecedent(
             "right deep-rule inversion needs a classical antecedent")
-    out = _invert(d, _Item(tag, side, f, path))
-    return out
+    return _invert(d, _Item(tag, f, path))
 
 
 # ---------------------------------------------------------------------------
@@ -424,19 +362,19 @@ def _contract(d: Derivation, side: str, f: Formula) -> Derivation:
     r = d.rule
     c = d.conclusion
     if r.rule in ("At", "LBot"):
-        seq = Sequent(mset_remove(c.ant, f), c.suc) if side == "L" \
-            else Sequent(c.ant, mset_remove(c.suc, f))
-        return _axiom_on(d, seq)
+        if side == "L":
+            return _axiom_on(d, mset_remove(c.ant, f), c.suc)
+        return _axiom_on(d, c.ant, mset_remove(c.suc, f))
 
-    if _PRINCIPAL_SIDE.get(r.rule) == ("ant" if side == "L" else "suc") \
+    if PRINCIPAL_SIDE.get(r.rule) == ("ant" if side == "L" else "suc") \
             and r.formula == f:
         return _contract_principal(d, side, f)
 
     if r.rule in ("RAnd", "LOr") and side == "R":
         weak = r.weak or ()
         if f in weak:
-            return _rebuild(d.rule, d.premises, weak=mset_remove(weak, f))
-        return _rebuild(d.rule, tuple(_contract(p, side, f) for p in d.premises))
+            return rebuild(d.rule, d.premises, weak=mset_remove(weak, f))
+        return rebuild(d.rule, tuple(_contract(p, side, f) for p in d.premises))
 
     if r.rule == "Cut":
         phi = r.cutformula
@@ -448,52 +386,52 @@ def _contract(d: Derivation, side: str, f: Formula) -> Derivation:
             c1 = mset_remove(p1.conclusion.suc, phi).count(f)
             c2 = p2.conclusion.suc.count(f)
         if c1 >= 2:
-            return _rebuild(d.rule, (_contract(p1, side, f), p2))
+            return rebuild(d.rule, (_contract(p1, side, f), p2))
         if c2 >= 2:
-            return _rebuild(d.rule, (p1, _contract(p2, side, f)))
+            return rebuild(d.rule, (p1, _contract(p2, side, f)))
         raise ShapeMismatch("contraction across the two premises of a cut")
 
-    return _rebuild(d.rule, tuple(_contract(p, side, f) for p in d.premises))
+    return rebuild(d.rule, tuple(_contract(p, side, f) for p in d.premises))
 
 
 def _contract_principal(d: Derivation, side: str, f: Formula) -> Derivation:
     r = d.rule
     match r.rule:
         case "LNeg":
-            u = _invert(d.premises[0], _Item("LNeg", "ant", f))[0]
+            u = _invert(d.premises[0], _Item("LNeg", f))[0]
             return make_lneg(_contract(u, "R", f.child), f)
         case "RNeg":
-            u = _invert(d.premises[0], _Item("RNeg", "suc", f))[0]
+            u = _invert(d.premises[0], _Item("RNeg", f))[0]
             return make_rneg(_contract(u, "L", f.child), f)
         case "LAnd":
-            u = _invert(d.premises[0], _Item("LAnd", "ant", f))[0]
+            u = _invert(d.premises[0], _Item("LAnd", f))[0]
             u = _contract(u, "L", f.left)
             u = _contract(u, "L", f.right)
             return make_land(u, f)
         case "ROr":
-            u = _invert(d.premises[0], _Item("ROr", "suc", f))[0]
+            u = _invert(d.premises[0], _Item("ROr", f))[0]
             u = _contract(u, "R", f.left)
             u = _contract(u, "R", f.right)
             return make_ror(u, f)
         case "RAnd":
             weak = r.weak or ()
             if f in weak:
-                return _rebuild(d.rule, d.premises, weak=mset_remove(weak, f))
-            u1 = _invert(d.premises[0], _Item("RAnd", "suc", f))[0]
-            u2 = _invert(d.premises[1], _Item("RAnd", "suc", f))[1]
+                return rebuild(d.rule, d.premises, weak=mset_remove(weak, f))
+            u1 = _invert(d.premises[0], _Item("RAnd", f))[0]
+            u2 = _invert(d.premises[1], _Item("RAnd", f))[1]
             return make_rand(_contract(u1, "R", f.left),
                              _contract(u2, "R", f.right), f, weak)
         case "LOr":
             weak = r.weak or ()
-            u1 = _invert(d.premises[0], _Item("LOr", "ant", f))[0]
-            u2 = _invert(d.premises[1], _Item("LOr", "ant", f))[1]
+            u1 = _invert(d.premises[0], _Item("LOr", f))[0]
+            u2 = _invert(d.premises[1], _Item("LOr", f))[1]
             return make_lor(_contract(u1, "L", f.left),
                             _contract(u2, "L", f.right), f, weak)
         case "LGd":
             pi = r.path
             fl, fr = gd_sides(f, pi)
-            u1 = _invert(d.premises[0], _Item("LGd", "ant", f, pi))[0]
-            u2 = _invert(d.premises[1], _Item("LGd", "ant", f, pi))[1]
+            u1 = _invert(d.premises[0], _Item("LGd", f, pi))[0]
+            u2 = _invert(d.premises[1], _Item("LGd", f, pi))[1]
             return make_lgd(_contract(u1, "L", fl), _contract(u2, "L", fr),
                             f, pi)
     raise ShapeMismatch(f"contraction against rule {r.rule}")
@@ -571,7 +509,7 @@ def _push_classical(r: RuleApp, premises):
             outs = [_push_classical(r, [n.premises[k]]) for k in (0, 1)]
             return make_lgd(outs[0], outs[1], g, gpath)
         other = prems[1 - idx]
-        aligned = _invert(other, _Item("LGd", "ant", g, gpath))
+        aligned = _invert(other, _Item("LGd", g, gpath))
         outs = []
         for k in (0, 1):
             pair = [n.premises[k], aligned[k]] if idx == 0 \
@@ -604,7 +542,7 @@ def _push_classical(r: RuleApp, premises):
         out = _push_classical(r, [n.premises[0]])
         return _push_rgd(h, hpath, hside, out)
 
-    return _rebuild(r, prems)
+    return rebuild(r, prems)
 
 
 def normalize(d: Derivation) -> Derivation:
@@ -643,7 +581,7 @@ def _celim(d: Derivation) -> Derivation:
     ps = tuple(_celim(p) for p in d.premises)
     if d.rule.rule == "Cut":
         return _ccut(ps[0], ps[1], d.rule.cutformula)
-    return _rebuild(d.rule, ps) if ps else d
+    return rebuild(d.rule, ps) if ps else d
 
 
 def _ccut(d1: Derivation, d2: Derivation, phi: Formula) -> Derivation:
@@ -675,7 +613,7 @@ def _ccut(d1: Derivation, d2: Derivation, phi: Formula) -> Derivation:
 
     if not left_principal:
         if r1.rule in ("LNeg", "RNeg", "LAnd", "ROr"):
-            return _rebuild(d1.rule, (_ccut(d1.premises[0], d2, phi),))
+            return rebuild(d1.rule, (_ccut(d1.premises[0], d2, phi),))
         if r1.rule in ("RAnd", "LOr"):
             weak = r1.weak or ()
             if phi in weak:
@@ -683,17 +621,17 @@ def _ccut(d1: Derivation, d2: Derivation, phi: Formula) -> Derivation:
                                           mset_remove(d2.conclusion.ant, phi))
                               for p in d1.premises)
                 new_weak = mset_remove(weak, phi) + d2.conclusion.suc
-                return _rebuild(d1.rule, prems, weak=new_weak)
-            return _rebuild(d1.rule, tuple(_ccut(p, d2, phi) for p in d1.premises))
+                return rebuild(d1.rule, prems, weak=new_weak)
+            return rebuild(d1.rule, tuple(_ccut(p, d2, phi) for p in d1.premises))
         raise ShapeMismatch(f"unexpected rule {r1.rule} in classical cut")
 
     right_principal = r2.rule in ("LNeg", "LAnd", "LOr") and r2.formula == phi
 
     if not right_principal:
         if r2.rule in ("LNeg", "RNeg", "LAnd", "ROr"):
-            return _rebuild(d2.rule, (_ccut(d1, d2.premises[0], phi),))
+            return rebuild(d2.rule, (_ccut(d1, d2.premises[0], phi),))
         if r2.rule in ("RAnd", "LOr"):
-            return _rebuild(d2.rule, tuple(_ccut(d1, p, phi) for p in d2.premises))
+            return rebuild(d2.rule, tuple(_ccut(d1, p, phi) for p in d2.premises))
         raise ShapeMismatch(f"unexpected rule {r2.rule} in classical cut")
 
     # principal on both sides: reduce the rank
@@ -736,7 +674,7 @@ def _family(n: Derivation) -> dict[tuple, Derivation]:
     if hit is None:
         return {n.conclusion.ant: n}
     f, path = hit
-    dl, dr = _invert(n, _Item("LGd", "ant", f, path))
+    dl, dr = _invert(n, _Item("LGd", f, path))
     out = dict(_family(dr))
     out.update(_family(dl))
     return out
@@ -761,7 +699,7 @@ def _classicalize_suc(d: Derivation, entries):
             return d, records, cur
         key, f = cur[pick]
         path = gd_paths(f)[0]
-        d, side = _invert(d, _Item("RGd", "suc", f, path))
+        d, side = _invert(d, _Item("RGd", f, path))
         records.append((key, f, path, side))
         cur[pick] = (key, gd_sides(f, path)["LR".index(side)])
 
@@ -773,10 +711,8 @@ def _build_lgd_family(target_ant, suc, family) -> Derivation:
         assert out.conclusion == Sequent(target_ant, suc)
         return out
     f, path = hit
-    rest = mset_remove(target_ant, f)
-    fl, fr = gd_sides(f, path)
-    dl = _build_lgd_family(mset_add(rest, fl), suc, family)
-    dr = _build_lgd_family(mset_add(rest, fr), suc, family)
+    dl, dr = (_build_lgd_family(a, s, family)
+              for a, s in premises_of("LGd", target_ant, suc, f, path))
     return make_lgd(dl, dr, f, path)
 
 
@@ -833,7 +769,7 @@ def eliminate_cuts(d: Derivation) -> Derivation:
     ps = tuple(eliminate_cuts(p) for p in d.premises)
     if d.rule.rule == "Cut":
         return _eliminate_one(ps[0], ps[1], d.rule.cutformula)
-    return _rebuild(d.rule, ps) if ps else d
+    return rebuild(d.rule, ps) if ps else d
 
 
 # ---------------------------------------------------------------------------

@@ -3,20 +3,22 @@ import random
 
 import pytest
 
-from teamseq.calculus import (Derivation, RuleApp, check_derivation,
-                              check_inference, cutrank, derivation_from_json,
-                              derivation_to_json, height, is_cutfree, make_at,
-                              make_cut, make_land, make_lbot, make_lc,
-                              make_lgd, make_lneg, make_lor, make_lori,
-                              make_rand, make_randi, make_rc, make_rgd,
-                              make_rneg, make_ror)
+from teamseq.calculus import (PRINCIPAL_SIDE, Derivation, RuleApp,
+                              check_derivation, check_inference, cutrank,
+                              derivation_from_json, derivation_to_json,
+                              height, is_cutfree, make_at, make_cut,
+                              make_land, make_lbot, make_lc, make_lgd,
+                              make_lneg, make_lor, make_lori, make_rand,
+                              make_randi, make_rc, make_rgd, make_rneg,
+                              make_ror, premises_of, rule_nodes)
 from teamseq.errors import (ArityMismatch, DerivationCheckError, RuleViolation)
 from teamseq.prover import prove_classical, prove_or_countermodel
 from teamseq.semantics import sequent_valid
 from teamseq.syntax import (And, BOT, Gd, Neg, Or, Prop, Sequent,
                             parse_formula, parse_sequent)
+from teamseq.transforms import eliminate_cuts, normalize
 
-from conftest import gen_sequent
+from conftest import gen_sequent, inject_cut
 
 pf, ps = parse_formula, parse_sequent
 p, q, r, s_ = Prop("p"), Prop("q"), Prop("r"), Prop("s")
@@ -59,11 +61,23 @@ def test_lgd_path_must_hit_global_disjunction():
     p1 = stub("p & q =>")
     p2 = stub("p & r =>")
     d = make_lgd(p1, p2, host, (1,))
-    bad = Derivation(d.conclusion, RuleApp("LGd", pos=0, formula=host, path=(0,)),
-                     d.premises)
-    with pytest.raises(RuleViolation):
-        check_inference(bad.conclusion, bad.rule,
-                        [x.conclusion for x in bad.premises])
+    # (0,) addresses `p`; (2,) and (1, 0, 0) leave the formula
+    for path in ((0,), (2,), (1, 0, 0)):
+        bad = Derivation(d.conclusion,
+                         RuleApp("LGd", pos=0, formula=host, path=path),
+                         d.premises)
+        with pytest.raises(RuleViolation):
+            check_inference(bad.conclusion, bad.rule,
+                            [x.conclusion for x in bad.premises])
+        with pytest.raises(DerivationCheckError) as err:
+            check_derivation(bad)
+        assert err.value.address == ()
+    rgd = make_rgd(stub("=> p & q"), host, (1,), "L")
+    bad = Derivation(rgd.conclusion,
+                     RuleApp("RGd", pos=0, formula=host, path=(2,), side="L"),
+                     rgd.premises)
+    with pytest.raises(DerivationCheckError):
+        check_derivation(bad)
 
 
 def test_restricted_context_rules():
@@ -294,3 +308,34 @@ def test_derivation_json_round_trip():
         back = derivation_from_json(json.loads(blob))
         assert back == d
         check_derivation(back)
+
+
+def test_premises_of_agrees_with_the_checker():
+    """The backward step shared by search, inversion and interpolation,
+    against the premises of derivations that the independent checker
+    accepts: prover output, its phase normal form, and the result of
+    eliminating an injected cut."""
+    rng = random.Random(331)
+    seen = set()
+    done = 0
+    while done < 40:
+        d = prove_or_countermodel(gen_sequent(rng))
+        if not isinstance(d, Derivation):
+            continue
+        done += 1
+        derivs = [d, normalize(d)]
+        if d.conclusion.suc:
+            phi = rng.choice(d.conclusion.suc)
+            derivs.append(eliminate_cuts(inject_cut(d, phi)))
+        for top in derivs:
+            check_derivation(top)
+            for node in rule_nodes(top):
+                r, c = node.rule, node.conclusion
+                if r.rule not in PRINCIPAL_SIDE or r.weak:
+                    continue
+                assert premises_of(r.rule, c.ant, c.suc, r.formula, r.path,
+                                   r.side) == \
+                    [(x.conclusion.ant, x.conclusion.suc) for x in node.premises]
+                seen.add((r.rule, r.side))
+    assert {tag for tag, _ in seen} == set(PRINCIPAL_SIDE)
+    assert {("RGd", "L"), ("RGd", "R")} <= seen

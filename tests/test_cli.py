@@ -54,6 +54,14 @@ def test_check_round_trip(tmp_path, capsys):
         (bad["rule"] if field == "pos" else bad)[field] = value
         path.write_text(json.dumps(bad))
         assert invoke(capsys, "check", str(path))[0] == 2, field
+    # a deep-rule path that leaves its formula fails the check at its node
+    code, derivation = invoke(capsys, "prove", "p || q => p, q")
+    bad = json.loads(derivation)
+    assert bad["rule"]["rule"] == "LGd"
+    bad["rule"]["path"] = [2]
+    path.write_text(json.dumps(bad))
+    code, out = invoke(capsys, "--json", "check", str(path))
+    assert code == 1 and json.loads(out)["address"] == []
 
 
 def test_valid_exit_codes(capsys):
@@ -142,10 +150,18 @@ def test_interpolate(capsys):
         assert payload["oracle_checked"] is checked
 
 
-def test_usage_and_parse_errors(capsys):
+def test_usage_and_parse_errors(tmp_path, capsys):
     assert run(["valid", "p => ()"]) == 2
     assert run(["nosuchcommand"]) == 2
     assert run(["check", "/nonexistent/file.json"]) == 2
+    # a directory and a non-UTF-8 file, as a derivation and as a team
+    raw = tmp_path / "latin1.json"
+    raw.write_bytes(b'{"vars": ["\xe9"], "team": []}')
+    capsys.readouterr()
+    for target in (tmp_path, raw):
+        assert run(["check", str(target)]) == 2
+        assert run(["eval", "p", "--team", str(target)]) == 2
+        assert capsys.readouterr().err.startswith("input error: cannot read")
 
 
 def test_budget_exit_3(capsys):

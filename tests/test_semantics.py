@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from teamseq.errors import DomainMismatch, ResourceLimit
+from teamseq.errors import DomainMismatch, ParseError, ResourceLimit
 from teamseq.semantics import (Team, _Space, big_or, closure_properties,
                                eval_classical, find_countermodel_bruteforce,
                                satisfies, sequent_valid, team_from_json,
@@ -238,3 +238,7 @@ def test_team_json():
     t = Team(("p", "q"), frozenset({(1, 0), (0, 1)}))
     assert team_from_json(team_to_json(t)) == t
     assert team_to_json(t) == {"vars": ["p", "q"], "team": [[0, 1], [1, 0]]}
+    # a missing field is an input error, not a bare KeyError
+    for obj in ({"team": []}, {"vars": ["p"]}):
+        with pytest.raises(ParseError, match="missing field"):
+            team_from_json(obj)
