@@ -160,9 +160,13 @@ def make_lgd(p1: Derivation, p2: Derivation, host: Formula, path) -> Derivation:
 
 def make_rgd(premise: Derivation, host: Formula, path, side: str) -> Derivation:
     path = tuple(path)
-    left, right = gd_sides(host, path)
-    suc = mset_add(mset_remove(premise.conclusion.suc,
-                               left if side == "L" else right), host)
+    kept = gd_sides(host, path)["LR".index(side)]
+    return _rgd(premise, host, path, side, kept)
+
+
+def _rgd(premise: Derivation, host: Formula, path, side: str,
+         kept: Formula) -> Derivation:
+    suc = mset_add(mset_remove(premise.conclusion.suc, kept), host)
     concl = Sequent(premise.conclusion.ant, suc)
     return Derivation(concl, RuleApp("RGd", pos=concl.suc.index(host),
                                      formula=host, path=path, side=side),
@@ -171,10 +175,11 @@ def make_rgd(premise: Derivation, host: Formula, path, side: str) -> Derivation:
 
 def replay_rgd(d: Derivation, steps) -> Derivation:
     """Reintroduce global disjunctions below `d`.  `steps` lists right
-    deep-rule applications (formula-before, path, side) root-first, as
-    `resolution_steps` and succedent inversion record them."""
-    for before, path, side in reversed(steps):
-        d = make_rgd(d, before, path, side)
+    deep-rule applications (formula-before, path, side, kept) root-first,
+    as `resolution_steps` and succedent inversion record them; `kept` is
+    the premise formula, so no step splits its formula again."""
+    for before, path, side, kept in reversed(steps):
+        d = _rgd(d, before, tuple(path), side, kept)
     return d
 
 

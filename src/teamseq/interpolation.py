@@ -172,7 +172,8 @@ def _interp(d: Derivation, g1, g2, l1, d2):
 def interpolate_partition(d: Derivation,
                           partition: PartitionSequent) -> InterpolationResult:
     """Extract a sequent interpolant of `partition` from a cutfree
-    derivation of its flattening."""
+    derivation of its flattening.  The derivation is checked first, so a
+    malformed one raises `DerivationCheckError`."""
     if not is_cutfree(d):
         raise ContainsCut("interpolation requires a cutfree derivation")
     if not all(is_classical(f) for f in partition.delta1):
@@ -182,6 +183,7 @@ def interpolate_partition(d: Derivation,
         raise PartitionMismatch(
             f"partition flattens to {partition.flatten()}, derivation "
             f"concludes {d.conclusion}")
+    check_derivation(d)
     phi, left, right = _interp(d, partition.gamma1, partition.gamma2,
                                partition.delta1, partition.delta2)
     return InterpolationResult(phi, left, right, polarity_bounds(partition))

@@ -5,6 +5,9 @@ its global disjunctions (left deep rule, inverted), leaving classical
 antecedents.  Stage 2 searches, for each classical antecedent, among the
 succedent's resolutions (the right deep rule is only "invertible" in the
 choice sense, so this stage is a disjunctive search with backtracking).
+Each failed candidate leaves a witness valuation, and one generator
+stream per antecedent branch yields only the candidates that every stored
+witness leaves open, pruning refuted blocks of the product as it goes.
 Stage 3 is a backward search over the invertible classical rules, which
 either closes every branch with an axiom or exposes an invalid atomic
 sequent, whose valuation is a countermodel of the sequent it was reached
@@ -21,11 +24,13 @@ from .calculus import (PRINCIPAL_SIDE, Derivation, RuleApp, make_at,
                        make_lbot, premises_of, rebuild, replay_rgd)
 from .errors import NonClassicalInput, ResourceLimit
 from .resolutions import resolution_choices, resolution_steps
-from .semantics import Team, eval_classical
+from .semantics import Team
 from .syntax import (And, Bot, Formula, Neg, Or, Prop, Sequent, first_gd,
                      mset)
 
 DEFAULT_NODE_BUDGET = 10 ** 6
+
+_STAGE2_UNIT = "succedent generator node (stage 2)"
 
 
 class _Budget:
@@ -113,27 +118,28 @@ def _search_branch(ant, suc, domain, budget):
     `ant => suc`, or the countermodel team made of the distinct witnesses
     of the failed candidates.
 
-    Candidates are pulled one at a time, each for one budget unit.  A
-    failed candidate's witness v satisfies `ant` and falsifies each of its
-    formulas; classical formulas are flat, so a later candidate that a
-    stored witness falsifies throughout fails too.  Such a candidate is
-    skipped without search: it adds no valuation but still costs its unit.
+    One candidate stream serves the branch and reads the witness list as
+    it grows.  A failed candidate's witness v satisfies `ant` and
+    falsifies each of its formulas; classical formulas are flat, so a
+    later candidate that a stored witness falsifies throughout fails too,
+    and the stream never yields one.  Stage 2 costs one budget unit per
+    node of the candidate generator, pruned or not, so the budget bounds
+    backtracking through dead subtrees as well as the candidates searched.
     """
-    witnesses: list[tuple[tuple[int, ...], dict[str, int]]] = []
-    for pairing in resolution_choices(suc):
-        budget.spend("succedent candidate")
-        lam = mset(r for _, r in pairing)
-        if any(not any(eval_classical(r, v) for r in lam)
-               for _, v in witnesses):
-            continue
-        out = _prove_classical(ant, lam, domain, budget)
+    witnesses: list[dict[str, int]] = []
+    rows = []
+    for pairing in resolution_choices(suc, witnesses,
+                                      lambda: budget.spend(_STAGE2_UNIT)):
+        out = _prove_classical(ant, mset(r for _, r in pairing), domain,
+                               budget)
         if isinstance(out, Derivation):
             # the last formula's steps end nearest the root
             return replay_rgd(out, [step for f, r in reversed(pairing)
                                     for step in resolution_steps(f, r)])
-        witnesses.extend((row, dict(zip(domain, row)))
-                         for row in out.team.members)
-    return Team(domain, frozenset(row for row, _ in witnesses))
+        for row in out.team.members:
+            rows.append(row)
+            witnesses.append(dict(zip(domain, row)))
+    return Team(domain, frozenset(rows))
 
 
 def _search(ant, suc, domain, budget):
@@ -153,9 +159,10 @@ def prove_or_countermodel(s: Sequent, node_budget: int = DEFAULT_NODE_BUDGET):
     (canonical order) at its lowest-labelled occurrence; succedent
     candidates are tried left-disjunct first; the reported countermodel
     comes from the first failing antecedent branch and is the union of the
-    distinct witnesses found there.  A candidate that a stored witness
-    already refutes is skipped: it adds no valuation to the team but still
-    costs one unit of `node_budget`.
+    distinct witnesses found there.  No candidate that a stored witness
+    already refutes is searched.  `node_budget` counts antecedent splits,
+    nodes of the stage-2 candidate generator (including pruned ones) and
+    classical sequents; `ResourceLimit` names the unit that ran out.
     """
     domain = tuple(sorted(s.props()))
     return _search(s.ant, s.suc, domain, _Budget(node_budget))

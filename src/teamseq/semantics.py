@@ -3,8 +3,9 @@
 Teams are sets of valuations over an explicit variable domain.  Everything
 here enumerates exhaustively (the split-disjunction clause searches all
 covers t = s + u), so it is doubly exponential in the number of variables;
-`max_vars` caps that (default 4).  This module is the ground truth against
-which the calculus, prover, and transformations are tested.
+`max_vars` caps that at 4 by default and can only lower the cap, which is
+checked before any set over all teams is built.  This module is the ground
+truth against which the calculus, prover, and transformations are tested.
 
 Satisfaction sets over all teams are bitmasks with one bit per team.  The
 cover transform behind the split disjunction counts pairs of teams per
@@ -291,8 +292,14 @@ class _Space:
 
 
 def _space_for(domain, max_vars: int) -> _Space:
+    """The space of all teams on `domain`, refused before anything is
+    allocated beyond `max_vars` variables or beyond the four-variable size
+    of a team-set mask (2^16 bits); `max_vars` can only lower that cap."""
     if len(domain) > max_vars:
         raise ResourceLimit(f"{len(domain)} variables exceeds budget {max_vars}")
+    if len(domain) > DEFAULT_MAX_VARS:
+        raise ResourceLimit(f"{len(domain)} variables exceeds the "
+                            f"{DEFAULT_MAX_VARS}-variable team-set bound")
     return _Space(tuple(domain))
 
 

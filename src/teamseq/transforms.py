@@ -685,7 +685,8 @@ def _classicalize_suc(d: Derivation, entries):
 
     `entries` lists (key, formula) covering d's succedent.  Returns the
     classical derivation, the inversion records (key, formula-before,
-    path, side) in application order, and the final formula per entry.
+    path, side, kept) in application order, and the final formula per
+    entry.
     """
     cur = list(entries)
     records = []
@@ -700,8 +701,9 @@ def _classicalize_suc(d: Derivation, entries):
         key, f = cur[pick]
         path = gd_paths(f)[0]
         d, side = _invert(d, _Item("RGd", f, path))
-        records.append((key, f, path, side))
-        cur[pick] = (key, gd_sides(f, path)["LR".index(side)])
+        kept = gd_sides(f, path)["LR".index(side)]
+        records.append((key, f, path, side, kept))
+        cur[pick] = (key, kept)
 
 
 def _build_lgd_family(target_ant, suc, family) -> Derivation:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -173,9 +174,17 @@ def test_budget_exit_3(capsys):
         "budget exhausted: nesting too deep"
 
 
+def test_five_variable_oracle_refused_before_allocating():
+    # 2^32 teams would need 512 MB masks; the cap is checked first
+    start = time.perf_counter()
+    assert run(["--budget", "5", "valid", "a & b & c & d & e => a"]) == 3
+    assert time.perf_counter() - start < 1.0
+
+
 def test_out_of_memory_exits_3():
     # five variables admit 2^32 teams, whose team-set masks do not fit in
-    # a 256 MB address space; the limit is set in the child only
+    # a 256 MB address space; the limit is set in the child only, and the
+    # oracle refuses the domain before it allocates any of them
     resource = pytest.importorskip("resource")
     limit = 256 << 20
 
@@ -197,7 +206,8 @@ def test_out_of_memory_exits_3():
     assert teamseq("valid", "a & b => a").returncode == 0
     proc = teamseq("valid", "a & b & c & d & e => a")
     assert proc.returncode == 3, proc.stderr
-    assert proc.stderr.strip() == "budget exhausted: out of memory"
+    assert proc.stderr.strip() == (
+        "budget exhausted: 5 variables exceeds the 4-variable team-set bound")
 
 
 def test_interpolate_rejects_nonclassical_first_block(capsys):

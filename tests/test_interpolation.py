@@ -3,9 +3,10 @@ from dataclasses import replace
 
 import pytest
 
-from teamseq.calculus import Derivation, make_cut, rule_nodes
-from teamseq.errors import (ContainsCut, NonClassicalLambda1,
-                            PartitionMismatch)
+from teamseq.calculus import (Derivation, RuleApp, make_at, make_cut,
+                              rule_nodes)
+from teamseq.errors import (ContainsCut, DerivationCheckError,
+                            NonClassicalLambda1, PartitionMismatch)
 from teamseq.interpolation import (NotEntailed, craig_lyndon,
                                    interpolate_partition, verify_interpolant)
 from teamseq.prover import prove_or_countermodel
@@ -99,6 +100,15 @@ def test_cut_rejected():
     d = proved(ps("p => p"))
     with pytest.raises(ContainsCut):
         interpolate_partition(make_cut(d, d, p), ps("p ; => ; p"))
+
+
+def test_unchecked_derivation_raises_library_error():
+    # an LNeg whose principal ~q is not in its conclusion ~p, p => q
+    prem = make_at((p,), (q, p), p)
+    d = Derivation(ps("~p, p => q"), RuleApp("LNeg", pos=0, formula=Neg(q)),
+                   (prem,))
+    with pytest.raises(DerivationCheckError):
+        interpolate_partition(d, PartitionSequent((Neg(p), p), (), (), (q,)))
 
 
 def test_classicality_propagation():

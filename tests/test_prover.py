@@ -135,8 +135,9 @@ def test_budget_exhaustion():
 
 
 def test_budget_bounds_candidate_enumeration():
-    # 2^16 succedent candidates: the budget stops the stream after ten
-    # units instead of after building all of them
+    # 2^16 succedent candidates, but the generator nodes of the first one
+    # alone are more than ten units, so the budget stops stage 2 before
+    # any classical search
     k = 16
     s = ps(" & ".join(f"b{i}" for i in range(k)) + " => "
            + " & ".join(f"(a{i}||b{i})" for i in range(k)))
@@ -144,6 +145,40 @@ def test_budget_bounds_candidate_enumeration():
     with pytest.raises(ResourceLimit):
         prove_or_countermodel(s, node_budget=10)
     assert time.perf_counter() - start < 1.0
+
+
+def _stage2_family(k, other):
+    return ps(" & ".join(f"b{i}" for i in range(k)) + " => "
+              + " & ".join(f"(a{i}||{other}{i})" for i in range(k)))
+
+
+def test_witnesses_prune_the_candidate_product():
+    # 2^40 candidates each: the first one's witness leaves only the all-b
+    # candidate open in the valid family and none in the invalid twin
+    start = time.perf_counter()
+    d = prove_or_countermodel(_stage2_family(40, "b"))
+    assert time.perf_counter() - start < 1.0
+    check_derivation(d)
+
+    start = time.perf_counter()
+    out = prove_or_countermodel(_stage2_family(40, "c"))
+    assert time.perf_counter() - start < 1.0
+    assert len(out.members) == 1
+
+
+def test_witness_per_candidate():
+    # every candidate of `=> p0||~p0, ..., p7||~p7` is refuted only by its
+    # own witness, so all 256 are searched and the team has all 256 rows
+    s = ps("=> " + ", ".join(f"p{i}||~p{i}" for i in range(8)))
+    out = prove_or_countermodel(s)
+    assert out.domain == tuple(sorted(f"p{i}" for i in range(8)))
+    assert out.members == set(product((0, 1), repeat=8))
+
+
+def test_budget_binds_in_stage_2():
+    s = ps("=> " + ", ".join(f"p{i}||~p{i}" for i in range(16)))
+    with pytest.raises(ResourceLimit, match=r"succedent generator node"):
+        prove_or_countermodel(s, node_budget=200)
 
 
 def test_countermodel_is_union_of_distinct_witnesses():

@@ -5,11 +5,11 @@ import pytest
 
 from teamseq.errors import DegreeOutOfRange, LabelAbsent
 from teamseq.resolutions import (ResolutionStep, apply_resolution_step,
-                                 gd_label, is_resolution, partial_resolutions,
-                                 resolution_choices, resolution_steps,
-                                 resolutions, resolutions_multiset,
-                                 resolutions_ordered)
-from teamseq.semantics import Team, satisfies, sequent_valid
+                                 gd_label, is_resolution, iter_resolutions,
+                                 partial_resolutions, resolution_choices,
+                                 resolution_steps, resolutions,
+                                 resolutions_multiset, resolutions_ordered)
+from teamseq.semantics import Team, eval_classical, satisfies, sequent_valid
 from teamseq.syntax import (And, Bot, Gd, Neg, Or, Prop, Sequent, gd_count,
                             is_classical, mset, parse_formula)
 
@@ -86,6 +86,86 @@ def test_resolution_choices_are_the_ordered_product():
         eager = list(product(*[[(f, r) for r in resolutions_ordered(f)]
                                for f in mset(fs)]))
         assert list(resolution_choices(fs)) == eager
+
+
+VALUATIONS = [dict(zip("pqr", bits)) for bits in product((0, 1), repeat=3)]
+
+
+def _drive(stream, witnesses, received, seed):
+    """Pull up to 40 accepted candidates from `stream`, appending a witness
+    after some of them, as the prover does: one that falsifies the
+    candidate, or any valuation at all.  `received(c)` says whether the
+    consumer takes candidate `c` under the witnesses stored so far."""
+    policy = random.Random(seed)
+    got = []
+    for c in stream:
+        if not received(c):
+            continue
+        got.append(c)
+        roll = policy.random()
+        if roll < 0.5:
+            refuting = [v for v in VALUATIONS
+                        if not any(eval_classical(r, v) for r in c)]
+            if refuting:
+                witnesses.append(policy.choice(refuting))
+        elif roll < 0.7:
+            witnesses.append(policy.choice(VALUATIONS))
+        if len(got) == 40:
+            break
+    return got
+
+
+def test_witness_pruned_stream_is_the_filtered_stream():
+    # the pruned generators yield exactly the unpruned candidates that
+    # every witness present when they are reached makes true somewhere,
+    # with witnesses appended mid-stream
+    rng = random.Random(131)
+    for trial in range(300):
+        fs = gen_side(rng, 3, 3, 3)
+        start = rng.sample(VALUATIONS, rng.randint(0, 2))
+
+        ws = list(start)
+        pruned = _drive(([r for _, r in c]
+                         for c in resolution_choices(fs, ws)),
+                        ws, lambda c: True, trial)
+        ws = list(start)
+        plain = _drive(([r for _, r in c] for c in resolution_choices(fs)),
+                       ws, lambda c: all(any(eval_classical(r, w) for r in c)
+                                         for w in ws), trial)
+        assert pruned == plain, fs
+
+        for f in (*fs, gen_formula(rng, rng.randint(0, 4), 3)):
+            ws = list(start)
+            pruned = _drive(([r] for r in iter_resolutions(f, ws)), ws,
+                            lambda c: True, trial)
+            ws = list(start)
+            plain = _drive(([r] for r in iter_resolutions(f)), ws,
+                           lambda c: all(eval_classical(c[0], w) for w in ws),
+                           trial)
+            assert pruned == plain, f
+
+
+def test_generator_reports_every_node():
+    nodes = []
+    ws = [dict(p=0, q=1, r=0)]
+    out = list(resolution_choices([pf("p || q"), pf("r")], ws,
+                                  lambda: nodes.append(1)))
+    assert out == [((pf("p || q"), pf("q")), (pf("r"), pf("r")))]
+    # the multiset's three levels, the `||` node, the cut `p`, the yielded
+    # `q` and `r`
+    assert len(nodes) == 7
+
+
+def test_conjunction_stops_when_its_right_side_is_empty():
+    # each witness leaves p||q some resolution, but none is true at both,
+    # so the 2^10 resolutions of the left conjunct are not tried in turn
+    left = " & ".join(f"(a{i}||b{i})" for i in range(10))
+    ones = {f"{x}{i}": 1 for x in "ab" for i in range(10)}
+    ws = [dict(ones, p=1, q=0), dict(ones, p=0, q=1)]
+    nodes = []
+    assert list(resolution_choices([pf(f"({left}) & (p||q)")], ws,
+                                   lambda: nodes.append(1))) == []
+    assert len(nodes) < 100
 
 
 def test_resolutions_multiset_golden():
@@ -210,7 +290,7 @@ def test_resolution_steps_reach_target():
         for target in resolutions(f):
             steps = resolution_steps(f, target)
             cur = f
-            for before, path, side in steps:
+            for before, path, side, kept in steps:
                 assert before == cur
                 node = before
                 for i in path:
@@ -218,4 +298,5 @@ def test_resolution_steps_reach_target():
                 from teamseq.syntax import substitute_at
                 cur = substitute_at(before, path,
                                     node.left if side == "L" else node.right)
+                assert kept == cur
             assert cur == target
