@@ -27,16 +27,11 @@ from .syntax import (And, Formula, Gd, Neg, Or, Prop, gd_paths, gd_sides,
                      is_classical, mset, render)
 
 
-def iter_resolutions(f: Formula, witnesses=None) -> Iterator[Formula]:
+def iter_resolutions(f: Formula) -> Iterator[Formula]:
     """Resolutions of `f`, generated lazily: left disjunct alternatives
     first, each resolution once.  A classical subformula is its own only
-    resolution and is yielded as is.
-
-    With `witnesses`, a list of valuations (dicts from variable to 0/1)
-    that the caller may extend between pulls, only the resolutions true at
-    every witness present when they are reached are yielded, in the same
-    order."""
-    t = _TruthMasks([] if witnesses is None else witnesses)
+    resolution and is yielded as is."""
+    t = _TruthMasks([])
     return _gen(f, t.all, t, _no_op)
 
 
@@ -69,9 +64,10 @@ def resolution_choices(formulas, witnesses=None, on_node=None
 
     The pairings are generated lazily, one per pull, so a caller that stops
     early pays neither the time nor the memory of the rest.  With
-    `witnesses` (as for `iter_resolutions`), only the pairings in which
-    every witness present when they are reached makes some resolution true
-    are yielded, in the same order; `on_node` is called once per generator
+    `witnesses`, a list of valuations (dicts from variable to 0/1) that
+    the caller may extend between pulls, only the pairings in which every
+    witness present when they are reached makes some resolution true are
+    yielded, in the same order; `on_node` is called once per generator
     node entered."""
     t = _TruthMasks([] if witnesses is None else witnesses)
     return _covers(mset(formulas), t.all, t, on_node or _no_op)
@@ -100,13 +96,11 @@ def _no_op():
 
 class _TruthMasks:
     """Truth at the caller's witness valuations as bitmasks: bit i is set
-    when valuation i makes the formula true, every `||` read as `|`.  A
-    variable's mask is extended only by the valuations added since it was
-    last read; compound formulas' masks are kept until the list grows."""
+    when valuation i makes the formula true, every `||` read as `|`.  The
+    masks are kept until the list grows."""
 
     def __init__(self, witnesses):
         self.witnesses = witnesses
-        self._props: dict[str, tuple[int, int]] = {}  # name -> (read, mask)
         self._masks: dict[int, tuple[Formula, int]] = {}  # id -> (pin, mask)
         self._masks_read = 0
 
@@ -115,21 +109,18 @@ class _TruthMasks:
 
     def of(self, f: Formula) -> int:
         ws = self.witnesses
-        if isinstance(f, Prop):
-            read, mask = self._props.get(f.name, (0, 0))
-            if read < len(ws):
-                for i in range(read, len(ws)):
-                    if ws[i][f.name]:
-                        mask |= 1 << i
-                self._props[f.name] = (len(ws), mask)
-            return mask
         if self._masks_read != len(ws):
             self._masks.clear()
             self._masks_read = len(ws)
         hit = self._masks.get(id(f))
         if hit is not None:
             return hit[1]
-        if isinstance(f, And):
+        if isinstance(f, Prop):
+            mask = 0
+            for i, w in enumerate(ws):
+                if w[f.name]:
+                    mask |= 1 << i
+        elif isinstance(f, And):
             mask = self.of(f.left) & self.of(f.right)
         elif isinstance(f, (Or, Gd)):
             mask = self.of(f.left) | self.of(f.right)

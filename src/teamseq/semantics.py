@@ -12,9 +12,10 @@ cover transform behind the split disjunction counts pairs of teams per
 union, and it keeps those counts in 64-bit lanes of one Python int: at
 `DEFAULT_MAX_VARS` = 4 variables there are 2^16 teams, so a count is at
 most 2^16 * 2^16 = 2^32 and fits a lane.  That lane bound rests on the
-four-variable cap: over a wider domain the transform raises
-`ResourceLimit` rather than overflow a lane.  Single-team satisfaction
-never builds a mask over all teams, so it works on any domain size.
+four-variable cap, which the oracle's entry points enforce; on a wider
+`_Space` built directly the transform raises `ResourceLimit` rather than
+overflow a lane.  Single-team satisfaction never builds a mask over all
+teams, so it works on any domain size.
 """
 
 from __future__ import annotations
@@ -293,13 +294,11 @@ class _Space:
 
 def _space_for(domain, max_vars: int) -> _Space:
     """The space of all teams on `domain`, refused before anything is
-    allocated beyond `max_vars` variables or beyond the four-variable size
-    of a team-set mask (2^16 bits); `max_vars` can only lower that cap."""
-    if len(domain) > max_vars:
-        raise ResourceLimit(f"{len(domain)} variables exceeds budget {max_vars}")
-    if len(domain) > DEFAULT_MAX_VARS:
-        raise ResourceLimit(f"{len(domain)} variables exceeds the "
-                            f"{DEFAULT_MAX_VARS}-variable team-set bound")
+    allocated beyond `max_vars` variables, capped at the four-variable size
+    of a team-set mask (2^16 bits): `max_vars` can only lower that cap."""
+    cap = min(max_vars, DEFAULT_MAX_VARS)
+    if len(domain) > cap:
+        raise ResourceLimit(f"{len(domain)} variables exceeds budget {cap}")
     return _Space(tuple(domain))
 
 

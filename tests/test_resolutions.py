@@ -136,8 +136,9 @@ def test_witness_pruned_stream_is_the_filtered_stream():
 
         for f in (*fs, gen_formula(rng, rng.randint(0, 4), 3)):
             ws = list(start)
-            pruned = _drive(([r] for r in iter_resolutions(f, ws)), ws,
-                            lambda c: True, trial)
+            pruned = _drive(([r for _, r in c]
+                             for c in resolution_choices([f], ws)),
+                            ws, lambda c: True, trial)
             ws = list(start)
             plain = _drive(([r] for r in iter_resolutions(f)), ws,
                            lambda c: all(eval_classical(c[0], w) for w in ws),
