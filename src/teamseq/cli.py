@@ -44,6 +44,17 @@ def _load_json(path: str):
         raise ParseError(f"cannot read {path}: {e}") from e
 
 
+def _nonnegative(text: str) -> int:
+    """A `--budget` value; a negative one is a usage error (exit 2)."""
+    try:
+        value = int(text)
+        if value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"{text!r} is not a nonnegative integer")
+
+
 def _budget(args, default: int) -> int:
     return default if args.budget is None else args.budget
 
@@ -179,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="teamseq",
         description="Sequent calculus toolkit for basic propositional team "
                     "logic.")
-    ap.add_argument("--budget", type=int, default=None,
+    ap.add_argument("--budget", type=_nonnegative, default=None,
                     help="search node budget (prove/interpolate) or variable "
                          "cap (valid/closure)")
     ap.add_argument("--json", action="store_true",

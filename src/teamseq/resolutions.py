@@ -23,8 +23,8 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import DegreeOutOfRange, LabelAbsent
-from .syntax import (And, Formula, Gd, Neg, Or, Prop, gd_paths, gd_sides,
-                     is_classical, mset, render)
+from .syntax import (And, Formula, Gd, Neg, Or, Prop, first_gd, gd_paths,
+                     gd_sides, is_classical, mset, render)
 
 
 def iter_resolutions(f: Formula) -> Iterator[Formula]:
@@ -271,12 +271,12 @@ def resolution_steps(f: Formula, target: Formula):
     steps = []
     cur = f
     while True:
-        paths = gd_paths(cur)
-        if not paths:
+        hit = first_gd((cur,))
+        if hit is None:
             if cur != target:
                 raise ValueError(f"{render(target)} is not a resolution of {render(f)}")
             return tuple(steps)
-        path = paths[0]
+        path = hit[1]
         left_version, right_version = gd_sides(cur, path)
         if is_resolution(left_version, target):
             steps.append((cur, path, "L", left_version))

@@ -48,6 +48,12 @@ class Team:
     def __post_init__(self):
         object.__setattr__(self, "domain", tuple(self.domain))
         object.__setattr__(self, "members", frozenset(tuple(v) for v in self.members))
+        for name in self.domain:
+            if not isinstance(name, str):
+                raise ValueError(f"variable {name!r} is not a string")
+            Prop(name)  # raises ValueError on a malformed name
+        if len(set(self.domain)) != len(self.domain):
+            raise ValueError(f"repeated variable in domain {self.domain}")
         for v in self.members:
             if len(v) != len(self.domain) or any(b not in (0, 1) for b in v):
                 raise ValueError(f"valuation {v} does not fit domain {self.domain}")
@@ -63,7 +69,10 @@ def team_to_json(t: Team):
 
 def team_from_json(obj) -> Team:
     try:
-        return Team(tuple(obj["vars"]),
+        names = obj["vars"]
+        if not isinstance(names, list):
+            raise ValueError(f"vars {names!r} is not an array of strings")
+        return Team(tuple(names),
                     frozenset(tuple(row) for row in obj["team"]))
     except KeyError as e:
         raise ParseError(f"bad team: missing field {e}") from e

@@ -215,8 +215,17 @@ def first_gd(formulas):
     of its lowest-labelled global disjunction (the next left deep-rule
     split), or None when every formula is classical."""
     for f in formulas:
-        if not is_classical(f):
-            return f, gd_paths(f)[0]
+        if is_classical(f):
+            continue
+        # labels run in infix order: a `||` follows those in its left side
+        path, g = (), f
+        while True:
+            if not is_classical(g.left):
+                path, g = path + (0,), g.left
+            elif isinstance(g, Gd):
+                return f, path
+            else:
+                path, g = path + (1,), g.right
     return None
 
 

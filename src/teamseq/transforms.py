@@ -12,6 +12,13 @@ commutations the other transformations need, including the three ways two
 left deep-rule applications on the same formula can interact (disjoint
 occurrences, one inside the kept disjunct, one inside the discarded
 disjunct).
+
+Inversion, contraction and normalization read each rule the way the
+calculus steps back through it: `calculus.premises_of` on the principal
+formula alone gives, per premise, the active formulas that premise adds,
+and `calculus.rebuild` reapplies the rule, with another principal formula
+or path where a commutation moves it.  So each commutation is one case
+over all rules, not one per pair of rules.
 """
 
 from __future__ import annotations
@@ -19,14 +26,13 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .calculus import (PRINCIPAL_SIDE, Derivation, RuleApp, is_cutfree,
-                       make_at, make_land, make_lbot, make_lgd, make_lneg,
-                       make_lor, make_rand, make_rgd, make_rneg, make_ror,
-                       premises_of, rebuild, replay_rgd)
+                       make_at, make_lbot, make_lgd, make_rgd, premises_of,
+                       rebuild, replay_rgd)
 from .errors import (ContainsCut, FormulaNotDuplicated, NonClassicalAntecedent,
                      NonClassicalInput, NonClassicalRightContraction,
                      ShapeMismatch)
 from .resolutions import resolution_steps, resolutions_multiset
-from .syntax import (And, Formula, Gd, Neg, Or, Sequent, first_gd, gd_paths,
+from .syntax import (And, Formula, Gd, Neg, Or, Sequent, children, first_gd,
                      gd_sides, is_classical, mset, mset_add, mset_remove,
                      mset_sub, render, subformula_at, substitute_at)
 
@@ -80,11 +86,33 @@ class _Item:
     path: tuple[int, ...] = ()
 
 
+def _actives(item: _Item):
+    """Per premise of the item's rule, the formulas `(ant, suc)` it puts in
+    place of the principal formula (RGd: its left side)."""
+    alone = (item.active,)
+    if PRINCIPAL_SIDE[item.tag] == "ant":
+        return premises_of(item.tag, alone, (), item.active, item.path)
+    return premises_of(item.tag, (), alone, item.active, item.path)
+
+
+def _with(prems, idx: int, d: Derivation) -> tuple:
+    """`prems` with premise `idx` replaced by `d`."""
+    return tuple(prems[:idx]) + (d,) + tuple(prems[idx + 1:])
+
+
+def _each_out(item: _Item, sub, fn):
+    """Map `fn(k, out)` over the outputs of an inversion on `item`: each
+    output of a conjunctive item, or the one output of an RGd item (k the
+    index of its side), which keeps its side."""
+    if item.tag == "RGd":
+        out, side = sub
+        return fn("LR".index(side), out), side
+    return [fn(k, out) for k, out in enumerate(sub)]
+
+
 def _path_rel(p: tuple, q: tuple):
-    """Relation of p to q: 'eq', 'disjoint', ('p_inside_q', j, rest), or
-    ('q_inside_p', j, rest)."""
-    if p == q:
-        return "eq"
+    """Relation of p to a different path q: 'disjoint',
+    ('p_inside_q', j, rest), or ('q_inside_p', j, rest)."""
     if p[:len(q)] == q:
         return ("p_inside_q", p[len(q)], p[len(q) + 1:])
     if q[:len(p)] == p:
@@ -113,26 +141,14 @@ def _invert_context(d: Derivation, item: _Item):
     """The item's active occurrence is a context formula of the root rule."""
     r = d.rule
 
-    if r.rule in ("RAnd", "LOr") and PRINCIPAL_SIDE[item.tag] == "suc":
-        weak = r.weak or ()
-        if item.active in weak:
-            # introduced by the implicit weakening: rebuild, adjusting the slot
-            def rebuilt(suc_repl, ant_add):
-                w = mset_add(mset_remove(weak, item.active), *suc_repl)
-                prems = tuple(_weaken_all(p, "L", ant_add) for p in d.premises)
-                return rebuild(d.rule, prems, weak=w)
-
-            match item.tag:
-                case "RNeg":
-                    return [rebuilt((), (item.active.child,))]
-                case "RAnd":
-                    return [rebuilt((item.active.left,), ()),
-                            rebuilt((item.active.right,), ())]
-                case "ROr":
-                    return [rebuilt((item.active.left, item.active.right), ())]
-                case "RGd":
-                    return rebuilt((gd_sides(item.active, item.path)[0],), ()), "L"
-            raise ShapeMismatch(f"item {item.tag} cannot sit in a weakening slot")
+    if r.rule in ("RAnd", "LOr") and item.active in (r.weak or ()) \
+            and PRINCIPAL_SIDE[item.tag] == "suc":
+        # introduced by the implicit weakening: rebuild, adjusting the slot
+        rest = mset_remove(r.weak, item.active)
+        outs = [rebuild(r, tuple(_weaken_all(p, "L", ant) for p in d.premises),
+                        weak=mset_add(rest, *suc))
+                for ant, suc in _actives(item)]
+        return (outs[0], "L") if item.tag == "RGd" else outs
 
     if r.rule == "Cut":
         phi = r.cutformula
@@ -141,17 +157,9 @@ def _invert_context(d: Derivation, item: _Item):
             in_first = item.active in p1.conclusion.ant
         else:
             in_first = item.active in mset_remove(p1.conclusion.suc, phi)
-        target, other = (p1, p2) if in_first else (p2, p1)
-        sub = _invert(target, item)
-        if item.tag == "RGd":
-            out, side = sub
-            prems = (out, other) if in_first else (other, out)
-            return rebuild(d.rule, prems), side
-        outs = []
-        for o in sub:
-            prems = (o, other) if in_first else (other, o)
-            outs.append(rebuild(d.rule, prems))
-        return outs
+        idx = 0 if in_first else 1
+        return _each_out(item, _invert(d.premises[idx], item),
+                         lambda _k, o: rebuild(r, _with(d.premises, idx, o)))
 
     if item.tag == "RGd":
         # disjunctive item through a context: only unary rules can occur
@@ -163,127 +171,68 @@ def _invert_context(d: Derivation, item: _Item):
                 f"right deep-rule inversion through {r.rule} with a "
                 f"nonclassical antecedent")
         out, side = _invert(d.premises[0], item)
-        return rebuild(d.rule, (out,)), side
+        return rebuild(r, (out,)), side
 
     subs = [_invert(p, item) for p in d.premises]
-    return [rebuild(d.rule, prems) for prems in zip(*subs)]
+    return [rebuild(r, prems) for prems in zip(*subs)]
 
 
 def _invert_principal(d: Derivation, item: _Item):
     """The root rule acts on the very formula occurrence being inverted."""
-    r = d.rule
+    r, chi = d.rule, item.active
     t_i, t_r = item.tag, r.rule
 
-    if t_i == t_r and t_i in ("LNeg", "RNeg", "LAnd", "ROr"):
-        return [d.premises[0]]
-    if t_i == t_r and t_i in ("RAnd", "LOr"):
+    if t_i == t_r == "LGd":
+        return _invert_lgd_lgd(d, item)
+    if t_i == t_r == "RGd":
+        return _invert_rgd_rgd(d, item)
+    if t_i == t_r:
         return [_weaken_all(p, "R", r.weak or ()) for p in d.premises]
 
-    if t_i == "LGd" and t_r == "LGd":
-        return _invert_lgd_lgd(d, item)
-    if t_i == "RGd" and t_r == "RGd":
-        return _invert_rgd_rgd(d, item)
+    if t_i in ("LGd", "RGd"):
+        # a shallow rule on the formula holding the item's deep occurrence:
+        # invert the premise that receives the child holding it
+        i, rest = item.path[0], item.path[1:]
+        k = i if len(d.premises) == 2 else 0
+        sub = _invert(d.premises[k], _Item(t_i, children(chi)[i], rest))
+        hosts = gd_sides(chi, item.path)
+        return _each_out(item, sub, lambda m, o: rebuild(
+            replace(r, formula=hosts[m]), _with(d.premises, k, o)))
 
-    # a shallow rule on a formula holding the item's deep occurrence
-    if t_i == "LGd" and t_r == "LAnd":
-        chi = item.active
-        i, rest = item.path[0], item.path[1:]
-        child = (chi.left, chi.right)[i]
-        u = _invert(d.premises[0], _Item("LGd", child, rest))
-        return [make_land(u[k], g)
-                for k, g in enumerate(gd_sides(chi, item.path))]
-    if t_i == "LGd" and t_r == "LOr":
-        chi = item.active
-        i, rest = item.path[0], item.path[1:]
-        child = (chi.left, chi.right)[i]
-        u = _invert(d.premises[i], _Item("LGd", child, rest))
-        outs = []
-        for k, g in enumerate(gd_sides(chi, item.path)):
-            prems = (u[k], d.premises[1]) if i == 0 else (d.premises[0], u[k])
-            outs.append(make_lor(prems[0], prems[1], g, r.weak or ()))
-        return outs
-    if t_i == "RGd" and t_r == "ROr":
-        chi = item.active
-        i, rest = item.path[0], item.path[1:]
-        child = (chi.left, chi.right)[i]
-        o, s = _invert(d.premises[0], _Item("RGd", child, rest))
-        return make_ror(o, gd_sides(chi, item.path)["LR".index(s)]), s
-    if t_i == "RGd" and t_r == "RAnd":
-        chi = item.active
-        i, rest = item.path[0], item.path[1:]
-        child = (chi.left, chi.right)[i]
-        o, s = _invert(d.premises[i], _Item("RGd", child, rest))
-        prems = (o, d.premises[1]) if i == 0 else (d.premises[0], o)
-        return make_rand(prems[0], prems[1],
-                         gd_sides(chi, item.path)["LR".index(s)],
-                         r.weak or ()), s
-
-    # a deep rule inside a formula the shallow item decomposes
-    if t_r == "LGd" and t_i in ("LAnd", "LOr"):
-        chi = item.active
-        i, rest = r.path[0], r.path[1:]
-        child = (chi.left, chi.right)[i]
-        if t_i == "LAnd":
-            u = [_invert(p, _Item("LAnd", g))[0]
-                 for p, g in zip(d.premises, gd_sides(chi, r.path))]
-            return [make_lgd(u[0], u[1], child, rest)]
-        # LOr item: two outputs, the deep rule lands inside one disjunct
-        chi_l, chi_r = gd_sides(chi, r.path)
-        u1 = _invert(d.premises[0], _Item("LOr", chi_l))
-        u2 = _invert(d.premises[1], _Item("LOr", chi_r))
-        outs = []
-        for k in (0, 1):
-            if k == i:
-                outs.append(make_lgd(u1[k], u2[k], (chi.left, chi.right)[k], rest))
-            else:
-                outs.append(u1[k])
-        return outs
-    if t_r == "RGd" and t_i in ("ROr", "RAnd"):
-        chi = item.active
-        i, rest = r.path[0], r.path[1:]
-        child = (chi.left, chi.right)[i]
-        u = _invert(d.premises[0],
-                    _Item(t_i, gd_sides(chi, r.path)["LR".index(r.side)]))
-        if t_i == "ROr":
-            return [make_rgd(u[0], child, rest, r.side)]
-        outs = list(u)
-        outs[i] = make_rgd(u[i], child, rest, r.side)
-        return outs
-
-    raise ShapeMismatch(f"no inversion case for item {t_i} against rule {t_r}")
+    # a deep rule inside the formula the shallow item decomposes: invert
+    # each premise, then reapply the deep rule in the output holding it
+    i, rest = r.path[0], r.path[1:]
+    hosts = gd_sides(chi, r.path)
+    if t_r == "RGd":
+        hosts = (hosts["LR".index(r.side)],)
+    subs = [_invert(p, _Item(t_i, g)) for p, g in zip(d.premises, hosts)]
+    inner = replace(r, formula=children(chi)[i], path=rest)
+    return [rebuild(inner, [sub[k] for sub in subs])
+            if len(subs[0]) == 1 or k == i else subs[0][k]
+            for k in range(len(subs[0]))]
 
 
 def _invert_lgd_lgd(d: Derivation, item: _Item):
     chi = item.active
     pi, pr = item.path, d.rule.path
-    chi_l, chi_r = gd_sides(chi, pi)
     if pr == pi:
         return [d.premises[0], d.premises[1]]
+    hosts = gd_sides(chi, pi)
     prem_l, prem_r = gd_sides(chi, pr)
     rel = _path_rel(pr, pi)
-    if rel == "disjoint":
+    if rel == "disjoint" or rel[0] == "p_inside_q":
+        # apart, or the root rule's occurrence lies inside the item's
+        # disjunct j: the root rule stays in each output that keeps it
         u1 = _invert(d.premises[0], _Item("LGd", prem_l, pi))
         u2 = _invert(d.premises[1], _Item("LGd", prem_r, pi))
-        return [make_lgd(u1[0], u2[0], chi_l, pr),
-                make_lgd(u1[1], u2[1], chi_r, pr)]
-    if rel[0] == "p_inside_q":
-        # the root rule's occurrence lies inside the item's disjunct j
-        _, j, _rest = rel
-        u1 = _invert(d.premises[0], _Item("LGd", prem_l, pi))
-        u2 = _invert(d.premises[1], _Item("LGd", prem_r, pi))
-        if j == 0:
-            return [make_lgd(u1[0], u2[0], chi_l, pi + rel[2]), u1[1]]
-        return [u1[0], make_lgd(u1[1], u2[1], chi_r, pi + rel[2])]
+        j, path = (None, pr) if rel == "disjoint" else (rel[1], pi + rel[2])
+        return [make_lgd(u1[k], u2[k], hosts[k], path) if j in (None, k)
+                else u1[k] for k in (0, 1)]
     # the item's occurrence lies inside the root rule's disjunct j
     _, j, rest = rel
-    pj = d.premises[j]
-    w = _invert(pj, _Item("LGd", (prem_l, prem_r)[j], pr + rest))
-    other = d.premises[1 - j]
-    outs = []
-    for k, host in ((0, chi_l), (1, chi_r)):
-        prems = (w[k], other) if j == 0 else (other, w[k])
-        outs.append(make_lgd(prems[0], prems[1], host, pr))
-    return outs
+    w = _invert(d.premises[j], _Item("LGd", (prem_l, prem_r)[j], pr + rest))
+    return [make_lgd(*_with(d.premises, j, w[k]), host, pr)
+            for k, host in enumerate(hosts)]
 
 
 def _invert_rgd_rgd(d: Derivation, item: _Item):
@@ -294,19 +243,17 @@ def _invert_rgd_rgd(d: Derivation, item: _Item):
         return d.premises[0], sr
     prem_formula = gd_sides(chi, pr)["LR".index(sr)]
     rel = _path_rel(pr, pi)
-    if rel == "disjoint":
+    if rel == "disjoint" or rel[0] == "p_inside_q":
+        # apart, or the root rule's occurrence lies inside the item's
+        # disjunct j: the root rule stays if the output keeps it
         o, s = _invert(d.premises[0], _Item("RGd", prem_formula, pi))
-        return make_rgd(o, gd_sides(chi, pi)["LR".index(s)], pr, sr), s
-    if rel[0] == "p_inside_q":
-        # root rule's occurrence inside the item's disjunct j
-        _, j, rest = rel
-        o, s = _invert(d.premises[0], _Item("RGd", prem_formula, pi))
-        if (0 if s == "L" else 1) == j:
-            return make_rgd(o, gd_sides(chi, pi)["LR".index(s)], pi + rest, sr), s
-        return o, s
+        if rel != "disjoint" and "LR".index(s) != rel[1]:
+            return o, s
+        path = pr if rel == "disjoint" else pi + rel[2]
+        return make_rgd(o, gd_sides(chi, pi)["LR".index(s)], path, sr), s
     # item's occurrence inside the root rule's disjunct j
     _, j, rest = rel
-    if (0 if sr == "L" else 1) == j:
+    if "LR".index(sr) == j:
         o, s = _invert(d.premises[0], _Item("RGd", prem_formula, pr + rest))
         return make_rgd(o, gd_sides(chi, pi)["LR".index(s)], pr, sr), s
     # the item's occurrence sits in the discarded disjunct: reintroduce
@@ -395,46 +342,21 @@ def _contract(d: Derivation, side: str, f: Formula) -> Derivation:
 
 
 def _contract_principal(d: Derivation, side: str, f: Formula) -> Derivation:
+    """Invert premise k on the other copy of `f` and keep output k: it
+    holds each active formula of premise k twice, so contract each."""
     r = d.rule
-    match r.rule:
-        case "LNeg":
-            u = _invert(d.premises[0], _Item("LNeg", f))[0]
-            return make_lneg(_contract(u, "R", f.child), f)
-        case "RNeg":
-            u = _invert(d.premises[0], _Item("RNeg", f))[0]
-            return make_rneg(_contract(u, "L", f.child), f)
-        case "LAnd":
-            u = _invert(d.premises[0], _Item("LAnd", f))[0]
-            u = _contract(u, "L", f.left)
-            u = _contract(u, "L", f.right)
-            return make_land(u, f)
-        case "ROr":
-            u = _invert(d.premises[0], _Item("ROr", f))[0]
-            u = _contract(u, "R", f.left)
-            u = _contract(u, "R", f.right)
-            return make_ror(u, f)
-        case "RAnd":
-            weak = r.weak or ()
-            if f in weak:
-                return rebuild(d.rule, d.premises, weak=mset_remove(weak, f))
-            u1 = _invert(d.premises[0], _Item("RAnd", f))[0]
-            u2 = _invert(d.premises[1], _Item("RAnd", f))[1]
-            return make_rand(_contract(u1, "R", f.left),
-                             _contract(u2, "R", f.right), f, weak)
-        case "LOr":
-            weak = r.weak or ()
-            u1 = _invert(d.premises[0], _Item("LOr", f))[0]
-            u2 = _invert(d.premises[1], _Item("LOr", f))[1]
-            return make_lor(_contract(u1, "L", f.left),
-                            _contract(u2, "L", f.right), f, weak)
-        case "LGd":
-            pi = r.path
-            fl, fr = gd_sides(f, pi)
-            u1 = _invert(d.premises[0], _Item("LGd", f, pi))[0]
-            u2 = _invert(d.premises[1], _Item("LGd", f, pi))[1]
-            return make_lgd(_contract(u1, "L", fl), _contract(u2, "L", fr),
-                            f, pi)
-    raise ShapeMismatch(f"contraction against rule {r.rule}")
+    if side == "R" and f in (r.weak or ()):
+        return rebuild(r, d.premises, weak=mset_remove(r.weak, f))
+    item = _Item(r.rule, f, r.path or ())
+    prems = []
+    for k, (ant, suc) in enumerate(_actives(item)):
+        u = _invert(d.premises[k], item)[k]
+        for g in ant:
+            u = _contract(u, "L", g)
+        for g in suc:
+            u = _contract(u, "R", g)
+        prems.append(u)
+    return rebuild(r, prems)
 
 
 # ---------------------------------------------------------------------------
@@ -470,51 +392,47 @@ def _push_rgd(host: Formula, path, side: str, n: Derivation) -> Derivation:
     return make_rgd(n, host, path, side)
 
 
+def _active_child(r: RuleApp, idx: int, g: Formula, side: str):
+    """The index of the child of `r`'s principal formula that premise `idx`
+    of `r` receives as an active formula equal to `g` on `side`, or None
+    when `g` is a context formula there."""
+    acts = _actives(_Item(r.rule, r.formula))
+    if g not in acts[idx][side == "suc"]:
+        return None
+    # a binary rule gives premise idx child idx; a unary one gives both
+    return idx if len(acts) == 2 else children(r.formula).index(g)
+
+
 def _push_classical(r: RuleApp, premises):
     """Insert the classical rule `r` below normalized premises, commuting
     it past their deep-rule segments."""
-    tag, principal = r.rule, r.formula
 
     def on(formula):
         """The pushed rule with another principal formula."""
         return replace(r, formula=formula)
 
-    prems = list(premises)
+    prems = tuple(premises)
 
     # commute below a left deep rule first
     for idx, n in enumerate(prems):
         if n.rule.rule != "LGd":
             continue
         g, gpath = n.rule.formula, n.rule.path
-        # active formulas of the pushed rule, per premise slot
-        if tag == "LAnd" and g in (principal.left, principal.right):
-            i = 0 if g == principal.left else 1
-            outs = [_push_classical(on(substitute_at(principal, (i,), gk)),
-                                    [n.premises[k]])
+        i = _active_child(r, idx, g, "ant")
+        if i is not None:
+            outs = [_push_classical(on(substitute_at(r.formula, (i,), gk)),
+                                    _with(prems, idx, n.premises[k]))
                     for k, gk in enumerate(gd_sides(g, gpath))]
-            return make_lgd(outs[0], outs[1], principal, (i,) + gpath)
-        if tag == "LOr" and idx == 0 and g == principal.left:
-            outs = [_push_classical(on(substitute_at(principal, (0,), gk)),
-                                    [n.premises[k], prems[1]])
-                    for k, gk in enumerate(gd_sides(g, gpath))]
-            return make_lgd(outs[0], outs[1], principal, (0,) + gpath)
-        if tag == "LOr" and idx == 1 and g == principal.right:
-            outs = [_push_classical(on(substitute_at(principal, (1,), gk)),
-                                    [prems[0], n.premises[k]])
-                    for k, gk in enumerate(gd_sides(g, gpath))]
-            return make_lgd(outs[0], outs[1], principal, (1,) + gpath)
-        # negation actives are classical, so only context cases remain;
-        # shared-context occurrence: align the other premise by inversion
+            return make_lgd(outs[0], outs[1], r.formula, (i,) + gpath)
+        # a context occurrence; in a binary rule, align the other premise
+        # by inversion
         if len(prems) == 1:
-            outs = [_push_classical(r, [n.premises[k]]) for k in (0, 1)]
-            return make_lgd(outs[0], outs[1], g, gpath)
-        other = prems[1 - idx]
-        aligned = _invert(other, _Item("LGd", g, gpath))
-        outs = []
-        for k in (0, 1):
-            pair = [n.premises[k], aligned[k]] if idx == 0 \
-                else [aligned[k], n.premises[k]]
-            outs.append(_push_classical(r, pair))
+            aligned = (prems, prems)
+        else:
+            aligned = [_with(prems, 1 - idx, a)
+                       for a in _invert(prems[1 - idx], _Item("LGd", g, gpath))]
+        outs = [_push_classical(r, _with(aligned[k], idx, n.premises[k]))
+                for k in (0, 1)]
         return make_lgd(outs[0], outs[1], g, gpath)
 
     # then below a right deep rule
@@ -522,23 +440,15 @@ def _push_classical(r: RuleApp, premises):
         if n.rule.rule != "RGd":
             continue
         h, hpath, hside = n.rule.formula, n.rule.path, n.rule.side
-        resolved = gd_sides(h, hpath)["LR".index(hside)]
-        # negation actives are classical, so they never hold the occurrence
-        if tag == "ROr" and h in (principal.left, principal.right):
-            i = 0 if h == principal.left else 1
-            out = _push_classical(on(substitute_at(principal, (i,), resolved)),
-                                  [n.premises[0]])
-            return make_rgd(out, principal, (i,) + hpath, hside)
-        if tag == "RAnd" and ((idx == 0 and h == principal.left)
-                              or (idx == 1 and h == principal.right)):
-            i = idx
-            pair = [n.premises[0], prems[1]] if i == 0 else [prems[0], n.premises[0]]
-            out = _push_classical(on(substitute_at(principal, (i,), resolved)),
-                                  pair)
-            return make_rgd(out, principal, (i,) + hpath, hside)
+        i = _active_child(r, idx, h, "suc")
+        if i is not None:
+            resolved = gd_sides(h, hpath)["LR".index(hside)]
+            out = _push_classical(on(substitute_at(r.formula, (i,), resolved)),
+                                  _with(prems, idx, n.premises[0]))
+            return make_rgd(out, r.formula, (i,) + hpath, hside)
         # context occurrence: commute straight down (the restricted binary
         # rules cannot reach here: their classical contexts exclude h)
-        assert tag not in ("RAnd", "LOr"), tag
+        assert len(prems) == 1, r.rule
         out = _push_classical(r, [n.premises[0]])
         return _push_rgd(h, hpath, hside, out)
 
@@ -688,22 +598,16 @@ def _classicalize_suc(d: Derivation, entries):
     path, side, kept) in application order, and the final formula per
     entry.
     """
-    cur = list(entries)
-    records = []
-    while True:
-        pick = None
-        for i, (_key, f) in enumerate(cur):
-            if not is_classical(f):
-                pick = i
-                break
-        if pick is None:
-            return d, records, cur
-        key, f = cur[pick]
-        path = gd_paths(f)[0]
-        d, side = _invert(d, _Item("RGd", f, path))
-        kept = gd_sides(f, path)["LR".index(side)]
-        records.append((key, f, path, side, kept))
-        cur[pick] = (key, kept)
+    records, finals = [], []
+    for key, f in entries:
+        while not is_classical(f):
+            path = first_gd((f,))[1]
+            d, side = _invert(d, _Item("RGd", f, path))
+            kept = gd_sides(f, path)["LR".index(side)]
+            records.append((key, f, path, side, kept))
+            f = kept
+        finals.append((key, f))
+    return d, records, finals
 
 
 def _build_lgd_family(target_ant, suc, family) -> Derivation:

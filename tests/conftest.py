@@ -7,9 +7,11 @@ sequent side (the oracle is doubly exponential, so tests stay small).
 
 import random
 
-from teamseq.calculus import Derivation, make_cut
+from teamseq.calculus import (Derivation, RuleApp, make_cut, premises_of,
+                              rebuild)
 from teamseq.prover import prove_or_countermodel
-from teamseq.syntax import (And, BOT, Gd, Neg, Or, Prop, Sequent, gd_count)
+from teamseq.syntax import (And, BOT, Gd, Neg, Or, Prop, Sequent, gd_count,
+                            gd_paths, is_classical)
 
 VARS = ("p", "q", "r")
 
@@ -67,3 +69,46 @@ def inject_cut(d: Derivation, phi) -> Derivation:
     formula against its identity derivation; the endsequent is unchanged."""
     assert phi in d.conclusion.suc
     return make_cut(d, identity_derivation(phi), phi)
+
+
+def _invertible_steps(s: Sequent):
+    """Root-first rule applications (tag, principal, path) whose premises
+    are valid whenever `s` is: LAnd, LNeg, ROr, RNeg, LGd at any path, and
+    LOr and RAnd where their right context is classical."""
+    steps = []
+    for f in s.ant:
+        if isinstance(f, And):
+            steps.append(("LAnd", f, ()))
+        if isinstance(f, Neg):
+            steps.append(("LNeg", f, ()))
+        if isinstance(f, Or) and all(is_classical(g) for g in s.suc):
+            steps.append(("LOr", f, ()))
+        steps.extend(("LGd", f, path) for path in gd_paths(f))
+    for i, f in enumerate(s.suc):
+        if isinstance(f, Or):
+            steps.append(("ROr", f, ()))
+        if isinstance(f, Neg):
+            steps.append(("RNeg", f, ()))
+        if isinstance(f, And) and \
+                all(is_classical(g) for g in s.suc[:i] + s.suc[i + 1:]):
+            steps.append(("RAnd", f, ()))
+    return steps
+
+
+def gen_shuffled(rng: random.Random, s: Sequent, steps: int):
+    """A derivation of `s` that applies up to `steps` random invertible
+    rules root-first, in any order, and lets the prover finish each
+    branch; None when some branch is not valid.  Unlike prover output, it
+    is seldom in phase normal form."""
+    choices = _invertible_steps(s) if steps > 0 else []
+    if not choices:
+        d = prove_or_countermodel(s)
+        return d if isinstance(d, Derivation) else None
+    tag, f, path = rng.choice(choices)
+    prems = []
+    for ant, suc in premises_of(tag, s.ant, s.suc, f, path):
+        prem = gen_shuffled(rng, Sequent(ant, suc), steps - 1)
+        if prem is None:
+            return None
+        prems.append(prem)
+    return rebuild(RuleApp(tag, formula=f, path=path), prems)

@@ -87,6 +87,13 @@ def test_eval(tmp_path, capsys):
     assert code == 0 and out.strip() == "true"
     code, out = invoke(capsys, "eval", "a || b", "--team", str(path))
     assert code == 1 and out.strip() == "false"
+    # a repeated variable or a string for `vars` is an input error, not
+    # a verdict read off one of the two columns
+    for obj in ({"vars": ["p", "p"], "team": [[1, 0]]},
+                {"vars": ["p", "p"], "team": [[0, 1]]},
+                {"vars": "pq", "team": [[1, 0]]}):
+        path.write_text(json.dumps(obj))
+        assert invoke(capsys, "eval", "p", "--team", str(path))[0] == 2
 
 
 def test_resolutions_degree(capsys):
@@ -149,6 +156,11 @@ def test_interpolate(capsys):
 def test_usage_and_parse_errors(tmp_path, capsys):
     assert run(["valid", "p => ()"]) == 2
     assert run(["nosuchcommand"]) == 2
+    # a negative budget is a usage error, not an exhausted budget
+    for budget in ("-1", "x"):
+        for command in ("prove", "valid"):
+            assert run(["--budget", budget, command, "p => p"]) == 2
+            assert "argument --budget" in capsys.readouterr().err
     assert run(["check", "/nonexistent/file.json"]) == 2
     # a directory and a non-UTF-8 file, as a derivation and as a team
     raw = tmp_path / "latin1.json"

@@ -242,3 +242,9 @@ def test_team_json():
     for obj in ({"team": []}, {"vars": ["p"]}):
         with pytest.raises(ParseError, match="missing field"):
             team_from_json(obj)
+    # a domain names each variable once, as a string the parser accepts
+    for names in (["p", "p"], "pq", ["p", 1], ["P"], [""], {"p": 0}):
+        with pytest.raises(ParseError, match="bad team"):
+            team_from_json({"vars": names, "team": []})
+    with pytest.raises(ValueError, match="repeated variable"):
+        Team(("p", "q", "p"), frozenset())

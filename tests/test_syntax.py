@@ -6,11 +6,11 @@ import pytest
 
 from teamseq.errors import (InvalidPath, NonClassicalNegation, ParseError)
 from teamseq.syntax import (And, BOT, Gd, Neg, Or, PartitionSequent, Prop,
-                            Sequent, formula_from_json, formula_to_json,
-                            gd_paths, gd_sides, is_classical, parse_formula,
-                            parse_sequent, props, render, sequent_from_json,
-                            sequent_to_json, signed_props, subformula_at,
-                            substitute_at, symbol_count)
+                            Sequent, first_gd, formula_from_json,
+                            formula_to_json, gd_paths, gd_sides, is_classical,
+                            parse_formula, parse_sequent, props, render,
+                            sequent_from_json, sequent_to_json, signed_props,
+                            subformula_at, substitute_at, symbol_count)
 
 from conftest import gen_formula
 
@@ -135,6 +135,12 @@ def test_gd_paths_label_order():
     assert gd_paths(parse_formula("p || (q || r)")) == ((), (1,))
     assert gd_paths(parse_formula("(p || q) || r")) == ((0,), ())
     assert gd_paths(parse_formula("p & q")) == ()
+    # the next deep-rule split is the lowest label, reached by descent
+    rng = random.Random(19)
+    for _ in range(300):
+        f = gen_formula(rng, rng.randint(0, 5), 3)
+        paths = gd_paths(f)
+        assert first_gd((f,)) == ((f, paths[0]) if paths else None)
 
 
 def test_symbol_count():

@@ -16,7 +16,7 @@ from teamseq.transforms import (classical_eliminate_cuts, contract,
                                 eliminate_cuts, invert, is_normal, normalize,
                                 reassemble, resolve_derivation, weaken)
 
-from conftest import gen_formula, gen_sequent, inject_cut
+from conftest import gen_formula, gen_sequent, gen_shuffled, inject_cut
 
 pf, ps = parse_formula, parse_sequent
 p, q = Prop("p"), Prop("q")
@@ -249,6 +249,30 @@ def test_normalize_property_suite():
         check_derivation(n)
         assert is_normal(n)
         assert n.conclusion == d.conclusion
+
+
+def test_normalize_and_cutelim_shuffled_derivations():
+    # rules applied root-first in random order leave deep rules above
+    # classical ones, so normalize has to commute them
+    rng = random.Random(157)
+    done = not_normal = 0
+    while done < 60:
+        d = gen_shuffled(rng, gen_sequent(rng), rng.randint(1, 4))
+        if d is None:
+            continue
+        check_derivation(d)
+        done += 1
+        not_normal += not is_normal(d)
+        n = normalize(d)
+        check_derivation(n)
+        assert is_normal(n)
+        assert n.conclusion == d.conclusion
+        if d.conclusion.suc:
+            e = eliminate_cuts(inject_cut(d, rng.choice(d.conclusion.suc)))
+            check_derivation(e)
+            assert is_cutfree(e)
+            assert e.conclusion == d.conclusion
+    assert not_normal >= 10, not_normal
 
 
 def test_normalize_rejects_cut():
