@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import (ArityMismatch, DerivationCheckError, InvalidPath,
-                     ParseError, RuleViolation, ShapeMismatch)
-from .syntax import (And, Bot, Formula, Gd, Neg, Or, Prop, Sequent,
+                     ParseError, ResourceLimit, RuleViolation, ShapeMismatch)
+from .syntax import (And, BOT, Bot, Formula, Gd, Neg, Or, Prop, Sequent,
                      formula_from_json, formula_to_json, gd_sides,
                      is_classical, mset, mset_add, mset_leq, mset_remove,
                      mset_sub, render, sequent_from_json, sequent_to_json,
@@ -98,7 +98,7 @@ def make_at(ant, suc, var: Formula | None = None) -> Derivation:
 def make_lbot(ant, suc) -> Derivation:
     ant, suc = mset(ant), mset(suc)
     return Derivation(Sequent(ant, suc),
-                      RuleApp("LBot", pos=ant.index(Bot()), formula=Bot()))
+                      RuleApp("LBot", pos=ant.index(BOT), formula=BOT))
 
 
 def make_lneg(premise: Derivation, neg: Neg) -> Derivation:
@@ -552,10 +552,19 @@ def derivation_to_json(d: Derivation):
 
 
 def derivation_from_json(obj) -> Derivation:
+    """The derivation of a JSON object; input nested too deeply for the
+    recursive walk raises ResourceLimit."""
+    try:
+        return _derivation_from_json(obj)
+    except RecursionError:
+        raise ResourceLimit("nesting too deep") from None
+
+
+def _derivation_from_json(obj) -> Derivation:
     if not isinstance(obj, dict):
         raise _bad_json("a derivation", obj)
     if not isinstance(obj.get("premises"), list):
         raise _bad_json("premises", obj.get("premises"))
     return Derivation(sequent_from_json(obj.get("conclusion")),
                       ruleapp_from_json(obj.get("rule")),
-                      tuple(derivation_from_json(p) for p in obj["premises"]))
+                      tuple(_derivation_from_json(p) for p in obj["premises"]))

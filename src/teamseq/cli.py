@@ -8,6 +8,7 @@ switches every subcommand to machine-readable output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -133,7 +134,9 @@ def _cmd_transform(args) -> int:
     """normalize / cutelim: print the transformed derivation."""
     d = derivation_from_json(_load_json(args.file))
     check_derivation(d)
-    print(json.dumps(derivation_to_json(args.transform(d))))
+    # read at call time, so the once-built parser holds no library function
+    transform = normalize if args.command == "normalize" else eliminate_cuts
+    print(json.dumps(derivation_to_json(transform(d))))
     return 0
 
 
@@ -185,7 +188,11 @@ def _cmd_interpolate(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.  `parse_args` keeps no
+    state between calls, and `prog` is fixed, so `sys.argv` does not
+    reach the cached parser."""
     ap = argparse.ArgumentParser(
         prog="teamseq",
         description="Sequent calculus toolkit for basic propositional team "
@@ -228,12 +235,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("normalize", help="phase normal form of a derivation "
                                          "JSON file")
     p.add_argument("file")
-    p.set_defaults(fn=_cmd_transform, transform=normalize)
+    p.set_defaults(fn=_cmd_transform)
 
     p = sub.add_parser("cutelim", help="eliminate cuts from a derivation "
                                        "JSON file")
     p.add_argument("file")
-    p.set_defaults(fn=_cmd_transform, transform=eliminate_cuts)
+    p.set_defaults(fn=_cmd_transform)
 
     p = sub.add_parser("resolve", help="classical branches per antecedent "
                                        "resolution")
@@ -260,7 +267,7 @@ def run(argv) -> int:
     except ResourceLimit as e:
         print(f"budget exhausted: {e}", file=sys.stderr)
         return 3
-    except RecursionError:
+    except RecursionError:  # backstop for recursion outside the parsers
         print("budget exhausted: nesting too deep", file=sys.stderr)
         return 3
     except MemoryError:

@@ -27,7 +27,13 @@ class DomainMismatch(TeamSeqError):
 
 
 class ResourceLimit(TeamSeqError):
-    """An enumeration or search exceeded its configured budget."""
+    """An enumeration or search exceeded its configured budget.  From the
+    prover, `unit` names the unit of search that ran out; it is None
+    elsewhere."""
+
+    def __init__(self, message, unit=None):
+        super().__init__(message)
+        self.unit = unit
 
 
 class DegreeOutOfRange(TeamSeqError):

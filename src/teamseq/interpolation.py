@@ -27,7 +27,7 @@ from .errors import (ContainsCut, NonClassicalLambda1, PartitionMismatch,
                      ResourceLimit, ShapeMismatch, TeamSeqError)
 from .prover import DEFAULT_NODE_BUDGET, prove_or_countermodel
 from .semantics import Team, sequent_valid
-from .syntax import (And, BOT, Bot, Formula, Gd, Neg, Or, PartitionSequent,
+from .syntax import (And, BOT, Formula, Gd, Neg, Or, PartitionSequent,
                      Sequent, is_classical, mset, mset_add, signed_props)
 from .transforms import weaken
 
@@ -121,7 +121,7 @@ def _interp(d: Derivation, g1, g2, l1, d2):
                 make_lneg(make_at(g2, mset_add(d2, BOT), p), nb))
 
     if tag == "LBot":
-        if Bot() in g1:
+        if BOT in g1:
             return (BOT,
                     make_lbot(g1, mset_add(l1, BOT)),
                     make_lbot(mset_add(g2, BOT), d2))

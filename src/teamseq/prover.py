@@ -25,7 +25,7 @@ from .calculus import (PRINCIPAL_SIDE, Derivation, RuleApp, make_at,
 from .errors import NonClassicalInput, ResourceLimit
 from .resolutions import resolution_choices, resolution_steps
 from .semantics import Team
-from .syntax import (And, Bot, Formula, Neg, Or, Prop, Sequent, first_gd,
+from .syntax import (And, BOT, Formula, Neg, Or, Prop, Sequent, first_gd,
                      mset)
 
 DEFAULT_NODE_BUDGET = 10 ** 6
@@ -42,7 +42,7 @@ class _Budget:
         self.used += 1
         if self.used > self.limit:
             raise ResourceLimit(f"search budget {self.limit} exhausted "
-                                f"while expanding {what}")
+                                f"while expanding {what}", unit=what)
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,7 @@ _CLASSICAL_RULES = (("LAnd", And), ("ROr", Or), ("LNeg", Neg), ("RNeg", Neg),
 
 def _prove_classical(ant, suc, domain, budget: _Budget):
     budget.spend("classical sequent")
-    if Bot() in ant:
+    if BOT in ant:
         return make_lbot(ant, suc)
     for f in ant:
         if isinstance(f, Prop) and f in suc:
@@ -162,7 +162,8 @@ def prove_or_countermodel(s: Sequent, node_budget: int = DEFAULT_NODE_BUDGET):
     distinct witnesses found there.  No candidate that a stored witness
     already refutes is searched.  `node_budget` counts antecedent splits,
     nodes of the stage-2 candidate generator (including pruned ones) and
-    classical sequents; `ResourceLimit` names the unit that ran out.
+    classical sequents; `ResourceLimit` names the unit that ran out, in its
+    message and as its `unit`.
     """
     domain = tuple(sorted(s.props()))
     return _search(s.ant, s.suc, domain, _Budget(node_budget))

@@ -5,6 +5,10 @@ split disjunction `|`) extended with a second, global disjunction `||`.
 Negation applies to classical formulas only, so `||` never occurs below
 `~`; constructors enforce this.
 
+Formulas are hash-consed: each constructor returns the live node of its
+type and fields when there is one, so equal formulas are one shared,
+immutable node, compared and hashed by identity.
+
 Operator precedence is `~` > `&` > `|` > `||`, binary operators associate
 to the right.  `render` emits minimal parentheses and round-trips through
 `parse_formula`.
@@ -13,26 +17,80 @@ to the right.  `render` emits minimal parentheses and round-trips through
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+import threading
+import weakref
+from _weakref import _remove_dead_weakref
+from dataclasses import dataclass, fields
 
-from .errors import InvalidPath, NonClassicalNegation, ParseError
+from .errors import (InvalidPath, NonClassicalNegation, ParseError,
+                     ResourceLimit)
 
 _VAR_RE = re.compile(r"[a-z][a-zA-Z0-9_]*")
 
 
-class Formula:
+class _NodeRef(weakref.ref):
+    """An entry of the node table: a weak reference that knows its key."""
+
+    __slots__ = ("key",)
+
+
+# (type, *fields) -> a weak reference to the live node of that formula
+_NODES: dict[tuple, _NodeRef] = {}
+_NODES_LOCK = threading.Lock()
+
+
+def _forget(ref: _NodeRef) -> None:
+    """Drop the entry of a collected node.  The removal is the atomic one
+    `WeakValueDictionary` uses: it leaves the entry alone when another
+    thread has already replaced the dead reference by a live node's."""
+    _remove_dead_weakref(_NODES, ref.key)
+
+
+class _Interned(type):
+    """Metaclass of formula nodes: a constructor call returns the live node
+    with the same type and fields, and builds (and validates) a node only
+    on a miss."""
+
+    def __call__(cls, *args):
+        key = (cls, *args)
+        ref = _NODES.get(key)
+        node = None if ref is None else ref()
+        if node is None:
+            with _NODES_LOCK:
+                # a second lookup: another thread may have built it meanwhile
+                ref = _NODES.get(key)
+                node = None if ref is None else ref()
+                if node is None:
+                    node = super().__call__(*args)
+                    ref = _NodeRef(node, _forget)
+                    ref.key = key
+                    _NODES[key] = ref
+        return node
+
+
+class Formula(metaclass=_Interned):
     """Base class; concrete nodes are Prop, Bot, Neg, And, Or, Gd.
+
+    Equal formulas are one node: constructors intern every node in a
+    weak-value table, under a lock on a miss, so two threads never build
+    two nodes for one formula, and a node no longer referenced is
+    collected with its table entry.  Nodes are immutable and compare and
+    hash by identity, which is sound because every node comes from the
+    table.  `copy`, `deepcopy` and `pickle` rebuild a node through its
+    constructor, so they return the interned node too.
 
     `render`, `props` and `is_classical` cache their value in the node's
     instance `__dict__` on first use, outside the dataclass fields, so
-    equality, hashing and `repr` are unaffected and the value lives exactly
-    as long as the node.
+    `repr` is unaffected and the value lives exactly as long as the node.
     """
 
     __slots__ = ()
 
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class Prop(Formula):
     name: str
 
@@ -41,12 +99,12 @@ class Prop(Formula):
             raise ValueError(f"bad variable name: {self.name!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Bot(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Neg(Formula):
     child: Formula
 
@@ -56,19 +114,19 @@ class Neg(Formula):
                 f"negation of nonclassical formula: {render(self.child)}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Gd(Formula):
     """Global (question-forming) disjunction, written `||`."""
 
@@ -468,6 +526,15 @@ class _Parser:
 
 
 def parse_formula(text: str) -> Formula:
+    """The formula of `text`; input nested too deeply for the recursive
+    parser raises ResourceLimit."""
+    try:
+        return _parse_formula(text)
+    except RecursionError:
+        raise ResourceLimit("nesting too deep") from None
+
+
+def _parse_formula(text: str) -> Formula:
     p = _Parser(text)
     f = p.formula()
     p.expect("eof")
@@ -479,8 +546,16 @@ def parse_sequent(text: str):
 
     Comma-separated formulas form multisets (duplicates kept); empty sides
     and empty partition blocks are allowed.  Returns a Sequent, or a
-    PartitionSequent when `;` is present.
+    PartitionSequent when `;` is present.  Input nested too deeply for the
+    recursive parser raises ResourceLimit.
     """
+    try:
+        return _parse_sequent(text)
+    except RecursionError:
+        raise ResourceLimit("nesting too deep") from None
+
+
+def _parse_sequent(text: str):
     p = _Parser(text)
     ant1 = p.formula_list()
     partitioned = p.peek()[0] == "semi"
@@ -539,6 +614,15 @@ def _field(obj, key: str):
 
 
 def formula_from_json(obj) -> Formula:
+    """The formula of a JSON object; input nested too deeply for the
+    recursive walk raises ResourceLimit."""
+    try:
+        return _formula_from_json(obj)
+    except RecursionError:
+        raise ResourceLimit("nesting too deep") from None
+
+
+def _formula_from_json(obj) -> Formula:
     op = _field(obj, "op")
     if op == "prop":
         name = _field(obj, "name")
@@ -549,11 +633,11 @@ def formula_from_json(obj) -> Formula:
     if op == "bot":
         return BOT
     if op == "neg":
-        return Neg(formula_from_json(_field(obj, "c")))
+        return Neg(_formula_from_json(_field(obj, "c")))
     binop = _BINOPS.get(op) if isinstance(op, str) else None
     if binop is not None:
-        return binop(formula_from_json(_field(obj, "l")),
-                     formula_from_json(_field(obj, "r")))
+        return binop(_formula_from_json(_field(obj, "l")),
+                     _formula_from_json(_field(obj, "r")))
     raise ParseError(f"unknown formula op {op!r}")
 
 

@@ -11,7 +11,8 @@ from teamseq.calculus import (PRINCIPAL_SIDE, Derivation, RuleApp,
                               make_lneg, make_lor, make_lori, make_rand,
                               make_randi, make_rc, make_rgd, make_rneg,
                               make_ror, premises_of, rule_nodes)
-from teamseq.errors import (ArityMismatch, DerivationCheckError, RuleViolation)
+from teamseq.errors import (ArityMismatch, DerivationCheckError,
+                            ResourceLimit, RuleViolation)
 from teamseq.prover import prove_classical, prove_or_countermodel
 from teamseq.semantics import sequent_valid
 from teamseq.syntax import (And, BOT, Gd, Neg, Or, Prop, Sequent,
@@ -308,6 +309,15 @@ def test_derivation_json_round_trip():
         back = derivation_from_json(json.loads(blob))
         assert back == d
         check_derivation(back)
+
+
+def test_derivation_from_json_too_deep_is_a_resource_limit():
+    obj = derivation_to_json(make_lbot((BOT,), ()))
+    for _ in range(3000):
+        obj = {"rule": {"rule": "LBot"}, "conclusion": obj["conclusion"],
+               "premises": [obj]}
+    with pytest.raises(ResourceLimit, match="nesting too deep"):
+        derivation_from_json(obj)
 
 
 def test_premises_of_agrees_with_the_checker():

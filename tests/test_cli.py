@@ -1,11 +1,15 @@
 import json
+import random
 import time
 
 from teamseq import cli
-from teamseq.calculus import derivation_from_json
+from teamseq.calculus import derivation_from_json, derivation_to_json
 from teamseq.cli import run
 from teamseq.semantics import team_from_json
 from teamseq.syntax import parse_formula, parse_sequent
+from teamseq.transforms import eliminate_cuts, is_normal, normalize
+
+from conftest import gen_sequent, gen_shuffled
 
 
 def invoke(capsys, *argv):
@@ -216,3 +220,28 @@ def test_json_flag_round_trips(capsys):
     assert json.loads(out) == {"formulas": ["p", "q"]}
     for f in json.loads(out)["formulas"]:
         parse_formula(f)
+
+
+def test_reused_parser_keeps_no_state_between_runs(tmp_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    # a flag of one run does not reach the next
+    assert invoke(capsys, "--json", "valid", "p => p") == \
+        (0, '{"valid": true}\n')
+    assert invoke(capsys, "valid", "p => p") == (0, "valid\n")
+    assert invoke(capsys, "--budget", "0", "prove", "p => p")[0] == 3
+    assert invoke(capsys, "prove", "p => p")[0] == 0
+    # a derivation that is cutfree but not in normal form, so that
+    # normalize and cutelim print different derivations
+    rng = random.Random(31)
+    d = None
+    while d is None or is_normal(d):
+        d = gen_shuffled(rng, gen_sequent(rng), 3)
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(derivation_to_json(d)))
+    normalized = json.dumps(derivation_to_json(normalize(d))) + "\n"
+    assert normalized != \
+        json.dumps(derivation_to_json(eliminate_cuts(d))) + "\n"
+    assert invoke(capsys, "nosuchcommand")[0] == 2
+    assert invoke(capsys, "normalize", str(path)) == (0, normalized)
+    assert invoke(capsys, "cutelim", str(path))[0] == 0
+    assert invoke(capsys, "normalize", str(path)) == (0, normalized)

@@ -6,8 +6,8 @@ import pytest
 
 from teamseq.calculus import Derivation, check_derivation, is_cutfree
 from teamseq.errors import NonClassicalInput, ResourceLimit
-from teamseq.prover import (ClassicalCountermodel, prove_classical,
-                            prove_or_countermodel)
+from teamseq.prover import (_STAGE2_UNIT, ClassicalCountermodel,
+                            prove_classical, prove_or_countermodel)
 from teamseq.resolutions import resolution_choices, resolutions_multiset
 from teamseq.semantics import (Team, big_or, eval_classical,
                                find_countermodel_bruteforce, satisfies,
@@ -179,6 +179,25 @@ def test_budget_binds_in_stage_2():
     s = ps("=> " + ", ".join(f"p{i}||~p{i}" for i in range(16)))
     with pytest.raises(ResourceLimit, match=r"succedent generator node"):
         prove_or_countermodel(s, node_budget=200)
+
+
+def test_budget_error_carries_its_unit():
+    # raising the budget step by step runs out in each unit in turn
+    s = ps("p || q => q || p")
+    units = set()
+    for budget in range(100):
+        try:
+            prove_or_countermodel(s, node_budget=budget)
+        except ResourceLimit as e:
+            assert str(e) == f"search budget {budget} exhausted while " \
+                             f"expanding {e.unit}"
+            units.add(e.unit)
+        else:
+            break
+    assert units == {"antecedent split", _STAGE2_UNIT, "classical sequent"}
+    with pytest.raises(ResourceLimit) as e:
+        prove_classical(ps("p => p"), node_budget=0)
+    assert e.value.unit == "classical sequent"
 
 
 def test_countermodel_is_union_of_distinct_witnesses():

@@ -1,16 +1,24 @@
+import copy
 import gc
+import pickle
 import random
+import sys
+import threading
 import weakref
 
 import pytest
 
-from teamseq.errors import (InvalidPath, NonClassicalNegation, ParseError)
-from teamseq.syntax import (And, BOT, Gd, Neg, Or, PartitionSequent, Prop,
-                            Sequent, first_gd, formula_from_json,
-                            formula_to_json, gd_paths, gd_sides, is_classical,
-                            parse_formula, parse_sequent, props, render,
-                            sequent_from_json, sequent_to_json, signed_props,
-                            subformula_at, substitute_at, symbol_count)
+from teamseq import syntax
+from teamseq.errors import (InvalidPath, NonClassicalNegation, ParseError,
+                            ResourceLimit)
+from teamseq.semantics import big_and, big_or
+from teamseq.syntax import (And, BOT, Bot, Gd, Neg, Or, PartitionSequent,
+                            Prop, Sequent, children, first_gd,
+                            formula_from_json, formula_to_json, gd_paths,
+                            gd_sides, is_classical, parse_formula,
+                            parse_sequent, props, render, sequent_from_json,
+                            sequent_to_json, signed_props, subformula_at,
+                            substitute_at, symbol_count)
 
 from conftest import gen_formula
 
@@ -68,10 +76,121 @@ def test_cached_values_leave_formulas_unchanged_and_collectable():
     assert (render(f), props(f), is_classical(f)) == \
         ("p & (q || ~r)", {"p", "q", "r"}, False)
     assert f == g and hash(f) == hash(g) and repr(f) == repr(g)
+    assert f is g
+    ref = weakref.ref(f)
+    del f, g
+    gc.collect()
+    assert ref() is None
+
+
+def test_equal_formulas_are_one_node():
+    f = parse_formula("p & (q || ~r)")
+    assert Bot() is BOT and parse_formula("bot") is BOT
+    assert parse_formula("p&(q||~r)") is f
+    assert And(Prop("p"), Gd(Prop("q"), Neg(Prop("r")))) is f
+    assert formula_from_json(formula_to_json(f)) is f
+    assert formula_from_json({"op": "bot"}) is BOT
+    assert substitute_at(f, (1,), Prop("q")) is parse_formula("p & q")
+    left, right = gd_sides(f, (1,))
+    assert left is parse_formula("p & q") and right is parse_formula("p & ~r")
+    assert big_or((Prop("p"), Prop("q"))) is parse_formula("p | q")
+    assert big_and((Prop("p"), Prop("q"))) is parse_formula("p & q")
+    assert big_or(()) is BOT and big_and(()) is Neg(BOT)
+    for g in (f, BOT, Prop("p")):
+        assert copy.copy(g) is g and copy.deepcopy(g) is g
+        assert pickle.loads(pickle.dumps(g)) is g
+    # the round trips keep the node's cached values
+    assert render(copy.deepcopy(f)) == "p & (q || ~r)"
+
+
+def test_identity_matches_rendering_on_random_pairs():
+    rng = random.Random(23)
+    same = 0
+    for _ in range(300):
+        f = gen_formula(rng, rng.randint(0, 3), 2)
+        g = gen_formula(rng, rng.randint(0, 3), 2)
+        assert (f is g) == (render(f) == render(g))
+        assert (f == g) == (f is g)
+        same += f is g
+    assert same >= 10, same
+
+
+def _subformulas(f):
+    yield f
+    for c in children(f):
+        yield from _subformulas(c)
+
+
+def _build_in_threads(seed, count=4):
+    """The seeded formulas built by `count` threads at once."""
+    def build(out):
+        barrier.wait(timeout=60)
+        rng = random.Random(seed)
+        out.extend(gen_formula(rng, rng.randint(0, 5), 3, "pqrst")
+                   for _ in range(300))
+
+    barrier = threading.Barrier(count)
+    built = [[] for _ in range(count)]
+    threads = [threading.Thread(target=build, args=(out,)) for out in built]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+        assert not t.is_alive()
+    return built
+
+
+def test_threads_share_one_node_per_formula():
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        rounds = [_build_in_threads(seed) for seed in range(5)]
+    finally:
+        sys.setswitchinterval(interval)
+    for built in rounds:
+        assert all(len(out) == 300 for out in built)
+        for nodes in zip(*built):
+            assert all(n is nodes[0] for n in nodes)
+        everything = [g for out in built for f in out
+                      for g in _subformulas(f)]
+        assert len({id(g) for g in everything}) == \
+            len({render(g) for g in everything})
+
+
+def test_unreferenced_nodes_leave_the_table():
+    f = Neg(And(Prop("zcollected"), Prop("zcollected")))
+    key = (Prop, "zcollected")
+    assert key in syntax._NODES
     ref = weakref.ref(f)
     del f
     gc.collect()
     assert ref() is None
+    assert key not in syntax._NODES
+    assert all(entry() is not None for entry in syntax._NODES.values())
+
+
+DEEP_TEXTS = ("p & " * 1500 + "p", "(" * 900 + "p" + ")" * 900,
+              "~" * 3000 + "p")
+
+
+def test_parse_formula_too_deep_is_a_resource_limit():
+    for text in DEEP_TEXTS:
+        with pytest.raises(ResourceLimit, match="nesting too deep"):
+            parse_formula(text)
+
+
+def test_parse_sequent_too_deep_is_a_resource_limit():
+    for text in DEEP_TEXTS:
+        with pytest.raises(ResourceLimit, match="nesting too deep"):
+            parse_sequent(f"q => {text}")
+
+
+def test_formula_from_json_too_deep_is_a_resource_limit():
+    obj = {"op": "prop", "name": "p"}
+    for _ in range(3000):
+        obj = {"op": "neg", "c": obj}
+    with pytest.raises(ResourceLimit, match="nesting too deep"):
+        formula_from_json(obj)
 
 
 def test_is_classical():
