@@ -7,6 +7,12 @@ for the deep rules, the implicit-weakening multiset for the restricted
 context rules, the cutformula for cut, and the context split for the
 independent-context variants.
 
+Each logical rule is described once, by `premises_of`: the premises its
+principal formula leaves behind.  `infer`, the one forward step, reads it
+leaf-first: it takes each premise's active formulas out of that premise
+and concludes the context left, which the premises must share
+(ValueError otherwise), plus the principal formula.
+
 The checker validates every side condition: context arithmetic as multiset
 equations, classicality of restricted contexts, path legality for the deep
 rules, and the classical-only right contraction of the variant system.  It
@@ -18,7 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import (ArityMismatch, DerivationCheckError, InvalidPath,
-                     ParseError, ResourceLimit, RuleViolation, ShapeMismatch)
+                     ParseError, RuleViolation, ShapeMismatch,
+                     nesting_limited)
 from .syntax import (And, BOT, Bot, Formula, Gd, Neg, Or, Prop, Sequent,
                      formula_from_json, formula_to_json, gd_sides,
                      is_classical, mset, mset_add, mset_leq, mset_remove,
@@ -79,9 +86,10 @@ def rule_nodes(d: Derivation):
 
 
 # ---------------------------------------------------------------------------
-# Forward builders.  Each computes the conclusion from the premises plus the
-# principal data, raising ValueError on misuse; the checker remains the
-# independent authority on rule legality.
+# Builders for the axioms, cut and the variant-system rules.  Each computes
+# the conclusion from the premises plus the principal data, raising
+# ValueError on misuse; the checker remains the independent authority on
+# rule legality.
 
 def make_at(ant, suc, var: Formula | None = None) -> Derivation:
     ant, suc = mset(ant), mset(suc)
@@ -99,88 +107,6 @@ def make_lbot(ant, suc) -> Derivation:
     ant, suc = mset(ant), mset(suc)
     return Derivation(Sequent(ant, suc),
                       RuleApp("LBot", pos=ant.index(BOT), formula=BOT))
-
-
-def make_lneg(premise: Derivation, neg: Neg) -> Derivation:
-    concl = Sequent(mset_add(premise.conclusion.ant, neg),
-                    mset_remove(premise.conclusion.suc, neg.child))
-    return Derivation(concl, RuleApp("LNeg", pos=concl.ant.index(neg),
-                                     formula=neg), (premise,))
-
-
-def make_rneg(premise: Derivation, neg: Neg) -> Derivation:
-    concl = Sequent(mset_remove(premise.conclusion.ant, neg.child),
-                    mset_add(premise.conclusion.suc, neg))
-    return Derivation(concl, RuleApp("RNeg", pos=concl.suc.index(neg),
-                                     formula=neg), (premise,))
-
-
-def make_land(premise: Derivation, conj: And) -> Derivation:
-    ant = mset_add(mset_sub(premise.conclusion.ant, (conj.left, conj.right)), conj)
-    concl = Sequent(ant, premise.conclusion.suc)
-    return Derivation(concl, RuleApp("LAnd", pos=concl.ant.index(conj),
-                                     formula=conj), (premise,))
-
-
-def make_ror(premise: Derivation, disj: Or) -> Derivation:
-    suc = mset_add(mset_sub(premise.conclusion.suc, (disj.left, disj.right)), disj)
-    concl = Sequent(premise.conclusion.ant, suc)
-    return Derivation(concl, RuleApp("ROr", pos=concl.suc.index(disj),
-                                     formula=disj), (premise,))
-
-
-def make_rand(p1: Derivation, p2: Derivation, conj: And, weak=()) -> Derivation:
-    lam = mset_remove(p1.conclusion.suc, conj.left)
-    if p1.conclusion.ant != p2.conclusion.ant or \
-            lam != mset_remove(p2.conclusion.suc, conj.right):
-        raise ValueError("premises of the conjunction rule do not align")
-    concl = Sequent(p1.conclusion.ant, mset_add(lam, conj, *weak))
-    return Derivation(concl, RuleApp("RAnd", pos=concl.suc.index(conj),
-                                     formula=conj, weak=mset(weak)), (p1, p2))
-
-
-def make_lor(p1: Derivation, p2: Derivation, disj: Or, weak=()) -> Derivation:
-    gam = mset_remove(p1.conclusion.ant, disj.left)
-    if p1.conclusion.suc != p2.conclusion.suc or \
-            gam != mset_remove(p2.conclusion.ant, disj.right):
-        raise ValueError("premises of the disjunction rule do not align")
-    concl = Sequent(mset_add(gam, disj),
-                    mset_add(p1.conclusion.suc, *weak))
-    return Derivation(concl, RuleApp("LOr", pos=concl.ant.index(disj),
-                                     formula=disj, weak=mset(weak)), (p1, p2))
-
-
-def make_lgd(p1: Derivation, p2: Derivation, host: Formula, path) -> Derivation:
-    path = tuple(path)
-    ant = mset_add(mset_remove(p1.conclusion.ant, gd_sides(host, path)[0]), host)
-    concl = Sequent(ant, p1.conclusion.suc)
-    return Derivation(concl, RuleApp("LGd", pos=concl.ant.index(host),
-                                     formula=host, path=path), (p1, p2))
-
-
-def make_rgd(premise: Derivation, host: Formula, path, side: str) -> Derivation:
-    path = tuple(path)
-    kept = gd_sides(host, path)["LR".index(side)]
-    return _rgd(premise, host, path, side, kept)
-
-
-def _rgd(premise: Derivation, host: Formula, path, side: str,
-         kept: Formula) -> Derivation:
-    suc = mset_add(mset_remove(premise.conclusion.suc, kept), host)
-    concl = Sequent(premise.conclusion.ant, suc)
-    return Derivation(concl, RuleApp("RGd", pos=concl.suc.index(host),
-                                     formula=host, path=path, side=side),
-                      (premise,))
-
-
-def replay_rgd(d: Derivation, steps) -> Derivation:
-    """Reintroduce global disjunctions below `d`.  `steps` lists right
-    deep-rule applications (formula-before, path, side, kept) root-first,
-    as `resolution_steps` and succedent inversion record them; `kept` is
-    the premise formula, so no step splits its formula again."""
-    for before, path, side, kept in reversed(steps):
-        d = _rgd(d, before, tuple(path), side, kept)
-    return d
 
 
 def make_cut(p1: Derivation, p2: Derivation, cutformula: Formula) -> Derivation:
@@ -220,9 +146,8 @@ def make_lori(p1: Derivation, p2: Derivation, disj: Or) -> Derivation:
 
 
 # ---------------------------------------------------------------------------
-# The backward step.  Proof search, inversion and interpolation read each
-# logical rule root-first: the premises its principal formula leaves
-# behind, and the rule rebuilt over new premises.
+# The logical rules, read root-first from `premises_of` and leaf-first by
+# `infer`.
 
 # side of the principal formula per logical rule ('ant' or 'suc')
 PRINCIPAL_SIDE = {"LNeg": "ant", "RNeg": "suc", "LAnd": "ant", "RAnd": "suc",
@@ -257,38 +182,74 @@ def premises_of(tag: str, ant, suc, f: Formula, path=(), side: str = "L"):
     raise ShapeMismatch(f"no backward step for rule {tag}")
 
 
+def actives(tag: str, f: Formula, path=(), side: str = "L"):
+    """Per premise of the logical rule `tag` on `f`, the formulas
+    `(ant, suc)` that premise holds in place of `f`; cached on `f`."""
+    key = ("_actives", tag, tuple(path), side)
+    out = f.__dict__.get(key)
+    if out is None:
+        alone = ((f,), ()) if PRINCIPAL_SIDE[tag] == "ant" else ((), (f,))
+        out = f.__dict__[key] = tuple(premises_of(tag, *alone, f, path, side))
+    return out
+
+
+def infer(tag: str, premises, f: Formula, path=(), side: str | None = None,
+          weak=()) -> Derivation:
+    """The logical rule `tag` with principal `f` (the deep rules at `path`,
+    RGd on `side`) applied to premise derivations.  Each premise less its
+    active formulas is the context; the conclusion is that context plus
+    `f`, and for RAnd and LOr plus the implicit weakening `weak` in the
+    succedent.  Raises ValueError when a premise lacks its active
+    formulas or the premises leave different contexts."""
+    return _infer(tag, premises, f, actives(tag, f, path, side), path, side, weak)
+
+
+def _infer(tag: str, premises, f: Formula, acts, path, side, weak):
+    contexts = {(mset_sub(p.conclusion.ant, a) if a else p.conclusion.ant,
+                 mset_sub(p.conclusion.suc, s) if s else p.conclusion.suc)
+                for p, (a, s) in zip(premises, acts)}
+    if len(contexts) != 1 or len(premises) != len(acts):
+        raise ValueError(f"premises of the {tag} rule do not align")
+    (ant, suc), = contexts
+    weak = mset(weak) if tag in ("RAnd", "LOr") else None
+    if PRINCIPAL_SIDE[tag] == "ant":
+        concl = Sequent(ant + (f,), suc + (weak or ()))
+        pos = concl.ant.index(f)
+    else:
+        concl = Sequent(ant, suc + (f,) + (weak or ()))
+        pos = concl.suc.index(f)
+    return Derivation(concl, RuleApp(
+        tag, pos=pos, formula=f, weak=weak,
+        path=tuple(path) if tag in ("LGd", "RGd") else None,
+        side=side if tag == "RGd" else None), premises)
+
+
+def replay_rgd(d: Derivation, steps) -> Derivation:
+    """Reintroduce global disjunctions below `d`.  `steps` lists right
+    deep-rule applications (formula-before, path, side, kept) root-first,
+    as `resolution_steps` and succedent inversion record them; `kept` is
+    the premise formula, so no step splits its formula again."""
+    for before, path, side, kept in reversed(steps):
+        d = _infer("RGd", (d,), before, [((), (kept,))], path, side, ())
+    return d
+
+
 def rebuild(r: RuleApp, premises, weak=None) -> Derivation:
     """Apply the rule `r` describes over new premises, with the implicit
     weakening `weak` in place of `r.weak` when given."""
-    w = (r.weak or ()) if weak is None else weak
-    match r.rule:
-        case "LNeg":
-            return make_lneg(premises[0], r.formula)
-        case "RNeg":
-            return make_rneg(premises[0], r.formula)
-        case "LAnd":
-            return make_land(premises[0], r.formula)
-        case "ROr":
-            return make_ror(premises[0], r.formula)
-        case "RAnd":
-            return make_rand(premises[0], premises[1], r.formula, w)
-        case "LOr":
-            return make_lor(premises[0], premises[1], r.formula, w)
-        case "LGd":
-            return make_lgd(premises[0], premises[1], r.formula, r.path)
-        case "RGd":
-            return make_rgd(premises[0], r.formula, r.path, r.side)
-        case "Cut":
-            return make_cut(premises[0], premises[1], r.cutformula)
-    raise ShapeMismatch(f"cannot rebuild rule {r.rule}")
+    if r.rule == "Cut":
+        return make_cut(premises[0], premises[1], r.cutformula)
+    if r.rule not in PRINCIPAL_SIDE:
+        raise ShapeMismatch(f"cannot rebuild rule {r.rule}")
+    return infer(r.rule, premises, r.formula, r.path or (), r.side,
+                 (r.weak or ()) if weak is None else weak)
 
 
 # ---------------------------------------------------------------------------
 # Checking
 
-_ARITY = {"At": 0, "LBot": 0,
-          "LNeg": 1, "RNeg": 1, "LAnd": 1, "ROr": 1, "RGd": 1, "LC": 1, "RC": 1,
-          "RAnd": 2, "LOr": 2, "LGd": 2, "Cut": 2, "LOrI": 2, "RAndI": 2}
+_ARITY = {tag: n for n, tags in enumerate((AXIOMS, UNARY, BINARY))
+          for tag in tags}
 
 
 def _principal(rule: RuleApp, seq: Sequent, side: str) -> Formula:
@@ -551,13 +512,11 @@ def derivation_to_json(d: Derivation):
             "premises": [derivation_to_json(p) for p in d.premises]}
 
 
+@nesting_limited
 def derivation_from_json(obj) -> Derivation:
     """The derivation of a JSON object; input nested too deeply for the
     recursive walk raises ResourceLimit."""
-    try:
-        return _derivation_from_json(obj)
-    except RecursionError:
-        raise ResourceLimit("nesting too deep") from None
+    return _derivation_from_json(obj)
 
 
 def _derivation_from_json(obj) -> Derivation:

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import functools
+
 
 class TeamSeqError(Exception):
     """Base class for all library errors."""
@@ -34,6 +36,20 @@ class ResourceLimit(TeamSeqError):
     def __init__(self, message, unit=None):
         super().__init__(message)
         self.unit = unit
+
+
+def nesting_limited(fn):
+    """`fn`, with a RecursionError from input nested, or a search run, too
+    deep for its recursion raised as ResourceLimit("nesting too deep")."""
+
+    @functools.wraps(fn)
+    def limited(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except RecursionError:
+            raise ResourceLimit("nesting too deep") from None
+
+    return limited
 
 
 class DegreeOutOfRange(TeamSeqError):

@@ -12,17 +12,16 @@ principal formula: a one-premise rule steps back on that flank with
 `calculus.premises_of` and is rebuilt there, and a two-premise rule joins
 the two interpolants with `|` (left flank; `||` for a left deep rule under
 a nonclassical D2) or `&` (right flank).  Both flank derivations are built
-alongside.
+alongside by `calculus.infer` and `calculus.rebuild`, which raise
+ValueError on misaligned premises.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .calculus import (PRINCIPAL_SIDE, Derivation, check_derivation,
-                       is_cutfree, make_at, make_land, make_lbot, make_lgd,
-                       make_lneg, make_lor, make_rand, make_rgd, make_rneg,
-                       make_ror, premises_of, rebuild)
+from .calculus import (PRINCIPAL_SIDE, Derivation, check_derivation, infer,
+                       is_cutfree, make_at, make_lbot, premises_of, rebuild)
 from .errors import (ContainsCut, NonClassicalLambda1, PartitionMismatch,
                      ResourceLimit, ShapeMismatch, TeamSeqError)
 from .prover import DEFAULT_NODE_BUDGET, prove_or_countermodel
@@ -113,12 +112,12 @@ def _interp(d: Derivation, g1, g2, l1, d2):
         if in_l1:
             np = Neg(p)
             return (np,
-                    make_rneg(make_at(mset_add(g1, p), l1, p), np),
-                    make_lneg(make_at(g2, mset_add(d2, p), p), np))
+                    infer("RNeg", [make_at(mset_add(g1, p), l1, p)], np),
+                    infer("LNeg", [make_at(g2, mset_add(d2, p), p)], np))
         nb = Neg(BOT)
         return (nb,
-                make_rneg(make_lbot(mset_add(g1, BOT), l1), nb),
-                make_lneg(make_at(g2, mset_add(d2, BOT), p), nb))
+                infer("RNeg", [make_lbot(mset_add(g1, BOT), l1)], nb),
+                infer("LNeg", [make_at(g2, mset_add(d2, BOT), p)], nb))
 
     if tag == "LBot":
         if BOT in g1:
@@ -127,8 +126,8 @@ def _interp(d: Derivation, g1, g2, l1, d2):
                     make_lbot(mset_add(g2, BOT), d2))
         nb = Neg(BOT)
         return (nb,
-                make_rneg(make_lbot(mset_add(g1, BOT), l1), nb),
-                make_lneg(make_lbot(g2, mset_add(d2, BOT)), nb))
+                infer("RNeg", [make_lbot(mset_add(g1, BOT), l1)], nb),
+                infer("LNeg", [make_lbot(g2, mset_add(d2, BOT))], nb))
 
     if tag not in PRINCIPAL_SIDE:
         raise ShapeMismatch(f"interpolation does not handle rule {tag}")
@@ -156,17 +155,18 @@ def _interp(d: Derivation, g1, g2, l1, d2):
         phi = And(p1, p2)
         inner = (weaken(ra, "L", p2), weaken(rb, "L", p1))
         if tag == "RAnd":
-            right = make_land(rebuild(r, inner, w2), phi)
+            right = infer("LAnd", [rebuild(r, inner, w2)], phi)
         else:
-            right = rebuild(r, [make_land(e, phi) for e in inner], w2)
-        return phi, make_rand(la, lb, phi, w1), right
+            right = rebuild(r, [infer("LAnd", [e], phi) for e in inner], w2)
+        return phi, infer("RAnd", (la, lb), phi, weak=w1), right
     if tag == "LGd" and not all(is_classical(g) for g in d2):
         phi = Gd(p1, p2)
-        left = rebuild(r, (make_rgd(la, phi, (), "L"), make_rgd(lb, phi, (), "R")))
-        return phi, left, make_lgd(ra, rb, phi, ())
+        left = rebuild(r, (infer("RGd", [la], phi, (), "L"),
+                           infer("RGd", [lb], phi, (), "R")))
+        return phi, left, infer("LGd", (ra, rb), phi)
     phi = Or(p1, p2)
     left = rebuild(r, (weaken(la, "R", p2), weaken(lb, "R", p1)), w1)
-    return phi, make_ror(left, phi), make_lor(ra, rb, phi, w2)
+    return phi, infer("ROr", [left], phi), infer("LOr", (ra, rb), phi, weak=w2)
 
 
 def interpolate_partition(d: Derivation,

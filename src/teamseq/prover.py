@@ -12,17 +12,17 @@ Stage 3 is a backward search over the invertible classical rules, which
 either closes every branch with an axiom or exposes an invalid atomic
 sequent, whose valuation is a countermodel of the sequent it was reached
 from.  Stages 1 and 3 step back through a rule with
-`calculus.premises_of` and reassemble a cutfree derivation with
-`calculus.rebuild`; stage 2 replays right deep rules.
+`calculus.premises_of` and build the rule's conclusion over the premise
+derivations with `calculus.infer`; stage 2 replays right deep rules.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .calculus import (PRINCIPAL_SIDE, Derivation, RuleApp, make_at,
-                       make_lbot, premises_of, rebuild, replay_rgd)
-from .errors import NonClassicalInput, ResourceLimit
+from .calculus import (PRINCIPAL_SIDE, Derivation, infer, make_at, make_lbot,
+                       premises_of, replay_rgd)
+from .errors import NonClassicalInput, ResourceLimit, nesting_limited
 from .resolutions import resolution_choices, resolution_steps
 from .semantics import Team
 from .syntax import (And, BOT, Formula, Neg, Or, Prop, Sequent, first_gd,
@@ -58,14 +58,14 @@ class ClassicalCountermodel:
 
 def _step(prove, tag: str, ant, suc, f: Formula, path=()):
     """Prove each premise of the rule `tag` on `f` with `prove`: the first
-    failure, or the rule rebuilt over the premise derivations."""
+    failure, or the rule applied to the premise derivations."""
     subs = []
     for a, s in premises_of(tag, ant, suc, f, path):
         sub = prove(a, s)
         if not isinstance(sub, Derivation):
             return sub
         subs.append(sub)
-    return rebuild(RuleApp(tag, formula=f, path=path), subs)
+    return infer(tag, subs, f, path)
 
 
 # ---------------------------------------------------------------------------
@@ -96,12 +96,14 @@ def _prove_classical(ant, suc, domain, budget: _Budget):
                                  Sequent(ant, suc))
 
 
+@nesting_limited
 def prove_classical(s: Sequent, domain=None,
                     node_budget: int = DEFAULT_NODE_BUDGET):
     """Backward root-first search over the invertible classical rules.
 
     Returns a checked cutfree Derivation when the sequent is valid, or a
-    ClassicalCountermodel carrying the witnessing team otherwise.
+    ClassicalCountermodel carrying the witnessing team otherwise.  A
+    search too deep for the recursion raises ResourceLimit.
     """
     if not s.is_classical():
         raise NonClassicalInput(f"nonclassical formula in {s}")
@@ -152,6 +154,7 @@ def _search(ant, suc, domain, budget):
                  "LGd", ant, suc, f, path)
 
 
+@nesting_limited
 def prove_or_countermodel(s: Sequent, node_budget: int = DEFAULT_NODE_BUDGET):
     """Decide `s`: a cutfree Derivation if valid, a countermodel Team if not.
 
@@ -163,7 +166,8 @@ def prove_or_countermodel(s: Sequent, node_budget: int = DEFAULT_NODE_BUDGET):
     already refutes is searched.  `node_budget` counts antecedent splits,
     nodes of the stage-2 candidate generator (including pruned ones) and
     classical sequents; `ResourceLimit` names the unit that ran out, in its
-    message and as its `unit`.
+    message and as its `unit`.  A search too deep for the recursion raises
+    ResourceLimit too.
     """
     domain = tuple(sorted(s.props()))
     return _search(s.ant, s.suc, domain, _Budget(node_budget))

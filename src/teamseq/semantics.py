@@ -329,9 +329,10 @@ def sequent_valid(s: Sequent, max_vars: int = DEFAULT_MAX_VARS) -> bool:
 
 def _bad_teams(space: _Space, s: Sequent) -> int:
     """Set of the team masks that satisfy every antecedent formula but not
-    the split disjunction of the succedent.  The set of all teams is built
-    only for an empty antecedent."""
-    goal = space.sat_set(big_or(s.suc))
+    the split disjunction of the succedent, folded left to right over the
+    succedent's satisfaction sets, so a long succedent nests no formula.
+    The set of all teams is built only for an empty antecedent."""
+    goal = reduce(space._or_set, map(space.sat_set, s.suc)) if s.suc else 1
     if s.ant:
         hyp = reduce(and_, map(space.sat_set, s.ant))
     else:

@@ -23,7 +23,7 @@ from _weakref import _remove_dead_weakref
 from dataclasses import dataclass, fields
 
 from .errors import (InvalidPath, NonClassicalNegation, ParseError,
-                     ResourceLimit)
+                     nesting_limited)
 
 _VAR_RE = re.compile(r"[a-z][a-zA-Z0-9_]*")
 
@@ -79,9 +79,9 @@ class Formula(metaclass=_Interned):
     table.  `copy`, `deepcopy` and `pickle` rebuild a node through its
     constructor, so they return the interned node too.
 
-    `render`, `props` and `is_classical` cache their value in the node's
-    instance `__dict__` on first use, outside the dataclass fields, so
-    `repr` is unaffected and the value lives exactly as long as the node.
+    `render`, `props`, `is_classical` and `calculus.actives` cache their
+    value in the node's `__dict__` on first use, outside the dataclass
+    fields, so `repr` is unaffected and it lives exactly as long as the node.
     """
 
     __slots__ = ()
@@ -295,6 +295,7 @@ _OPS = {Gd: "||", Or: "|", And: "&"}
 
 
 def render(f: Formula) -> str:
+    """The text of `f`; one stack frame per nesting level, as in parsing."""
     cache = f.__dict__
     out = cache.get("_text")
     if out is None:
@@ -305,18 +306,17 @@ def render(f: Formula) -> str:
             case Bot():
                 out = "bot"
             case Neg(c):
-                out = "~" + _render_in(c, prec)
+                out = render(c)
+                out = "~" + (f"({out})" if _PREC[type(c)] < prec else out)
             case And(l, r) | Or(l, r) | Gd(l, r):
-                out = (f"{_render_in(l, prec + 1)} {_OPS[type(f)]} "
-                       f"{_render_in(r, prec)}")
+                left, right = render(l), render(r)
+                if _PREC[type(l)] <= prec:
+                    left = f"({left})"
+                if _PREC[type(r)] < prec:
+                    right = f"({right})"
+                out = f"{left} {_OPS[type(f)]} {right}"
         cache["_text"] = out
     return out
-
-
-def _render_in(f: Formula, ctx: int) -> str:
-    """`render(f)`, parenthesized when f binds more loosely than `ctx`."""
-    s = render(f)
-    return f"({s})" if _PREC[type(f)] < ctx else s
 
 
 # ---------------------------------------------------------------------------
@@ -525,22 +525,17 @@ class _Parser:
         return out
 
 
+@nesting_limited
 def parse_formula(text: str) -> Formula:
     """The formula of `text`; input nested too deeply for the recursive
     parser raises ResourceLimit."""
-    try:
-        return _parse_formula(text)
-    except RecursionError:
-        raise ResourceLimit("nesting too deep") from None
-
-
-def _parse_formula(text: str) -> Formula:
     p = _Parser(text)
     f = p.formula()
     p.expect("eof")
     return f
 
 
+@nesting_limited
 def parse_sequent(text: str):
     """Parse `G => D`, or the partitioned form `G1 ; G2 => D1 ; D2`.
 
@@ -549,13 +544,6 @@ def parse_sequent(text: str):
     PartitionSequent when `;` is present.  Input nested too deeply for the
     recursive parser raises ResourceLimit.
     """
-    try:
-        return _parse_sequent(text)
-    except RecursionError:
-        raise ResourceLimit("nesting too deep") from None
-
-
-def _parse_sequent(text: str):
     p = _Parser(text)
     ant1 = p.formula_list()
     partitioned = p.peek()[0] == "semi"
@@ -613,13 +601,11 @@ def _field(obj, key: str):
                          f"not an object") from None
 
 
+@nesting_limited
 def formula_from_json(obj) -> Formula:
     """The formula of a JSON object; input nested too deeply for the
     recursive walk raises ResourceLimit."""
-    try:
-        return _formula_from_json(obj)
-    except RecursionError:
-        raise ResourceLimit("nesting too deep") from None
+    return _formula_from_json(obj)
 
 
 def _formula_from_json(obj) -> Formula:
@@ -646,9 +632,10 @@ def sequent_to_json(s: Sequent):
             "suc": [formula_to_json(f) for f in s.suc]}
 
 
+@nesting_limited
 def sequent_from_json(obj) -> Sequent:
     if not (isinstance(obj, dict) and isinstance(obj.get("ant"), list)
             and isinstance(obj.get("suc"), list)):
         raise ParseError("bad sequent: needs the arrays \"ant\" and \"suc\"")
-    return Sequent(tuple(formula_from_json(x) for x in obj["ant"]),
-                   tuple(formula_from_json(x) for x in obj["suc"]))
+    return Sequent(tuple(_formula_from_json(x) for x in obj["ant"]),
+                   tuple(_formula_from_json(x) for x in obj["suc"]))

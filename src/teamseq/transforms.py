@@ -14,20 +14,20 @@ occurrences, one inside the kept disjunct, one inside the discarded
 disjunct).
 
 Inversion, contraction and normalization read each rule the way the
-calculus steps back through it: `calculus.premises_of` on the principal
-formula alone gives, per premise, the active formulas that premise adds,
-and `calculus.rebuild` reapplies the rule, with another principal formula
-or path where a commutation moves it.  So each commutation is one case
-over all rules, not one per pair of rules.
+calculus steps back through it: `calculus.actives` gives, per premise,
+the active formulas that premise adds, and `calculus.infer` (or `rebuild`
+on a recorded rule) reapplies the rule, with another principal formula
+or path where a commutation moves it; it raises ValueError on misaligned
+premises.  So each commutation is one case over all rules.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .calculus import (PRINCIPAL_SIDE, Derivation, RuleApp, is_cutfree,
-                       make_at, make_lbot, make_lgd, make_rgd, premises_of,
-                       rebuild, replay_rgd)
+from .calculus import (PRINCIPAL_SIDE, Derivation, RuleApp, actives, infer,
+                       is_cutfree, make_at, make_lbot, premises_of, rebuild,
+                       replay_rgd)
 from .errors import (ContainsCut, FormulaNotDuplicated, NonClassicalAntecedent,
                      NonClassicalInput, NonClassicalRightContraction,
                      ShapeMismatch)
@@ -86,15 +86,6 @@ class _Item:
     path: tuple[int, ...] = ()
 
 
-def _actives(item: _Item):
-    """Per premise of the item's rule, the formulas `(ant, suc)` it puts in
-    place of the principal formula (RGd: its left side)."""
-    alone = (item.active,)
-    if PRINCIPAL_SIDE[item.tag] == "ant":
-        return premises_of(item.tag, alone, (), item.active, item.path)
-    return premises_of(item.tag, (), alone, item.active, item.path)
-
-
 def _with(prems, idx: int, d: Derivation) -> tuple:
     """`prems` with premise `idx` replaced by `d`."""
     return tuple(prems[:idx]) + (d,) + tuple(prems[idx + 1:])
@@ -147,7 +138,7 @@ def _invert_context(d: Derivation, item: _Item):
         rest = mset_remove(r.weak, item.active)
         outs = [rebuild(r, tuple(_weaken_all(p, "L", ant) for p in d.premises),
                         weak=mset_add(rest, *suc))
-                for ant, suc in _actives(item)]
+                for ant, suc in actives(item.tag, item.active, item.path)]
         return (outs[0], "L") if item.tag == "RGd" else outs
 
     if r.rule == "Cut":
@@ -226,12 +217,12 @@ def _invert_lgd_lgd(d: Derivation, item: _Item):
         u1 = _invert(d.premises[0], _Item("LGd", prem_l, pi))
         u2 = _invert(d.premises[1], _Item("LGd", prem_r, pi))
         j, path = (None, pr) if rel == "disjoint" else (rel[1], pi + rel[2])
-        return [make_lgd(u1[k], u2[k], hosts[k], path) if j in (None, k)
+        return [infer("LGd", (u1[k], u2[k]), hosts[k], path) if j in (None, k)
                 else u1[k] for k in (0, 1)]
     # the item's occurrence lies inside the root rule's disjunct j
     _, j, rest = rel
     w = _invert(d.premises[j], _Item("LGd", (prem_l, prem_r)[j], pr + rest))
-    return [make_lgd(*_with(d.premises, j, w[k]), host, pr)
+    return [infer("LGd", _with(d.premises, j, w[k]), host, pr)
             for k, host in enumerate(hosts)]
 
 
@@ -250,14 +241,14 @@ def _invert_rgd_rgd(d: Derivation, item: _Item):
         if rel != "disjoint" and "LR".index(s) != rel[1]:
             return o, s
         path = pr if rel == "disjoint" else pi + rel[2]
-        return make_rgd(o, gd_sides(chi, pi)["LR".index(s)], path, sr), s
+        return infer("RGd", (o,), gd_sides(chi, pi)["LR".index(s)], path, sr), s
     # item's occurrence inside the root rule's disjunct j
     _, j, rest = rel
     if "LR".index(sr) == j:
         o, s = _invert(d.premises[0], _Item("RGd", prem_formula, pr + rest))
-        return make_rgd(o, gd_sides(chi, pi)["LR".index(s)], pr, sr), s
+        return infer("RGd", (o,), gd_sides(chi, pi)["LR".index(s)], pr, sr), s
     # the item's occurrence sits in the discarded disjunct: reintroduce
-    return make_rgd(d.premises[0], gd_sides(chi, pi)[0], pr, sr), "L"
+    return infer("RGd", d.premises, gd_sides(chi, pi)[0], pr, sr), "L"
 
 
 def invert(d: Derivation, tag: str, pos: int, path=()):
@@ -349,7 +340,7 @@ def _contract_principal(d: Derivation, side: str, f: Formula) -> Derivation:
         return rebuild(r, d.premises, weak=mset_remove(r.weak, f))
     item = _Item(r.rule, f, r.path or ())
     prems = []
-    for k, (ant, suc) in enumerate(_actives(item)):
+    for k, (ant, suc) in enumerate(actives(item.tag, f, item.path)):
         u = _invert(d.premises[k], item)[k]
         for g in ant:
             u = _contract(u, "L", g)
@@ -386,17 +377,16 @@ def is_normal(d: Derivation) -> bool:
 def _push_rgd(host: Formula, path, side: str, n: Derivation) -> Derivation:
     """Insert a right deep-rule application below the normalized `n`."""
     if n.rule.rule == "LGd":
-        return make_lgd(_push_rgd(host, path, side, n.premises[0]),
-                        _push_rgd(host, path, side, n.premises[1]),
-                        n.rule.formula, n.rule.path)
-    return make_rgd(n, host, path, side)
+        return rebuild(n.rule, [_push_rgd(host, path, side, p)
+                                for p in n.premises])
+    return infer("RGd", (n,), host, path, side)
 
 
 def _active_child(r: RuleApp, idx: int, g: Formula, side: str):
     """The index of the child of `r`'s principal formula that premise `idx`
     of `r` receives as an active formula equal to `g` on `side`, or None
     when `g` is a context formula there."""
-    acts = _actives(_Item(r.rule, r.formula))
+    acts = actives(r.rule, r.formula)
     if g not in acts[idx][side == "suc"]:
         return None
     # a binary rule gives premise idx child idx; a unary one gives both
@@ -423,7 +413,7 @@ def _push_classical(r: RuleApp, premises):
             outs = [_push_classical(on(substitute_at(r.formula, (i,), gk)),
                                     _with(prems, idx, n.premises[k]))
                     for k, gk in enumerate(gd_sides(g, gpath))]
-            return make_lgd(outs[0], outs[1], r.formula, (i,) + gpath)
+            return infer("LGd", outs, r.formula, (i,) + gpath)
         # a context occurrence; in a binary rule, align the other premise
         # by inversion
         if len(prems) == 1:
@@ -433,7 +423,7 @@ def _push_classical(r: RuleApp, premises):
                        for a in _invert(prems[1 - idx], _Item("LGd", g, gpath))]
         outs = [_push_classical(r, _with(aligned[k], idx, n.premises[k]))
                 for k in (0, 1)]
-        return make_lgd(outs[0], outs[1], g, gpath)
+        return rebuild(n.rule, outs)
 
     # then below a right deep rule
     for idx, n in enumerate(prems):
@@ -445,7 +435,7 @@ def _push_classical(r: RuleApp, premises):
             resolved = gd_sides(h, hpath)["LR".index(hside)]
             out = _push_classical(on(substitute_at(r.formula, (i,), resolved)),
                                   _with(prems, idx, n.premises[0]))
-            return make_rgd(out, r.formula, (i,) + hpath, hside)
+            return infer("RGd", (out,), r.formula, (i,) + hpath, hside)
         # context occurrence: commute straight down (the restricted binary
         # rules cannot reach here: their classical contexts exclude h)
         assert len(prems) == 1, r.rule
@@ -471,7 +461,7 @@ def _norm(d: Derivation) -> Derivation:
     ps = [_norm(p) for p in d.premises]
     r = d.rule
     if r.rule == "LGd":
-        return make_lgd(ps[0], ps[1], r.formula, r.path)
+        return rebuild(r, ps)
     if r.rule == "RGd":
         return _push_rgd(r.formula, r.path, r.side, ps[0])
     return _push_classical(r, ps)
@@ -617,9 +607,9 @@ def _build_lgd_family(target_ant, suc, family) -> Derivation:
         assert out.conclusion == Sequent(target_ant, suc)
         return out
     f, path = hit
-    dl, dr = (_build_lgd_family(a, s, family)
-              for a, s in premises_of("LGd", target_ant, suc, f, path))
-    return make_lgd(dl, dr, f, path)
+    subs = [_build_lgd_family(a, s, family)
+            for a, s in premises_of("LGd", target_ant, suc, f, path)]
+    return infer("LGd", subs, f, path)
 
 
 def _eliminate_one(d1: Derivation, d2: Derivation, phi: Formula) -> Derivation:

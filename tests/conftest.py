@@ -7,8 +7,7 @@ sequent side (the oracle is doubly exponential, so tests stay small).
 
 import random
 
-from teamseq.calculus import (Derivation, RuleApp, make_cut, premises_of,
-                              rebuild)
+from teamseq.calculus import Derivation, infer, make_cut, premises_of
 from teamseq.prover import prove_or_countermodel
 from teamseq.syntax import (And, BOT, Gd, Neg, Or, Prop, Sequent, gd_count,
                             gd_paths, is_classical)
@@ -111,4 +110,4 @@ def gen_shuffled(rng: random.Random, s: Sequent, steps: int):
         if prem is None:
             return None
         prems.append(prem)
-    return rebuild(RuleApp(tag, formula=f, path=path), prems)
+    return infer(tag, prems, f, path)

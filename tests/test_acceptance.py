@@ -11,8 +11,7 @@ import numpy as np
 import pytest
 
 from teamseq.calculus import (Derivation, check_derivation, cutrank, height,
-                              is_cutfree, make_cut, make_land, make_lgd,
-                              make_rgd, make_rneg, make_ror)
+                              infer, is_cutfree, make_cut)
 from teamseq.errors import (NonClassicalLambda1,
                             NonClassicalRightContraction)
 from teamseq.interpolation import interpolate_partition, verify_interpolant
@@ -196,13 +195,12 @@ def test_criterion_7_normal_form_suite():
     por = pf("p || r")
     d1 = prove_classical(ps("x, ~x | (~q | p), q => p"))
     d2 = prove_classical(ps("x, ~x | (~q | r), q => r"))
-    worked = make_land(
-        make_ror(make_rneg(make_lgd(make_rgd(d1, por, (), "L"),
-                                    make_rgd(d2, por, (), "R"),
-                                    pf("~x | (~q | (p || r))"), (1, 1)),
-                           pf("~q")),
-                 pf("(p || r) | ~q")),
-        pf("x & (~x | (~q | (p || r)))"))
+    lgd = infer("LGd", (infer("RGd", (d1,), por, (), "L"),
+                        infer("RGd", (d2,), por, (), "R")),
+                pf("~x | (~q | (p || r))"), (1, 1))
+    worked = infer("LAnd", (infer("ROr", (infer("RNeg", (lgd,), pf("~q")),),
+                                  pf("(p || r) | ~q")),),
+                   pf("x & (~x | (~q | (p || r)))"))
     check_derivation(worked)
     n = normalize(worked)
     assert is_normal(n) and n.conclusion == worked.conclusion

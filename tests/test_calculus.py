@@ -6,11 +6,9 @@ import pytest
 from teamseq.calculus import (PRINCIPAL_SIDE, Derivation, RuleApp,
                               check_derivation, check_inference, cutrank,
                               derivation_from_json, derivation_to_json,
-                              height, is_cutfree, make_at, make_cut,
-                              make_land, make_lbot, make_lc, make_lgd,
-                              make_lneg, make_lor, make_lori, make_rand,
-                              make_randi, make_rc, make_rgd, make_rneg,
-                              make_ror, premises_of, rule_nodes)
+                              height, infer, is_cutfree, make_at, make_cut,
+                              make_lbot, make_lc, make_lori, make_randi,
+                              make_rc, premises_of, rebuild, rule_nodes)
 from teamseq.errors import (ArityMismatch, DerivationCheckError,
                             ResourceLimit, RuleViolation)
 from teamseq.prover import prove_classical, prove_or_countermodel
@@ -52,7 +50,7 @@ def test_deep_left_rule_instance():
     g = (Prop("g"),)
     p1 = stub("g, p & (q | r) =>")
     p2 = stub("g, p & (s || q & ~p) =>")
-    d = make_lgd(p1, p2, host, (1,))
+    d = infer("LGd", (p1, p2), host, (1,))
     check_inference(d.conclusion, d.rule, [x.conclusion for x in d.premises])
     assert d.conclusion.ant == Sequent(g + (host,), ()).ant
 
@@ -61,7 +59,7 @@ def test_lgd_path_must_hit_global_disjunction():
     host = And(p, Gd(q, r))
     p1 = stub("p & q =>")
     p2 = stub("p & r =>")
-    d = make_lgd(p1, p2, host, (1,))
+    d = infer("LGd", (p1, p2), host, (1,))
     # (0,) addresses `p`; (2,) and (1, 0, 0) leave the formula
     for path in ((0,), (2,), (1, 0, 0)):
         bad = Derivation(d.conclusion,
@@ -73,7 +71,7 @@ def test_lgd_path_must_hit_global_disjunction():
         with pytest.raises(DerivationCheckError) as err:
             check_derivation(bad)
         assert err.value.address == ()
-    rgd = make_rgd(stub("=> p & q"), host, (1,), "L")
+    rgd = infer("RGd", (stub("=> p & q"),), host, (1,), "L")
     bad = Derivation(rgd.conclusion,
                      RuleApp("RGd", pos=0, formula=host, path=(2,), side="L"),
                      rgd.premises)
@@ -85,25 +83,27 @@ def test_restricted_context_rules():
     gd = Gd(p, Neg(p))
     # premise right context of the split-disjunction left rule must be
     # classical
-    lor = make_lor(stub("p => p || ~p"), stub("~p => p || ~p"), Or(p, Neg(p)))
+    lor = infer("LOr", (stub("p => p || ~p"), stub("~p => p || ~p")),
+                Or(p, Neg(p)))
     with pytest.raises(RuleViolation, match="classical"):
         check_inference(lor.conclusion, lor.rule,
                         [x.conclusion for x in lor.premises])
     # same restriction on the conjunction right rule
-    rand = make_rand(stub("=> p, q || r"), stub("=> q, q || r"), And(p, q))
+    rand = infer("RAnd", (stub("=> p, q || r"), stub("=> q, q || r")),
+                 And(p, q))
     with pytest.raises(RuleViolation, match="classical"):
         check_inference(rand.conclusion, rand.rule,
                         [x.conclusion for x in rand.premises])
     # but the implicit weakening slot may hold anything
-    d = make_rand(make_at((p,), (p,)), make_at((p,), (p,)),
-                  And(p, p), weak=(gd,))
+    d = infer("RAnd", (make_at((p,), (p,)), make_at((p,), (p,))),
+              And(p, p), weak=(gd,))
     ok(d)
 
 
 def test_rgd_has_no_antecedent_restriction():
     # the right deep rule itself applies under a nonclassical antecedent
     prem = ok(make_at((Gd(p, q), p), (p,)))
-    d = make_rgd(prem, Gd(p, r), (), "L")
+    d = infer("RGd", (prem,), Gd(p, r), (), "L")
     ok(d)
 
 
@@ -147,11 +147,12 @@ def test_mixed_phase_example_derivation_checks():
     por = pf("p || r")
     d1 = prove_classical(ps("x, ~x | (~q | p), q => p"))
     d2 = prove_classical(ps("x, ~x | (~q | r), q => r"))
-    t1 = make_rgd(d1, por, (), "L")
-    t2 = make_rgd(d2, por, (), "R")
-    lgd = make_lgd(t1, t2, pf("~x | (~q | (p || r))"), (1, 1))
-    top = make_land(make_ror(make_rneg(lgd, pf("~q")), pf("(p || r) | ~q")),
-                    pf("x & (~x | (~q | (p || r)))"))
+    t1 = infer("RGd", (d1,), por, (), "L")
+    t2 = infer("RGd", (d2,), por, (), "R")
+    lgd = infer("LGd", (t1, t2), pf("~x | (~q | (p || r))"), (1, 1))
+    top = infer("LAnd", (infer("ROr", (infer("RNeg", (lgd,), pf("~q")),),
+                               pf("(p || r) | ~q")),),
+                pf("x & (~x | (~q | (p || r)))"))
     ok(top)
     assert top.conclusion == ps("x & (~x | (~q | (p||r))) => (p||r) | ~q")
 
@@ -159,10 +160,11 @@ def test_mixed_phase_example_derivation_checks():
 def test_height_and_cutrank():
     ax = make_at((p,), (p,))
     assert height(ax) == 1
-    d = make_lneg(make_at((p,), (p, p)), Neg(p))
+    d = infer("LNeg", (make_at((p,), (p, p)),), Neg(p))
     assert height(d) == 2
-    two = make_rand(make_at((p,), (p, p)),
-                    make_rneg(make_at((p, q), (p,)), Neg(q)), And(p, Neg(q)))
+    two = infer("RAnd", (make_at((p,), (p, p)),
+                         infer("RNeg", (make_at((p, q), (p,)),), Neg(q))),
+                And(p, Neg(q)))
     assert height(two) == 3
     inner = make_cut(ax, ax, p)
     assert cutrank(inner) == 1
@@ -349,3 +351,38 @@ def test_premises_of_agrees_with_the_checker():
                 seen.add((r.rule, r.side))
     assert {tag for tag, _ in seen} == set(PRINCIPAL_SIDE)
     assert {("RGd", "L"), ("RGd", "R")} <= seen
+
+
+def test_rebuild_reproduces_every_node():
+    """The forward step, over each node's own premises, gives back the
+    node: prover output and its phase normal form."""
+    rng = random.Random(523)
+    nodes, tags, done = 0, set(), 0
+    while done < 100:
+        d = prove_or_countermodel(gen_sequent(rng))
+        if not isinstance(d, Derivation):
+            continue
+        done += 1
+        for top in (d, normalize(d)):
+            for node in rule_nodes(top):
+                if node.premises:
+                    assert rebuild(node.rule, node.premises) == node
+                    nodes += 1
+                    tags.add(node.rule.rule)
+    assert nodes > 1500
+    assert tags == set(PRINCIPAL_SIDE)
+
+
+def test_misaligned_premises_raise():
+    # the left deep rule checks both premises, as RAnd and LOr do
+    for second in (make_at((q,), (q,)), make_at((q, r), (q,))):
+        with pytest.raises(ValueError):
+            infer("LGd", (make_at((p,), (p,)), second), Gd(p, q))
+    with pytest.raises(ValueError):
+        infer("LGd", (make_at((p,), (p,)), make_at((r,), (r,))), Gd(p, q))
+    with pytest.raises(ValueError):
+        infer("RAnd", (make_at((p,), (p,)), make_at((q, r), (q,))), And(p, q))
+    with pytest.raises(ValueError):
+        infer("LOr", (make_at((p,), (p,)), make_at((q,), (q, r))), Or(p, q))
+    with pytest.raises(ValueError):
+        infer("LAnd", (make_at((p,), (p,)),), And(p, q))

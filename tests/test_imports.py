@@ -1,9 +1,11 @@
 """The library is stdlib-only: every module that `src/teamseq/*.py`
-imports belongs to the standard library or to the package itself.  And
-every name a library module imports at module level is used there."""
+imports belongs to the standard library or to the package itself.  Every
+name a library module imports at module level is used there, and every
+module-level private function or class is used in the package."""
 
 import ast
 import sys
+from collections import Counter
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "teamseq"
@@ -49,4 +51,29 @@ def test_library_modules_use_every_import():
               for path in sorted(PACKAGE.glob("*.py"))
               if path.name != "__init__.py"
               for line, name in unused_imports(path)]
+    assert not unused, unused
+
+
+def referenced_names(tree) -> Counter:
+    """How often each name is read in `tree`, as a name or an attribute."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.Name, ast.Attribute)))
+
+
+def test_library_references_every_private_definition():
+    # a module-level private function or class must be used somewhere in
+    # the package outside its own body
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    everywhere = sum((referenced_names(t) for t in trees.values()), Counter())
+    private = [(name, node) for name, tree in trees.items()
+               for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and node.name.startswith("_")
+               and not node.name.startswith("__")]
+    assert len(private) > 50
+    unused = [f"{name}:{node.lineno} defines {node.name} unused"
+              for name, node in private
+              if everywhere[node.name] <= referenced_names(node)[node.name]]
     assert not unused, unused

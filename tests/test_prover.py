@@ -12,7 +12,8 @@ from teamseq.resolutions import resolution_choices, resolutions_multiset
 from teamseq.semantics import (Team, big_or, eval_classical,
                                find_countermodel_bruteforce, satisfies,
                                sequent_valid)
-from teamseq.syntax import Prop, Sequent, mset, parse_formula, parse_sequent
+from teamseq.syntax import (Neg, Prop, Sequent, mset, parse_formula,
+                            parse_sequent)
 
 from conftest import gen_sequent, gen_side
 
@@ -198,6 +199,16 @@ def test_budget_error_carries_its_unit():
     with pytest.raises(ResourceLimit) as e:
         prove_classical(ps("p => p"), node_budget=0)
     assert e.value.unit == "classical sequent"
+
+
+def test_prove_or_countermodel_too_deep_is_a_resource_limit():
+    with pytest.raises(ResourceLimit, match="nesting too deep"):
+        prove_or_countermodel(Sequent((), (Prop("p"),) * 1000))
+
+
+def test_prove_classical_too_deep_is_a_resource_limit():
+    with pytest.raises(ResourceLimit, match="nesting too deep"):
+        prove_classical(Sequent((Neg(Prop("p")),) * 1000, ()))
 
 
 def test_countermodel_is_union_of_distinct_witnesses():

@@ -8,8 +8,9 @@ from teamseq.semantics import (Team, _Space, big_or, closure_properties,
                                eval_classical, find_countermodel_bruteforce,
                                satisfies, sequent_valid, team_from_json,
                                team_to_json)
-from teamseq.syntax import (gd_paths, is_classical, parse_formula,
-                            parse_sequent, subformula_at, substitute_at)
+from teamseq.syntax import (Prop, Sequent, gd_paths, is_classical,
+                            parse_formula, parse_sequent, subformula_at,
+                            substitute_at)
 
 from conftest import gen_formula, gen_sequent
 
@@ -105,6 +106,13 @@ def test_sequent_valid_golden():
     # empty succedent reads as bot
     assert sequent_valid(ps("bot =>"))
     assert not sequent_valid(ps("=>"))
+
+
+def test_sequent_valid_long_flat_succedent():
+    # the succedent's satisfaction sets are folded, not nested in a formula
+    p = Prop("p")
+    assert not sequent_valid(Sequent((), (p,) * 1000))
+    assert sequent_valid(Sequent((p,), (p,) * 1000))
 
 
 def test_budget():

@@ -185,6 +185,12 @@ def test_parse_sequent_too_deep_is_a_resource_limit():
             parse_sequent(f"q => {text}")
 
 
+def test_render_deep_formula_round_trips():
+    # render takes one stack frame per nesting level, as the parser does
+    f = parse_formula("p & " * 900 + "p")
+    assert parse_formula(render(f)) is f
+
+
 def test_formula_from_json_too_deep_is_a_resource_limit():
     obj = {"op": "prop", "name": "p"}
     for _ in range(3000):

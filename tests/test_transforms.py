@@ -3,8 +3,7 @@ import random
 import pytest
 
 from teamseq.calculus import (Derivation, check_derivation, cutrank, height,
-                              is_cutfree, make_cut, make_land, make_lgd,
-                              make_rgd, make_rneg, make_ror, rule_nodes)
+                              infer, is_cutfree, make_cut, rule_nodes)
 from teamseq.errors import (ContainsCut, FormulaNotDuplicated,
                             NonClassicalAntecedent,
                             NonClassicalRightContraction)
@@ -213,12 +212,12 @@ def worked_example_input() -> Derivation:
     por = pf("p || r")
     d1 = prove_classical(ps("x, ~x | (~q | p), q => p"))
     d2 = prove_classical(ps("x, ~x | (~q | r), q => r"))
-    t1 = make_rgd(d1, por, (), "L")
-    t2 = make_rgd(d2, por, (), "R")
-    lgd = make_lgd(t1, t2, pf("~x | (~q | (p || r))"), (1, 1))
-    return make_land(make_ror(make_rneg(lgd, pf("~q")),
-                              pf("(p || r) | ~q")),
-                     pf("x & (~x | (~q | (p || r)))"))
+    t1 = infer("RGd", (d1,), por, (), "L")
+    t2 = infer("RGd", (d2,), por, (), "R")
+    lgd = infer("LGd", (t1, t2), pf("~x | (~q | (p || r))"), (1, 1))
+    return infer("LAnd", (infer("ROr", (infer("RNeg", (lgd,), pf("~q")),),
+                                pf("(p || r) | ~q")),),
+                 pf("x & (~x | (~q | (p || r)))"))
 
 
 def test_normalize_worked_example():
