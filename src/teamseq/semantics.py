@@ -16,6 +16,13 @@ four-variable cap, which the oracle's entry points enforce; on a wider
 `_Space` built directly the transform raises `ResourceLimit` rather than
 overflow a lane.  Single-team satisfaction never builds a mask over all
 teams, so it works on any domain size.
+
+The sweeps over all teams are operations on these sets, not loops over
+teams: each closure property is its definition evaluated on a formula's
+satisfaction set (union closure is the cover image of the set with
+itself, flatness compares the set with the teams of its one-valuation
+members), and the first countermodel is the first set bit in (size,
+membership) order.  None of them uses a closure theorem of the logic.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from functools import reduce
+from itertools import combinations
 from operator import and_, mul
 
 from .errors import DomainMismatch, ParseError, ResourceLimit
@@ -203,21 +211,13 @@ class _Space:
             return hit
         match f:
             case Prop(name):
-                i = self.domain.index(name)
-                bad = 0
-                for v in range(self.nvals):
-                    if not (v >> (self.n - 1 - i)) & 1:
-                        bad |= 1 << v
-                out = self._avoiding(bad)
+                bit = self.n - 1 - self.domain.index(name)
+                out = self._avoiding(sum(1 << v for v in range(self.nvals)
+                                         if not (v >> bit) & 1))
             case Bot():
                 out = 1
             case Neg(c):
-                sub = self.sat_set(c)
-                bad = 0
-                for v in range(self.nvals):
-                    if (sub >> (1 << v)) & 1:
-                        bad |= 1 << v
-                out = self._avoiding(bad)
+                out = self._avoiding(self._points(self.sat_set(c)))
             case And(l, r):
                 out = self.sat_set(l) & self.sat_set(r)
             case Gd(l, r):
@@ -238,6 +238,10 @@ class _Space:
             if not (bad_vals >> v) & 1:
                 out |= out << (1 << v)
         return out
+
+    def _points(self, sat: int) -> int:
+        """Mask of the valuations whose one-valuation team is in `sat`."""
+        return sum(((sat >> (1 << v)) & 1) << v for v in range(self.nvals))
 
     def _or_set(self, sl: int, sr: int) -> int:
         """Exact cover image {s | u : s in sl, u in sr} over team masks.
@@ -340,14 +344,6 @@ def _bad_teams(space: _Space, s: Sequent) -> int:
     return hyp & ~goal
 
 
-def _ordered_masks(space: _Space) -> list[int]:
-    def key(m: int):
-        members = tuple(v for v in range(space.nvals) if (m >> v) & 1)
-        return (len(members), members)
-
-    return sorted(range(1 << space.nvals), key=key)
-
-
 def find_countermodel_bruteforce(s: Sequent,
                                  max_vars: int = DEFAULT_MAX_VARS) -> Team | None:
     """First team (by size, then membership order) witnessing invalidity."""
@@ -355,10 +351,11 @@ def find_countermodel_bruteforce(s: Sequent,
     bad = _bad_teams(space, s)
     if bad == 0:
         return None
-    for m in _ordered_masks(space):
-        if (bad >> m) & 1:
-            return space.team(m)
-    return None
+    for k in range(space.nvals + 1):
+        for members in combinations(range(space.nvals), k):
+            m = sum(1 << v for v in members)
+            if (bad >> m) & 1:
+                return space.team(m)
 
 
 @dataclass(frozen=True)
@@ -371,41 +368,21 @@ class ClosureReport:
 
 def closure_properties(f: Formula, domain,
                        max_vars: int = DEFAULT_MAX_VARS) -> ClosureReport:
-    """Exhaustively check the four team-semantic closure properties."""
+    """The four team-semantic closure properties, each its definition
+    evaluated on the satisfaction set of `f` over all teams on `domain`."""
     domain = tuple(domain)
     if not props(f) <= set(domain):
         raise DomainMismatch(f"{sorted(props(f) - set(domain))} not in {domain}")
     space = _space_for(domain, max_vars)
     sat = space.sat_set(f)
-    nteams = 1 << space.nvals
-
     empty = bool(sat & 1)
-
-    downward = True
-    for t in range(nteams):
-        if not (sat >> t) & 1:
-            continue
-        s = (t - 1) & t
-        while True:
-            if not (sat >> s) & 1:
-                downward = False
-                break
-            if s == 0:
-                break
-            s = (s - 1) & t
-        if not downward:
-            break
-
-    sat_teams = [t for t in range(nteams) if (sat >> t) & 1]
-    union = all((sat >> (a | b)) & 1 for a in sat_teams for b in sat_teams)
-
-    flat = True
-    for t in range(nteams):
-        pointwise = all((sat >> (1 << v)) & 1
-                        for v in range(space.nvals) if (t >> v) & 1)
-        if bool((sat >> t) & 1) != pointwise:
-            flat = False
-            break
+    # each member with valuation v, less v, is a member (bit t of the
+    # shifted set is team t + {v}); by induction every subteam is one
+    downward = all((sat >> (1 << v)) & space._avoiding(1 << v) & ~sat == 0
+                   for v in range(space.nvals))
+    union = space._or_set(sat, sat) & ~sat == 0
+    # exactly the teams of valuations whose one-valuation teams satisfy f
+    flat = sat == space._avoiding(~space._points(sat))
 
     # internal consistency: flatness coincides with the three-way conjunction
     assert flat == (empty and downward and union), \

@@ -95,7 +95,8 @@ class Prop(Formula):
     name: str
 
     def __post_init__(self):
-        if not _VAR_RE.fullmatch(self.name):
+        # `bot` reads back as the constant, so it names no variable
+        if not _VAR_RE.fullmatch(self.name) or self.name == "bot":
             raise ValueError(f"bad variable name: {self.name!r}")
 
 

@@ -509,31 +509,22 @@ def _ccut(d1: Derivation, d2: Derivation, phi: Formula) -> Derivation:
     # (a cut on bot itself is always commuted into d1: no rule introduces
     # bot on the right, so it is never left-principal)
 
-    left_principal = r1.rule in ("RNeg", "RAnd", "ROr") and r1.formula == phi
+    if not (PRINCIPAL_SIDE.get(r1.rule) == "suc" and r1.formula == phi):
+        if phi in (r1.weak or ()):
+            # phi is implicitly weakened in: weaken d2's context in instead
+            prems = tuple(_weaken_all(p, "L",
+                                      mset_remove(d2.conclusion.ant, phi))
+                          for p in d1.premises)
+            new_weak = mset_remove(r1.weak, phi) + d2.conclusion.suc
+            return rebuild(r1, prems, weak=new_weak)
+        return rebuild(r1, tuple(_ccut(p, d2, phi) for p in d1.premises))
 
-    if not left_principal:
-        if r1.rule in ("LNeg", "RNeg", "LAnd", "ROr"):
-            return rebuild(d1.rule, (_ccut(d1.premises[0], d2, phi),))
-        if r1.rule in ("RAnd", "LOr"):
-            weak = r1.weak or ()
-            if phi in weak:
-                prems = tuple(_weaken_all(p, "L",
-                                          mset_remove(d2.conclusion.ant, phi))
-                              for p in d1.premises)
-                new_weak = mset_remove(weak, phi) + d2.conclusion.suc
-                return rebuild(d1.rule, prems, weak=new_weak)
-            return rebuild(d1.rule, tuple(_ccut(p, d2, phi) for p in d1.premises))
-        raise ShapeMismatch(f"unexpected rule {r1.rule} in classical cut")
+    if not (PRINCIPAL_SIDE.get(r2.rule) == "ant" and r2.formula == phi):
+        return rebuild(r2, tuple(_ccut(d1, p, phi) for p in d2.premises))
 
-    right_principal = r2.rule in ("LNeg", "LAnd", "LOr") and r2.formula == phi
-
-    if not right_principal:
-        if r2.rule in ("LNeg", "RNeg", "LAnd", "ROr"):
-            return rebuild(d2.rule, (_ccut(d1, d2.premises[0], phi),))
-        if r2.rule in ("RAnd", "LOr"):
-            return rebuild(d2.rule, tuple(_ccut(d1, p, phi) for p in d2.premises))
-        raise ShapeMismatch(f"unexpected rule {r2.rule} in classical cut")
-
+    if r1.path or r2.path:
+        # a deep rule introduces a `||` inside phi, not phi's connective
+        raise ShapeMismatch(f"cannot reduce cut on {render(phi)}")
     # principal on both sides: reduce the rank
     match phi:
         case Neg(beta):

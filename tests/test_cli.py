@@ -1,6 +1,9 @@
 import json
 import random
+import re
+import shlex
 import time
+from pathlib import Path
 
 from teamseq import cli
 from teamseq.calculus import derivation_from_json, derivation_to_json
@@ -95,7 +98,8 @@ def test_eval(tmp_path, capsys):
     # a verdict read off one of the two columns
     for obj in ({"vars": ["p", "p"], "team": [[1, 0]]},
                 {"vars": ["p", "p"], "team": [[0, 1]]},
-                {"vars": "pq", "team": [[1, 0]]}):
+                {"vars": "pq", "team": [[1, 0]]},
+                {"vars": ["bot"], "team": [[1]]}):
         path.write_text(json.dumps(obj))
         assert invoke(capsys, "eval", "p", "--team", str(path))[0] == 2
 
@@ -113,6 +117,33 @@ def test_closure(capsys):
     assert code == 0
     assert json.loads(out) == {"empty_team": True, "downward_closed": True,
                                "union_closed": False, "flat": False}
+    # at the four-variable cap: 2^16 teams, each property one set operation
+    for text, union in [("(p | ~p) & (q | ~q) & (r | ~r) & (s | ~s)", True),
+                        ("(p || q) | (r || s)", False)]:
+        start = time.perf_counter()
+        code, out = invoke(capsys, "--json", "closure", text)
+        assert time.perf_counter() - start < 5, text
+        assert code == 0
+        assert json.loads(out) == {"empty_team": True, "downward_closed": True,
+                                   "union_closed": union, "flat": union}
+
+
+def test_readme_examples(capsys):
+    """Every README CLI example that reads no file runs and exits 0 or 1,
+    or with the code its comment states."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```")[0]
+    ran = 0
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        argv = shlex.split(command)[1:]
+        if any(arg.endswith(".json") for arg in argv):
+            continue
+        stated = re.search(r"exit (\d)", comment)
+        expected = (int(stated[1]),) if stated else (0, 1)
+        assert invoke(capsys, *argv)[0] in expected, line
+        ran += 1
+    assert ran >= 7
 
 
 def test_normalize_cutelim_resolve(tmp_path, capsys):

@@ -1,14 +1,16 @@
 import random
+from functools import reduce
 from itertools import combinations
+from operator import or_
 
 import pytest
 
 from teamseq.errors import DomainMismatch, ParseError, ResourceLimit
-from teamseq.semantics import (Team, _Space, big_or, closure_properties,
-                               eval_classical, find_countermodel_bruteforce,
-                               satisfies, sequent_valid, team_from_json,
-                               team_to_json)
-from teamseq.syntax import (Prop, Sequent, gd_paths, is_classical,
+from teamseq.semantics import (ClosureReport, Team, _Space, big_or,
+                               closure_properties, eval_classical,
+                               find_countermodel_bruteforce, satisfies,
+                               sequent_valid, team_from_json, team_to_json)
+from teamseq.syntax import (BOT, Prop, Sequent, gd_paths, is_classical,
                             parse_formula, parse_sequent, subformula_at,
                             substitute_at)
 
@@ -215,6 +217,11 @@ def test_countermodel_agrees_with_validity():
         if cm is not None:
             assert all(satisfies(cm, f) for f in s.ant)
             assert not satisfies(cm, big_or(s.suc))
+            # the first bad team in (size, membership) order
+            first = next(t for t in all_teams(cm.domain)
+                         if all(satisfies(t, f) for f in s.ant)
+                         and not satisfies(t, big_or(s.suc)))
+            assert cm == first, str(s)
 
 
 def test_closure_properties_golden():
@@ -241,6 +248,52 @@ def test_closure_properties_random_nonclassical():
                             and rep.union_closed)
 
 
+def closure_reference(sat, domain):
+    """The four closure properties of the set `sat` of teams (member sets)
+    over `domain`, by their definitions, one team or pair at a time."""
+    teams = [t.members for t in all_teams(domain)]
+    downward = all(frozenset(sub) in sat for m in sat
+                   for k in range(len(m)) for sub in combinations(m, k))
+    union = all(a | b in sat for a in sat for b in sat)
+    flat = all((t in sat) == all(frozenset({v}) in sat for v in t)
+               for t in teams)
+    return ClosureReport(frozenset() in sat, downward, union, flat)
+
+
+def test_closure_properties_match_definitions():
+    rng = random.Random(61)
+    for n in (1, 2):
+        domain = ("p", "q")[:n]
+        for _ in range(60):
+            f = gen_formula(rng, rng.randint(0, 4), rng.randint(0, 2),
+                            vars=domain)
+            sat = {t.members for t in all_teams(domain) if satisfies(t, f)}
+            assert closure_properties(f, domain) == \
+                closure_reference(sat, domain), str(f)
+
+
+def test_closure_properties_of_any_team_set(monkeypatch):
+    # formulas of this logic all hold on the empty team and downward, so
+    # the other outcomes are reached by handing over arbitrary sets
+    rng = random.Random(67)
+    for n in range(4):
+        domain = ("p", "q", "r")[:n]
+        space = _Space(domain)
+        for _ in range(40):
+            density = rng.choice((0.05, 0.5, 0.95))
+            sat = sum(1 << t for t in range(space.nteams)
+                      if rng.random() < density)
+            if rng.random() < 0.5:  # close it downward
+                sat = reduce(or_, (space._avoiding(~t)
+                                   for t in range(space.nteams)
+                                   if (sat >> t) & 1), 0)
+            monkeypatch.setattr(_Space, "sat_set", lambda self, f: sat)
+            members = {space.team(t).members for t in range(space.nteams)
+                       if (sat >> t) & 1}
+            assert closure_properties(BOT, domain) == \
+                closure_reference(members, domain), (n, sat)
+
+
 def test_team_json():
     t = team("pq", *[(1, 0), (0, 1)])
     t = Team(("p", "q"), frozenset({(1, 0), (0, 1)}))
@@ -251,7 +304,7 @@ def test_team_json():
         with pytest.raises(ParseError, match="missing field"):
             team_from_json(obj)
     # a domain names each variable once, as a string the parser accepts
-    for names in (["p", "p"], "pq", ["p", 1], ["P"], [""], {"p": 0}):
+    for names in (["p", "p"], "pq", ["p", 1], ["P"], [""], ["bot"], {"p": 0}):
         with pytest.raises(ParseError, match="bad team"):
             team_from_json({"vars": names, "team": []})
     with pytest.raises(ValueError, match="repeated variable"):

@@ -336,3 +336,8 @@ def test_bad_variable_name():
         Prop("Q")
     with pytest.raises(ValueError):
         Prop("")
+    # `bot` is the constant: as a variable it would render as the constant
+    with pytest.raises(ValueError):
+        Prop("bot")
+    with pytest.raises(ParseError):
+        formula_from_json({"op": "prop", "name": "bot"})

@@ -6,7 +6,7 @@ from teamseq.calculus import (Derivation, check_derivation, cutrank, height,
                               infer, is_cutfree, make_cut, rule_nodes)
 from teamseq.errors import (ContainsCut, FormulaNotDuplicated,
                             NonClassicalAntecedent,
-                            NonClassicalRightContraction)
+                            NonClassicalRightContraction, ShapeMismatch)
 from teamseq.prover import prove_classical, prove_or_countermodel
 from teamseq.semantics import Team, sequent_valid
 from teamseq.syntax import (And, Neg, Or, Prop, Sequent, gd_paths,
@@ -299,6 +299,19 @@ def test_classical_cut_axiom_absorption():
     check_derivation(e)
     assert e.conclusion == ps("p => p")
     assert e.rule.rule == "At"
+
+
+def test_classical_cut_on_global_disjunction_refused():
+    # classical conclusions, but the cut formula holds `||`: the deep rules
+    # that introduce it have no classical reduction, at the top of the cut
+    # formula or inside it
+    for left, right, phi in [
+            ("p => p || q", "p || q => p | q", "p || q"),
+            ("p => (p || q) & p", "(p || q) & p => p | q", "(p || q) & p"),
+            ("p | q => p || q, p | q", "p || q => p | q", "p || q")]:
+        c = make_cut(proved(left), proved(right), pf(phi))
+        with pytest.raises(ShapeMismatch):
+            classical_eliminate_cuts(c)
 
 
 def test_classical_cut_elimination_random():
