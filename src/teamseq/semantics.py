@@ -8,14 +8,22 @@ checked before any set over all teams is built.  This module is the ground
 truth against which the calculus, prover, and transformations are tested.
 
 Satisfaction sets over all teams are bitmasks with one bit per team.  The
-cover transform behind the split disjunction counts pairs of teams per
-union, and it keeps those counts in 64-bit lanes of one Python int: at
-`DEFAULT_MAX_VARS` = 4 variables there are 2^16 teams, so a count is at
-most 2^16 * 2^16 = 2^32 and fits a lane.  That lane bound rests on the
-four-variable cap, which the oracle's entry points enforce; on a wider
-`_Space` built directly the transform raises `ResourceLimit` rather than
-overflow a lane.  Single-team satisfaction never builds a mask over all
-teams, so it works on any domain size.
+split disjunction's set is the cover image {s | u} of its two sides' sets.
+When one side is downward closed, the image is exact set algebra: for a
+maximal team P of that side, the teams s | u with s a subteam of P are the
+other side closed upward along the valuations of P, one shift-or per
+valuation, and the image is the union of these closures over the maximal
+teams.  Downward closure is checked on the concrete set, never assumed
+from the formula.  The lane transform runs when neither side is downward
+closed, or when the closures would take more than `_MAX_CLOSURE_STEPS`
+shift-ors, where the lanes are faster.  It counts pairs of teams per
+union in 64-bit lanes of one Python int: at `DEFAULT_MAX_VARS` = 4
+variables there are 2^16 teams, so a count is at most 2^16 * 2^16 = 2^32
+and fits a lane.  That lane bound rests on the four-variable cap, which
+the oracle's entry points enforce; on a wider `_Space` built directly the
+cover image raises `ResourceLimit` before it builds any set.
+Single-team satisfaction never builds a mask over all teams, so it works
+on any domain size.
 
 The sweeps over all teams are operations on these sets, not loops over
 teams: each closure property is its definition evaluated on a formula's
@@ -30,16 +38,22 @@ from __future__ import annotations
 import sys
 from array import array
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import combinations
 from operator import and_, mul
 
-from .errors import DomainMismatch, ParseError, ResourceLimit
+from .errors import DomainMismatch, ParseError, ResourceLimit, nesting_limited
 from .syntax import (And, Bot, BOT, Formula, Gd, Neg, Or, Prop, Sequent,
                      props)
 
 DEFAULT_MAX_VARS = 4
 
+# Most shift-ors `_or_set` spends on closures before it takes the lanes.
+# At four variables one shift-or took 4-7 us and the lane transform 20-50
+# ms, so 2000 of them stay below the lanes; at three or fewer variables
+# no downward-closed set needs more than 280, and both paths take about
+# 0.1 ms.
+_MAX_CLOSURE_STEPS = 2000
 _LANE = 64  # bits per count lane of the cover transform
 _LANE_BYTES = _LANE // 8
 _BIT_OF_ASCII = bytes.maketrans(b"01", b"\x00\x01")
@@ -168,7 +182,13 @@ class _Space:
             case Bot():
                 out = mask == 0
             case Neg(c):
-                out = all(not self.sat(1 << v, c) for v in self._members(mask))
+                # on a one-valuation team the clause of ~ is plain negation,
+                # so a run of ~ is read in a loop, not one frame per ~
+                flip = True
+                while isinstance(c, Neg):
+                    c, flip = c.child, not flip
+                out = all(self.sat(1 << v, c) != flip
+                          for v in self._members(mask))
             case And(l, r):
                 out = self.sat(mask, l) and self.sat(mask, r)
             case Or(l, r):
@@ -179,12 +199,12 @@ class _Space:
         return out
 
     def _members(self, mask: int):
-        v = 0
+        """Indices of the set bits of `mask`, lowest first: the valuations
+        of a team, or the teams of a set of teams."""
         while mask:
-            if mask & 1:
-                yield v
-            mask >>= 1
-            v += 1
+            low = mask & -mask
+            yield low.bit_length() - 1
+            mask ^= low
 
     def _sat_split(self, mask: int, l: Formula, r: Formula) -> bool:
         # all covers mask = s | u: iterate s over submasks, then u over
@@ -239,12 +259,81 @@ class _Space:
                 out |= out << (1 << v)
         return out
 
+    @cached_property
+    def _without(self) -> list[int]:
+        """`_without[v]` is the set of teams that do not contain valuation
+        v, `_avoiding(1 << v)`.  Built on first use: at four variables each
+        is 2^16 bits.
+
+        Team indices lacking the last valuation are the lower half.  Going
+        down, in every block of 2^(v+2) indices the set for v + 1 holds the
+        lower half, and xor with itself shifted up by 2^v leaves the first
+        and third quarters: the indices with bit v clear."""
+        out = [(1 << (self.nteams >> 1)) - 1]
+        for v in reversed(range(self.nvals - 1)):
+            out.append(out[-1] ^ out[-1] << (1 << v))
+        return out[::-1]
+
+    def _maximal(self, sat: int) -> int | None:
+        """The maximal teams of `sat` if it is downward closed, else None.
+
+        Bit t of `(sat >> (1 << v)) & _without[v]` is set iff t lacks v and
+        t + {v} is in `sat`: these are the members less one valuation.
+        `sat` is downward closed iff all of them are members, since by
+        induction every subteam of a member is then one, and its maximal
+        teams are the members that are not among them."""
+        smaller = 0
+        for v, without in enumerate(self._without):
+            smaller |= (sat >> (1 << v)) & without
+        return None if smaller & ~sat else sat & ~smaller
+
     def _points(self, sat: int) -> int:
         """Mask of the valuations whose one-valuation team is in `sat`."""
         return sum(((sat >> (1 << v)) & 1) << v for v in range(self.nvals))
 
     def _or_set(self, sl: int, sr: int) -> int:
         """Exact cover image {s | u : s in sl, u in sr} over team masks.
+
+        If one side is the set of all subteams of a team P, then t is in
+        the image iff some u in the other side has t \\ P <= u <= t: the
+        other side closed upward along the valuations of P, one shift-or
+        per valuation.  A downward-closed side is the union of the subteam
+        sets of its maximal teams, so its image is the union of one such
+        closure per maximal team.  Downward closure is checked on the set
+        itself (`_maximal`), never assumed from the formula, and the side
+        whose maximal teams need fewer shift-ors is used.  The lane
+        transform `_lane_or_set` runs when neither side is downward closed
+        or when the chosen side needs more than `_MAX_CLOSURE_STEPS`
+        shift-ors, where the lanes are faster.
+        """
+        if self.n > DEFAULT_MAX_VARS:
+            raise ResourceLimit(f"cover transform over {self.n} variables "
+                                f"exceeds the {DEFAULT_MAX_VARS}-variable "
+                                f"lane bound")
+        best = None
+        for side, other in ((sl, sr), (sr, sl)):
+            top = self._maximal(side)
+            if top is not None:
+                # the sum of |P| over the maximal teams P: each of them
+                # counts once per valuation, less once per valuation it lacks
+                steps = top.bit_count() * self.nvals - sum(
+                    (top & without).bit_count() for without in self._without)
+                if best is None or steps < best[0]:
+                    best = steps, top, other
+        if best is None or best[0] > _MAX_CLOSURE_STEPS:
+            return self._lane_or_set(sl, sr)
+        _, top, other = best
+        without = self._without
+        out = 0
+        for team in self._members(top):
+            up = other
+            for v in self._members(team):
+                up |= (up & without[v]) << (1 << v)
+            out |= up
+        return out
+
+    def _lane_or_set(self, sl: int, sr: int) -> int:
+        """The cover image of `_or_set` for any two sets, by counting.
 
         Counts covers via zeta/Moebius transforms on the subset lattice:
         with A(t) = #{s <= t in sl} and B likewise, the number of pairs
@@ -258,15 +347,11 @@ class _Space:
         goes through `array`, and the Moebius transform runs on whole
         lanes.  Every partial Moebius sum counts pairs, so it is >= 0 and
         no lane borrows.  The largest count is 2^16 * 2^16 = 2^32 at the
-        four-variable cap `DEFAULT_MAX_VARS`, which is why the lanes are
-        64 bits wide.  Lane masks are rebuilt per step, not kept, and each
-        intermediate is freed before the next is built: at four variables
-        every one of them is 512 KB.
+        four-variable cap `DEFAULT_MAX_VARS`, which `_or_set` checks and
+        which is why the lanes are 64 bits wide.  Lane masks are rebuilt
+        per step, not kept, and each intermediate is freed before the next
+        is built: at four variables every one of them is 512 KB.
         """
-        if self.n > DEFAULT_MAX_VARS:
-            raise ResourceLimit(f"cover transform over {self.n} variables "
-                                f"exceeds the {DEFAULT_MAX_VARS}-variable "
-                                f"lane bound")
         nbytes = self.nteams * _LANE_BYTES
         ab = self._lanes_of(sl) | self._lanes_of(sr) << _LANE // 2
         for i in range(self.nvals):
@@ -315,6 +400,7 @@ def _space_for(domain, max_vars: int) -> _Space:
     return _Space(tuple(domain))
 
 
+@nesting_limited
 def satisfies(team: Team, f: Formula) -> bool:
     """Team satisfaction, straight from the defining clauses."""
     if not props(f) <= set(team.domain):
@@ -376,10 +462,7 @@ def closure_properties(f: Formula, domain,
     space = _space_for(domain, max_vars)
     sat = space.sat_set(f)
     empty = bool(sat & 1)
-    # each member with valuation v, less v, is a member (bit t of the
-    # shifted set is team t + {v}); by induction every subteam is one
-    downward = all((sat >> (1 << v)) & space._avoiding(1 << v) & ~sat == 0
-                   for v in range(space.nvals))
+    downward = space._maximal(sat) is not None
     union = space._or_set(sat, sat) & ~sat == 0
     # exactly the teams of valuations whose one-valuation teams satisfy f
     flat = sat == space._avoiding(~space._points(sat))

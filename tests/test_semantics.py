@@ -6,13 +6,14 @@ from operator import or_
 import pytest
 
 from teamseq.errors import DomainMismatch, ParseError, ResourceLimit
-from teamseq.semantics import (ClosureReport, Team, _Space, big_or,
-                               closure_properties, eval_classical,
-                               find_countermodel_bruteforce, satisfies,
-                               sequent_valid, team_from_json, team_to_json)
-from teamseq.syntax import (BOT, Prop, Sequent, gd_paths, is_classical,
-                            parse_formula, parse_sequent, subformula_at,
-                            substitute_at)
+from teamseq.semantics import (_MAX_CLOSURE_STEPS, ClosureReport, Team,
+                               _Space, big_or, closure_properties,
+                               eval_classical, find_countermodel_bruteforce,
+                               satisfies, sequent_valid, team_from_json,
+                               team_to_json)
+from teamseq.syntax import (BOT, Neg, Or, Prop, Sequent, gd_paths,
+                            is_classical, parse_formula, parse_sequent,
+                            subformula_at, substitute_at)
 
 from conftest import gen_formula, gen_sequent
 
@@ -100,6 +101,27 @@ def test_domain_mismatch():
         satisfies(team("p", (1,)), pf("q"))
 
 
+def test_satisfies_deep_chains():
+    # 984 is the deepest ~ chain the parser reads from a shallow stack; ~
+    # is read in a loop on one-valuation teams, so it is answered
+    p = Prop("p")
+    f = p
+    for depth in range(1, 985):
+        f = Neg(f)
+        if depth in (400, 984):
+            assert satisfies(team("p", (1,)), f) == (depth % 2 == 0)
+            assert satisfies(team("p", (0,)), f) == (depth % 2 == 1)
+            assert not satisfies(team("p", (1,), (0,)), f)
+            assert satisfies(team("p"), f)
+    # a split-disjunction chain nests the cover search; too deep for it is
+    # a resource limit, not a RecursionError
+    f = p
+    for _ in range(980):
+        f = Or(Neg(p), f)
+    with pytest.raises(ResourceLimit, match="nesting too deep"):
+        satisfies(team("p", (1,), (0,)), f)
+
+
 def test_sequent_valid_golden():
     assert sequent_valid(ps("(p||~p)|(p||~p) => p||~p, p||~p"))
     assert not sequent_valid(ps("(p||~p)|(p||~p) => p||~p"))
@@ -166,7 +188,72 @@ def test_or_set_matches_loop_reference(n):
                         if rng.random() < density) for _ in range(2))
             cases.append((x, y))
     for x, y in cases:
-        assert space._or_set(x, y) == loop_or_set(space, x, y), (n, x, y)
+        ref = loop_or_set(space, x, y)
+        assert space._lane_or_set(x, y) == ref, (n, x, y)
+        assert space._or_set(x, y) == ref, (n, x, y)
+
+
+def down_closure(space, sat):
+    """The set of all subteams of members of `sat`."""
+    return reduce(or_, (space._avoiding(~t) for t in range(space.nteams)
+                        if (sat >> t) & 1), 0)
+
+
+def test_or_set_matches_lane_transform():
+    # the closures over maximal teams against the lanes, on arbitrary and
+    # downward-closed sets, with edge sets on either side
+    rng = random.Random(71)
+    for n in range(4):
+        space = _Space(("a", "b", "c")[:n])
+        assert space._without == [space._avoiding(1 << v)
+                                  for v in range(space.nvals)]
+        full = (1 << space.nteams) - 1
+        for _ in range(150):
+            x, y = (sum(1 << t for t in range(space.nteams)
+                        if rng.random() < rng.choice((0.05, 0.3, 0.7)))
+                    for _ in range(2))
+            if rng.random() < 0.5:
+                x = down_closure(space, x)
+            if rng.random() < 0.5:
+                y = down_closure(space, y)
+            for a, b in ((x, y), (x, 0), (x, 1), (x, full)):
+                want = space._lane_or_set(a, b)
+                assert space._or_set(a, b) == want, (n, a, b)
+                assert space._or_set(b, a) == want, (n, b, a)
+    # satisfaction sets of seeded formulas at the four-variable cap
+    space = _Space(("p", "q", "r", "s"))
+    for _ in range(12):
+        f, g = (gen_formula(rng, rng.randint(1, 4), 2,
+                            vars=("p", "q", "r", "s")) for _ in range(2))
+        x, y = space.sat_set(f), space.sat_set(g)
+        assert space._or_set(x, y) == space._lane_or_set(x, y), (f, g)
+
+
+def test_or_set_takes_lanes_above_closure_cutoff(monkeypatch):
+    # the lane transform runs exactly when no side is downward closed or
+    # the closures would need more than _MAX_CLOSURE_STEPS shift-ors
+    lanes = []
+
+    def counted(self, sl, sr):
+        lanes.append((sl, sr))
+        return lane_or_set(self, sl, sr)
+
+    lane_or_set = _Space._lane_or_set
+    monkeypatch.setattr(_Space, "_lane_or_set", counted)
+    space = _Space(("a", "b", "c", "d"))
+    # all teams of at most four valuations: 1820 maximal teams, 7280
+    # shift-ors a side
+    quads = [sum(1 << v for v in c) for c in combinations(range(16), 4)]
+    big = down_closure(space, sum(1 << t for t in quads))
+    assert len(quads) * 4 > _MAX_CLOSURE_STEPS
+    up_to_8 = sum(1 << t for t in range(space.nteams) if t.bit_count() <= 8)
+    assert space._or_set(big, big) == up_to_8
+    assert lanes == [(big, big)]
+    # with the empty set on one side, the closures run
+    assert space._or_set(big, 0) == 0 and space._or_set(1, big) == big
+    # a side that is not downward closed takes the lanes too
+    assert space._or_set(2, 4) == 1 << 3  # {{v0}} and {{v1}}: {{v0, v1}}
+    assert len(lanes) == 2
 
 
 def test_or_set_refuses_beyond_lane_bound():
@@ -283,10 +370,8 @@ def test_closure_properties_of_any_team_set(monkeypatch):
             density = rng.choice((0.05, 0.5, 0.95))
             sat = sum(1 << t for t in range(space.nteams)
                       if rng.random() < density)
-            if rng.random() < 0.5:  # close it downward
-                sat = reduce(or_, (space._avoiding(~t)
-                                   for t in range(space.nteams)
-                                   if (sat >> t) & 1), 0)
+            if rng.random() < 0.5:
+                sat = down_closure(space, sat)
             monkeypatch.setattr(_Space, "sat_set", lambda self, f: sat)
             members = {space.team(t).members for t in range(space.nteams)
                        if (sat >> t) & 1}
