@@ -26,11 +26,11 @@ from dataclasses import dataclass, field
 from .errors import (ArityMismatch, DerivationCheckError, InvalidPath,
                      ParseError, RuleViolation, ShapeMismatch,
                      nesting_limited)
-from .syntax import (And, BOT, Bot, Formula, Gd, Neg, Or, Prop, Sequent,
+from .syntax import (And, BOT, Bot, Formula, Neg, Or, Prop, Sequent,
                      formula_from_json, formula_to_json, gd_sides,
                      is_classical, mset, mset_add, mset_leq, mset_remove,
                      mset_sub, render, sequent_from_json, sequent_to_json,
-                     subformula_at, substitute_at, symbol_count)
+                     symbol_count)
 
 AXIOMS = ("At", "LBot")
 UNARY = ("LNeg", "RNeg", "LAnd", "ROr", "RGd", "LC", "RC")
@@ -130,16 +130,16 @@ def make_rc(premise: Derivation, f: Formula) -> Derivation:
 def make_randi(p1: Derivation, p2: Derivation, conj: And) -> Derivation:
     split = (p1.conclusion.ant, mset_remove(p1.conclusion.suc, conj.left))
     concl = Sequent(p1.conclusion.ant + p2.conclusion.ant,
-                    mset_add(split[1] + mset_remove(p2.conclusion.suc, conj.right),
-                             conj))
+                    split[1] + mset_remove(p2.conclusion.suc, conj.right)
+                    + (conj,))
     return Derivation(concl, RuleApp("RAndI", pos=concl.suc.index(conj),
                                      formula=conj, split=split), (p1, p2))
 
 
 def make_lori(p1: Derivation, p2: Derivation, disj: Or) -> Derivation:
     split = (mset_remove(p1.conclusion.ant, disj.left), p1.conclusion.suc)
-    concl = Sequent(mset_add(split[0] + mset_remove(p2.conclusion.ant, disj.right),
-                             disj),
+    concl = Sequent(split[0] + mset_remove(p2.conclusion.ant, disj.right)
+                    + (disj,),
                     p1.conclusion.suc + p2.conclusion.suc)
     return Derivation(concl, RuleApp("LOrI", pos=concl.ant.index(disj),
                                      formula=disj, split=split), (p1, p2))
@@ -264,15 +264,13 @@ def _principal(rule: RuleApp, seq: Sequent, side: str) -> Formula:
     return f
 
 
-def _deep_node(rule: RuleApp, f: Formula) -> Gd:
-    """The global disjunction a deep rule's `path` addresses in `f`."""
+def _deep_sides(rule: RuleApp, f: Formula) -> tuple[Formula, Formula]:
+    """`f` with the global disjunction at a deep rule's `path` replaced by
+    its left and by its right disjunct."""
     try:
-        node = subformula_at(f, rule.path or ())
+        return gd_sides(f, rule.path or ())
     except InvalidPath as e:
         raise RuleViolation(rule.rule, str(e)) from e
-    if not isinstance(node, Gd):
-        raise RuleViolation(rule.rule, "path must address a global disjunction")
-    return node
 
 
 def check_inference(conclusion: Sequent, rule: RuleApp, premises) -> None:
@@ -355,23 +353,20 @@ def check_inference(conclusion: Sequent, rule: RuleApp, premises) -> None:
             want(premises[1], mset_add(gam, f.right), lam, "right premise")
         case "LGd":
             f = _principal(rule, conclusion, "ant")
-            node = _deep_node(rule, f)
+            left, right = _deep_sides(rule, f)
             gam = mset_remove(conclusion.ant, f)
-            want(premises[0],
-                 mset_add(gam, substitute_at(f, rule.path, node.left)),
-                 conclusion.suc, "left premise")
-            want(premises[1],
-                 mset_add(gam, substitute_at(f, rule.path, node.right)),
-                 conclusion.suc, "right premise")
+            want(premises[0], mset_add(gam, left), conclusion.suc,
+                 "left premise")
+            want(premises[1], mset_add(gam, right), conclusion.suc,
+                 "right premise")
         case "RGd":
             f = _principal(rule, conclusion, "suc")
-            node = _deep_node(rule, f)
+            sides = _deep_sides(rule, f)
             if rule.side not in ("L", "R"):
                 raise RuleViolation(tag, f"bad side {rule.side!r}")
-            chosen = node.left if rule.side == "L" else node.right
             want(premises[0], conclusion.ant,
                  mset_add(mset_remove(conclusion.suc, f),
-                          substitute_at(f, rule.path, chosen)))
+                          sides["LR".index(rule.side)]))
         case "Cut":
             phi = rule.cutformula
             if phi is None:

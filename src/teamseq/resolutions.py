@@ -267,20 +267,32 @@ def resolution_steps(f: Formula, target: Formula):
 
     Deterministic: always resolves the first (lowest-label) occurrence,
     preferring the left disjunct when both reach `target`.
+
+    Cached on a nonclassical `f` per target as the (path, side, kept)
+    triples; each formula-before is rebuilt from the previous `kept` on
+    every call.  The first one is `f` itself, which the cache must not
+    hold: a node that referred to itself would stay alive until the cyclic
+    collector ran.  For the same reason a classical `f`, whose only
+    resolution is `f`, is not cached under that target.
     """
-    steps = []
-    cur = f
-    while True:
-        hit = first_gd((cur,))
-        if hit is None:
-            if cur != target:
-                raise ValueError(f"{render(target)} is not a resolution of {render(f)}")
-            return tuple(steps)
-        path = hit[1]
-        left_version, right_version = gd_sides(cur, path)
-        if is_resolution(left_version, target):
-            steps.append((cur, path, "L", left_version))
-            cur = left_version
-        else:
-            steps.append((cur, path, "R", right_version))
-            cur = right_version
+    key = ("_steps", target)
+    tail = f.__dict__.get(key)
+    if tail is None:
+        tail = []
+        cur = f
+        while (hit := first_gd((cur,))) is not None:
+            path = hit[1]
+            left_version, right_version = gd_sides(cur, path)
+            if is_resolution(left_version, target):
+                tail.append((path, "L", left_version))
+                cur = left_version
+            else:
+                tail.append((path, "R", right_version))
+                cur = right_version
+        if cur != target:
+            raise ValueError(f"{render(target)} is not a resolution of {render(f)}")
+        tail = tuple(tail)
+        if tail:
+            f.__dict__[key] = tail
+    befores = (f,) + tuple(kept for _, _, kept in tail)
+    return tuple((before, *step) for before, step in zip(befores, tail))

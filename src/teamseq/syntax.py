@@ -20,6 +20,7 @@ import re
 import threading
 import weakref
 from _weakref import _remove_dead_weakref
+from bisect import insort
 from dataclasses import dataclass, fields
 
 from .errors import (InvalidPath, NonClassicalNegation, ParseError,
@@ -79,9 +80,13 @@ class Formula(metaclass=_Interned):
     table.  `copy`, `deepcopy` and `pickle` rebuild a node through its
     constructor, so they return the interned node too.
 
-    `render`, `props`, `is_classical` and `calculus.actives` cache their
-    value in the node's `__dict__` on first use, outside the dataclass
-    fields, so `repr` is unaffected and it lives exactly as long as the node.
+    `render`, `props`, `is_classical`, `gd_sides` (per path),
+    `calculus.actives` and `resolutions.resolution_steps` (per target)
+    cache their value in the node's `__dict__` on first use, outside the
+    dataclass fields, so `repr` is unaffected and it lives exactly as long
+    as the node.  A cached value never holds its own node, so the caches
+    make no reference cycle and a node is freed as soon as it is
+    unreferenced.
     """
 
     __slots__ = ()
@@ -261,12 +266,19 @@ def gd_count(f: Formula) -> int:
 
 def gd_sides(f: Formula, path) -> tuple[Formula, Formula]:
     """`f` with the global disjunction at `path` replaced by its left and by
-    its right disjunct: the two premise formulas of a deep rule."""
-    node = subformula_at(f, path)
-    if not isinstance(node, Gd):
-        raise InvalidPath(f"path {list(path)} does not address a global "
-                          f"disjunction in {render(f)}")
-    return substitute_at(f, path, node.left), substitute_at(f, path, node.right)
+    its right disjunct: the two premise formulas of a deep rule.  Cached
+    on `f` per path; a path that addresses no global disjunction raises
+    InvalidPath and caches nothing."""
+    key = ("_gd_sides", *path)
+    out = f.__dict__.get(key)
+    if out is None:
+        node = subformula_at(f, path)
+        if not isinstance(node, Gd):
+            raise InvalidPath(f"path {list(path)} does not address a global "
+                              f"disjunction in {render(f)}")
+        out = f.__dict__[key] = (substitute_at(f, path, node.left),
+                                 substitute_at(f, path, node.right))
+    return out
 
 
 def first_gd(formulas):
@@ -331,7 +343,12 @@ def mset(items) -> tuple[Formula, ...]:
 
 
 def mset_add(m, *items) -> tuple[Formula, ...]:
-    return mset(m + tuple(items))
+    """The canonical multiset `m` with `items` added, each inserted in
+    place."""
+    out = list(m)
+    for x in items:
+        insort(out, x, key=render)
+    return tuple(out)
 
 
 def mset_remove(m, item) -> tuple[Formula, ...]:

@@ -471,13 +471,18 @@ def _norm(d: Derivation) -> Derivation:
 # Classical cut elimination
 
 def classical_eliminate_cuts(d: Derivation) -> Derivation:
-    """Standard cut elimination within the classical subsystem."""
+    """Standard cut elimination within the classical subsystem.  A cut on
+    a formula with `||` is outside it, even under a classical endsequent,
+    and raises ShapeMismatch; `eliminate_cuts` reduces it."""
     if not d.conclusion.is_classical():
         raise NonClassicalInput(str(d.conclusion))
     return _celim(d)
 
 
 def _celim(d: Derivation) -> Derivation:
+    if d.rule.rule == "Cut" and not is_classical(d.rule.cutformula):
+        raise ShapeMismatch(f"nonclassical cut formula "
+                            f"{render(d.rule.cutformula)}")
     ps = tuple(_celim(p) for p in d.premises)
     if d.rule.rule == "Cut":
         return _ccut(ps[0], ps[1], d.rule.cutformula)

@@ -77,3 +77,36 @@ def test_library_references_every_private_definition():
               for name, node in private
               if everywhere[node.name] <= referenced_names(node)[node.name]]
     assert not unused, unused
+
+
+def _calls_reached(tree, roots):
+    """The module-level functions of `tree` that `roots` reach through
+    the names they read, the roots included."""
+    defs = {node.name: node for node in tree.body
+            if isinstance(node, ast.FunctionDef)}
+    reached, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        todo.extend(n for n in referenced_names(defs[name]) if n in defs)
+    return reached, defs
+
+
+def test_checker_is_independent_of_the_builders():
+    # the checker is the trust base: it re-derives each rule's premises
+    # itself rather than through the code that builds derivations
+    tree = ast.parse((PACKAGE / "calculus.py").read_text(encoding="utf-8"))
+    reached, defs = _calls_reached(tree, ("check_inference",
+                                          "check_derivation"))
+    builders = {"infer", "_infer", "premises_of", "actives", "replay_rgd",
+                "rebuild"}
+    used = {name for fn in reached for name in referenced_names(defs[fn])
+            if name in builders or name.startswith("make_")}
+    assert not used, used
+    imported = {node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)}
+    assert not imported & {"prover", "resolutions", "transforms",
+                           "teamseq.prover", "teamseq.resolutions",
+                           "teamseq.transforms"}, imported

@@ -301,3 +301,15 @@ def test_resolution_steps_reach_target():
                                     node.left if side == "L" else node.right)
                 assert kept == cur
             assert cur == target
+
+
+def test_resolution_steps_are_stable_and_chain_from_f_to_target():
+    rng = random.Random(83)
+    for _ in range(150):
+        f = gen_formula(rng, rng.randint(0, 4), 3)
+        for target in resolutions(f):
+            steps = resolution_steps(f, target)
+            assert resolution_steps(f, target) == steps
+            chain = [f] + [kept for _, _, _, kept in steps]
+            assert [before for before, _, _, _ in steps] == chain[:-1]
+            assert chain[-1] is target

@@ -9,18 +9,21 @@ import weakref
 import pytest
 
 from teamseq import syntax
+from teamseq.calculus import Derivation, check_derivation
 from teamseq.errors import (InvalidPath, NonClassicalNegation, ParseError,
                             ResourceLimit)
+from teamseq.prover import prove_or_countermodel
 from teamseq.semantics import big_and, big_or
 from teamseq.syntax import (And, BOT, Bot, Gd, Neg, Or, PartitionSequent,
                             Prop, Sequent, children, first_gd,
                             formula_from_json, formula_to_json, gd_paths,
-                            gd_sides, is_classical, parse_formula,
-                            parse_sequent, props, render, sequent_from_json,
-                            sequent_to_json, signed_props, subformula_at,
-                            substitute_at, symbol_count)
+                            gd_sides, is_classical, mset, mset_add,
+                            parse_formula, parse_sequent, props, render,
+                            sequent_from_json, sequent_to_json,
+                            signed_props, subformula_at, substitute_at,
+                            symbol_count)
 
-from conftest import gen_formula
+from conftest import gen_formula, gen_side
 
 p, q, r = Prop("p"), Prop("q"), Prop("r")
 
@@ -167,6 +170,60 @@ def test_unreferenced_nodes_leave_the_table():
     assert ref() is None
     assert key not in syntax._NODES
     assert all(entry() is not None for entry in syntax._NODES.values())
+
+
+def test_caches_make_no_reference_cycle():
+    # proving and checking fill every per-node cache (`render`, `actives`,
+    # `gd_sides`, `resolution_steps`, the last on a classical formula too);
+    # with the cyclic collector off, a cache that held its own node would
+    # keep that node in the table after the last reference is dropped
+    before = set(syntax._NODES)
+    gc.disable()
+    try:
+        s = parse_sequent("zc0 || zc1, zc2 || zc3 => "
+                          "(zc0 || zc1) | (zc2 || zc3), zc4")
+        d = prove_or_countermodel(s)
+        assert isinstance(d, Derivation)
+        check_derivation(d)
+        assert set(syntax._NODES) - before
+        del s, d
+        assert not set(syntax._NODES) - before
+    finally:
+        gc.enable()
+
+
+def test_mset_add_matches_sorting():
+    rng = random.Random(29)
+    for _ in range(300):
+        m = mset(gen_side(rng, 4, 3, 2))
+        xs = gen_side(rng, 3, 3, 2) + tuple(rng.sample(m, min(len(m), 2)))
+        xs = tuple(rng.sample(xs, len(xs)))  # repeats in any order
+        assert mset_add(m, *xs) == mset(m + xs)
+
+
+def _occurrence_paths(f, prefix=()):
+    yield prefix
+    for i, c in enumerate(children(f)):
+        yield from _occurrence_paths(c, prefix + (i,))
+
+
+def test_gd_sides_are_cached_per_path():
+    rng = random.Random(31)
+    for _ in range(200):
+        f = gen_formula(rng, rng.randint(1, 5), 3)
+        for path in gd_paths(f):
+            node = subformula_at(f, path)
+            sides = gd_sides(f, path)
+            assert sides == (substitute_at(f, path, node.left),
+                             substitute_at(f, path, node.right))
+            assert gd_sides(f, path) is sides
+        cached = {k for k in vars(f) if isinstance(k, tuple)}
+        bad = [path for path in _occurrence_paths(f)
+               if path not in gd_paths(f)] + [(2,), (0,) * 6]
+        for path in bad:
+            with pytest.raises(InvalidPath):
+                gd_sides(f, path)
+        assert {k for k in vars(f) if isinstance(k, tuple)} == cached
 
 
 DEEP_TEXTS = ("p & " * 1500 + "p", "(" * 900 + "p" + ")" * 900,

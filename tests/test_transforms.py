@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -310,7 +311,8 @@ def test_classical_cut_on_global_disjunction_refused():
             ("p => (p || q) & p", "(p || q) & p => p | q", "(p || q) & p"),
             ("p | q => p || q, p | q", "p || q => p | q", "p || q")]:
         c = make_cut(proved(left), proved(right), pf(phi))
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ShapeMismatch, match=re.escape(
+                f"nonclassical cut formula {phi}")):
             classical_eliminate_cuts(c)
 
 
