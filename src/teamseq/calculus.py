@@ -26,11 +26,10 @@ from dataclasses import dataclass, field
 from .errors import (ArityMismatch, DerivationCheckError, InvalidPath,
                      ParseError, RuleViolation, ShapeMismatch,
                      nesting_limited)
-from .syntax import (And, BOT, Bot, Formula, Neg, Or, Prop, Sequent,
-                     formula_from_json, formula_to_json, gd_sides,
+from .syntax import (And, BOT, Bot, Formula, Gd, Neg, Or, Prop, Sequent,
+                     children, formula_from_json, formula_to_json, gd_sides,
                      is_classical, mset, mset_add, mset_leq, mset_remove,
-                     mset_sub, render, sequent_from_json, sequent_to_json,
-                     symbol_count)
+                     mset_sub, render, symbol_count)
 
 AXIOMS = ("At", "LBot")
 UNARY = ("LNeg", "RNeg", "LAnd", "ROr", "RGd", "LC", "RC")
@@ -433,41 +432,133 @@ def check_derivation(d: Derivation) -> None:
 
 
 # ---------------------------------------------------------------------------
-# JSON
+# JSON: `{"formulas": [...], "derivation": {...}}`.  The table lists each
+# distinct subformula once, children first, as a formula object whose
+# children are indices of earlier entries; every formula in the nodes is
+# an index into it.  Nodes are interned, so writing is one dict lookup per
+# formula occurrence and reading one constructor call per table entry.
+
+# JSON op and child fields of each formula type with children
+_TABLE_OPS = {Neg: ("neg", ("c",)), And: ("and", ("l", "r")),
+              Or: ("or", ("l", "r")), Gd: ("gd", ("l", "r"))}
+_TABLE_TYPES = {op: (cls, keys) for cls, (op, keys) in _TABLE_OPS.items()}
 
 
-def ruleapp_to_json(r: RuleApp):
-    out: dict = {"rule": r.rule}
-    if r.pos is not None:
-        out["pos"] = r.pos
-    if r.pos2 is not None:
-        out["pos2"] = r.pos2
-    if r.formula is not None:
-        out["formula"] = formula_to_json(r.formula)
-    if r.path is not None:
-        out["path"] = list(r.path)
-    if r.side is not None:
-        out["side"] = r.side
-    if r.weak is not None:
-        out["weak"] = [formula_to_json(f) for f in r.weak]
-    if r.cutformula is not None:
-        out["cutformula"] = formula_to_json(r.cutformula)
-    if r.split is not None:
-        out["split"] = [[formula_to_json(f) for f in part] for part in r.split]
-    return out
+def _table_index(f: Formula, index: dict, table: list) -> int:
+    """The table index of `f`, appending `f` and every subformula not yet
+    in the table, children first, without recursion."""
+    stack = [f]
+    while stack:
+        g = stack[-1]
+        if g in index:
+            stack.pop()
+            continue
+        missing = [c for c in children(g) if c not in index]
+        if missing:
+            stack.extend(reversed(missing))
+            continue
+        stack.pop()
+        kind = _TABLE_OPS.get(type(g))
+        if kind is None:  # a variable or bot
+            entry = formula_to_json(g)
+        else:
+            op, keys = kind
+            entry = {"op": op}
+            for key, c in zip(keys, children(g)):
+                entry[key] = index[c]
+        index[g] = len(table)
+        table.append(entry)
+    return index[f]
 
 
-# the JSON type of each rule field; every field but `rule` is optional
-_RULE_FIELDS = {"rule": str, "pos": int, "pos2": int, "formula": dict,
-                "path": list, "side": str, "weak": list, "cutformula": dict,
-                "split": list}
+def derivation_to_json(d: Derivation):
+    """The JSON object of `d`: its formula table and its tree of nodes."""
+    index: dict[Formula, int] = {}
+    table: list[dict] = []
+
+    def ref(f: Formula) -> int:
+        i = index.get(f)
+        return _table_index(f, index, table) if i is None else i
+
+    def refs(fs) -> list[int]:
+        return [ref(f) for f in fs]
+
+    def rule_to_json(r: RuleApp) -> dict:
+        out: dict = {"rule": r.rule}
+        if r.pos is not None:
+            out["pos"] = r.pos
+        if r.pos2 is not None:
+            out["pos2"] = r.pos2
+        if r.formula is not None:
+            out["formula"] = ref(r.formula)
+        if r.path is not None:
+            out["path"] = list(r.path)
+        if r.side is not None:
+            out["side"] = r.side
+        if r.weak is not None:
+            out["weak"] = refs(r.weak)
+        if r.cutformula is not None:
+            out["cutformula"] = ref(r.cutformula)
+        if r.split is not None:
+            out["split"] = [refs(part) for part in r.split]
+        return out
+
+    def node_to_json(n: Derivation) -> dict:
+        return {"rule": rule_to_json(n.rule),
+                "conclusion": {"ant": refs(n.conclusion.ant),
+                               "suc": refs(n.conclusion.suc)},
+                "premises": [node_to_json(p) for p in n.premises]}
+
+    root = node_to_json(d)
+    return {"formulas": table, "derivation": root}
 
 
 def _bad_json(what: str, value) -> ParseError:
     return ParseError(f"bad derivation: {what} is a {type(value).__name__}")
 
 
-def ruleapp_from_json(obj) -> RuleApp:
+def _read_table(entries) -> list[Formula]:
+    """The formulas of a JSON table, in one pass over its entries."""
+    if not isinstance(entries, list):
+        raise _bad_json("the formula table", entries)
+    table: list[Formula] = []
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise _bad_json(f"formula {i}", entry)
+        op = entry.get("op")
+        kind = _TABLE_TYPES.get(op) if isinstance(op, str) else None
+        if kind is None:  # a variable, bot, or an unknown op
+            table.append(formula_from_json(entry))
+        else:
+            # the table holds entries 0..i-1, so a lookup rejects the
+            # entry itself and every later one
+            cls, keys = kind
+            table.append(cls(*_lookup(table, [entry.get(k) for k in keys],
+                                      f"formula {i}")))
+    return table
+
+
+def _lookup(table: list, refs, what: str) -> list[Formula]:
+    """The formulas of a JSON array of indices into the table read so
+    far."""
+    if not isinstance(refs, list):
+        raise _bad_json(what, refs)
+    size, out = len(table), []
+    for ref in refs:
+        if type(ref) is not int or not 0 <= ref < size:
+            raise ParseError(f"bad derivation: {what} refers to {ref!r}, "
+                             f"not to an earlier formula table entry")
+        out.append(table[ref])
+    return out
+
+
+# the JSON type of each rule field; every field but `rule` is optional
+_RULE_FIELDS = {"rule": str, "pos": int, "pos2": int, "formula": int,
+                "path": list, "side": str, "weak": list, "cutformula": int,
+                "split": list}
+
+
+def _rule_from_json(obj, table: list) -> RuleApp:
     if not isinstance(obj, dict) or "rule" not in obj:
         raise ParseError("bad derivation: a rule needs an object with \"rule\"")
     for key, value in obj.items():
@@ -475,50 +566,49 @@ def ruleapp_from_json(obj) -> RuleApp:
         if kind is not None and (not isinstance(value, kind)
                                  or isinstance(value, bool)):
             raise _bad_json(f"rule field {key!r}", value)
-    if "path" in obj and not all(type(step) is int for step in obj["path"]):
-        raise ParseError(f"bad derivation: path {obj['path']!r} is not "
-                         f"an array of integers")
-    split = None
-    if "split" in obj:
-        if len(obj["split"]) != 2 or \
-                not all(isinstance(part, list) for part in obj["split"]):
+    # every field present is of its JSON type, so None means absent
+    get = obj.get
+    formula, path, weak, cut, split = (
+        get("formula"), get("path"), get("weak"), get("cutformula"),
+        get("split"))
+    if formula is not None:
+        formula, = _lookup(table, [formula], "formula")
+    if path is not None:
+        if not all(type(step) is int for step in path):
+            raise ParseError(f"bad derivation: path {path!r} is not an "
+                             f"array of integers")
+        path = tuple(path)
+    if weak is not None:
+        weak = mset(_lookup(table, weak, "weak"))
+    if cut is not None:
+        cut, = _lookup(table, [cut], "cutformula")
+    if split is not None:
+        if len(split) != 2:
             raise ParseError("bad derivation: split is not two arrays")
-        a, b = obj["split"]
-        split = (mset(formula_from_json(x) for x in a),
-                 mset(formula_from_json(x) for x in b))
-    return RuleApp(
-        rule=obj["rule"],
-        pos=obj.get("pos"),
-        pos2=obj.get("pos2"),
-        formula=formula_from_json(obj["formula"]) if "formula" in obj else None,
-        path=tuple(obj["path"]) if "path" in obj else None,
-        side=obj.get("side"),
-        weak=mset(formula_from_json(x) for x in obj["weak"])
-        if "weak" in obj else None,
-        cutformula=formula_from_json(obj["cutformula"])
-        if "cutformula" in obj else None,
-        split=split,
-    )
-
-
-def derivation_to_json(d: Derivation):
-    return {"rule": ruleapp_to_json(d.rule),
-            "conclusion": sequent_to_json(d.conclusion),
-            "premises": [derivation_to_json(p) for p in d.premises]}
+        split = tuple(mset(_lookup(table, part, "split")) for part in split)
+    return RuleApp(obj["rule"], get("pos"), get("pos2"), formula, path,
+                   get("side"), weak, cut, split)
 
 
 @nesting_limited
 def derivation_from_json(obj) -> Derivation:
-    """The derivation of a JSON object; input nested too deeply for the
-    recursive walk raises ResourceLimit."""
-    return _derivation_from_json(obj)
+    """The derivation of a JSON object; a tree of nodes nested too deeply
+    for the recursive walk raises ResourceLimit."""
+    if not isinstance(obj, dict):
+        raise _bad_json("a derivation file", obj)
+    return _node_from_json(obj.get("derivation"),
+                           _read_table(obj.get("formulas")))
 
 
-def _derivation_from_json(obj) -> Derivation:
+def _node_from_json(obj, table: list) -> Derivation:
     if not isinstance(obj, dict):
         raise _bad_json("a derivation", obj)
     if not isinstance(obj.get("premises"), list):
         raise _bad_json("premises", obj.get("premises"))
-    return Derivation(sequent_from_json(obj.get("conclusion")),
-                      ruleapp_from_json(obj.get("rule")),
-                      tuple(_derivation_from_json(p) for p in obj["premises"]))
+    concl = obj.get("conclusion")
+    if not isinstance(concl, dict):
+        raise _bad_json("a conclusion", concl)
+    return Derivation(Sequent(_lookup(table, concl.get("ant"), "ant"),
+                              _lookup(table, concl.get("suc"), "suc")),
+                      _rule_from_json(obj.get("rule"), table),
+                      tuple(_node_from_json(p, table) for p in obj["premises"]))

@@ -410,6 +410,7 @@ def satisfies(team: Team, f: Formula) -> bool:
     return space.sat(space.team_mask(team), f)
 
 
+@nesting_limited
 def sequent_valid(s: Sequent, max_vars: int = DEFAULT_MAX_VARS) -> bool:
     """True iff every team satisfying the antecedent satisfies the split
     disjunction of the succedent, over the sequent's own variables."""
@@ -430,6 +431,7 @@ def _bad_teams(space: _Space, s: Sequent) -> int:
     return hyp & ~goal
 
 
+@nesting_limited
 def find_countermodel_bruteforce(s: Sequent,
                                  max_vars: int = DEFAULT_MAX_VARS) -> Team | None:
     """First team (by size, then membership order) witnessing invalidity."""
@@ -452,6 +454,7 @@ class ClosureReport:
     flat: bool
 
 
+@nesting_limited
 def closure_properties(f: Formula, domain,
                        max_vars: int = DEFAULT_MAX_VARS) -> ClosureReport:
     """The four team-semantic closure properties, each its definition

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 from .calculus import (PRINCIPAL_SIDE, Derivation, RuleApp, actives, infer,
                        is_cutfree, make_at, make_lbot, premises_of, rebuild,
-                       replay_rgd)
+                       replay_rgd, rule_nodes)
 from .errors import (ContainsCut, FormulaNotDuplicated, NonClassicalAntecedent,
                      NonClassicalInput, NonClassicalRightContraction,
                      ShapeMismatch)
@@ -470,10 +470,19 @@ def _norm(d: Derivation) -> Derivation:
 # ---------------------------------------------------------------------------
 # Classical cut elimination
 
+def _require_cutformulas(d: Derivation) -> None:
+    """Raise ShapeMismatch when a cut of `d` records no cut formula."""
+    if any(n.rule.rule == "Cut" and n.rule.cutformula is None
+           for n in rule_nodes(d)):
+        raise ShapeMismatch("missing cutformula")
+
+
 def classical_eliminate_cuts(d: Derivation) -> Derivation:
     """Standard cut elimination within the classical subsystem.  A cut on
     a formula with `||` is outside it, even under a classical endsequent,
-    and raises ShapeMismatch; `eliminate_cuts` reduces it."""
+    and raises ShapeMismatch; `eliminate_cuts` reduces it.  A cut with no
+    cut formula raises ShapeMismatch too, before anything is reduced."""
+    _require_cutformulas(d)
     if not d.conclusion.is_classical():
         raise NonClassicalInput(str(d.conclusion))
     return _celim(d)
@@ -656,9 +665,15 @@ def eliminate_cuts(d: Derivation) -> Derivation:
     Each innermost cut is eliminated by normalizing its (cutfree) premises,
     splicing the classical parts with classical cuts resolution by
     resolution, eliminating those classically, and reassembling the deep
-    phases.
+    phases.  A cut with no cut formula raises ShapeMismatch before anything
+    is reduced.
     """
-    ps = tuple(eliminate_cuts(p) for p in d.premises)
+    _require_cutformulas(d)
+    return _elim(d)
+
+
+def _elim(d: Derivation) -> Derivation:
+    ps = tuple(_elim(p) for p in d.premises)
     if d.rule.rule == "Cut":
         return _eliminate_one(ps[0], ps[1], d.rule.cutformula)
     return rebuild(d.rule, ps) if ps else d

@@ -4,16 +4,17 @@ import random
 import pytest
 
 from teamseq.calculus import (PRINCIPAL_SIDE, Derivation, RuleApp,
-                              check_derivation, check_inference, cutrank,
+                              _read_table, check_derivation,
+                              check_inference, cutrank,
                               derivation_from_json, derivation_to_json,
                               height, infer, is_cutfree, make_at, make_cut,
                               make_lbot, make_lc, make_lori, make_randi,
                               make_rc, premises_of, rebuild, rule_nodes)
 from teamseq.errors import (ArityMismatch, DerivationCheckError,
-                            ResourceLimit, RuleViolation)
+                            ParseError, ResourceLimit, RuleViolation)
 from teamseq.prover import prove_classical, prove_or_countermodel
 from teamseq.semantics import sequent_valid
-from teamseq.syntax import (And, BOT, Gd, Neg, Or, Prop, Sequent,
+from teamseq.syntax import (And, BOT, Gd, Neg, Or, Prop, Sequent, children,
                             parse_formula, parse_sequent)
 from teamseq.transforms import eliminate_cuts, normalize
 
@@ -313,13 +314,115 @@ def test_derivation_json_round_trip():
         check_derivation(back)
 
 
+def test_derivation_json_round_trip_covers_every_field():
+    """Prover output, its normal form, an injected cut, its elimination
+    and the variant-rule form all read back equal and checked; together
+    they carry every optional rule field."""
+    rng = random.Random(613)
+    seen = set()
+    done = 0
+    while done < 30:
+        d = prove_or_countermodel(gen_sequent(rng))
+        if not isinstance(d, Derivation):
+            continue
+        done += 1
+        derivs = [d, normalize(d), _to_variant(d)]
+        if d.conclusion.suc:
+            cut = inject_cut(d, rng.choice(d.conclusion.suc))
+            derivs += [cut, eliminate_cuts(cut)]
+        for top in derivs:
+            back = derivation_from_json(
+                json.loads(json.dumps(derivation_to_json(top))))
+            assert back == top
+            check_derivation(back)
+            for node in rule_nodes(top):
+                seen.update(key for key in ("weak", "cutformula", "split",
+                                            "path", "side")
+                            if getattr(node.rule, key))
+    assert seen == {"weak", "cutformula", "split", "path", "side"}
+
+
+def _subformulas(f):
+    out, todo = set(), [f]
+    while todo:
+        g = todo.pop()
+        if g not in out:
+            out.add(g)
+            todo.extend(children(g))
+    return out
+
+
+def test_derivation_json_writes_each_subformula_once():
+    rng = random.Random(617)
+    done = 0
+    while done < 20:
+        d = prove_or_countermodel(gen_sequent(rng))
+        if not isinstance(d, Derivation) or not d.conclusion.suc:
+            continue
+        done += 1
+        top = _to_variant(inject_cut(d, rng.choice(d.conclusion.suc)))
+        expected = set()
+        for node in rule_nodes(top):
+            r = node.rule
+            for f in (node.conclusion.ant + node.conclusion.suc
+                      + (r.formula, r.cutformula) + (r.weak or ())
+                      + sum(r.split or (), ())):
+                if f is not None:
+                    expected |= _subformulas(f)
+        table = derivation_to_json(top)["formulas"]
+        read = _read_table(json.loads(json.dumps(table)))
+        assert len(set(read)) == len(read) == len(table)
+        assert set(read) == expected
+
+
+def test_bad_formula_table_is_a_parse_error():
+    good = derivation_to_json(prove_or_countermodel(ps("p & q => q & p")))
+    table = good["formulas"]
+    first = next(i for i, e in enumerate(table) if "l" in e)
+    assert first + 1 < len(table)
+
+    def bad(edit):
+        obj = json.loads(json.dumps(good))
+        edit(obj)
+        with pytest.raises(ParseError):
+            derivation_from_json(obj)
+
+    def set_child(value):
+        return lambda obj: obj["formulas"][first].update(l=value)
+
+    def set_ant(value):
+        return lambda obj: obj["derivation"]["conclusion"]["ant"].append(value)
+
+    def set_principal(value):
+        return lambda obj: obj["derivation"]["rule"].update(formula=value)
+
+    # in a table entry: out of range, negative, a bool, not an int, the
+    # entry itself, a later entry, missing
+    for value in (len(table), -1, True, False, "0", 0.0, None, first,
+                  first + 1):
+        bad(set_child(value))
+    bad(lambda obj: obj["formulas"][first].pop("l"))
+    # in a node: out of range, negative, a bool, not an int
+    for value in (len(table), -1, True, "0", 0.0, None):
+        bad(set_ant(value))
+        bad(set_principal(value))
+    # the table itself: not an array, missing, an entry that is no object
+    for value in ({"0": table[0]}, "[]", None):
+        bad(lambda obj: obj.update(formulas=value))
+    bad(lambda obj: obj["formulas"].insert(0, [0]))
+    bad(lambda obj: obj["formulas"].insert(0, 0))
+    bad(lambda obj: obj.pop("formulas"))
+    bad(lambda obj: obj.pop("derivation"))
+
+
 def test_derivation_from_json_too_deep_is_a_resource_limit():
     obj = derivation_to_json(make_lbot((BOT,), ()))
+    node = obj["derivation"]
     for _ in range(3000):
-        obj = {"rule": {"rule": "LBot"}, "conclusion": obj["conclusion"],
-               "premises": [obj]}
+        node = {"rule": {"rule": "LBot"}, "conclusion": node["conclusion"],
+                "premises": [node]}
     with pytest.raises(ResourceLimit, match="nesting too deep"):
-        derivation_from_json(obj)
+        derivation_from_json({"formulas": obj["formulas"], "derivation": node})
 
 
 def test_premises_of_agrees_with_the_checker():

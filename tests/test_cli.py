@@ -12,7 +12,7 @@ from teamseq.semantics import team_from_json
 from teamseq.syntax import parse_formula, parse_sequent
 from teamseq.transforms import eliminate_cuts, is_normal, normalize
 
-from conftest import gen_sequent, gen_shuffled
+from conftest import gen_sequent, gen_shuffled, inject_cut
 
 
 def invoke(capsys, *argv):
@@ -44,7 +44,7 @@ def test_check_round_trip(tmp_path, capsys):
     assert code == 0
     # corrupt it
     blob = json.loads(path.read_text())
-    blob["conclusion"]["ant"] = []
+    blob["derivation"]["conclusion"]["ant"] = []
     path.write_text(json.dumps(blob))
     code, out = invoke(capsys, "check", str(path))
     assert code == 1
@@ -54,14 +54,15 @@ def test_check_round_trip(tmp_path, capsys):
     # so is a field of the wrong JSON type
     for field, value in (("pos", "x"), ("premises", 5)):
         bad = json.loads(derivation)
-        (bad["rule"] if field == "pos" else bad)[field] = value
+        node = bad["derivation"]
+        (node["rule"] if field == "pos" else node)[field] = value
         path.write_text(json.dumps(bad))
         assert invoke(capsys, "check", str(path))[0] == 2, field
     # a deep-rule path that leaves its formula fails the check at its node
     code, derivation = invoke(capsys, "prove", "p || q => p, q")
     bad = json.loads(derivation)
-    assert bad["rule"]["rule"] == "LGd"
-    bad["rule"]["path"] = [2]
+    assert bad["derivation"]["rule"]["rule"] == "LGd"
+    bad["derivation"]["rule"]["path"] = [2]
     path.write_text(json.dumps(bad))
     code, out = invoke(capsys, "--json", "check", str(path))
     assert code == 1 and json.loads(out)["address"] == []
@@ -162,10 +163,49 @@ def test_normalize_cutelim_resolve(tmp_path, capsys):
     # the implicit-weakening field is optional in derivation JSON
     code, out = invoke(capsys, "prove", "p, q => p & q")
     blob = json.loads(out)
-    del blob["rule"]["weak"]
+    del blob["derivation"]["rule"]["weak"]
     path.write_text(json.dumps(blob))
     for cmd in ("check", "normalize", "cutelim", "resolve"):
         assert invoke(capsys, cmd, str(path))[0] == 0
+
+
+def test_every_emitted_derivation_checks(tmp_path, capsys):
+    """prove, normalize, cutelim, each resolve branch and both flank
+    derivations of interpolate write derivation JSON that check reads
+    back and accepts."""
+    emitted = []
+    code, out = invoke(capsys, "prove", "p||q, r => q||p, r & r")
+    assert code == 0
+    emitted.append(json.loads(out))
+    d = derivation_from_json(emitted[0])
+    free, cut = tmp_path / "free.json", tmp_path / "cut.json"
+    free.write_text(out)
+    cut.write_text(json.dumps(derivation_to_json(
+        inject_cut(d, d.conclusion.suc[0]))))
+    for cmd, source in (("normalize", free), ("cutelim", cut)):
+        code, out = invoke(capsys, cmd, str(source))
+        assert code == 0, cmd
+        emitted.append(json.loads(out))
+    code, out = invoke(capsys, "resolve", str(cut))
+    assert code == 0
+    branches = json.loads(out)["branches"]
+    assert len(branches) == 2
+    emitted += [b["derivation"] for b in branches]
+    code, out = invoke(capsys, "--json", "interpolate", "-v",
+                       "(p||q)|r ; ~p => r|s ; q||x")
+    assert code == 0
+    payload = json.loads(out)
+    emitted += [payload["left_derivation"], payload["right_derivation"]]
+    path = tmp_path / "d.json"
+    for blob in emitted:
+        path.write_text(json.dumps(blob))
+        assert invoke(capsys, "check", str(path)) == \
+            (0, f"ok: {derivation_from_json(blob).conclusion}\n")
+    # a bad formula table is an input error
+    blob = emitted[0]
+    blob["formulas"].append({"op": "neg", "c": len(blob["formulas"])})
+    path.write_text(json.dumps(blob))
+    assert invoke(capsys, "check", str(path))[0] == 2
 
 
 def test_interpolate(capsys):

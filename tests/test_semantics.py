@@ -13,7 +13,7 @@ from teamseq.semantics import (_MAX_CLOSURE_STEPS, ClosureReport, Team,
                                team_to_json)
 from teamseq.syntax import (BOT, Neg, Or, Prop, Sequent, gd_paths,
                             is_classical, parse_formula, parse_sequent,
-                            subformula_at, substitute_at)
+                            props, render, subformula_at, substitute_at)
 
 from conftest import gen_formula, gen_sequent
 
@@ -137,6 +137,23 @@ def test_sequent_valid_long_flat_succedent():
     p = Prop("p")
     assert not sequent_valid(Sequent((), (p,) * 1000))
     assert sequent_valid(Sequent((p,), (p,) * 1000))
+
+
+@pytest.mark.parametrize("entry", [
+    sequent_valid, find_countermodel_bruteforce,
+    lambda s: closure_properties(s.suc[0], ("q",))])
+def test_sweeps_on_deep_formula_are_a_resource_limit(entry):
+    # a constructor-built `q | (q | …)` chain 3000 deep; its text and
+    # variables are cached level by level as it is built, so only the
+    # satisfaction-set sweep meets the whole depth
+    q = Prop("q")
+    f = q
+    for _ in range(3000):
+        f = Or(q, f)
+        render(f)
+        props(f)
+    with pytest.raises(ResourceLimit, match="nesting too deep"):
+        entry(Sequent((), (f,)))
 
 
 def test_budget():

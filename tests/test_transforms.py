@@ -1,8 +1,10 @@
 import random
 import re
+from dataclasses import replace
 
 import pytest
 
+from teamseq import transforms
 from teamseq.calculus import (Derivation, check_derivation, cutrank, height,
                               infer, is_cutfree, make_cut, rule_nodes)
 from teamseq.errors import (ContainsCut, FormulaNotDuplicated,
@@ -382,6 +384,26 @@ def test_nested_cuts():
     check_derivation(e)
     assert is_cutfree(e)
     assert e.conclusion == ps("p & q => q & p")
+
+
+@pytest.mark.parametrize("eliminate", [eliminate_cuts,
+                                       classical_eliminate_cuts])
+def test_cut_without_cutformula_is_a_shape_mismatch(eliminate, monkeypatch):
+    # the cut below is missing its formula; the cut above it is sound, and
+    # is not reduced first
+    d = proved("p => p")
+    upper = make_cut(d, d, p)
+    bad = make_cut(upper, d, p)
+    bad = Derivation(bad.conclusion, replace(bad.rule, cutformula=None),
+                     bad.premises)
+
+    def reduced(*args):
+        raise AssertionError("a cut was reduced")
+
+    monkeypatch.setattr(transforms, "_eliminate_one", reduced)
+    monkeypatch.setattr(transforms, "_ccut", reduced)
+    with pytest.raises(ShapeMismatch, match="missing cutformula"):
+        eliminate(bad)
 
 
 # ---------------------------------------------------------------------------
