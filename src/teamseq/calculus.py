@@ -63,25 +63,31 @@ class Derivation:
 
 def height(d: Derivation) -> int:
     """Axioms have height 1; otherwise 1 plus the premise maximum."""
-    if not d.premises:
-        return 1
-    return 1 + max(height(p) for p in d.premises)
+    out, level = 0, [d]
+    while level:
+        out += 1
+        level = [p for n in level for p in n.premises]
+    return out
 
 
 def cutrank(d: Derivation) -> int:
     """Largest symbol count among cutformulas; 0 when cutfree."""
-    own = symbol_count(d.rule.cutformula) if d.rule.rule == "Cut" else 0
-    return max([own] + [cutrank(p) for p in d.premises])
+    return max((symbol_count(n.rule.cutformula) for n in rule_nodes(d)
+                if n.rule.rule == "Cut"), default=0)
 
 
 def is_cutfree(d: Derivation) -> bool:
-    return d.rule.rule != "Cut" and all(is_cutfree(p) for p in d.premises)
+    return all(n.rule.rule != "Cut" for n in rule_nodes(d))
 
 
 def rule_nodes(d: Derivation):
-    yield d
-    for p in d.premises:
-        yield from rule_nodes(p)
+    """The nodes of `d` in preorder, premises left to right, without
+    recursion."""
+    stack = [d]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(node.premises))
 
 
 # ---------------------------------------------------------------------------
@@ -471,8 +477,10 @@ def _table_index(f: Formula, index: dict, table: list) -> int:
     return index[f]
 
 
+@nesting_limited
 def derivation_to_json(d: Derivation):
-    """The JSON object of `d`: its formula table and its tree of nodes."""
+    """The JSON object of `d`: its formula table and its tree of nodes; a
+    tree nested too deeply for the recursive walk raises ResourceLimit."""
     index: dict[Formula, int] = {}
     table: list[dict] = []
 

@@ -8,22 +8,20 @@ checked before any set over all teams is built.  This module is the ground
 truth against which the calculus, prover, and transformations are tested.
 
 Satisfaction sets over all teams are bitmasks with one bit per team.  The
-split disjunction's set is the cover image {s | u} of its two sides' sets.
-When one side is downward closed, the image is exact set algebra: for a
-maximal team P of that side, the teams s | u with s a subteam of P are the
-other side closed upward along the valuations of P, one shift-or per
-valuation, and the image is the union of these closures over the maximal
-teams.  Downward closure is checked on the concrete set, never assumed
-from the formula.  The lane transform runs when neither side is downward
-closed, or when the closures would take more than `_MAX_CLOSURE_STEPS`
-shift-ors, where the lanes are faster.  It counts pairs of teams per
-union in 64-bit lanes of one Python int: at `DEFAULT_MAX_VARS` = 4
-variables there are 2^16 teams, so a count is at most 2^16 * 2^16 = 2^32
-and fits a lane.  That lane bound rests on the four-variable cap, which
-the oracle's entry points enforce; on a wider `_Space` built directly the
-cover image raises `ResourceLimit` before it builds any set.
-Single-team satisfaction never builds a mask over all teams, so it works
-on any domain size.
+split disjunction's set is the cover image {s | u} of its two sides' sets,
+computed by one algorithm: for each team P of one side, the other side is
+closed upward along the valuations of P, one shift-or per valuation.  A
+downward-closed side needs only its maximal teams; a side that is not
+downward closed goes member by member, each closure cut down to the teams
+that contain the member.  Downward closure is checked on the concrete
+set, never assumed from the formula.  Every formula's set is downward
+closed.  At `DEFAULT_MAX_VARS` = 4 variables the costliest such pair, all
+teams of at most 8 valuations on both sides, took about 0.5-0.7 s, and
+the costliest pair that is not downward closed, all nonempty teams on
+both sides, about 3 s (2-core x86-64 host, CPython 3.11).  On a wider
+`_Space` built directly the cover image raises `ResourceLimit` before it
+builds any set.  Single-team satisfaction never builds a mask over all
+teams, so it works on any domain size.
 
 The sweeps over all teams are operations on these sets, not loops over
 teams: each closure property is its definition evaluated on a formula's
@@ -35,29 +33,16 @@ membership) order.  None of them uses a closure theorem of the logic.
 
 from __future__ import annotations
 
-import sys
-from array import array
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import combinations
-from operator import and_, mul
+from operator import and_
 
 from .errors import DomainMismatch, ParseError, ResourceLimit, nesting_limited
 from .syntax import (And, Bot, BOT, Formula, Gd, Neg, Or, Prop, Sequent,
                      props)
 
 DEFAULT_MAX_VARS = 4
-
-# Most shift-ors `_or_set` spends on closures before it takes the lanes.
-# At four variables one shift-or took 4-7 us and the lane transform 20-50
-# ms, so 2000 of them stay below the lanes; at three or fewer variables
-# no downward-closed set needs more than 280, and both paths take about
-# 0.1 ms.
-_MAX_CLOSURE_STEPS = 2000
-_LANE = 64  # bits per count lane of the cover transform
-_LANE_BYTES = _LANE // 8
-_BIT_OF_ASCII = bytes.maketrans(b"01", b"\x00\x01")
-_ASCII_OF_TOP = bytes.maketrans(b"\x7f\x80", b"01")
 
 
 @dataclass(frozen=True)
@@ -294,99 +279,43 @@ class _Space:
     def _or_set(self, sl: int, sr: int) -> int:
         """Exact cover image {s | u : s in sl, u in sr} over team masks.
 
-        If one side is the set of all subteams of a team P, then t is in
-        the image iff some u in the other side has t \\ P <= u <= t: the
+        For a team P, the teams s | u with s a subteam of P and u in the
+        other side are the t with t \\ P <= u <= t for some such u: the
         other side closed upward along the valuations of P, one shift-or
         per valuation.  A downward-closed side is the union of the subteam
         sets of its maximal teams, so its image is the union of one such
-        closure per maximal team.  Downward closure is checked on the set
-        itself (`_maximal`), never assumed from the formula, and the side
-        whose maximal teams need fewer shift-ors is used.  The lane
-        transform `_lane_or_set` runs when neither side is downward closed
-        or when the chosen side needs more than `_MAX_CLOSURE_STEPS`
-        shift-ors, where the lanes are faster.
+        closure per maximal team.  A side that is not downward closed goes
+        member by member: after the shift-or along each valuation v of a
+        member P only the teams that contain v are kept, which leaves the
+        teams P | u.  Downward closure is checked on the set itself
+        (`_maximal`), never assumed from the formula, and the side whose
+        teams need fewer shift-ors is used.
         """
         if self.n > DEFAULT_MAX_VARS:
             raise ResourceLimit(f"cover transform over {self.n} variables "
                                 f"exceeds the {DEFAULT_MAX_VARS}-variable "
-                                f"lane bound")
+                                f"cap")
+        without = self._without
         best = None
         for side, other in ((sl, sr), (sr, sl)):
             top = self._maximal(side)
-            if top is not None:
-                # the sum of |P| over the maximal teams P: each of them
-                # counts once per valuation, less once per valuation it lacks
-                steps = top.bit_count() * self.nvals - sum(
-                    (top & without).bit_count() for without in self._without)
-                if best is None or steps < best[0]:
-                    best = steps, top, other
-        if best is None or best[0] > _MAX_CLOSURE_STEPS:
-            return self._lane_or_set(sl, sr)
-        _, top, other = best
-        without = self._without
+            teams = side if top is None else top
+            # the sum of |P| over these teams P: each of them counts once
+            # per valuation, less once per valuation it lacks
+            steps = teams.bit_count() * self.nvals - sum(
+                (teams & w).bit_count() for w in without)
+            if best is None or steps < best[0]:
+                best = steps, teams, other, top is None
+        _, teams, other, by_member = best
         out = 0
-        for team in self._members(top):
+        for team in self._members(teams):
             up = other
             for v in self._members(team):
-                up |= (up & without[v]) << (1 << v)
+                lacking = up & without[v]
+                up |= lacking << (1 << v)
+                if by_member:
+                    up ^= lacking
             out |= up
-        return out
-
-    def _lane_or_set(self, sl: int, sr: int) -> int:
-        """The cover image of `_or_set` for any two sets, by counting.
-
-        Counts covers via zeta/Moebius transforms on the subset lattice:
-        with A(t) = #{s <= t in sl} and B likewise, the number of pairs
-        with union exactly t is sum_{r <= t} (-1)^{|t\\r|} A(r)B(r).
-
-        Team t's counts sit in lane t, bits [64t, 64t + 64), of one int,
-        so each transform step over valuation i is one shifted add or
-        subtract on the lanes whose index has bit i clear.  The zeta
-        transform runs on A and B together, A in the low and B in the high
-        half of each lane; both are at most 2^16.  The lane-wise product
-        goes through `array`, and the Moebius transform runs on whole
-        lanes.  Every partial Moebius sum counts pairs, so it is >= 0 and
-        no lane borrows.  The largest count is 2^16 * 2^16 = 2^32 at the
-        four-variable cap `DEFAULT_MAX_VARS`, which `_or_set` checks and
-        which is why the lanes are 64 bits wide.  Lane masks are rebuilt
-        per step, not kept, and each intermediate is freed before the next
-        is built: at four variables every one of them is 512 KB.
-        """
-        nbytes = self.nteams * _LANE_BYTES
-        ab = self._lanes_of(sl) | self._lanes_of(sr) << _LANE // 2
-        for i in range(self.nvals):
-            ab += (ab & self._low_lanes(i)) << (_LANE << i)
-        halves = array("I")  # 32-bit items: A(t), B(t) in some order
-        halves.frombytes(ab.to_bytes(nbytes, sys.byteorder))
-        del ab
-        products = array("Q", map(mul, halves[::2], halves[1::2]))
-        del halves
-        p = int.from_bytes(products.tobytes(), sys.byteorder)
-        del products
-        for i in range(self.nvals):
-            p -= (p & self._low_lanes(i)) << (_LANE << i)
-        # a lane plus 2^63 - 1 reaches its top bit iff the lane is nonzero
-        p += self._repeat((1 << _LANE - 1) - 1, _LANE)
-        top = p.to_bytes(nbytes, "little")[_LANE_BYTES - 1::_LANE_BYTES]
-        return int(top.translate(_ASCII_OF_TOP)[::-1], 2)
-
-    def _lanes_of(self, mask: int) -> int:
-        """Bit t of `mask` as the count 0 or 1 in lane t."""
-        bits = format(mask, "b")[::-1].encode().translate(_BIT_OF_ASCII)
-        buf = bytearray(self.nteams * _LANE_BYTES)
-        buf[:len(bits) * _LANE_BYTES:_LANE_BYTES] = bits
-        return int.from_bytes(buf, "little")
-
-    def _low_lanes(self, i: int) -> int:
-        """All-ones lanes at the team indices with bit i clear."""
-        return self._repeat((1 << (_LANE << i)) - 1, _LANE << (i + 1))
-
-    def _repeat(self, unit: int, period: int) -> int:
-        """`unit` repeated every `period` bits across all lanes."""
-        out, width = unit, period
-        while width < self.nteams * _LANE:
-            out |= out << width
-            width <<= 1
         return out
 
 

@@ -198,8 +198,13 @@ def signed_props(f: Formula) -> tuple[frozenset[str], frozenset[str]]:
 
 
 def symbol_count(f: Formula) -> int:
-    """Number of atom and connective occurrences (parentheses excluded)."""
-    return 1 + sum(symbol_count(c) for c in children(f))
+    """Number of atom and connective occurrences (parentheses excluded),
+    counted without recursion."""
+    out, stack = 0, [f]
+    while stack:
+        out += 1
+        stack.extend(children(stack.pop()))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -425,6 +425,27 @@ def test_derivation_from_json_too_deep_is_a_resource_limit():
         derivation_from_json({"formulas": obj["formulas"], "derivation": node})
 
 
+def test_deep_derivation_answers_or_is_a_resource_limit():
+    # 1501 nodes deep: an axiom with 1501 copies of p, then 1500 LC
+    d = make_at((p,) * 1501, (p,))
+    for _ in range(1500):
+        d = make_lc(d, p)
+    check_derivation(d)
+    for fn, want in ((height, 1501), (cutrank, 0), (is_cutfree, True),
+                     (derivation_to_json, None)):
+        try:
+            got = fn(d)
+        except ResourceLimit as e:
+            assert str(e) == "nesting too deep", fn
+        else:
+            assert want is None or got == want, fn
+    # a cut formula nested 900 deep, which the parser accepts
+    f = parse_formula("p & " * 900 + "p")
+    cut = make_cut(make_at((p,), (p, f)), make_at((f, p), (p,)), f)
+    check_derivation(cut)
+    assert cutrank(cut) == 1801
+
+
 def test_premises_of_agrees_with_the_checker():
     """The backward step shared by search, inversion and interpolation,
     against the premises of derivations that the independent checker

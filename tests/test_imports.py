@@ -1,7 +1,8 @@
 """The library is stdlib-only: every module that `src/teamseq/*.py`
 imports belongs to the standard library or to the package itself.  Every
 name a library module imports at module level is used there, and every
-module-level private function or class is used in the package."""
+private function, class, method or module-level constant is used in the
+package."""
 
 import ast
 import sys
@@ -61,21 +62,37 @@ def referenced_names(tree) -> Counter:
                    if isinstance(node, (ast.Name, ast.Attribute)))
 
 
+def private_definitions(tree):
+    """The module-level private functions, classes and constants of `tree`
+    and the private methods of its classes, as (name, defining node)."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            yield from ((item.name, item) for item in node.body
+                        if isinstance(item, ast.FunctionDef))
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    yield target.id, node
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target,
+                                                            ast.Name):
+            yield node.target.id, node
+
+
 def test_library_references_every_private_definition():
-    # a module-level private function or class must be used somewhere in
-    # the package outside its own body
+    # a module-level private function, class or constant, or a private
+    # method, must be used somewhere in the package outside its own body
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(PACKAGE.glob("*.py"))}
     everywhere = sum((referenced_names(t) for t in trees.values()), Counter())
-    private = [(name, node) for name, tree in trees.items()
-               for node in tree.body
-               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-               and node.name.startswith("_")
-               and not node.name.startswith("__")]
+    private = [(module, name, node) for module, tree in trees.items()
+               for name, node in private_definitions(tree)
+               if name.startswith("_") and not name.startswith("__")]
     assert len(private) > 50
-    unused = [f"{name}:{node.lineno} defines {node.name} unused"
-              for name, node in private
-              if everywhere[node.name] <= referenced_names(node)[node.name]]
+    unused = [f"{module}:{node.lineno} defines {name} unused"
+              for module, name, node in private
+              if everywhere[name] <= referenced_names(node)[name]]
     assert not unused, unused
 
 

@@ -6,8 +6,8 @@ from operator import or_
 import pytest
 
 from teamseq.errors import DomainMismatch, ParseError, ResourceLimit
-from teamseq.semantics import (_MAX_CLOSURE_STEPS, ClosureReport, Team,
-                               _Space, big_or, closure_properties,
+from teamseq.semantics import (ClosureReport, Team, _Space, big_or,
+                               closure_properties,
                                eval_classical, find_countermodel_bruteforce,
                                satisfies, sequent_valid, team_from_json,
                                team_to_json)
@@ -205,9 +205,7 @@ def test_or_set_matches_loop_reference(n):
                         if rng.random() < density) for _ in range(2))
             cases.append((x, y))
     for x, y in cases:
-        ref = loop_or_set(space, x, y)
-        assert space._lane_or_set(x, y) == ref, (n, x, y)
-        assert space._or_set(x, y) == ref, (n, x, y)
+        assert space._or_set(x, y) == loop_or_set(space, x, y), (n, x, y)
 
 
 def down_closure(space, sat):
@@ -216,9 +214,8 @@ def down_closure(space, sat):
                         if (sat >> t) & 1), 0)
 
 
-def test_or_set_matches_lane_transform():
-    # the closures over maximal teams against the lanes, on arbitrary and
-    # downward-closed sets, with edge sets on either side
+def test_or_set_matches_loop_reference_on_random_and_formula_sets():
+    # arbitrary and downward-closed sets, with edge sets on either side
     rng = random.Random(71)
     for n in range(4):
         space = _Space(("a", "b", "c")[:n])
@@ -234,48 +231,57 @@ def test_or_set_matches_lane_transform():
             if rng.random() < 0.5:
                 y = down_closure(space, y)
             for a, b in ((x, y), (x, 0), (x, 1), (x, full)):
-                want = space._lane_or_set(a, b)
+                want = loop_or_set(space, a, b)
                 assert space._or_set(a, b) == want, (n, a, b)
                 assert space._or_set(b, a) == want, (n, b, a)
-    # satisfaction sets of seeded formulas at the four-variable cap
+    # satisfaction sets of seeded formulas at the four-variable cap; the
+    # reference takes about half a second per call here
     space = _Space(("p", "q", "r", "s"))
-    for _ in range(12):
+    for _ in range(3):
         f, g = (gen_formula(rng, rng.randint(1, 4), 2,
                             vars=("p", "q", "r", "s")) for _ in range(2))
         x, y = space.sat_set(f), space.sat_set(g)
-        assert space._or_set(x, y) == space._lane_or_set(x, y), (f, g)
+        assert space._or_set(x, y) == loop_or_set(space, x, y), (f, g)
 
 
-def test_or_set_takes_lanes_above_closure_cutoff(monkeypatch):
-    # the lane transform runs exactly when no side is downward closed or
-    # the closures would need more than _MAX_CLOSURE_STEPS shift-ors
-    lanes = []
-
-    def counted(self, sl, sr):
-        lanes.append((sl, sr))
-        return lane_or_set(self, sl, sr)
-
-    lane_or_set = _Space._lane_or_set
-    monkeypatch.setattr(_Space, "_lane_or_set", counted)
+def test_or_set_at_four_variables(monkeypatch):
     space = _Space(("a", "b", "c", "d"))
-    # all teams of at most four valuations: 1820 maximal teams, 7280
-    # shift-ors a side
+    # all teams of at most four valuations: 1820 maximal teams a side
     quads = [sum(1 << v for v in c) for c in combinations(range(16), 4)]
     big = down_closure(space, sum(1 << t for t in quads))
-    assert len(quads) * 4 > _MAX_CLOSURE_STEPS
     up_to_8 = sum(1 << t for t in range(space.nteams) if t.bit_count() <= 8)
     assert space._or_set(big, big) == up_to_8
-    assert lanes == [(big, big)]
-    # with the empty set on one side, the closures run
     assert space._or_set(big, 0) == 0 and space._or_set(1, big) == big
-    # a side that is not downward closed takes the lanes too
     assert space._or_set(2, 4) == 1 << 3  # {{v0}} and {{v1}}: {{v0, v1}}
-    assert len(lanes) == 2
+    # sides that are not downward closed, against the clause of the split
+    # disjunction on every team of at most three valuations, with the
+    # verdicts of its two sides read from the sets
+    small = [t for t in range(space.nteams) if t.bit_count() <= 3]
+    a, b = Prop("a"), Prop("b")
+    sides = {}
+    sat = _Space.sat
+
+    def sat_of_sides(self, mask, f):
+        if f in sides:
+            return bool((sides[f] >> mask) & 1)
+        return sat(self, mask, f)
+
+    monkeypatch.setattr(_Space, "sat", sat_of_sides)
+    rng = random.Random(73)
+    for _ in range(4):
+        x, y = (sum(1 << t for t in range(1, space.nteams)
+                    if rng.random() < (0.3 if t.bit_count() <= 3 else 0.005))
+                for _ in range(2))
+        assert space._maximal(x) is None and space._maximal(y) is None
+        sides = {a: x, b: y}
+        space._memo.clear()
+        image = space._or_set(x, y)
+        assert all(((image >> t) & 1) == space.sat(t, Or(a, b))
+                   for t in small), (x, y)
 
 
-def test_or_set_refuses_beyond_lane_bound():
-    # 2^32 * 2^32 covers would overflow a 64-bit lane at five variables;
-    # the check comes before any lane is built
+def test_or_set_refuses_beyond_four_variables():
+    # the check comes before any set over all teams is built
     with pytest.raises(ResourceLimit):
         _Space(tuple("abcde"))._or_set(1, 1)
 
