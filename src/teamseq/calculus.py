@@ -11,7 +11,8 @@ Each logical rule is described once, by `premises_of`: the premises its
 principal formula leaves behind.  `infer`, the one forward step, reads it
 leaf-first: it takes each premise's active formulas out of that premise
 and concludes the context left, which the premises must share
-(ValueError otherwise), plus the principal formula.
+(ValueError otherwise), plus the principal formula.  `derive` is the one
+root-first builder: it steps back with `premises_of`, closes with `infer`.
 
 The checker validates every side condition: context arithmetic as multiset
 equations, classicality of restricted contexts, path legality for the deep
@@ -227,6 +228,34 @@ def _infer(tag: str, premises, f: Formula, acts, path, side, weak):
         tag, pos=pos, formula=f, weak=weak,
         path=tuple(path) if tag in ("LGd", "RGd") else None,
         side=side if tag == "RGd" else None), premises)
+
+
+def derive(goal, step, *args):
+    """A derivation of `goal`, a pair `(ant, suc)`, built root-first on an
+    explicit stack, or the first failure.  `step(ant, suc, *args)` returns
+    a Derivation, a failure (anything but a tuple), or a logical rule
+    `(tag, f, path)`, whose premises are derived left to right and closed
+    with `infer`."""
+    stack = []  # per open rule: tag, f, path, premises, their derivations
+    ant, suc = goal
+    while True:
+        out = step(ant, suc, *args)
+        if isinstance(out, tuple):
+            tag, f, path = out
+            premises = premises_of(tag, ant, suc, f, path)
+            stack.append((tag, f, path, premises, []))
+            ant, suc = premises[0]
+            continue
+        while isinstance(out, Derivation) and stack:
+            tag, f, path, premises, derived = stack[-1]
+            derived.append(out)
+            if len(derived) < len(premises):
+                ant, suc = premises[len(derived)]
+                break
+            stack.pop()
+            out = infer(tag, derived, f, path)
+        else:
+            return out
 
 
 def replay_rgd(d: Derivation, steps) -> Derivation:

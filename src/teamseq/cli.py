@@ -86,8 +86,11 @@ def _cmd_check(args) -> int:
                      "reason": str(e.cause)},
               f"invalid at node {list(e.address)}: {e.cause}")
         return 1
-    _emit(args, {"ok": True, "conclusion": sequent_to_json(d.conclusion)},
-          f"ok: {render_sequent(d.conclusion)}")
+    if args.json:
+        print(json.dumps({"ok": True,
+                          "conclusion": sequent_to_json(d.conclusion)}))
+    else:
+        print(f"ok: {render_sequent(d.conclusion)}")
     return 0
 
 

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from .calculus import (PRINCIPAL_SIDE, Derivation, check_derivation, infer,
                        is_cutfree, make_at, make_lbot, premises_of, rebuild)
 from .errors import (ContainsCut, NonClassicalLambda1, PartitionMismatch,
-                     ResourceLimit, ShapeMismatch, TeamSeqError)
+                     ResourceLimit, ShapeMismatch, TeamSeqError,
+                     nesting_limited)
 from .prover import DEFAULT_NODE_BUDGET, prove_or_countermodel
 from .semantics import Team, sequent_valid
 from .syntax import (And, BOT, Formula, Gd, Neg, Or, PartitionSequent,
@@ -169,6 +170,7 @@ def _interp(d: Derivation, g1, g2, l1, d2):
     return phi, infer("ROr", [left], phi), infer("LOr", (ra, rb), phi, weak=w2)
 
 
+@nesting_limited
 def interpolate_partition(d: Derivation,
                           partition: PartitionSequent) -> InterpolationResult:
     """Extract a sequent interpolant of `partition` from a cutfree

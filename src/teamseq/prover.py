@@ -11,22 +11,21 @@ witness leaves open, pruning refuted blocks of the product as it goes.
 Stage 3 is a backward search over the invertible classical rules, which
 either closes every branch with an axiom or exposes an invalid atomic
 sequent, whose valuation is a countermodel of the sequent it was reached
-from.  Stages 1 and 3 step back through a rule with
-`calculus.premises_of` and build the rule's conclusion over the premise
-derivations with `calculus.infer`; stage 2 replays right deep rules.
+from.  Stages 1 and 3 are step functions of `calculus.derive`, which
+builds the derivation root-first on an explicit stack; stage 2 replays
+right deep rules.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .calculus import (PRINCIPAL_SIDE, Derivation, infer, make_at, make_lbot,
-                       premises_of, replay_rgd)
+from .calculus import (PRINCIPAL_SIDE, Derivation, derive, make_at,
+                       make_lbot, replay_rgd)
 from .errors import NonClassicalInput, ResourceLimit, nesting_limited
 from .resolutions import resolution_choices, resolution_steps
 from .semantics import Team
-from .syntax import (And, BOT, Formula, Neg, Or, Prop, Sequent, first_gd,
-                     mset)
+from .syntax import And, BOT, Neg, Or, Prop, Sequent, first_gd, mset
 
 DEFAULT_NODE_BUDGET = 10 ** 6
 
@@ -56,18 +55,6 @@ class ClassicalCountermodel:
     atomic: Sequent
 
 
-def _step(prove, tag: str, ant, suc, f: Formula, path=()):
-    """Prove each premise of the rule `tag` on `f` with `prove`: the first
-    failure, or the rule applied to the premise derivations."""
-    subs = []
-    for a, s in premises_of(tag, ant, suc, f, path):
-        sub = prove(a, s)
-        if not isinstance(sub, Derivation):
-            return sub
-        subs.append(sub)
-    return infer(tag, subs, f, path)
-
-
 # ---------------------------------------------------------------------------
 # Classical backward search
 
@@ -76,7 +63,8 @@ _CLASSICAL_RULES = (("LAnd", And), ("ROr", Or), ("LNeg", Neg), ("RNeg", Neg),
                     ("RAnd", And), ("LOr", Or))
 
 
-def _prove_classical(ant, suc, domain, budget: _Budget):
+def _classical_step(ant, suc, domain, budget: _Budget):
+    """`derive` step of stage 3."""
     budget.spend("classical sequent")
     if BOT in ant:
         return make_lbot(ant, suc)
@@ -87,8 +75,7 @@ def _prove_classical(ant, suc, domain, budget: _Budget):
     for tag, kind in _CLASSICAL_RULES:
         for f in ant if PRINCIPAL_SIDE[tag] == "ant" else suc:
             if isinstance(f, kind):
-                return _step(lambda a, s: _prove_classical(a, s, domain, budget),
-                             tag, ant, suc, f)
+                return tag, f, ()
 
     # atomic and not an axiom: the valuation making the antecedent true
     v = tuple(1 if Prop(x) in ant else 0 for x in domain)
@@ -103,13 +90,14 @@ def prove_classical(s: Sequent, domain=None,
 
     Returns a checked cutfree Derivation when the sequent is valid, or a
     ClassicalCountermodel carrying the witnessing team otherwise.  A
-    search too deep for the recursion raises ResourceLimit.
+    formula too deep for the formula walks raises ResourceLimit.
     """
     if not s.is_classical():
         raise NonClassicalInput(f"nonclassical formula in {s}")
     if domain is None:
         domain = tuple(sorted(s.props()))
-    return _prove_classical(s.ant, s.suc, tuple(domain), _Budget(node_budget))
+    return derive((s.ant, s.suc), _classical_step, tuple(domain),
+                  _Budget(node_budget))
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +120,8 @@ def _search_branch(ant, suc, domain, budget):
     rows = []
     for pairing in resolution_choices(suc, witnesses,
                                       lambda: budget.spend(_STAGE2_UNIT)):
-        out = _prove_classical(ant, mset(r for _, r in pairing), domain,
-                               budget)
+        out = derive((ant, mset(r for _, r in pairing)), _classical_step,
+                     domain, budget)
         if isinstance(out, Derivation):
             # the last formula's steps end nearest the root
             return replay_rgd(out, [step for f, r in reversed(pairing)
@@ -144,14 +132,13 @@ def _search_branch(ant, suc, domain, budget):
     return Team(domain, frozenset(rows))
 
 
-def _search(ant, suc, domain, budget):
+def _split_step(ant, suc, domain, budget):
+    """`derive` step: stage 1, or stages 2 and 3 at a classical antecedent."""
     budget.spend("antecedent split")
     hit = first_gd(ant)
     if hit is None:
         return _search_branch(ant, suc, domain, budget)
-    f, path = hit
-    return _step(lambda a, s: _search(a, s, domain, budget),
-                 "LGd", ant, suc, f, path)
+    return "LGd", *hit
 
 
 @nesting_limited
@@ -166,8 +153,8 @@ def prove_or_countermodel(s: Sequent, node_budget: int = DEFAULT_NODE_BUDGET):
     already refutes is searched.  `node_budget` counts antecedent splits,
     nodes of the stage-2 candidate generator (including pruned ones) and
     classical sequents; `ResourceLimit` names the unit that ran out, in its
-    message and as its `unit`.  A search too deep for the recursion raises
-    ResourceLimit too.
+    message and as its `unit`.  A formula too deep for the formula walks,
+    or a succedent of about a thousand formulas, raises ResourceLimit too.
     """
     domain = tuple(sorted(s.props()))
-    return _search(s.ant, s.suc, domain, _Budget(node_budget))
+    return derive((s.ant, s.suc), _split_step, domain, _Budget(node_budget))

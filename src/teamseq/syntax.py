@@ -155,12 +155,15 @@ def children(f: Formula) -> tuple[Formula, ...]:
 
 
 def is_classical(f: Formula) -> bool:
-    """True iff no global disjunction occurs in f."""
+    """True iff no global disjunction occurs in f; one stack frame per
+    nesting level, as in `render`."""
     cache = f.__dict__
     out = cache.get("_classical")
     if out is None:
-        out = cache["_classical"] = not isinstance(f, Gd) and \
-            all(is_classical(c) for c in children(f))
+        out = not isinstance(f, Gd)
+        for c in children(f):
+            out = out and is_classical(c)
+        cache["_classical"] = out
     return out
 
 

@@ -25,12 +25,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .calculus import (PRINCIPAL_SIDE, Derivation, RuleApp, actives, infer,
-                       is_cutfree, make_at, make_lbot, premises_of, rebuild,
-                       replay_rgd, rule_nodes)
+from .calculus import (PRINCIPAL_SIDE, Derivation, RuleApp, actives, derive,
+                       infer, is_cutfree, make_at, make_lbot, premises_of,
+                       rebuild, replay_rgd, rule_nodes)
 from .errors import (ContainsCut, FormulaNotDuplicated, NonClassicalAntecedent,
                      NonClassicalInput, NonClassicalRightContraction,
-                     ShapeMismatch)
+                     ShapeMismatch, nesting_limited)
 from .resolutions import resolution_steps, resolutions_multiset
 from .syntax import (And, Formula, Gd, Neg, Or, Sequent, children, first_gd,
                      gd_sides, is_classical, mset, mset_add, mset_remove,
@@ -54,8 +54,13 @@ def _axiom_on(d: Derivation, ant, suc) -> Derivation:
 # ---------------------------------------------------------------------------
 # Weakening
 
+@nesting_limited
 def weaken(d: Derivation, side: str, f: Formula) -> Derivation:
     """Add `f` to the chosen side of the endsequent, height-preservingly."""
+    return _weaken(d, side, f)
+
+
+def _weaken(d: Derivation, side: str, f: Formula) -> Derivation:
     _guard_gt(d)
     tag = d.rule.rule
     c = d.conclusion
@@ -66,13 +71,13 @@ def weaken(d: Derivation, side: str, f: Formula) -> Derivation:
     if tag in ("RAnd", "LOr") and side == "R":
         return rebuild(d.rule, d.premises, weak=mset_add(d.rule.weak or (), f))
     if tag == "Cut":
-        return rebuild(d.rule, (weaken(d.premises[0], side, f), d.premises[1]))
-    return rebuild(d.rule, tuple(weaken(p, side, f) for p in d.premises))
+        return rebuild(d.rule, (_weaken(d.premises[0], side, f), d.premises[1]))
+    return rebuild(d.rule, tuple(_weaken(p, side, f) for p in d.premises))
 
 
 def _weaken_all(d: Derivation, side: str, fs) -> Derivation:
     for f in fs:
-        d = weaken(d, side, f)
+        d = _weaken(d, side, f)
     return d
 
 
@@ -251,6 +256,7 @@ def _invert_rgd_rgd(d: Derivation, item: _Item):
     return infer("RGd", d.premises, gd_sides(chi, pi)[0], pr, sr), "L"
 
 
+@nesting_limited
 def invert(d: Derivation, tag: str, pos: int, path=()):
     """Height-preserving inversion of the rule `tag` at the conclusion
     occurrence `pos` (index into the canonical antecedent/succedent).
@@ -282,6 +288,7 @@ def invert(d: Derivation, tag: str, pos: int, path=()):
 # ---------------------------------------------------------------------------
 # Contraction
 
+@nesting_limited
 def contract(d: Derivation, side: str, f: Formula) -> Derivation:
     """Remove a duplicate of `f` from the chosen side, height-preservingly.
 
@@ -353,25 +360,15 @@ def _contract_principal(d: Derivation, side: str, f: Formula) -> Derivation:
 # ---------------------------------------------------------------------------
 # Derivation normal form
 
-def _phase_rank(tag: str) -> int:
-    if tag == "LGd":
-        return 0
-    if tag == "RGd":
-        return 1
-    return 2
+_PHASE = {"LGd": 0, "RGd": 1}  # of the deep rules; every other rule is 2
 
 
 def is_normal(d: Derivation) -> bool:
     """Phase predicate: along every root-to-leaf path the rule kinds go
-    left-deep, then right-deep, then classical (axioms count classical)."""
-
-    def walk(node: Derivation, floor: int) -> bool:
-        rank = _phase_rank(node.rule.rule)
-        if rank < floor:
-            return False
-        return all(walk(p, rank) for p in node.premises)
-
-    return walk(d, 0)
+    left-deep, then right-deep, then classical (axioms count classical),
+    so the phase never drops from a node to a premise."""
+    return all(_PHASE.get(p.rule.rule, 2) >= _PHASE.get(n.rule.rule, 2)
+               for n in rule_nodes(d) for p in n.premises)
 
 
 def _push_rgd(host: Formula, path, side: str, n: Derivation) -> Derivation:
@@ -445,6 +442,7 @@ def _push_classical(r: RuleApp, premises):
     return rebuild(r, prems)
 
 
+@nesting_limited
 def normalize(d: Derivation) -> Derivation:
     """Transform a cutfree derivation into phase normal form: on every
     branch, classical rules above right deep rules above left deep rules;
@@ -470,32 +468,29 @@ def _norm(d: Derivation) -> Derivation:
 # ---------------------------------------------------------------------------
 # Classical cut elimination
 
-def _require_cutformulas(d: Derivation) -> None:
-    """Raise ShapeMismatch when a cut of `d` records no cut formula."""
-    if any(n.rule.rule == "Cut" and n.rule.cutformula is None
-           for n in rule_nodes(d)):
+def _require_cutformulas(d: Derivation) -> list[Formula]:
+    """The cut formulas of `d` in preorder; ShapeMismatch if one is None."""
+    cuts = [n.rule.cutformula for n in rule_nodes(d) if n.rule.rule == "Cut"]
+    if any(phi is None for phi in cuts):
         raise ShapeMismatch("missing cutformula")
+    return cuts
 
 
+@nesting_limited
 def classical_eliminate_cuts(d: Derivation) -> Derivation:
-    """Standard cut elimination within the classical subsystem.  A cut on
-    a formula with `||` is outside it, even under a classical endsequent,
-    and raises ShapeMismatch; `eliminate_cuts` reduces it.  A cut with no
-    cut formula raises ShapeMismatch too, before anything is reduced."""
-    _require_cutformulas(d)
+    """Standard cut elimination within the classical subsystem: there
+    every sequent is classical, so `_elim` reduces each cut by `_ccut`.  A
+    cut on a formula with `||` is outside it, even under a classical
+    endsequent, and raises ShapeMismatch; `eliminate_cuts` reduces it.  A
+    cut with no cut formula raises ShapeMismatch too, before anything is
+    reduced."""
+    cuts = _require_cutformulas(d)
     if not d.conclusion.is_classical():
         raise NonClassicalInput(str(d.conclusion))
-    return _celim(d)
-
-
-def _celim(d: Derivation) -> Derivation:
-    if d.rule.rule == "Cut" and not is_classical(d.rule.cutformula):
-        raise ShapeMismatch(f"nonclassical cut formula "
-                            f"{render(d.rule.cutformula)}")
-    ps = tuple(_celim(p) for p in d.premises)
-    if d.rule.rule == "Cut":
-        return _ccut(ps[0], ps[1], d.rule.cutformula)
-    return rebuild(d.rule, ps) if ps else d
+    for phi in cuts:
+        if not is_classical(phi):
+            raise ShapeMismatch(f"nonclassical cut formula {render(phi)}")
+    return _elim(d)
 
 
 def _ccut(d1: Derivation, d2: Derivation, phi: Formula) -> Derivation:
@@ -605,16 +600,14 @@ def _classicalize_suc(d: Derivation, entries):
     return d, records, finals
 
 
-def _build_lgd_family(target_ant, suc, family) -> Derivation:
-    hit = first_gd(target_ant)
+def _family_step(ant, suc, family):
+    """`derive` step over `family`, the derivations by classical antecedent."""
+    hit = first_gd(ant)
     if hit is None:
-        out = family[mset(target_ant)]
-        assert out.conclusion == Sequent(target_ant, suc)
+        out = family[mset(ant)]
+        assert out.conclusion == Sequent(ant, suc)
         return out
-    f, path = hit
-    subs = [_build_lgd_family(a, s, family)
-            for a, s in premises_of("LGd", target_ant, suc, f, path)]
-    return infer("LGd", subs, f, path)
+    return "LGd", *hit
 
 
 def _eliminate_one(d1: Derivation, d2: Derivation, phi: Formula) -> Derivation:
@@ -656,9 +649,10 @@ def _eliminate_one(d1: Derivation, d2: Derivation, phi: Formula) -> Derivation:
             spliced = _ccut(c1, c2, alpha)
             big[key] = replay_rgd(spliced,
                                   [rec[1:] for rec in ctx_recs + recs2])
-    return _build_lgd_family(gamma + pi, delta + sigma, big)
+    return derive((gamma + pi, delta + sigma), _family_step, big)
 
 
+@nesting_limited
 def eliminate_cuts(d: Derivation) -> Derivation:
     """Transform any derivation into a cutfree one with the same endsequent.
 
@@ -695,6 +689,7 @@ class ResolvedDerivation:
     pairings: dict[tuple, tuple[tuple[Formula, Formula], ...]]
 
 
+@nesting_limited
 def resolve_derivation(d: Derivation) -> ResolvedDerivation:
     """Decompose `d` into classical subderivations indexed by antecedent
     resolutions (after cut elimination and normalization)."""
@@ -723,4 +718,4 @@ def reassemble(res: ResolvedDerivation) -> Derivation:
         # the last formula's steps end nearest the root
         family[xi] = replay_rgd(c, [step for f, r in reversed(res.pairings[xi])
                                     for step in resolution_steps(f, r)])
-    return _build_lgd_family(res.gamma, res.delta, family)
+    return derive((res.gamma, res.delta), _family_step, family)

@@ -68,6 +68,24 @@ def test_check_round_trip(tmp_path, capsys):
     assert code == 1 and json.loads(out)["address"] == []
 
 
+def test_check_builds_the_json_payload_only_under_json(tmp_path, capsys,
+                                                       monkeypatch):
+    _, derivation = invoke(capsys, "prove", "p & q => q & p")
+    path = tmp_path / "d.json"
+    path.write_text(derivation)
+    assert invoke(capsys, "--json", "check", str(path)) == \
+        (0, '{"ok": true, "conclusion": {"ant": [{"op": "and", "l": '
+            '{"op": "prop", "name": "p"}, "r": {"op": "prop", "name": "q"}}], '
+            '"suc": [{"op": "and", "l": {"op": "prop", "name": "q"}, '
+            '"r": {"op": "prop", "name": "p"}}]}}\n')
+
+    def refuse(_sequent):
+        raise AssertionError("text output built the JSON payload")
+
+    monkeypatch.setattr(cli, "sequent_to_json", refuse)
+    assert invoke(capsys, "check", str(path)) == (0, "ok: p & q => q & p\n")
+
+
 def test_valid_exit_codes(capsys):
     assert invoke(capsys, "valid", "p => p")[0] == 0
     code, out = invoke(capsys, "valid", "p => q")

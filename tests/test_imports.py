@@ -2,7 +2,7 @@
 imports belongs to the standard library or to the package itself.  Every
 name a library module imports at module level is used there, and every
 private function, class, method or module-level constant is used in the
-package."""
+package.  The set of library functions that call themselves is pinned."""
 
 import ast
 import sys
@@ -127,3 +127,66 @@ def test_checker_is_independent_of_the_builders():
     assert not imported & {"prover", "resolutions", "transforms",
                            "teamseq.prover", "teamseq.resolutions",
                            "teamseq.transforms"}, imported
+
+
+def called_names(fn, method: bool) -> set:
+    """The names `fn` calls: plain names, or for a method, `self.<name>`."""
+    out = set()
+    for node in ast.walk(fn):
+        f = node.func if isinstance(node, ast.Call) else None
+        if method and isinstance(f, ast.Attribute) \
+                and isinstance(f.value, ast.Name) and f.value.id == "self":
+            out.add(f.attr)
+        elif not method and isinstance(f, ast.Name):
+            out.add(f.id)
+    return out
+
+
+def self_calls(tree, module: str):
+    """The functions of `tree` that call themselves, nested functions and
+    methods included, as `module.qualified_name`."""
+    out = set()
+
+    def visit(node, prefix: str, in_class: bool):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.", True)
+            elif isinstance(child, ast.FunctionDef):
+                if child.name in called_names(child, in_class):
+                    out.add(f"{module}.{prefix}{child.name}")
+                visit(child, f"{prefix}{child.name}.", False)
+            else:
+                visit(child, prefix, in_class)
+
+    visit(tree, "", False)
+    return out
+
+
+# Every library function that calls itself.  Each recursion takes stack
+# frames per level of its input, so its public entry points are behind
+# `errors.nesting_limited`.  A change that adds or removes one updates
+# this set on purpose.
+RECURSIVE = {
+    "calculus._node_from_json", "calculus.derivation_to_json.node_to_json",
+    "interpolation._interp",
+    "resolutions._TruthMasks.of", "resolutions._covers", "resolutions._gen",
+    "resolutions.is_resolution",
+    "semantics._Space.sat", "semantics._Space.sat_set",
+    "semantics.eval_classical",
+    "syntax._Parser.conj", "syntax._Parser.disj", "syntax._Parser.gd",
+    "syntax._Parser.neg", "syntax._formula_from_json",
+    "syntax.formula_to_json", "syntax.gd_paths.walk", "syntax.is_classical",
+    "syntax.render", "syntax.signed_props.walk", "syntax.substitute_at",
+    "transforms._ccut", "transforms._contract", "transforms._elim",
+    "transforms._family", "transforms._norm", "transforms._push_classical",
+    "transforms._push_rgd", "transforms._weaken",
+}
+
+
+def test_recursive_functions_are_pinned():
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        found |= self_calls(ast.parse(path.read_text(encoding="utf-8")),
+                            path.stem)
+    assert found == RECURSIVE, (sorted(found - RECURSIVE),
+                                sorted(RECURSIVE - found))

@@ -1,5 +1,6 @@
 import random
 import time
+from concurrent.futures import ThreadPoolExecutor
 from itertools import product
 
 import pytest
@@ -206,9 +207,41 @@ def test_prove_or_countermodel_too_deep_is_a_resource_limit():
         prove_or_countermodel(Sequent((), (Prop("p"),) * 1000))
 
 
-def test_prove_classical_too_deep_is_a_resource_limit():
-    with pytest.raises(ResourceLimit, match="nesting too deep"):
-        prove_classical(Sequent((Neg(Prop("p")),) * 1000, ()))
+def test_prove_classical_answers_a_deep_search():
+    # 1000 LNeg steps, one after another, on an explicit stack
+    out = prove_classical(Sequent((Neg(Prop("p")),) * 1000, ()))
+    assert isinstance(out, ClassicalCountermodel)
+    assert out.team == team("p", (0,))
+    assert out.atomic == Sequent((), (Prop("p"),) * 1000)
+
+
+def _on_fresh_stack(fn, *args):
+    """`fn(*args)` in a new thread, whose stack starts empty, so the
+    nesting a test reaches does not depend on the test runner's depth."""
+    with ThreadPoolExecutor(1) as pool:
+        return pool.submit(fn, *args).result(timeout=60)
+
+
+def _decide_text(text):
+    s = ps(text)
+    return s, prove_or_countermodel(s)
+
+
+@pytest.mark.parametrize("n", [900, 980])
+def test_prover_answers_deep_nesting(n):
+    # the parser accepts these; the prover's rule steps take no stack
+    # frames, and each formula walk one frame per level
+    conj = " & ".join(["p"] * n)
+    s, d = _on_fresh_stack(_decide_text, "p => " + conj)
+    assert isinstance(d, Derivation) and d.conclusion == s
+    check_derivation(d)
+    s, out = _on_fresh_stack(_decide_text, conj + " => q")
+    assert out == team("pq", (1, 0))
+    # n - 1 antecedent splits, one below the other
+    s, d = _on_fresh_stack(_decide_text, " || ".join(
+        f"p{i % 3}" for i in range(n)) + " => p0, p1, p2")
+    assert isinstance(d, Derivation) and d.conclusion == s
+    check_derivation(d)
 
 
 def test_countermodel_is_union_of_distinct_witnesses():

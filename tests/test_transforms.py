@@ -5,20 +5,26 @@ from dataclasses import replace
 import pytest
 
 from teamseq import transforms
-from teamseq.calculus import (Derivation, check_derivation, cutrank, height,
-                              infer, is_cutfree, make_cut, rule_nodes)
+from teamseq.calculus import (Derivation, check_derivation, cutrank,
+                              derivation_to_json, height, infer, is_cutfree,
+                              make_at, make_cut, rule_nodes)
 from teamseq.errors import (ContainsCut, FormulaNotDuplicated,
                             NonClassicalAntecedent,
-                            NonClassicalRightContraction, ShapeMismatch)
+                            NonClassicalRightContraction, ResourceLimit,
+                            ShapeMismatch)
+from teamseq.interpolation import interpolate_partition
 from teamseq.prover import prove_classical, prove_or_countermodel
 from teamseq.semantics import Team, sequent_valid
-from teamseq.syntax import (And, Neg, Or, Prop, Sequent, gd_paths,
-                            is_classical, parse_formula, parse_sequent)
-from teamseq.transforms import (classical_eliminate_cuts, contract,
-                                eliminate_cuts, invert, is_normal, normalize,
-                                reassemble, resolve_derivation, weaken)
+from teamseq.syntax import (And, Neg, Or, PartitionSequent, Prop, Sequent,
+                            gd_paths, is_classical, parse_formula,
+                            parse_sequent)
+from teamseq.transforms import (ResolvedDerivation, classical_eliminate_cuts,
+                                contract, eliminate_cuts, invert, is_normal,
+                                normalize, reassemble, resolve_derivation,
+                                weaken)
 
-from conftest import gen_formula, gen_sequent, gen_shuffled, inject_cut
+from conftest import (gen_formula, gen_sequent, gen_shuffled,
+                      identity_derivation, inject_cut)
 
 pf, ps = parse_formula, parse_sequent
 p, q = Prop("p"), Prop("q")
@@ -335,6 +341,25 @@ def test_classical_cut_elimination_random():
         assert sequent_valid(e.conclusion)
 
 
+def test_classical_cut_elimination_is_full_cut_elimination():
+    # under a classical endsequent with classical cuts every sequent is
+    # classical, so both reduce every cut by the classical reduction
+    rng = random.Random(157)
+    done = 0
+    while done < 60:
+        d = prove_or_countermodel(gen_sequent(rng, gd_per_side=0))
+        if isinstance(d, Team) or not d.conclusion.suc:
+            continue
+        done += 1
+        c = inject_cut(d, rng.choice(d.conclusion.suc))
+        if d.conclusion.ant:
+            # a second cut, on an antecedent formula, above the first
+            a = rng.choice(d.conclusion.ant)
+            c = make_cut(identity_derivation(a), c, a)
+        assert derivation_to_json(classical_eliminate_cuts(c)) == \
+            derivation_to_json(eliminate_cuts(c))
+
+
 def test_cut_elimination_worked_example():
     d1 = proved("a | (p||q) => p||q, a")
     d2 = proved("b, p||q => (b&p) || (b&q)")
@@ -449,3 +474,30 @@ def test_resolve_after_cut():
     c = inject_cut(d, pf("q||p"))
     res = resolve_derivation(c)
     assert set(res.branches) == {(p,), (q,)}
+
+
+def test_transforms_of_a_deep_derivation_answer_or_are_a_resource_limit():
+    # 1501 nodes deep over shallow formulas: an axiom on p, p, x_i, y_i => p,
+    # then 1500 LAnd on x_i & y_i
+    xs = [Prop(f"x{i}") for i in range(1500)]
+    ys = [Prop(f"y{i}") for i in range(1500)]
+    d = make_at((p, p, *xs, *ys), (p,))
+    for x, y in zip(xs, ys):
+        d = infer("LAnd", [d], And(x, y))
+    check_derivation(d)
+    c = d.conclusion
+    assert is_normal(d)
+    res = ResolvedDerivation(c.ant, c.suc, {c.ant: d}, {c.ant: c.suc},
+                             {c.ant: ((p, p),)})
+    assert reassemble(res) is d
+    top = c.ant.index(And(xs[0], ys[0]))
+    for fn, args in ((normalize, ()), (eliminate_cuts, ()),
+                     (classical_eliminate_cuts, ()), (resolve_derivation, ()),
+                     (weaken, ("L", q)), (invert, ("LAnd", top)),
+                     (contract, ("L", p)),
+                     (interpolate_partition,
+                      (PartitionSequent(c.ant, (), (), c.suc),))):
+        try:
+            fn(d, *args)
+        except ResourceLimit as e:
+            assert str(e) == "nesting too deep", fn
