@@ -318,9 +318,10 @@ def check_inference(conclusion: Sequent, rule: RuleApp, premises) -> None:
                                  f"got {len(premises)}")
 
     def want(premise: Sequent, ant, suc, which="premise") -> None:
-        target = Sequent(ant, suc)
-        if premise != target:
-            raise RuleViolation(tag, f"{which} is {premise}, expected {target}")
+        # the equality of `Sequent`, without building one
+        if premise.ant != mset(ant) or premise.suc != mset(suc):
+            raise RuleViolation(tag, f"{which} is {premise}, "
+                                     f"expected {Sequent(ant, suc)}")
 
     match tag:
         case "At":

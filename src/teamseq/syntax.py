@@ -7,11 +7,13 @@ Negation applies to classical formulas only, so `||` never occurs below
 
 Formulas are hash-consed: each constructor returns the live node of its
 type and fields when there is one, so equal formulas are one shared,
-immutable node, compared and hashed by identity.
+immutable node, compared and hashed by identity.  A node's text and
+classicality are fixed when it is interned, from its children's, so
+reading them never recurses, however deep the formula.
 
 Operator precedence is `~` > `&` > `|` > `||`, binary operators associate
 to the right.  `render` emits minimal parentheses and round-trips through
-`parse_formula`.
+`parse_formula`.  Multisets of formulas are tuples sorted by text.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import weakref
 from _weakref import _remove_dead_weakref
 from bisect import insort
 from dataclasses import dataclass, fields
+from operator import attrgetter
 
 from .errors import (InvalidPath, NonClassicalNegation, ParseError,
                      nesting_limited)
@@ -63,6 +66,9 @@ class _Interned(type):
                 node = None if ref is None else ref()
                 if node is None:
                     node = super().__call__(*args)
+                    # fixed before the node is published, from its children
+                    text, classical = _fixed(node)
+                    node.__dict__.update(_text=text, _classical=classical)
                     ref = _NodeRef(node, _forget)
                     ref.key = key
                     _NODES[key] = ref
@@ -80,13 +86,16 @@ class Formula(metaclass=_Interned):
     table.  `copy`, `deepcopy` and `pickle` rebuild a node through its
     constructor, so they return the interned node too.
 
-    `render`, `props`, `is_classical`, `gd_sides` (per path),
-    `calculus.actives` and `resolutions.resolution_steps` (per target)
-    cache their value in the node's `__dict__` on first use, outside the
-    dataclass fields, so `repr` is unaffected and it lives exactly as long
-    as the node.  A cached value never holds its own node, so the caches
-    make no reference cycle and a node is freed as soon as it is
-    unreferenced.
+    The text (`render`) and classicality (`is_classical`) of a node are
+    stored in its `__dict__` when it is interned, built from its
+    children's stored values, before any other thread can see the node.
+    `props`, `gd_sides` (per path), `calculus.actives` and
+    `resolutions.resolution_steps` (per target) stay lazy: they cache
+    their value in the `__dict__` on first use.  Either way the value is
+    outside the dataclass fields, so `repr` is unaffected, and it lives
+    exactly as long as the node.  A stored value never holds its own
+    node, so the caches make no reference cycle and a node is freed as
+    soon as it is unreferenced.
     """
 
     __slots__ = ()
@@ -115,7 +124,7 @@ class Neg(Formula):
     child: Formula
 
     def __post_init__(self):
-        if not is_classical(self.child):
+        if not self.child._classical:
             raise NonClassicalNegation(
                 f"negation of nonclassical formula: {render(self.child)}")
 
@@ -140,6 +149,35 @@ class Gd(Formula):
     right: Formula
 
 
+_PREC = {Gd: 1, Or: 2, And: 3, Neg: 4, Prop: 5, Bot: 5}
+_OPS = {Gd: "||", Or: "|", And: "&"}
+
+
+def _fixed(f: Formula) -> tuple[str, bool]:
+    """The text and the classicality of a node being interned, from the
+    values its children got when they were interned: no recursion."""
+    match f:
+        case Prop(name):
+            return name, True
+        case Bot():
+            return "bot", True
+        case Neg(c):
+            text = c._text
+            if _PREC[type(c)] < _PREC[Neg]:
+                text = f"({text})"
+            return "~" + text, True
+        case And(l, r) | Or(l, r) | Gd(l, r):
+            prec = _PREC[type(f)]
+            left, right = l._text, r._text
+            if _PREC[type(l)] <= prec:
+                left = f"({left})"
+            if _PREC[type(r)] < prec:
+                right = f"({right})"
+            return (f"{left} {_OPS[type(f)]} {right}",
+                    type(f) is not Gd and l._classical and r._classical)
+    raise TypeError(f"not a formula: {f!r}")
+
+
 BOT = Bot()
 
 
@@ -155,16 +193,9 @@ def children(f: Formula) -> tuple[Formula, ...]:
 
 
 def is_classical(f: Formula) -> bool:
-    """True iff no global disjunction occurs in f; one stack frame per
-    nesting level, as in `render`."""
-    cache = f.__dict__
-    out = cache.get("_classical")
-    if out is None:
-        out = not isinstance(f, Gd)
-        for c in children(f):
-            out = out and is_classical(c)
-        cache["_classical"] = out
-    return out
+    """True iff no global disjunction occurs in f; fixed when f was
+    interned."""
+    return f._classical
 
 
 def props(f: Formula) -> frozenset[str]:
@@ -311,43 +342,22 @@ def first_gd(formulas):
 # ---------------------------------------------------------------------------
 # Rendering
 
-_PREC = {Gd: 1, Or: 2, And: 3, Neg: 4, Prop: 5, Bot: 5}
-_OPS = {Gd: "||", Or: "|", And: "&"}
-
-
 def render(f: Formula) -> str:
-    """The text of `f`; one stack frame per nesting level, as in parsing."""
-    cache = f.__dict__
-    out = cache.get("_text")
-    if out is None:
-        prec = _PREC[type(f)]
-        match f:
-            case Prop(name):
-                out = name
-            case Bot():
-                out = "bot"
-            case Neg(c):
-                out = render(c)
-                out = "~" + (f"({out})" if _PREC[type(c)] < prec else out)
-            case And(l, r) | Or(l, r) | Gd(l, r):
-                left, right = render(l), render(r)
-                if _PREC[type(l)] <= prec:
-                    left = f"({left})"
-                if _PREC[type(r)] < prec:
-                    right = f"({right})"
-                out = f"{left} {_OPS[type(f)]} {right}"
-        cache["_text"] = out
-    return out
+    """The text of `f`, fixed when f was interned."""
+    return f._text
 
 
 # ---------------------------------------------------------------------------
 # Multisets of formulas (canonical sorted tuples)
 
-Multiset = tuple  # tuple[Formula, ...] sorted by rendered string
+# tuple[Formula, ...] sorted by text; the sort key is the stored text,
+# read by C code, so sorting calls no Python function
+Multiset = tuple
+_by_text = attrgetter("_text")
 
 
 def mset(items) -> tuple[Formula, ...]:
-    return tuple(sorted(items, key=render))
+    return tuple(sorted(items, key=_by_text))
 
 
 def mset_add(m, *items) -> tuple[Formula, ...]:
@@ -355,7 +365,7 @@ def mset_add(m, *items) -> tuple[Formula, ...]:
     place."""
     out = list(m)
     for x in items:
-        insort(out, x, key=render)
+        insort(out, x, key=_by_text)
     return tuple(out)
 
 
@@ -387,14 +397,15 @@ def mset_leq(small, big) -> bool:
 # ---------------------------------------------------------------------------
 # Sequents
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Sequent:
     ant: tuple[Formula, ...]
     suc: tuple[Formula, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "ant", mset(self.ant))
-        object.__setattr__(self, "suc", mset(self.suc))
+    def __init__(self, ant, suc):
+        # a public constructor: it sorts whatever it is given, once
+        object.__setattr__(self, "ant", mset(ant))
+        object.__setattr__(self, "suc", mset(suc))
 
     def props(self) -> frozenset[str]:
         out: frozenset[str] = frozenset()
@@ -409,16 +420,19 @@ class Sequent:
         return render_sequent(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PartitionSequent:
     gamma1: tuple[Formula, ...]
     gamma2: tuple[Formula, ...]
     delta1: tuple[Formula, ...]
     delta2: tuple[Formula, ...]
 
-    def __post_init__(self):
-        for field in ("gamma1", "gamma2", "delta1", "delta2"):
-            object.__setattr__(self, field, mset(getattr(self, field)))
+    def __init__(self, gamma1, gamma2, delta1, delta2):
+        # canonical as in `Sequent`: each block sorted once
+        object.__setattr__(self, "gamma1", mset(gamma1))
+        object.__setattr__(self, "gamma2", mset(gamma2))
+        object.__setattr__(self, "delta1", mset(delta1))
+        object.__setattr__(self, "delta2", mset(delta2))
 
     def flatten(self) -> Sequent:
         return Sequent(self.gamma1 + self.gamma2, self.delta1 + self.delta2)

@@ -175,8 +175,8 @@ RECURSIVE = {
     "semantics.eval_classical",
     "syntax._Parser.conj", "syntax._Parser.disj", "syntax._Parser.gd",
     "syntax._Parser.neg", "syntax._formula_from_json",
-    "syntax.formula_to_json", "syntax.gd_paths.walk", "syntax.is_classical",
-    "syntax.render", "syntax.signed_props.walk", "syntax.substitute_at",
+    "syntax.formula_to_json", "syntax.gd_paths.walk",
+    "syntax.signed_props.walk", "syntax.substitute_at",
     "transforms._ccut", "transforms._contract", "transforms._elim",
     "transforms._family", "transforms._norm", "transforms._push_classical",
     "transforms._push_rgd", "transforms._weaken",

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import gc
 import pickle
 import random
@@ -17,13 +18,13 @@ from teamseq.semantics import big_and, big_or
 from teamseq.syntax import (And, BOT, Bot, Gd, Neg, Or, PartitionSequent,
                             Prop, Sequent, children, first_gd,
                             formula_from_json, formula_to_json, gd_paths,
-                            gd_sides, is_classical, mset, mset_add,
+                            gd_sides, is_classical, mset, mset_add, mset_sub,
                             parse_formula, parse_sequent, props, render,
                             sequent_from_json, sequent_to_json,
                             signed_props, subformula_at, substitute_at,
                             symbol_count)
 
-from conftest import gen_formula, gen_side
+from conftest import gen_classical, gen_formula, gen_side
 
 p, q, r = Prop("p"), Prop("q"), Prop("r")
 
@@ -173,7 +174,7 @@ def test_unreferenced_nodes_leave_the_table():
 
 
 def test_caches_make_no_reference_cycle():
-    # proving and checking fill every per-node cache (`render`, `actives`,
+    # proving and checking fill every lazy per-node cache (`actives`,
     # `gd_sides`, `resolution_steps`, the last on a classical formula too);
     # with the cyclic collector off, a cache that held its own node would
     # keep that node in the table after the last reference is dropped
@@ -199,6 +200,100 @@ def test_mset_add_matches_sorting():
         xs = gen_side(rng, 3, 3, 2) + tuple(rng.sample(m, min(len(m), 2)))
         xs = tuple(rng.sample(xs, len(xs)))  # repeats in any order
         assert mset_add(m, *xs) == mset(m + xs)
+
+
+def _reference_text(f):
+    """The text of `f`, rendered from scratch by recursion: `~` binds
+    tightest, then `&`, `|`, `||`, each binary operator to the right."""
+    def side(g, loose):
+        text = _reference_text(g)
+        return f"({text})" if isinstance(g, loose) else text
+
+    match f:
+        case Prop(name):
+            return name
+        case Bot():
+            return "bot"
+        case Neg(c):
+            return "~" + side(c, (And, Or, Gd))
+        case And(l, r):
+            return f"{side(l, (And, Or, Gd))} & {side(r, (Or, Gd))}"
+        case Or(l, r):
+            return f"{side(l, (Or, Gd))} | {side(r, Gd)}"
+        case Gd(l, r):
+            return f"{side(l, Gd)} || {_reference_text(r)}"
+
+
+def _reaches(values, target) -> bool:
+    """Whether `target` is reachable from `values` through references
+    (classes are not followed)."""
+    seen, todo = set(), list(values)
+    while todo:
+        obj = todo.pop()
+        if obj is target:
+            return True
+        if id(obj) not in seen and not isinstance(obj, type):
+            seen.add(id(obj))
+            todo.extend(gc.get_referents(obj))
+    return False
+
+
+def test_canonical_order_matches_a_reference_renderer():
+    # every node gets its text and classicality when it is interned,
+    # however it was reached, and the canonical order is the order of
+    # the reference text
+    rng = random.Random(37)
+    nodes = [BOT]
+    for _ in range(150):
+        f = gen_formula(rng, rng.randint(0, 5), 3)
+        nodes += [f, copy.copy(f), copy.deepcopy(f),
+                  pickle.loads(pickle.dumps(f)),
+                  formula_from_json(formula_to_json(f))]
+        for path in gd_paths(f):
+            nodes += gd_sides(f, path)
+        paths = list(_occurrence_paths(f))
+        nodes.append(substitute_at(f, rng.choice(paths),
+                                   gen_classical(rng, 3)))
+        props(f)  # fills a lazy cache too
+    every = {id(g): g for f in nodes for g in _subformulas(f)}.values()
+    fields = {"name", "child", "left", "right"}
+    for g in every:
+        assert g._text == render(g) == _reference_text(g)
+        assert g._classical == is_classical(g) == (not gd_paths(g))
+        cached = [v for k, v in vars(g).items() if k not in fields]
+        assert not _reaches(cached, g), g
+    for _ in range(300):
+        xs = rng.choices(nodes, k=rng.randint(0, 6))
+        want = tuple(sorted(xs, key=_reference_text))
+        assert mset(xs) == want
+        assert Sequent(xs, xs[::-1]) == Sequent(want, want)
+        m = mset(rng.sample(xs, len(xs) // 2))
+        assert mset_add(m, *mset_sub(want, m)) == want
+
+
+def test_deep_formulas_built_by_constructors():
+    # past the parser's nesting limit: the text and classicality were
+    # fixed level by level, so reading them takes no recursion
+    f = p
+    for _ in range(3000):
+        f = And(p, f)
+    text = "p & " * 3000 + "p"
+    assert render(f) == text
+    assert is_classical(f) and not is_classical(Gd(f, p))
+    s = Sequent((f,), (p,))
+    assert s.ant == (f,) and s.is_classical()
+    assert str(s) == f"{text} => p"
+    assert Neg(f) is Neg(f)
+
+
+def test_partition_blocks_are_canonical():
+    ps = PartitionSequent((r, p, q), (q, p), [r, p], iter((q, r)))
+    assert (ps.gamma1, ps.gamma2, ps.delta1, ps.delta2) == \
+        ((p, q, r), (p, q), (p, r), (q, r))
+    assert ps == PartitionSequent((p, q, r), (p, q), (p, r), (q, r))
+    assert dataclasses.replace(ps, gamma2=(r, p)).gamma2 == (p, r)
+    assert dataclasses.replace(Sequent((q, p), ()), suc=(r, q)) == \
+        Sequent((p, q), (q, r))
 
 
 def _occurrence_paths(f, prefix=()):
@@ -243,7 +338,7 @@ def test_parse_sequent_too_deep_is_a_resource_limit():
 
 
 def test_render_deep_formula_round_trips():
-    # render takes one stack frame per nesting level, as the parser does
+    # the text is fixed when each node is interned, so render does not recurse
     f = parse_formula("p & " * 900 + "p")
     assert parse_formula(render(f)) is f
 
