@@ -25,12 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import (ArityMismatch, DerivationCheckError, InvalidPath,
-                     ParseError, RuleViolation, ShapeMismatch,
-                     nesting_limited)
-from .syntax import (And, BOT, Bot, Formula, Gd, Neg, Or, Prop, Sequent,
-                     children, formula_from_json, formula_to_json, gd_sides,
-                     is_classical, mset, mset_add, mset_leq, mset_remove,
-                     mset_sub, render, symbol_count)
+                     ParseError, RuleViolation, ShapeMismatch)
+from .syntax import (_TABLE_TYPES, And, BOT, Bot, Formula, Neg, Or, Prop,
+                     Sequent, children, formula_entry, formula_from_json,
+                     gd_sides, is_classical, mset, mset_add, mset_leq,
+                     mset_remove, mset_sub, postorder, render, symbol_count)
 
 AXIOMS = ("At", "LBot")
 UNARY = ("LNeg", "RNeg", "LAnd", "ROr", "RGd", "LC", "RC")
@@ -64,11 +63,7 @@ class Derivation:
 
 def height(d: Derivation) -> int:
     """Axioms have height 1; otherwise 1 plus the premise maximum."""
-    out, level = 0, [d]
-    while level:
-        out += 1
-        level = [p for n in level for p in n.premises]
-    return out
+    return fold(d, lambda _node, heights: 1 + max(heights, default=0))
 
 
 def cutrank(d: Derivation) -> int:
@@ -89,6 +84,16 @@ def rule_nodes(d: Derivation):
         node = stack.pop()
         yield node
         stack.extend(reversed(node.premises))
+
+
+def fold(d: Derivation, step):
+    """`step(node, values)` over the nodes of `d`, premises first, where
+    `values` holds its results on the premises; a node object held twice is
+    stepped once (by identity: dataclass equality recurses)."""
+    done: dict[int, object] = {}
+    for node in postorder(d, lambda n: n.premises, done):
+        done[id(node)] = step(node, [done[id(p)] for p in node.premises])
+    return done[id(d)]
 
 
 # ---------------------------------------------------------------------------
@@ -468,55 +473,27 @@ def check_derivation(d: Derivation) -> None:
 
 
 # ---------------------------------------------------------------------------
-# JSON: `{"formulas": [...], "derivation": {...}}`.  The table lists each
-# distinct subformula once, children first, as a formula object whose
-# children are indices of earlier entries; every formula in the nodes is
-# an index into it.  Nodes are interned, so writing is one dict lookup per
-# formula occurrence and reading one constructor call per table entry.
+# JSON: `{"formulas": [...], "nodes": [...]}`, two tables of one layout,
+# whose entries refer to earlier entries by index.  The formula table lists
+# each distinct subformula once, children first; the node table each node
+# object once, premises first, the root last, with its formulas given as
+# formula table indices.  Both are written over `postorder` and read in one
+# loop, at any depth.  Formulas are interned, so writing is one dict lookup
+# per formula occurrence and reading one constructor call per table entry.
 
-# JSON op and child fields of each formula type with children
-_TABLE_OPS = {Neg: ("neg", ("c",)), And: ("and", ("l", "r")),
-              Or: ("or", ("l", "r")), Gd: ("gd", ("l", "r"))}
-_TABLE_TYPES = {op: (cls, keys) for cls, (op, keys) in _TABLE_OPS.items()}
-
-
-def _table_index(f: Formula, index: dict, table: list) -> int:
-    """The table index of `f`, appending `f` and every subformula not yet
-    in the table, children first, without recursion."""
-    stack = [f]
-    while stack:
-        g = stack[-1]
-        if g in index:
-            stack.pop()
-            continue
-        missing = [c for c in children(g) if c not in index]
-        if missing:
-            stack.extend(reversed(missing))
-            continue
-        stack.pop()
-        kind = _TABLE_OPS.get(type(g))
-        if kind is None:  # a variable or bot
-            entry = formula_to_json(g)
-        else:
-            op, keys = kind
-            entry = {"op": op}
-            for key, c in zip(keys, children(g)):
-                entry[key] = index[c]
-        index[g] = len(table)
-        table.append(entry)
-    return index[f]
-
-
-@nesting_limited
 def derivation_to_json(d: Derivation):
-    """The JSON object of `d`: its formula table and its tree of nodes; a
-    tree nested too deeply for the recursive walk raises ResourceLimit."""
-    index: dict[Formula, int] = {}
-    table: list[dict] = []
+    """The JSON object of `d`: its formula table and its node table."""
+    index: dict[int, int] = {}
+    formulas: list[dict] = []
 
     def ref(f: Formula) -> int:
-        i = index.get(f)
-        return _table_index(f, index, table) if i is None else i
+        i = index.get(id(f))
+        if i is None:
+            for g in postorder(f, children, index):
+                index[id(g)] = len(formulas)
+                formulas.append(formula_entry(g, index))
+            i = index[id(f)]
+        return i
 
     def refs(fs) -> list[int]:
         return [ref(f) for f in fs]
@@ -541,43 +518,38 @@ def derivation_to_json(d: Derivation):
             out["split"] = [refs(part) for part in r.split]
         return out
 
-    def node_to_json(n: Derivation) -> dict:
-        return {"rule": rule_to_json(n.rule),
-                "conclusion": {"ant": refs(n.conclusion.ant),
-                               "suc": refs(n.conclusion.suc)},
-                "premises": [node_to_json(p) for p in n.premises]}
+    nodes: list[dict] = []
 
-    root = node_to_json(d)
-    return {"formulas": table, "derivation": root}
+    def node_entry(n: Derivation, premises: list[int]) -> int:
+        nodes.append({"rule": rule_to_json(n.rule),
+                      "conclusion": {"ant": refs(n.conclusion.ant),
+                                     "suc": refs(n.conclusion.suc)},
+                      "premises": premises})
+        return len(nodes) - 1
+
+    fold(d, node_entry)
+    return {"formulas": formulas, "nodes": nodes}
 
 
 def _bad_json(what: str, value) -> ParseError:
     return ParseError(f"bad derivation: {what} is a {type(value).__name__}")
 
 
-def _read_table(entries) -> list[Formula]:
-    """The formulas of a JSON table, in one pass over its entries."""
+def _read_table(entries, kind: str, read) -> list:
+    """The objects of a JSON table, in one pass: `read(entry, table, what)`
+    makes each from `table`, the objects of the entries before it."""
     if not isinstance(entries, list):
-        raise _bad_json("the formula table", entries)
-    table: list[Formula] = []
+        raise _bad_json(f"the {kind} table", entries)
+    table: list = []
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict):
-            raise _bad_json(f"formula {i}", entry)
-        op = entry.get("op")
-        kind = _TABLE_TYPES.get(op) if isinstance(op, str) else None
-        if kind is None:  # a variable, bot, or an unknown op
-            table.append(formula_from_json(entry))
-        else:
-            # the table holds entries 0..i-1, so a lookup rejects the
-            # entry itself and every later one
-            cls, keys = kind
-            table.append(cls(*_lookup(table, [entry.get(k) for k in keys],
-                                      f"formula {i}")))
+            raise _bad_json(f"{kind} {i}", entry)
+        table.append(read(entry, table, f"{kind} {i}"))
     return table
 
 
-def _lookup(table: list, refs, what: str) -> list[Formula]:
-    """The formulas of a JSON array of indices into the table read so
+def _lookup(table: list, refs, what: str) -> list:
+    """The objects of a JSON array of indices into the table read so
     far."""
     if not isinstance(refs, list):
         raise _bad_json(what, refs)
@@ -585,9 +557,19 @@ def _lookup(table: list, refs, what: str) -> list[Formula]:
     for ref in refs:
         if type(ref) is not int or not 0 <= ref < size:
             raise ParseError(f"bad derivation: {what} refers to {ref!r}, "
-                             f"not to an earlier formula table entry")
+                             f"not to an earlier table entry")
         out.append(table[ref])
     return out
+
+
+def _formula_entry(entry: dict, table: list, what: str) -> Formula:
+    op = entry.get("op")
+    kind = _TABLE_TYPES.get(op) if isinstance(op, str) else None
+    if kind is None:  # a variable or an unknown op
+        return formula_from_json(entry)
+    # `table` ends before this entry: a lookup rejects it and later ones
+    cls, keys = kind
+    return cls(*_lookup(table, [entry.get(k) for k in keys], what))
 
 
 # the JSON type of each rule field; every field but `rule` is optional
@@ -628,25 +610,24 @@ def _rule_from_json(obj, table: list) -> RuleApp:
                    get("side"), weak, cut, split)
 
 
-@nesting_limited
 def derivation_from_json(obj) -> Derivation:
-    """The derivation of a JSON object; a tree of nodes nested too deeply
-    for the recursive walk raises ResourceLimit."""
+    """The derivation of a JSON object: the last entry of its node table."""
     if not isinstance(obj, dict):
         raise _bad_json("a derivation file", obj)
-    return _node_from_json(obj.get("derivation"),
-                           _read_table(obj.get("formulas")))
+    formulas = _read_table(obj.get("formulas"), "formula", _formula_entry)
 
+    def node(entry: dict, nodes: list, what: str) -> Derivation:
+        concl = entry.get("conclusion")
+        if not isinstance(concl, dict):
+            raise _bad_json(f"the conclusion of {what}", concl)
+        return Derivation(
+            Sequent(_lookup(formulas, concl.get("ant"), "ant"),
+                    _lookup(formulas, concl.get("suc"), "suc")),
+            _rule_from_json(entry.get("rule"), formulas),
+            tuple(_lookup(nodes, entry.get("premises"),
+                          f"the premises of {what}")))
 
-def _node_from_json(obj, table: list) -> Derivation:
-    if not isinstance(obj, dict):
-        raise _bad_json("a derivation", obj)
-    if not isinstance(obj.get("premises"), list):
-        raise _bad_json("premises", obj.get("premises"))
-    concl = obj.get("conclusion")
-    if not isinstance(concl, dict):
-        raise _bad_json("a conclusion", concl)
-    return Derivation(Sequent(_lookup(table, concl.get("ant"), "ant"),
-                              _lookup(table, concl.get("suc"), "suc")),
-                      _rule_from_json(obj.get("rule"), table),
-                      tuple(_node_from_json(p, table) for p in obj["premises"]))
+    nodes = _read_table(obj.get("nodes"), "node", node)
+    if not nodes:
+        raise ParseError("bad derivation: the node table is empty")
+    return nodes[-1]

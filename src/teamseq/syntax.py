@@ -192,6 +192,25 @@ def children(f: Formula) -> tuple[Formula, ...]:
     raise TypeError(f"not a formula: {f!r}")
 
 
+def postorder(root, kids, seen: dict):
+    """Each object reachable from `root` through `kids` and not in `seen`,
+    children first, left to right, on an explicit stack.  The caller puts
+    each object it is handed in `seen`, keyed by `id`, before it asks for
+    the next, so an object below two parents (the same one) comes once."""
+    if id(root) in seen:
+        return
+    stack = [(root, iter(kids(root)))]
+    while stack:
+        node, todo = stack[-1]
+        for kid in todo:
+            if id(kid) not in seen:
+                stack.append((kid, iter(kids(kid))))
+                break
+        else:
+            stack.pop()
+            yield node
+
+
 def is_classical(f: Formula) -> bool:
     """True iff no global disjunction occurs in f; fixed when f was
     interned."""
@@ -214,20 +233,16 @@ def signed_props(f: Formula) -> tuple[frozenset[str], frozenset[str]]:
     """Variables with a positive (even-negation) / negative occurrence."""
     pos: set[str] = set()
     neg: set[str] = set()
-
-    def walk(g: Formula, parity: bool) -> None:
+    stack = [(f, True)]
+    while stack:
+        g, parity = stack.pop()
         match g:
             case Prop(name):
                 (pos if parity else neg).add(name)
-            case Bot():
-                pass
             case Neg(c):
-                walk(c, not parity)
+                stack.append((c, not parity))
             case And(l, r) | Or(l, r) | Gd(l, r):
-                walk(l, parity)
-                walk(r, parity)
-
-    walk(f, True)
+                stack += (r, parity), (l, parity)
     return frozenset(pos), frozenset(neg)
 
 
@@ -282,20 +297,16 @@ def gd_paths(f: Formula) -> tuple[tuple[int, ...], ...]:
     """Paths of all global-disjunction occurrences, in left-to-right
     (infix-position) order; the k-th path carries label k."""
     out: list[tuple[int, ...]] = []
-
-    def walk(g: Formula, prefix: tuple[int, ...]) -> None:
-        match g:
-            case And(l, r) | Or(l, r):
-                walk(l, prefix + (0,))
-                walk(r, prefix + (1,))
-            case Gd(l, r):
-                walk(l, prefix + (0,))
-                out.append(prefix)
-                walk(r, prefix + (1,))
-            case _:
-                pass
-
-    walk(f, ())
+    stack: list = [(f, ())]  # a formula to walk, or (None, path) to list
+    while stack:
+        g, prefix = stack.pop()
+        if g is None:
+            out.append(prefix)
+        elif isinstance(g, (And, Or, Gd)):
+            stack.append((g.right, prefix + (1,)))
+            if isinstance(g, Gd):
+                stack.append((None, prefix))
+            stack.append((g.left, prefix + (0,)))
     return tuple(out)
 
 
@@ -609,24 +620,33 @@ def parse_sequent(text: str):
 # ---------------------------------------------------------------------------
 # JSON encoding
 
+# JSON op and child fields of each formula type but Prop, for the nested
+# objects and for the table entries of `calculus`
+_TABLE_OPS = {Bot: ("bot", ()), Neg: ("neg", ("c",)),
+              And: ("and", ("l", "r")), Or: ("or", ("l", "r")),
+              Gd: ("gd", ("l", "r"))}
+_TABLE_TYPES = {op: (cls, keys) for cls, (op, keys) in _TABLE_OPS.items()}
+
+
+def formula_entry(f: Formula, done: dict) -> dict:
+    """The JSON object of the node `f` with each child field holding
+    `done[id(child)]`: the child's object, or its formula table index."""
+    if isinstance(f, Prop):
+        return {"op": "prop", "name": f.name}
+    op, keys = _TABLE_OPS[type(f)]
+    entry = {"op": op}
+    for key, c in zip(keys, children(f)):
+        entry[key] = done[id(c)]
+    return entry
+
+
 def formula_to_json(f: Formula):
-    match f:
-        case Prop(name):
-            return {"op": "prop", "name": name}
-        case Bot():
-            return {"op": "bot"}
-        case Neg(c):
-            return {"op": "neg", "c": formula_to_json(c)}
-        case And(l, r):
-            return {"op": "and", "l": formula_to_json(l), "r": formula_to_json(r)}
-        case Or(l, r):
-            return {"op": "or", "l": formula_to_json(l), "r": formula_to_json(r)}
-        case Gd(l, r):
-            return {"op": "gd", "l": formula_to_json(l), "r": formula_to_json(r)}
-    raise TypeError(f"not a formula: {f!r}")
-
-
-_BINOPS = {"and": And, "or": Or, "gd": Gd}
+    """The nested JSON object of `f`, built bottom-up without recursion;
+    a subformula that occurs twice is one shared object."""
+    done: dict[int, dict] = {}
+    for g in postorder(f, children, done):
+        done[id(g)] = formula_entry(g, done)
+    return done[id(f)]
 
 
 def _field(obj, key: str):
@@ -656,15 +676,14 @@ def _formula_from_json(obj) -> Formula:
             return Prop(name)
         except (TypeError, ValueError) as e:
             raise ParseError(f"bad variable name {name!r}") from e
-    if op == "bot":
-        return BOT
-    if op == "neg":
-        return Neg(_formula_from_json(_field(obj, "c")))
-    binop = _BINOPS.get(op) if isinstance(op, str) else None
-    if binop is not None:
-        return binop(_formula_from_json(_field(obj, "l")),
-                     _formula_from_json(_field(obj, "r")))
-    raise ParseError(f"unknown formula op {op!r}")
+    kind = _TABLE_TYPES.get(op) if isinstance(op, str) else None
+    if kind is None:
+        raise ParseError(f"unknown formula op {op!r}")
+    cls, keys = kind
+    kids = []  # a loop, not a comprehension: one stack frame per level
+    for key in keys:
+        kids.append(_formula_from_json(_field(obj, key)))
+    return cls(*kids)
 
 
 def sequent_to_json(s: Sequent):

@@ -26,8 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .calculus import (PRINCIPAL_SIDE, Derivation, RuleApp, actives, derive,
-                       infer, is_cutfree, make_at, make_lbot, premises_of,
-                       rebuild, replay_rgd, rule_nodes)
+                       fold, infer, is_cutfree, make_at, make_lbot,
+                       premises_of, rebuild, replay_rgd, rule_nodes)
 from .errors import (ContainsCut, FormulaNotDuplicated, NonClassicalAntecedent,
                      NonClassicalInput, NonClassicalRightContraction,
                      ShapeMismatch, nesting_limited)
@@ -449,14 +449,14 @@ def normalize(d: Derivation) -> Derivation:
     the endsequent is unchanged."""
     if not is_cutfree(d):
         raise ContainsCut("normal form is defined for cutfree derivations")
-    return _norm(d)
+    return fold(d, _norm)
 
 
-def _norm(d: Derivation) -> Derivation:
+def _norm(d: Derivation, ps) -> Derivation:
+    """`fold` step of `normalize`: `d` over its normalized premises `ps`."""
     _guard_gt(d)
-    if not d.premises:
+    if not ps:
         return d
-    ps = [_norm(p) for p in d.premises]
     r = d.rule
     if r.rule == "LGd":
         return rebuild(r, ps)
@@ -490,7 +490,7 @@ def classical_eliminate_cuts(d: Derivation) -> Derivation:
     for phi in cuts:
         if not is_classical(phi):
             raise ShapeMismatch(f"nonclassical cut formula {render(phi)}")
-    return _elim(d)
+    return fold(d, _elim)
 
 
 def _ccut(d1: Derivation, d2: Derivation, phi: Formula) -> Derivation:
@@ -620,8 +620,8 @@ def _eliminate_one(d1: Derivation, d2: Derivation, phi: Formula) -> Derivation:
     gamma = d1.conclusion.ant
     pi = mset_remove(d2.conclusion.ant, phi)
 
-    n1 = _norm(d1)
-    n2 = _norm(d2)
+    n1 = fold(d1, _norm)
+    n2 = fold(d2, _norm)
     fam1 = _family(n1)
     fam2 = _family(n2)
 
@@ -663,11 +663,11 @@ def eliminate_cuts(d: Derivation) -> Derivation:
     is reduced.
     """
     _require_cutformulas(d)
-    return _elim(d)
+    return fold(d, _elim)
 
 
-def _elim(d: Derivation) -> Derivation:
-    ps = tuple(_elim(p) for p in d.premises)
+def _elim(d: Derivation, ps) -> Derivation:
+    """`fold` step of cut elimination: `d` over its cutfree premises `ps`."""
     if d.rule.rule == "Cut":
         return _eliminate_one(ps[0], ps[1], d.rule.cutformula)
     return rebuild(d.rule, ps) if ps else d
@@ -695,7 +695,7 @@ def resolve_derivation(d: Derivation) -> ResolvedDerivation:
     resolutions (after cut elimination and normalization)."""
     if not is_cutfree(d):
         d = eliminate_cuts(d)
-    n = _norm(d)
+    n = fold(d, _norm)
     gamma = n.conclusion.ant
     delta = n.conclusion.suc
     entries = [(i, g) for i, g in enumerate(delta)]

@@ -6,6 +6,7 @@ sequent side (the oracle is doubly exponential, so tests stay small).
 """
 
 import random
+from concurrent.futures import ThreadPoolExecutor
 
 from teamseq.calculus import Derivation, infer, make_cut, premises_of
 from teamseq.prover import prove_or_countermodel
@@ -111,3 +112,10 @@ def gen_shuffled(rng: random.Random, s: Sequent, steps: int):
             return None
         prems.append(prem)
     return infer(tag, prems, f, path)
+
+
+def on_fresh_stack(fn, *args):
+    """`fn(*args)` in a new thread, whose stack starts empty, so the
+    nesting a test reaches does not depend on the test runner's depth."""
+    with ThreadPoolExecutor(1) as pool:
+        return pool.submit(fn, *args).result(timeout=60)

@@ -3,15 +3,16 @@ import random
 
 import pytest
 
+from teamseq import cli
 from teamseq.calculus import (PRINCIPAL_SIDE, Derivation, RuleApp,
-                              _read_table, check_derivation,
+                              _formula_entry, _read_table, check_derivation,
                               check_inference, cutrank,
                               derivation_from_json, derivation_to_json,
                               height, infer, is_cutfree, make_at, make_cut,
                               make_lbot, make_lc, make_lori, make_randi,
                               make_rc, premises_of, rebuild, rule_nodes)
 from teamseq.errors import (ArityMismatch, DerivationCheckError,
-                            ParseError, ResourceLimit, RuleViolation)
+                            ParseError, RuleViolation)
 from teamseq.prover import prove_classical, prove_or_countermodel
 from teamseq.semantics import sequent_valid
 from teamseq.syntax import (And, BOT, Gd, Neg, Or, Prop, Sequent, children,
@@ -370,31 +371,44 @@ def test_derivation_json_writes_each_subformula_once():
                 if f is not None:
                     expected |= _subformulas(f)
         table = derivation_to_json(top)["formulas"]
-        read = _read_table(json.loads(json.dumps(table)))
+        read = _read_table(json.loads(json.dumps(table)), "formula",
+                           _formula_entry)
         assert len(set(read)) == len(read) == len(table)
         assert set(read) == expected
 
 
-def test_bad_formula_table_is_a_parse_error():
+def test_bad_formula_table_is_a_parse_error(tmp_path, capsys):
     good = derivation_to_json(prove_or_countermodel(ps("p & q => q & p")))
-    table = good["formulas"]
+    table, nodes = good["formulas"], good["nodes"]
     first = next(i for i, e in enumerate(table) if "l" in e)
     assert first + 1 < len(table)
+    # a node with premises below the root
+    inner = next(i for i, n in enumerate(nodes) if n["premises"])
+    assert inner + 1 < len(nodes)
+    path = tmp_path / "d.json"
 
     def bad(edit):
         obj = json.loads(json.dumps(good))
         edit(obj)
         with pytest.raises(ParseError):
             derivation_from_json(obj)
+        path.write_text(json.dumps(obj))
+        assert cli.run(["check", str(path)]) == 2
+        assert "input error" in capsys.readouterr().err
 
     def set_child(value):
         return lambda obj: obj["formulas"][first].update(l=value)
 
     def set_ant(value):
-        return lambda obj: obj["derivation"]["conclusion"]["ant"].append(value)
+        return lambda obj: obj["nodes"][-1]["conclusion"]["ant"].append(value)
 
     def set_principal(value):
-        return lambda obj: obj["derivation"]["rule"].update(formula=value)
+        return lambda obj: obj["nodes"][-1]["rule"].update(formula=value)
+
+    def set_premise(value):
+        def edit(obj):
+            obj["nodes"][inner]["premises"][0] = value
+        return edit
 
     # in a table entry: out of range, negative, a bool, not an int, the
     # entry itself, a later entry, missing
@@ -406,23 +420,64 @@ def test_bad_formula_table_is_a_parse_error():
     for value in (len(table), -1, True, "0", 0.0, None):
         bad(set_ant(value))
         bad(set_principal(value))
-    # the table itself: not an array, missing, an entry that is no object
-    for value in ({"0": table[0]}, "[]", None):
-        bad(lambda obj: obj.update(formulas=value))
-    bad(lambda obj: obj["formulas"].insert(0, [0]))
-    bad(lambda obj: obj["formulas"].insert(0, 0))
-    bad(lambda obj: obj.pop("formulas"))
-    bad(lambda obj: obj.pop("derivation"))
+    # a premise: out of range, negative, a bool, not an int, the entry
+    # itself, a later entry, missing
+    for value in (len(nodes), -1, True, False, "0", 0.0, None, inner,
+                  inner + 1):
+        bad(set_premise(value))
+    bad(lambda obj: obj["nodes"][inner].pop("premises"))
+    # either table: not an array, missing, an entry that is no object
+    for key in ("formulas", "nodes"):
+        for value in ({"0": good[key][0]}, "[]", None):
+            bad(lambda obj: obj.update({key: value}))
+        bad(lambda obj: obj[key].insert(0, [0]))
+        bad(lambda obj: obj[key].insert(0, 0))
+        bad(lambda obj: obj.pop(key))
+    # no nodes at all
+    bad(lambda obj: obj.update(nodes=[]))
+
+    def old_form(obj):
+        # the nested form of earlier versions: one tree under "derivation"
+        del obj["nodes"]
+        obj["formulas"] = [{"op": "prop", "name": "p"}]
+        obj["derivation"] = {
+            "rule": {"rule": "At", "pos": 0, "pos2": 0, "formula": 0},
+            "conclusion": {"ant": [0], "suc": [0]}, "premises": []}
+
+    bad(old_form)
 
 
-def test_derivation_from_json_too_deep_is_a_resource_limit():
+def test_derivation_from_json_reads_a_deep_node_table():
     obj = derivation_to_json(make_lbot((BOT,), ()))
-    node = obj["derivation"]
-    for _ in range(3000):
-        node = {"rule": {"rule": "LBot"}, "conclusion": node["conclusion"],
-                "premises": [node]}
-    with pytest.raises(ResourceLimit, match="nesting too deep"):
-        derivation_from_json({"formulas": obj["formulas"], "derivation": node})
+    leaf = obj["nodes"][0]
+    # 3000 entries, each the only premise of the next: the root last
+    obj["nodes"] += [{"rule": {"rule": "LBot"},
+                      "conclusion": leaf["conclusion"], "premises": [i]}
+                     for i in range(3000)]
+    text = json.dumps(obj)
+    d = derivation_from_json(json.loads(text))
+    assert height(d) == 3001
+    assert json.dumps(derivation_to_json(d)) == text
+
+
+def test_derivation_json_round_trip_gives_back_the_text():
+    """Seeded: prover output, its normal form and the elimination of an
+    injected cut are written, read and written again to the same JSON
+    text, and what is read checks."""
+    rng = random.Random(4099)
+    done = 0
+    while done < 100:
+        d = prove_or_countermodel(gen_sequent(rng))
+        if not isinstance(d, Derivation) or not d.conclusion.suc:
+            continue
+        done += 1
+        cut = inject_cut(d, rng.choice(d.conclusion.suc))
+        for top in (d, normalize(d), eliminate_cuts(cut)):
+            text = json.dumps(derivation_to_json(top))
+            back = derivation_from_json(json.loads(text))
+            assert json.dumps(derivation_to_json(back)) == text
+            check_derivation(back)
+            assert back.conclusion == top.conclusion
 
 
 def test_deep_derivation_answers_or_is_a_resource_limit():
@@ -431,14 +486,14 @@ def test_deep_derivation_answers_or_is_a_resource_limit():
     for _ in range(1500):
         d = make_lc(d, p)
     check_derivation(d)
-    for fn, want in ((height, 1501), (cutrank, 0), (is_cutfree, True),
-                     (derivation_to_json, None)):
-        try:
-            got = fn(d)
-        except ResourceLimit as e:
-            assert str(e) == "nesting too deep", fn
-        else:
-            assert want is None or got == want, fn
+    assert height(d) == 1501
+    assert cutrank(d) == 0
+    assert is_cutfree(d)
+    obj = derivation_to_json(d)
+    assert len(obj["nodes"]) == 1501
+    back = derivation_from_json(json.loads(json.dumps(obj)))
+    check_derivation(back)
+    assert derivation_to_json(back) == obj
     # a cut formula nested 900 deep, which the parser accepts
     f = parse_formula("p & " * 900 + "p")
     cut = make_cut(make_at((p,), (p, f)), make_at((f, p), (p,)), f)

@@ -12,7 +12,7 @@ from teamseq.semantics import team_from_json
 from teamseq.syntax import parse_formula, parse_sequent
 from teamseq.transforms import eliminate_cuts, is_normal, normalize
 
-from conftest import gen_sequent, gen_shuffled, inject_cut
+from conftest import gen_sequent, gen_shuffled, inject_cut, on_fresh_stack
 
 
 def invoke(capsys, *argv):
@@ -44,7 +44,7 @@ def test_check_round_trip(tmp_path, capsys):
     assert code == 0
     # corrupt it
     blob = json.loads(path.read_text())
-    blob["derivation"]["conclusion"]["ant"] = []
+    blob["nodes"][-1]["conclusion"]["ant"] = []
     path.write_text(json.dumps(blob))
     code, out = invoke(capsys, "check", str(path))
     assert code == 1
@@ -54,15 +54,15 @@ def test_check_round_trip(tmp_path, capsys):
     # so is a field of the wrong JSON type
     for field, value in (("pos", "x"), ("premises", 5)):
         bad = json.loads(derivation)
-        node = bad["derivation"]
+        node = bad["nodes"][-1]
         (node["rule"] if field == "pos" else node)[field] = value
         path.write_text(json.dumps(bad))
         assert invoke(capsys, "check", str(path))[0] == 2, field
     # a deep-rule path that leaves its formula fails the check at its node
     code, derivation = invoke(capsys, "prove", "p || q => p, q")
     bad = json.loads(derivation)
-    assert bad["derivation"]["rule"]["rule"] == "LGd"
-    bad["derivation"]["rule"]["path"] = [2]
+    assert bad["nodes"][-1]["rule"]["rule"] == "LGd"
+    bad["nodes"][-1]["rule"]["path"] = [2]
     path.write_text(json.dumps(bad))
     code, out = invoke(capsys, "--json", "check", str(path))
     assert code == 1 and json.loads(out)["address"] == []
@@ -181,10 +181,23 @@ def test_normalize_cutelim_resolve(tmp_path, capsys):
     # the implicit-weakening field is optional in derivation JSON
     code, out = invoke(capsys, "prove", "p, q => p & q")
     blob = json.loads(out)
-    del blob["derivation"]["rule"]["weak"]
+    del blob["nodes"][-1]["rule"]["weak"]
     path.write_text(json.dumps(blob))
     for cmd in ("check", "normalize", "cutelim", "resolve"):
         assert invoke(capsys, cmd, str(path))[0] == 0
+
+
+def test_deep_derivation_is_written_read_and_transformed(tmp_path, capsys):
+    # 900 nodes deep: each RAnd's right premise proves the next conjunct;
+    # the file is a table, so writing and reading it takes no recursion
+    conj = " & ".join(["p"] * 900)
+    assert on_fresh_stack(run, ["prove", f"p => {conj}"]) == 0
+    path = tmp_path / "d.json"
+    path.write_text(capsys.readouterr().out)
+    for cmd in ("check", "normalize", "cutelim", "resolve"):
+        assert on_fresh_stack(run, [cmd, str(path)]) == 0, cmd
+        captured = capsys.readouterr()
+        assert captured.out and not captured.err, cmd
 
 
 def test_every_emitted_derivation_checks(tmp_path, capsys):

@@ -167,7 +167,6 @@ def self_calls(tree, module: str):
 # `errors.nesting_limited`.  A change that adds or removes one updates
 # this set on purpose.
 RECURSIVE = {
-    "calculus._node_from_json", "calculus.derivation_to_json.node_to_json",
     "interpolation._interp",
     "resolutions._TruthMasks.of", "resolutions._covers", "resolutions._gen",
     "resolutions.is_resolution",
@@ -175,11 +174,10 @@ RECURSIVE = {
     "semantics.eval_classical",
     "syntax._Parser.conj", "syntax._Parser.disj", "syntax._Parser.gd",
     "syntax._Parser.neg", "syntax._formula_from_json",
-    "syntax.formula_to_json", "syntax.gd_paths.walk",
-    "syntax.signed_props.walk", "syntax.substitute_at",
-    "transforms._ccut", "transforms._contract", "transforms._elim",
-    "transforms._family", "transforms._norm", "transforms._push_classical",
-    "transforms._push_rgd", "transforms._weaken",
+    "syntax.substitute_at",
+    "transforms._ccut", "transforms._contract", "transforms._family",
+    "transforms._push_classical", "transforms._push_rgd",
+    "transforms._weaken",
 }
 
 

@@ -1,6 +1,5 @@
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from itertools import product
 
 import pytest
@@ -16,7 +15,7 @@ from teamseq.semantics import (Team, big_or, eval_classical,
 from teamseq.syntax import (Neg, Prop, Sequent, mset, parse_formula,
                             parse_sequent)
 
-from conftest import gen_sequent, gen_side
+from conftest import gen_sequent, gen_side, on_fresh_stack
 
 pf, ps = parse_formula, parse_sequent
 p, q = Prop("p"), Prop("q")
@@ -215,13 +214,6 @@ def test_prove_classical_answers_a_deep_search():
     assert out.atomic == Sequent((), (Prop("p"),) * 1000)
 
 
-def _on_fresh_stack(fn, *args):
-    """`fn(*args)` in a new thread, whose stack starts empty, so the
-    nesting a test reaches does not depend on the test runner's depth."""
-    with ThreadPoolExecutor(1) as pool:
-        return pool.submit(fn, *args).result(timeout=60)
-
-
 def _decide_text(text):
     s = ps(text)
     return s, prove_or_countermodel(s)
@@ -232,13 +224,13 @@ def test_prover_answers_deep_nesting(n):
     # the parser accepts these; the prover's rule steps take no stack
     # frames, and each formula walk one frame per level
     conj = " & ".join(["p"] * n)
-    s, d = _on_fresh_stack(_decide_text, "p => " + conj)
+    s, d = on_fresh_stack(_decide_text, "p => " + conj)
     assert isinstance(d, Derivation) and d.conclusion == s
     check_derivation(d)
-    s, out = _on_fresh_stack(_decide_text, conj + " => q")
+    s, out = on_fresh_stack(_decide_text, conj + " => q")
     assert out == team("pq", (1, 0))
     # n - 1 antecedent splits, one below the other
-    s, d = _on_fresh_stack(_decide_text, " || ".join(
+    s, d = on_fresh_stack(_decide_text, " || ".join(
         f"p{i % 3}" for i in range(n)) + " => p0, p1, p2")
     assert isinstance(d, Derivation) and d.conclusion == s
     check_derivation(d)

@@ -284,6 +284,17 @@ def test_deep_formulas_built_by_constructors():
     assert s.ant == (f,) and s.is_classical()
     assert str(s) == f"{text} => p"
     assert Neg(f) is Neg(f)
+    # the JSON encoder and the variable and path walks use explicit stacks
+    obj = formula_to_json(f)
+    for _ in range(3000):
+        assert obj["op"] == "and" and obj["l"] == {"op": "prop", "name": "p"}
+        obj = obj["r"]
+    assert obj == {"op": "prop", "name": "p"}
+    assert sequent_to_json(s)["suc"] == [obj]
+    assert signed_props(f) == ({"p"}, set())
+    assert signed_props(Neg(f)) == (set(), {"p"})
+    assert gd_paths(f) == ()
+    assert gd_paths(Gd(f, Gd(f, p))) == ((), (1,))
 
 
 def test_partition_blocks_are_canonical():

@@ -490,10 +490,18 @@ def test_transforms_of_a_deep_derivation_answer_or_are_a_resource_limit():
     res = ResolvedDerivation(c.ant, c.suc, {c.ant: d}, {c.ant: c.suc},
                              {c.ant: ((p, p),)})
     assert reassemble(res) is d
+    # the transforms that run as folds over the nodes answer at any depth
+    for fn in (normalize, eliminate_cuts, classical_eliminate_cuts):
+        out = fn(d)
+        assert out.conclusion == c, fn
+        check_derivation(out)
+    res = resolve_derivation(d)
+    assert (res.gamma, res.delta) == (c.ant, c.suc)
+    assert res.mapping == {c.ant: c.suc}
+    check_derivation(res.branches[c.ant])
+    # the recursive ones answer or raise ResourceLimit
     top = c.ant.index(And(xs[0], ys[0]))
-    for fn, args in ((normalize, ()), (eliminate_cuts, ()),
-                     (classical_eliminate_cuts, ()), (resolve_derivation, ()),
-                     (weaken, ("L", q)), (invert, ("LAnd", top)),
+    for fn, args in ((weaken, ("L", q)), (invert, ("LAnd", top)),
                      (contract, ("L", p)),
                      (interpolate_partition,
                       (PartitionSequent(c.ant, (), (), c.suc),))):
