@@ -199,7 +199,7 @@ def actives(tag: str, f: Formula, path=(), side: str = "L"):
     key = ("_actives", tag, tuple(path), side)
     out = f.__dict__.get(key)
     if out is None:
-        alone = ((f,), ()) if PRINCIPAL_SIDE[tag] == "ant" else ((), (f,))
+        alone = ((f,), ()) if PRINCIPAL_SIDE.get(tag) == "ant" else ((), (f,))
         out = f.__dict__[key] = tuple(premises_of(tag, *alone, f, path, side))
     return out
 
@@ -278,8 +278,6 @@ def rebuild(r: RuleApp, premises, weak=None) -> Derivation:
     weakening `weak` in place of `r.weak` when given."""
     if r.rule == "Cut":
         return make_cut(premises[0], premises[1], r.cutformula)
-    if r.rule not in PRINCIPAL_SIDE:
-        raise ShapeMismatch(f"cannot rebuild rule {r.rule}")
     return infer(r.rule, premises, r.formula, r.path or (), r.side,
                  (r.weak or ()) if weak is None else weak)
 
@@ -296,10 +294,10 @@ def _principal(rule: RuleApp, seq: Sequent, side: str) -> Formula:
     if rule.pos is None or not 0 <= rule.pos < len(pool):
         raise RuleViolation(rule.rule, f"principal position {rule.pos} out of range")
     f = pool[rule.pos]
-    if rule.formula is not None and rule.formula != f:
-        raise RuleViolation(rule.rule,
-                            f"principal mismatch: meta {render(rule.formula)} vs "
-                            f"conclusion {render(f)}")
+    if rule.formula != f:
+        meta = "none" if rule.formula is None else render(rule.formula)
+        raise RuleViolation(rule.rule, f"principal mismatch: meta {meta} vs "
+                                       f"conclusion {render(f)}")
     return f
 
 

@@ -23,13 +23,12 @@ from dataclasses import dataclass
 from .calculus import (PRINCIPAL_SIDE, Derivation, check_derivation, infer,
                        is_cutfree, make_at, make_lbot, premises_of, rebuild)
 from .errors import (ContainsCut, NonClassicalLambda1, PartitionMismatch,
-                     ResourceLimit, ShapeMismatch, TeamSeqError,
-                     nesting_limited)
+                     ResourceLimit, TeamSeqError, nesting_limited)
 from .prover import DEFAULT_NODE_BUDGET, prove_or_countermodel
 from .semantics import Team, sequent_valid
 from .syntax import (And, BOT, Formula, Gd, Neg, Or, PartitionSequent,
                      Sequent, is_classical, mset, mset_add, signed_props)
-from .transforms import weaken
+from .transforms import _g3, _weaken
 
 
 @dataclass(frozen=True)
@@ -95,9 +94,6 @@ def _interp(d: Derivation, g1, g2, l1, d2):
     r = d.rule
     tag = r.rule
 
-    if tag == "Cut":
-        raise ContainsCut("interpolation requires a cutfree derivation")
-
     if tag == "At":
         p = r.formula
         in_g1 = p in g1
@@ -130,8 +126,6 @@ def _interp(d: Derivation, g1, g2, l1, d2):
                 infer("RNeg", [make_lbot(mset_add(g1, BOT), l1)], nb),
                 infer("LNeg", [make_lbot(g2, mset_add(d2, BOT))], nb))
 
-    if tag not in PRINCIPAL_SIDE:
-        raise ShapeMismatch(f"interpolation does not handle rule {tag}")
     f = r.formula
     if len(d.premises) == 2:
         w1, w2, l1, d2 = _allocate_weak(r.weak, l1, d2)
@@ -154,7 +148,7 @@ def _interp(d: Derivation, g1, g2, l1, d2):
     (p1, la, ra), (p2, lb, rb) = subs
     if not on_left:
         phi = And(p1, p2)
-        inner = (weaken(ra, "L", p2), weaken(rb, "L", p1))
+        inner = (_weaken(ra, "L", p2), _weaken(rb, "L", p1))
         if tag == "RAnd":
             right = infer("LAnd", [rebuild(r, inner, w2)], phi)
         else:
@@ -166,7 +160,7 @@ def _interp(d: Derivation, g1, g2, l1, d2):
                            infer("RGd", [lb], phi, (), "R")))
         return phi, left, infer("LGd", (ra, rb), phi)
     phi = Or(p1, p2)
-    left = rebuild(r, (weaken(la, "R", p2), weaken(lb, "R", p1)), w1)
+    left = rebuild(r, (_weaken(la, "R", p2), _weaken(lb, "R", p1)), w1)
     return phi, infer("ROr", [left], phi), infer("LOr", (ra, rb), phi, weak=w2)
 
 
@@ -175,7 +169,8 @@ def interpolate_partition(d: Derivation,
                           partition: PartitionSequent) -> InterpolationResult:
     """Extract a sequent interpolant of `partition` from a cutfree
     derivation of its flattening.  The derivation is checked first, so a
-    malformed one raises `DerivationCheckError`."""
+    malformed one raises `DerivationCheckError`; one that uses a variant
+    rule is made G3 by `transforms.eliminate_cuts`."""
     if not is_cutfree(d):
         raise ContainsCut("interpolation requires a cutfree derivation")
     if not all(is_classical(f) for f in partition.delta1):
@@ -186,7 +181,7 @@ def interpolate_partition(d: Derivation,
             f"partition flattens to {partition.flatten()}, derivation "
             f"concludes {d.conclusion}")
     check_derivation(d)
-    phi, left, right = _interp(d, partition.gamma1, partition.gamma2,
+    phi, left, right = _interp(_g3(d), partition.gamma1, partition.gamma2,
                                partition.delta1, partition.delta2)
     return InterpolationResult(phi, left, right, polarity_bounds(partition))
 

@@ -7,6 +7,10 @@ for the classical subsystem and for the full calculus, and the
 decomposition of a derivation into classical derivations indexed by
 antecedent resolutions.
 
+They work in G3, the calculus without the variant rules (LC, RC, RAndI,
+LOrI), where weakening and contraction are admissible.  Cut elimination
+removes the variant rules too; the others run it first where one occurs.
+
 Inversion is the workhorse: its recursion carries out exactly the rule
 commutations the other transformations need, including the three ways two
 left deep-rule applications on the same formula can interact (disjoint
@@ -23,6 +27,7 @@ premises.  So each commutation is one case over all rules.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 
 from .calculus import (PRINCIPAL_SIDE, Derivation, RuleApp, actives, derive,
@@ -31,18 +36,20 @@ from .calculus import (PRINCIPAL_SIDE, Derivation, RuleApp, actives, derive,
 from .errors import (ContainsCut, FormulaNotDuplicated, NonClassicalAntecedent,
                      NonClassicalInput, NonClassicalRightContraction,
                      ShapeMismatch, nesting_limited)
+from .prover import prove_or_countermodel
 from .resolutions import resolution_steps, resolutions_multiset
 from .syntax import (And, Formula, Gd, Neg, Or, Sequent, children, first_gd,
                      gd_sides, is_classical, mset, mset_add, mset_remove,
                      mset_sub, render, subformula_at, substitute_at)
 
-_STRUCTURAL = ("LC", "RC", "LOrI", "RAndI")
+_VARIANT = ("LC", "RC", "RAndI", "LOrI")
 
 
-def _guard_gt(d: Derivation) -> None:
-    if d.rule.rule in _STRUCTURAL:
-        raise ShapeMismatch(f"transformations do not handle the "
-                            f"independent-context/structural rule {d.rule.rule}")
+def _g3(d: Derivation) -> Derivation:
+    """`d`, made a cutfree G3 derivation if some node uses a variant rule."""
+    if any(n.rule.rule in _VARIANT for n in rule_nodes(d)):
+        return eliminate_cuts(d)
+    return d
 
 
 def _axiom_on(d: Derivation, ant, suc) -> Derivation:
@@ -56,12 +63,11 @@ def _axiom_on(d: Derivation, ant, suc) -> Derivation:
 
 @nesting_limited
 def weaken(d: Derivation, side: str, f: Formula) -> Derivation:
-    """Add `f` to the chosen side of the endsequent, height-preservingly."""
-    return _weaken(d, side, f)
+    """Add `f` to one side of the endsequent; height-preserving on G3."""
+    return _weaken(_g3(d), side, f)
 
 
 def _weaken(d: Derivation, side: str, f: Formula) -> Derivation:
-    _guard_gt(d)
     tag = d.rule.rule
     c = d.conclusion
     if tag in ("At", "LBot"):
@@ -119,7 +125,6 @@ def _path_rel(p: tuple, q: tuple):
 def _invert(d: Derivation, item: _Item):
     """Returns a list of derivations (conjunctive items), or a pair
     (derivation, side) for the disjunctive RGd item."""
-    _guard_gt(d)
     r = d.rule
     if r.rule in ("At", "LBot"):
         outs = [_axiom_on(d, a, s)
@@ -258,8 +263,8 @@ def _invert_rgd_rgd(d: Derivation, item: _Item):
 
 @nesting_limited
 def invert(d: Derivation, tag: str, pos: int, path=()):
-    """Height-preserving inversion of the rule `tag` at the conclusion
-    occurrence `pos` (index into the canonical antecedent/succedent).
+    """Inversion of the rule `tag` at the conclusion occurrence `pos` (an
+    index into the canonical antecedent/succedent); height-preserving on G3.
 
     Returns a list of derivations; for tag 'RGd' a pair (derivation, side).
     """
@@ -282,7 +287,7 @@ def invert(d: Derivation, tag: str, pos: int, path=()):
     if tag == "RGd" and not all(is_classical(g) for g in d.conclusion.ant):
         raise NonClassicalAntecedent(
             "right deep-rule inversion needs a classical antecedent")
-    return _invert(d, _Item(tag, f, path))
+    return _invert(_g3(d), _Item(tag, f, path))
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +295,7 @@ def invert(d: Derivation, tag: str, pos: int, path=()):
 
 @nesting_limited
 def contract(d: Derivation, side: str, f: Formula) -> Derivation:
-    """Remove a duplicate of `f` from the chosen side, height-preservingly.
+    """Remove a duplicate of `f` from one side; height-preserving on G3.
 
     Right contraction demands a classical formula.
     """
@@ -299,11 +304,10 @@ def contract(d: Derivation, side: str, f: Formula) -> Derivation:
     pool = d.conclusion.ant if side == "L" else d.conclusion.suc
     if pool.count(f) < 2:
         raise FormulaNotDuplicated(f"{render(f)} not duplicated on {side}")
-    return _contract(d, side, f)
+    return _contract(_g3(d), side, f)
 
 
 def _contract(d: Derivation, side: str, f: Formula) -> Derivation:
-    _guard_gt(d)
     r = d.rule
     c = d.conclusion
     if r.rule in ("At", "LBot"):
@@ -449,15 +453,15 @@ def normalize(d: Derivation) -> Derivation:
     the endsequent is unchanged."""
     if not is_cutfree(d):
         raise ContainsCut("normal form is defined for cutfree derivations")
-    return fold(d, _norm)
+    return fold(_g3(d), _norm)
 
 
 def _norm(d: Derivation, ps) -> Derivation:
     """`fold` step of `normalize`: `d` over its normalized premises `ps`."""
-    _guard_gt(d)
-    if not ps:
-        return d
     r = d.rule
+    if all(map(operator.is_, ps, d.premises)) and all(
+            _PHASE.get(p.rule.rule, 2) >= _PHASE.get(r.rule, 2) for p in ps):
+        return d
     if r.rule == "LGd":
         return rebuild(r, ps)
     if r.rule == "RGd":
@@ -654,23 +658,38 @@ def _eliminate_one(d1: Derivation, d2: Derivation, phi: Formula) -> Derivation:
 
 @nesting_limited
 def eliminate_cuts(d: Derivation) -> Derivation:
-    """Transform any derivation into a cutfree one with the same endsequent.
+    """Transform any checked derivation into a cutfree G3 derivation with
+    the same endsequent; a cutfree G3 derivation is returned as it is.
 
     Each innermost cut is eliminated by normalizing its (cutfree) premises,
     splicing the classical parts with classical cuts resolution by
     resolution, eliminating those classically, and reassembling the deep
-    phases.  A cut with no cut formula raises ShapeMismatch before anything
-    is reduced.
-    """
+    phases.  LC and RC become contraction, and RAndI (LOrI) two cuts with
+    a derivation of `a, b => a & b` (`a | b => a, b`).  A cut with no cut
+    formula raises ShapeMismatch before anything is reduced."""
     _require_cutformulas(d)
     return fold(d, _elim)
 
 
 def _elim(d: Derivation, ps) -> Derivation:
-    """`fold` step of cut elimination: `d` over its cutfree premises `ps`."""
-    if d.rule.rule == "Cut":
-        return _eliminate_one(ps[0], ps[1], d.rule.cutformula)
-    return rebuild(d.rule, ps) if ps else d
+    """`fold` step of cut elimination: `d` over its cutfree G3 premises."""
+    r = d.rule
+    match r.rule:
+        case "Cut":
+            return _eliminate_one(ps[0], ps[1], r.cutformula)
+        case "LC" | "RC":
+            return _contract(ps[0], r.rule[0], r.formula)
+        case "RAndI":
+            a, b = r.formula.left, r.formula.right
+            bridge = prove_or_countermodel(Sequent((a, b), (r.formula,)))
+            return _eliminate_one(ps[1], _eliminate_one(ps[0], bridge, a), b)
+        case "LOrI":
+            a, b = r.formula.left, r.formula.right
+            bridge = prove_or_countermodel(Sequent((r.formula,), (a, b)))
+            return _eliminate_one(_eliminate_one(bridge, ps[0], a), ps[1], b)
+    if all(map(operator.is_, ps, d.premises)):
+        return d
+    return rebuild(r, ps)
 
 
 # ---------------------------------------------------------------------------
@@ -693,9 +712,7 @@ class ResolvedDerivation:
 def resolve_derivation(d: Derivation) -> ResolvedDerivation:
     """Decompose `d` into classical subderivations indexed by antecedent
     resolutions (after cut elimination and normalization)."""
-    if not is_cutfree(d):
-        d = eliminate_cuts(d)
-    n = fold(d, _norm)
+    n = fold(eliminate_cuts(d), _norm)
     gamma = n.conclusion.ant
     delta = n.conclusion.suc
     entries = [(i, g) for i, g in enumerate(delta)]

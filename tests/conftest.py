@@ -8,7 +8,8 @@ sequent side (the oracle is doubly exponential, so tests stay small).
 import random
 from concurrent.futures import ThreadPoolExecutor
 
-from teamseq.calculus import Derivation, infer, make_cut, premises_of
+from teamseq.calculus import (Derivation, infer, make_at, make_cut, make_lc,
+                              make_lori, make_randi, premises_of)
 from teamseq.prover import prove_or_countermodel
 from teamseq.syntax import (And, BOT, Gd, Neg, Or, Prop, Sequent, gd_count,
                             gd_paths, is_classical)
@@ -69,6 +70,17 @@ def inject_cut(d: Derivation, phi) -> Derivation:
     formula against its identity derivation; the endsequent is unchanged."""
     assert phi in d.conclusion.suc
     return make_cut(d, identity_derivation(phi), phi)
+
+
+def variant_examples():
+    """Checked derivations by the variant rules: RAndI and LOrI whose
+    independent contexts include the nonclassical `q || r`, so no
+    shared-context rule can join their premises, and LC."""
+    p, q, r, s = (Prop(x) for x in "pqrs")
+    left, right = make_at((p,), (p, Gd(q, r))), make_at((s,), (s,))
+    return {"RAndI": make_randi(left, right, And(p, s)),
+            "LOrI": make_lori(left, right, Or(p, s)),
+            "LC": make_lc(make_at((p, p, p), (p, Gd(q, r))), p)}
 
 
 def _invertible_steps(s: Sequent):

@@ -12,14 +12,17 @@ from teamseq.calculus import (PRINCIPAL_SIDE, Derivation, RuleApp,
                               make_lbot, make_lc, make_lori, make_randi,
                               make_rc, premises_of, rebuild, rule_nodes)
 from teamseq.errors import (ArityMismatch, DerivationCheckError,
-                            ParseError, RuleViolation)
+                            ParseError, RuleViolation, ShapeMismatch)
+from teamseq.interpolation import interpolate_partition, verify_interpolant
 from teamseq.prover import prove_classical, prove_or_countermodel
 from teamseq.semantics import sequent_valid
-from teamseq.syntax import (And, BOT, Gd, Neg, Or, Prop, Sequent, children,
-                            parse_formula, parse_sequent)
-from teamseq.transforms import eliminate_cuts, normalize
+from teamseq.syntax import (And, BOT, Gd, Neg, Or, PartitionSequent, Prop,
+                            Sequent, children, parse_formula, parse_sequent)
+from teamseq.transforms import (contract, eliminate_cuts, invert, is_normal,
+                                normalize, reassemble, resolve_derivation,
+                                weaken)
 
-from conftest import gen_sequent, inject_cut
+from conftest import gen_sequent, inject_cut, variant_examples
 
 pf, ps = parse_formula, parse_sequent
 p, q, r, s_ = Prop("p"), Prop("q"), Prop("r"), Prop("s")
@@ -236,6 +239,38 @@ def test_variant_system_rules():
     # soundness spot checks
     assert sequent_valid(randi.conclusion)
     assert sequent_valid(lori.conclusion)
+    # every transform and interpolation takes them, also with a context no
+    # shared-context rule can join: cut elimination makes them G3 first
+    for tag, d in variant_examples().items():
+        ok(d)
+        assert d.rule.rule == tag
+        c = d.conclusion
+        outs = [(eliminate_cuts(d), c), (normalize(d), c),
+                (weaken(d, "L", q), Sequent(c.ant + (q,), c.suc))]
+        assert is_g3(outs[0][0]) and is_normal(outs[1][0])
+        if tag == "LC":
+            outs.append((contract(d, "L", p), Sequent(c.ant[1:], c.suc)))
+            gd = Gd(q, r)
+            out, side = invert(d, "RGd", c.suc.index(gd))
+            (prem,) = premises_of("RGd", c.ant, c.suc, gd, (), side)
+            outs.append((out, Sequent(*prem)))
+        else:
+            inv = {"RAndI": "RAnd", "LOrI": "LOr"}[tag]
+            f = d.rule.formula
+            pool = c.suc if inv == "RAnd" else c.ant
+            prems = premises_of(inv, c.ant, c.suc, f)
+            outs += zip(invert(d, inv, pool.index(f)),
+                        (Sequent(*prem) for prem in prems))
+        res = resolve_derivation(d)
+        assert (res.gamma, res.delta) == (c.ant, c.suc)
+        outs += [(b, b.conclusion) for b in res.branches.values()]
+        outs.append((reassemble(res), c))
+        for out, goal in outs:
+            ok(out)
+            assert out.conclusion == goal, tag
+        part = PartitionSequent(c.ant[:1], c.ant[1:], (), c.suc)
+        report = verify_interpolant(interpolate_partition(d, part), part)
+        assert report.ok and report.oracle_checked, report
 
 
 def test_variant_rules_reject_bad_splits():
@@ -258,11 +293,18 @@ def test_variant_rules_reject_bad_splits():
         check_derivation(bad2)
 
 
+def is_g3(d: Derivation) -> bool:
+    """No node of `d` uses a variant rule or cut."""
+    return all(n.rule.rule in PRINCIPAL_SIDE or n.rule.rule in ("At", "LBot")
+               for n in rule_nodes(d))
+
+
 def test_variant_equivalence_with_shared_context_rules():
-    # rebuild shared-context conjunctions from the variant rules
+    # rebuild shared-context conjunctions from the variant rules, and
+    # translate them back into G3 by cut elimination
     rng = random.Random(89)
     done = 0
-    while done < 20:
+    while done < 200:
         s = gen_sequent(rng)
         d = prove_or_countermodel(s)
         if not isinstance(d, Derivation):
@@ -271,10 +313,11 @@ def test_variant_equivalence_with_shared_context_rules():
         g = _to_variant(d)
         check_derivation(g)
         assert g.conclusion == d.conclusion
-        # and conversely the variant conclusion is provable in the base
-        # system (re-proving)
-        again = prove_or_countermodel(g.conclusion)
-        assert isinstance(again, Derivation)
+        back = eliminate_cuts(g)
+        check_derivation(back)
+        assert back.conclusion == g.conclusion
+        assert is_g3(back) and height(back) <= height(g)
+        assert is_normal(normalize(g))
 
 
 def _to_variant(d: Derivation) -> Derivation:
@@ -550,6 +593,9 @@ def test_rebuild_reproduces_every_node():
                     tags.add(node.rule.rule)
     assert nodes > 1500
     assert tags == set(PRINCIPAL_SIDE)
+    # a rule without a backward step has no forward step either
+    with pytest.raises(ShapeMismatch, match="no backward step for rule LC"):
+        rebuild(RuleApp("LC", formula=p), (make_at((p, p), (p,)),))
 
 
 def test_misaligned_premises_raise():

@@ -6,13 +6,15 @@ import time
 from pathlib import Path
 
 from teamseq import cli
-from teamseq.calculus import derivation_from_json, derivation_to_json
+from teamseq.calculus import (check_derivation, derivation_from_json,
+                              derivation_to_json, is_cutfree)
 from teamseq.cli import run
 from teamseq.semantics import team_from_json
 from teamseq.syntax import parse_formula, parse_sequent
 from teamseq.transforms import eliminate_cuts, is_normal, normalize
 
-from conftest import gen_sequent, gen_shuffled, inject_cut, on_fresh_stack
+from conftest import (gen_sequent, gen_shuffled, inject_cut, on_fresh_stack,
+                      variant_examples)
 
 
 def invoke(capsys, *argv):
@@ -185,6 +187,38 @@ def test_normalize_cutelim_resolve(tmp_path, capsys):
     path.write_text(json.dumps(blob))
     for cmd in ("check", "normalize", "cutelim", "resolve"):
         assert invoke(capsys, cmd, str(path))[0] == 0
+
+
+def test_variant_rule_files_are_transformed(tmp_path, capsys):
+    # cutelim, normalize and resolve take every file that check accepts,
+    # variant rules included, and write cutfree derivations of its
+    # endsequent
+    path = tmp_path / "d.json"
+    for tag, d in variant_examples().items():
+        path.write_text(json.dumps(derivation_to_json(d)))
+        assert invoke(capsys, "check", str(path)) == \
+            (0, f"ok: {d.conclusion}\n"), tag
+        outs = []
+        for cmd in ("cutelim", "normalize"):
+            code, out = invoke(capsys, cmd, str(path))
+            assert code == 0, (tag, cmd)
+            outs.append(derivation_from_json(json.loads(out)))
+        code, out = invoke(capsys, "resolve", str(path))
+        assert code == 0, (tag, "resolve")
+        branches = [derivation_from_json(b["derivation"])
+                    for b in json.loads(out)["branches"]]
+        assert branches
+        for e in outs + branches:
+            check_derivation(e)
+            assert is_cutfree(e), tag
+        assert all(e.conclusion == d.conclusion for e in outs), tag
+        # the transforms read the principal formula from the rule, so check
+        # requires it there, and the others refuse a file without it
+        blob = derivation_to_json(d)
+        del blob["nodes"][-1]["rule"]["formula"]
+        path.write_text(json.dumps(blob))
+        assert [invoke(capsys, cmd, str(path))[0] for cmd in
+                ("check", "cutelim", "normalize", "resolve")] == [1, 2, 2, 2]
 
 
 def test_deep_derivation_is_written_read_and_transformed(tmp_path, capsys):

@@ -188,3 +188,28 @@ def test_recursive_functions_are_pinned():
                             path.stem)
     assert found == RECURSIVE, (sorted(found - RECURSIVE),
                                 sorted(RECURSIVE - found))
+
+
+VARIANT_TAGS = {"LC", "RC", "RAndI", "LOrI"}
+
+
+def top_level_name(node) -> str:
+    """The name a module-level statement defines, or its line."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return node.name
+    if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+        return node.targets[0].id
+    return f"line {node.lineno}"
+
+
+def test_variant_rules_are_decided_in_one_place():
+    # calculus defines, checks and builds the variant rules; elsewhere only
+    # cut elimination names them, and it turns them into G3 rules
+    named = {f"{path.stem}.{top_level_name(top)}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for top in ast.parse(path.read_text(encoding="utf-8")).body
+             if any(isinstance(node, ast.Constant)
+                    and node.value in VARIANT_TAGS for node in ast.walk(top))}
+    outside = {name for name in named if not name.startswith("calculus.")}
+    assert outside == {"transforms._VARIANT", "transforms._elim"}, outside
+    assert any(name.startswith("calculus.") for name in named)

@@ -491,10 +491,9 @@ def test_transforms_of_a_deep_derivation_answer_or_are_a_resource_limit():
                              {c.ant: ((p, p),)})
     assert reassemble(res) is d
     # the transforms that run as folds over the nodes answer at any depth
+    # and give back a derivation they leave unchanged as it is
     for fn in (normalize, eliminate_cuts, classical_eliminate_cuts):
-        out = fn(d)
-        assert out.conclusion == c, fn
-        check_derivation(out)
+        assert fn(d) is d, fn
     res = resolve_derivation(d)
     assert (res.gamma, res.delta) == (c.ant, c.suc)
     assert res.mapping == {c.ant: c.suc}
