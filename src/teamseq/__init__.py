@@ -37,8 +37,8 @@ from .syntax import (And, BOT, Bot, Formula, Gd, Neg, Or, PartitionSequent,
                      is_classical, parse_formula, parse_sequent, props, render,
                      render_sequent, sequent_from_json, sequent_to_json,
                      signed_props, subformula_at, substitute_at, symbol_count)
-from .transforms import (ResolvedDerivation, classical_eliminate_cuts,
-                         contract, eliminate_cuts, invert, is_normal,
-                         normalize, reassemble, resolve_derivation, weaken)
+from .transforms import (ResolvedDerivation, contract, eliminate_cuts, invert,
+                         is_normal, normalize, reassemble, resolve_derivation,
+                         weaken)
 
 __version__ = "0.1.0"

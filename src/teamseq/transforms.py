@@ -2,14 +2,21 @@
 
 Height-preserving admissible structural rules (weakening, inversion,
 contraction), the phase normal form for cutfree derivations (classical
-rules above the right deep rule above the left deep rule), cut elimination
-for the classical subsystem and for the full calculus, and the
+rules above the right deep rule above the left deep rule), the
 decomposition of a derivation into classical derivations indexed by
-antecedent resolutions.
+antecedent resolutions, and cut elimination.
+
+Cut elimination is the paper's corollary of the normal form: both premises
+of a cut are normalized and split into classical branches (`_split`), each
+pair of branches is cut classically (`_ccut`), and the deep rules are put
+back (`_reassemble`); `resolve_derivation` and `reassemble` are that split
+and that reassembly.
 
 They work in G3, the calculus without the variant rules (LC, RC, RAndI,
 LOrI), where weakening and contraction are admissible.  Cut elimination
 removes the variant rules too; the others run it first where one occurs.
+Each public transform scans its input once (`_scan`) and refuses a rule
+without its formula before it reduces anything.
 
 Inversion is the workhorse: its recursion carries out exactly the rule
 commutations the other transformations need, including the three ways two
@@ -34,8 +41,8 @@ from .calculus import (PRINCIPAL_SIDE, Derivation, RuleApp, actives, derive,
                        fold, infer, is_cutfree, make_at, make_lbot,
                        premises_of, rebuild, replay_rgd, rule_nodes)
 from .errors import (ContainsCut, FormulaNotDuplicated, NonClassicalAntecedent,
-                     NonClassicalInput, NonClassicalRightContraction,
-                     ShapeMismatch, nesting_limited)
+                     NonClassicalRightContraction, ShapeMismatch,
+                     nesting_limited)
 from .prover import prove_or_countermodel
 from .resolutions import resolution_steps, resolutions_multiset
 from .syntax import (And, Formula, Gd, Neg, Or, Sequent, children, first_gd,
@@ -45,11 +52,23 @@ from .syntax import (And, Formula, Gd, Neg, Or, Sequent, children, first_gd,
 _VARIANT = ("LC", "RC", "RAndI", "LOrI")
 
 
+def _scan(d: Derivation) -> bool:
+    """Whether some node of `d` uses a variant rule.  Raises ShapeMismatch
+    on a rule without the formula the transforms read from it: a cut's
+    cut formula, any other rule's principal formula."""
+    variant = False
+    for n in rule_nodes(d):
+        what = "cutformula" if n.rule.rule == "Cut" else "formula"
+        if getattr(n.rule, what) is None:
+            raise ShapeMismatch(f"{n.rule.rule} rule: missing {what}")
+        variant = variant or n.rule.rule in _VARIANT
+    return variant
+
+
 def _g3(d: Derivation) -> Derivation:
-    """`d`, made a cutfree G3 derivation if some node uses a variant rule."""
-    if any(n.rule.rule in _VARIANT for n in rule_nodes(d)):
-        return eliminate_cuts(d)
-    return d
+    """`d` after `_scan`, made a cutfree G3 derivation if some node uses a
+    variant rule."""
+    return fold(d, _elim) if _scan(d) else d
 
 
 def _axiom_on(d: Derivation, ant, suc) -> Derivation:
@@ -470,32 +489,8 @@ def _norm(d: Derivation, ps) -> Derivation:
 
 
 # ---------------------------------------------------------------------------
-# Classical cut elimination
-
-def _require_cutformulas(d: Derivation) -> list[Formula]:
-    """The cut formulas of `d` in preorder; ShapeMismatch if one is None."""
-    cuts = [n.rule.cutformula for n in rule_nodes(d) if n.rule.rule == "Cut"]
-    if any(phi is None for phi in cuts):
-        raise ShapeMismatch("missing cutformula")
-    return cuts
-
-
-@nesting_limited
-def classical_eliminate_cuts(d: Derivation) -> Derivation:
-    """Standard cut elimination within the classical subsystem: there
-    every sequent is classical, so `_elim` reduces each cut by `_ccut`.  A
-    cut on a formula with `||` is outside it, even under a classical
-    endsequent, and raises ShapeMismatch; `eliminate_cuts` reduces it.  A
-    cut with no cut formula raises ShapeMismatch too, before anything is
-    reduced."""
-    cuts = _require_cutformulas(d)
-    if not d.conclusion.is_classical():
-        raise NonClassicalInput(str(d.conclusion))
-    for phi in cuts:
-        if not is_classical(phi):
-            raise ShapeMismatch(f"nonclassical cut formula {render(phi)}")
-    return fold(d, _elim)
-
+# Cut elimination: split into classical branches, cut each pair of branches
+# classically, reassemble
 
 def _ccut(d1: Derivation, d2: Derivation, phi: Formula) -> Derivation:
     """Cutfree classical derivation of the cut of d1 and d2 on phi."""
@@ -535,9 +530,6 @@ def _ccut(d1: Derivation, d2: Derivation, phi: Formula) -> Derivation:
     if not (PRINCIPAL_SIDE.get(r2.rule) == "ant" and r2.formula == phi):
         return rebuild(r2, tuple(_ccut(d1, p, phi) for p in d2.premises))
 
-    if r1.path or r2.path:
-        # a deep rule introduces a `||` inside phi, not phi's connective
-        raise ShapeMismatch(f"cannot reduce cut on {render(phi)}")
     # principal on both sides: reduce the rank
     match phi:
         case Neg(beta):
@@ -568,40 +560,31 @@ def _ccut(d1: Derivation, d2: Derivation, phi: Formula) -> Derivation:
     raise ShapeMismatch(f"cannot reduce cut on {render(phi)}")
 
 
-# ---------------------------------------------------------------------------
-# Full cut elimination
-
-def _family(n: Derivation) -> dict[tuple, Derivation]:
-    """Split a cutfree derivation along every antecedent global
-    disjunction: one derivation per antecedent resolution."""
-    hit = first_gd(n.conclusion.ant)
-    if hit is None:
-        return {n.conclusion.ant: n}
-    f, path = hit
-    dl, dr = _invert(n, _Item("LGd", f, path))
-    out = dict(_family(dr))
-    out.update(_family(dl))
+def _split(n: Derivation) -> dict[tuple, tuple[Derivation, tuple]]:
+    """The classical branches of the normalized cutfree G3 derivation `n`,
+    by classical antecedent.  Left deep-rule inversion splits the
+    antecedent (where two branches reach the same one, the left one wins);
+    then right deep-rule inversion resolves the succedent in order.  Each
+    branch is a classical derivation and the (formula, resolution) pairs of
+    `n`'s succedent."""
+    out = {}
+    todo = [n]
+    while todo:
+        d = todo.pop()
+        ant = d.conclusion.ant
+        hit = first_gd(ant)
+        if hit is not None:
+            todo.extend(reversed(_invert(d, _Item("LGd", *hit))))
+        elif ant not in out:
+            pairs = []
+            for f in n.conclusion.suc:
+                g = f
+                while (hit := first_gd((g,))) is not None:
+                    d, side = _invert(d, _Item("RGd", g, hit[1]))
+                    g = gd_sides(g, hit[1])["LR".index(side)]
+                pairs.append((f, g))
+            out[ant] = (d, tuple(pairs))
     return out
-
-
-def _classicalize_suc(d: Derivation, entries):
-    """Resolve every succedent global disjunction by inversion.
-
-    `entries` lists (key, formula) covering d's succedent.  Returns the
-    classical derivation, the inversion records (key, formula-before,
-    path, side, kept) in application order, and the final formula per
-    entry.
-    """
-    records, finals = [], []
-    for key, f in entries:
-        while not is_classical(f):
-            path = first_gd((f,))[1]
-            d, side = _invert(d, _Item("RGd", f, path))
-            kept = gd_sides(f, path)["LR".index(side)]
-            records.append((key, f, path, side, kept))
-            f = kept
-        finals.append((key, f))
-    return d, records, finals
 
 
 def _family_step(ant, suc, family):
@@ -614,46 +597,31 @@ def _family_step(ant, suc, family):
     return "LGd", *hit
 
 
+def _reassemble(goal, branches) -> Derivation:
+    """A derivation of `goal` from `branches` as `_split` gives them: each
+    branch's right deep rules replayed from its pairs (the last formula's
+    nearest the root), then the antecedent split by left deep rules."""
+    family = {xi: replay_rgd(c, [step for f, r in reversed(pairs)
+                                 for step in resolution_steps(f, r)])
+              for xi, (c, pairs) in branches.items()}
+    return derive(goal, _family_step, family)
+
+
 def _eliminate_one(d1: Derivation, d2: Derivation, phi: Formula) -> Derivation:
-    """Replace a cut with cutfree premises by a cutfree derivation."""
-    if d1.conclusion.is_classical() and d2.conclusion.is_classical():
-        return _ccut(d1, d2, phi)
-
-    delta = mset_remove(d1.conclusion.suc, phi)
-    sigma = d2.conclusion.suc
-    gamma = d1.conclusion.ant
+    """Replace a cut with cutfree G3 premises by a cutfree derivation."""
     pi = mset_remove(d2.conclusion.ant, phi)
-
-    n1 = fold(d1, _norm)
-    n2 = fold(d2, _norm)
-    fam1 = _family(n1)
-    fam2 = _family(n2)
-
-    entries1 = [("cut", phi)] + [(("ctx", i), g) for i, g in enumerate(delta)]
-    left_parts = {}
-    for xi, dd in fam1.items():
-        c1, recs1, finals1 = _classicalize_suc(dd, entries1)
-        alpha = next(f for k, f in finals1 if k == "cut")
-        ctx_recs = [rec for rec in recs1 if rec[0] != "cut"]
-        left_parts[xi] = (c1, alpha, ctx_recs)
-
-    big: dict[tuple, Derivation] = {}
-    sig_entries = [(("sig", i), g) for i, g in enumerate(sigma)]
-    right_cache: dict[tuple, tuple] = {}
-    for xi, (c1, alpha, ctx_recs) in left_parts.items():
+    right = _split(fold(d2, _norm))
+    branches = {}
+    for xi, (c1, pairs) in _split(fold(d1, _norm)).items():
+        k = [f for f, _r in pairs].index(phi)
+        alpha, ctx = pairs[k][1], pairs[:k] + pairs[k + 1:]
         for theta in resolutions_multiset(pi):
             key = mset(xi + theta)
-            if key in big:
-                continue
-            theta_key = mset_add(theta, alpha)
-            if theta_key not in right_cache:
-                right_cache[theta_key] = _classicalize_suc(fam2[theta_key],
-                                                           sig_entries)
-            c2, recs2, _finals2 = right_cache[theta_key]
-            spliced = _ccut(c1, c2, alpha)
-            big[key] = replay_rgd(spliced,
-                                  [rec[1:] for rec in ctx_recs + recs2])
-    return derive((gamma + pi, delta + sigma), _family_step, big)
+            if key not in branches:
+                c2, sig = right[mset_add(theta, alpha)]
+                branches[key] = (_ccut(c1, c2, alpha), ctx + sig)
+    return _reassemble((d1.conclusion.ant + pi, mset_remove(
+        d1.conclusion.suc, phi) + d2.conclusion.suc), branches)
 
 
 @nesting_limited
@@ -661,13 +629,15 @@ def eliminate_cuts(d: Derivation) -> Derivation:
     """Transform any checked derivation into a cutfree G3 derivation with
     the same endsequent; a cutfree G3 derivation is returned as it is.
 
-    Each innermost cut is eliminated by normalizing its (cutfree) premises,
-    splicing the classical parts with classical cuts resolution by
-    resolution, eliminating those classically, and reassembling the deep
-    phases.  LC and RC become contraction, and RAndI (LOrI) two cuts with
-    a derivation of `a, b => a & b` (`a | b => a, b`).  A cut with no cut
-    formula raises ShapeMismatch before anything is reduced."""
-    _require_cutformulas(d)
+    Each innermost cut is eliminated as the paper's corollary: both
+    (cutfree) premises are normalized and split into classical branches,
+    each pair of branches that meets on a resolution of the cut formula is
+    cut classically, and the deep rules are put back.  A classical cut is
+    the case of one branch on each side.  LC and RC become contraction,
+    and RAndI (LOrI) two cuts with a derivation of `a, b => a & b`
+    (`a | b => a, b`).  A rule without its formula raises ShapeMismatch
+    before anything is reduced."""
+    _scan(d)
     return fold(d, _elim)
 
 
@@ -713,26 +683,17 @@ def resolve_derivation(d: Derivation) -> ResolvedDerivation:
     """Decompose `d` into classical subderivations indexed by antecedent
     resolutions (after cut elimination and normalization)."""
     n = fold(eliminate_cuts(d), _norm)
-    gamma = n.conclusion.ant
-    delta = n.conclusion.suc
-    entries = [(i, g) for i, g in enumerate(delta)]
-    branches: dict[tuple, Derivation] = {}
-    mapping: dict[tuple, tuple[Formula, ...]] = {}
-    pairings: dict[tuple, tuple] = {}
-    for xi, dd in _family(n).items():
-        c, _recs, finals = _classicalize_suc(dd, entries)
-        branches[xi] = c
-        mapping[xi] = mset(f for _k, f in finals)
-        pairings[xi] = tuple((delta[k], f) for k, f in finals)
-    return ResolvedDerivation(gamma, delta, branches, mapping, pairings)
+    split = _split(n)
+    return ResolvedDerivation(
+        n.conclusion.ant, n.conclusion.suc,
+        {xi: c for xi, (c, _pairs) in split.items()},
+        {xi: mset(r for _f, r in pairs) for xi, (_c, pairs) in split.items()},
+        {xi: pairs for xi, (_c, pairs) in split.items()})
 
 
 def reassemble(res: ResolvedDerivation) -> Derivation:
     """Inverse of resolve_derivation: rebuild a derivation of the original
     endsequent from the classical branches."""
-    family = {}
-    for xi, c in res.branches.items():
-        # the last formula's steps end nearest the root
-        family[xi] = replay_rgd(c, [step for f, r in reversed(res.pairings[xi])
-                                    for step in resolution_steps(f, r)])
-    return derive((res.gamma, res.delta), _family_step, family)
+    return _reassemble((res.gamma, res.delta),
+                       {xi: (c, res.pairings[xi])
+                        for xi, c in res.branches.items()})

@@ -175,7 +175,7 @@ RECURSIVE = {
     "syntax._Parser.conj", "syntax._Parser.disj", "syntax._Parser.gd",
     "syntax._Parser.neg", "syntax._formula_from_json",
     "syntax.substitute_at",
-    "transforms._ccut", "transforms._contract", "transforms._family",
+    "transforms._ccut", "transforms._contract",
     "transforms._push_classical", "transforms._push_rgd",
     "transforms._weaken",
 }

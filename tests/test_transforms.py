@@ -1,13 +1,12 @@
 import random
-import re
 from dataclasses import replace
 
 import pytest
 
 from teamseq import transforms
 from teamseq.calculus import (Derivation, check_derivation, cutrank,
-                              derivation_to_json, height, infer, is_cutfree,
-                              make_at, make_cut, rule_nodes)
+                              derivation_to_json, fold, height, infer,
+                              is_cutfree, make_at, make_cut, rule_nodes)
 from teamseq.errors import (ContainsCut, FormulaNotDuplicated,
                             NonClassicalAntecedent,
                             NonClassicalRightContraction, ResourceLimit,
@@ -18,10 +17,9 @@ from teamseq.semantics import Team, sequent_valid
 from teamseq.syntax import (And, Neg, Or, PartitionSequent, Prop, Sequent,
                             gd_paths, is_classical, parse_formula,
                             parse_sequent)
-from teamseq.transforms import (ResolvedDerivation, classical_eliminate_cuts,
-                                contract, eliminate_cuts, invert, is_normal,
-                                normalize, reassemble, resolve_derivation,
-                                weaken)
+from teamseq.transforms import (ResolvedDerivation, contract, eliminate_cuts,
+                                invert, is_normal, normalize, reassemble,
+                                resolve_derivation, weaken)
 
 from conftest import (gen_formula, gen_sequent, gen_shuffled,
                       identity_derivation, inject_cut)
@@ -296,7 +294,7 @@ def test_classical_cut_elimination_textbook():
     d1 = proved("a, b => a & b")
     d2 = proved("a & b => b")
     c = make_cut(d1, d2, pf("a & b"))
-    e = classical_eliminate_cuts(c)
+    e = eliminate_cuts(c)
     check_derivation(e)
     assert is_cutfree(e)
     assert e.conclusion == c.conclusion
@@ -304,24 +302,24 @@ def test_classical_cut_elimination_textbook():
 
 def test_classical_cut_axiom_absorption():
     idp = proved("p => p")
-    e = classical_eliminate_cuts(make_cut(idp, idp, p))
+    e = eliminate_cuts(make_cut(idp, idp, p))
     check_derivation(e)
     assert e.conclusion == ps("p => p")
     assert e.rule.rule == "At"
 
 
-def test_classical_cut_on_global_disjunction_refused():
-    # classical conclusions, but the cut formula holds `||`: the deep rules
-    # that introduce it have no classical reduction, at the top of the cut
-    # formula or inside it
+def test_cut_on_global_disjunction_under_classical_endsequent():
+    # classical conclusions, but the cut formula holds `||`, at its top or
+    # inside it: the deep rules that introduce it are split off first
     for left, right, phi in [
             ("p => p || q", "p || q => p | q", "p || q"),
             ("p => (p || q) & p", "(p || q) & p => p | q", "(p || q) & p"),
             ("p | q => p || q, p | q", "p || q => p | q", "p || q")]:
         c = make_cut(proved(left), proved(right), pf(phi))
-        with pytest.raises(ShapeMismatch, match=re.escape(
-                f"nonclassical cut formula {phi}")):
-            classical_eliminate_cuts(c)
+        e = eliminate_cuts(c)
+        check_derivation(e)
+        assert is_cutfree(e)
+        assert e.conclusion == c.conclusion
 
 
 def test_classical_cut_elimination_random():
@@ -334,16 +332,23 @@ def test_classical_cut_elimination_random():
         done += 1
         phi = rng.choice(d.conclusion.suc)
         c = inject_cut(d, phi)
-        e = classical_eliminate_cuts(c)
+        e = eliminate_cuts(c)
         check_derivation(e)
         assert is_cutfree(e)
         assert e.conclusion == d.conclusion
         assert sequent_valid(e.conclusion)
 
 
+def _classical_reduction(d, ps):
+    if d.rule.rule == "Cut":
+        return transforms._ccut(ps[0], ps[1], d.rule.cutformula)
+    return d
+
+
 def test_classical_cut_elimination_is_full_cut_elimination():
     # under a classical endsequent with classical cuts every sequent is
-    # classical, so both reduce every cut by the classical reduction
+    # classical: each premise is one classical branch, so each cut is
+    # reduced by the classical reduction alone
     rng = random.Random(157)
     done = 0
     while done < 60:
@@ -356,8 +361,12 @@ def test_classical_cut_elimination_is_full_cut_elimination():
             # a second cut, on an antecedent formula, above the first
             a = rng.choice(d.conclusion.ant)
             c = make_cut(identity_derivation(a), c, a)
-        assert derivation_to_json(classical_eliminate_cuts(c)) == \
-            derivation_to_json(eliminate_cuts(c))
+        e = eliminate_cuts(c)
+        check_derivation(e)
+        assert is_cutfree(e)
+        assert e.conclusion == d.conclusion
+        assert derivation_to_json(e) == \
+            derivation_to_json(fold(c, _classical_reduction))
 
 
 def test_cut_elimination_worked_example():
@@ -366,11 +375,20 @@ def test_cut_elimination_worked_example():
     c = make_cut(d1, d2, pf("p||q"))
     check_derivation(c)
     assert c.conclusion == ps("a | (p||q), b => a, (b&p) || (b&q)")
-    e = eliminate_cuts(c)
-    check_derivation(e)
-    assert is_cutfree(e)
-    assert e.conclusion == c.conclusion
-    assert sequent_valid(e.conclusion)
+    # the cut formula twice in the left premise's succedent, and another
+    # `||` beside it in the right premise's antecedent
+    cuts = [c] + [make_cut(proved(left), proved(right), pf(phi))
+                  for left, right, phi in [
+        ("p || q => p || q, p || q", "p || q => q || p", "p || q"),
+        ("p || q => q || p", "q || p, b || c => (q || p) & (b || c)",
+         "q || p")]]
+    for cut in cuts:
+        check_derivation(cut)
+        e = eliminate_cuts(cut)
+        check_derivation(e)
+        assert is_cutfree(e)
+        assert e.conclusion == cut.conclusion
+        assert sequent_valid(e.conclusion)
 
 
 def test_cut_elimination_classical_delegation():
@@ -411,8 +429,7 @@ def test_nested_cuts():
     assert e.conclusion == ps("p & q => q & p")
 
 
-@pytest.mark.parametrize("eliminate", [eliminate_cuts,
-                                       classical_eliminate_cuts])
+@pytest.mark.parametrize("eliminate", [eliminate_cuts, resolve_derivation])
 def test_cut_without_cutformula_is_a_shape_mismatch(eliminate, monkeypatch):
     # the cut below is missing its formula; the cut above it is sound, and
     # is not reduced first
@@ -429,6 +446,18 @@ def test_cut_without_cutformula_is_a_shape_mismatch(eliminate, monkeypatch):
     monkeypatch.setattr(transforms, "_ccut", reduced)
     with pytest.raises(ShapeMismatch, match="missing cutformula"):
         eliminate(bad)
+
+
+def test_rule_without_its_formula_is_a_shape_mismatch():
+    # every public transform scans for it before it reduces anything
+    d = proved("p||q, p||q => q||p")
+    bad = Derivation(d.conclusion, replace(d.rule, formula=None), d.premises)
+    pos = d.conclusion.ant.index(pf("p||q"))
+    for fn, args in ((weaken, ("L", q)), (invert, ("LGd", pos, ())),
+                     (contract, ("L", pf("p||q"))), (normalize, ()),
+                     (eliminate_cuts, ()), (resolve_derivation, ())):
+        with pytest.raises(ShapeMismatch, match="missing formula"):
+            fn(bad, *args)
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +521,7 @@ def test_transforms_of_a_deep_derivation_answer_or_are_a_resource_limit():
     assert reassemble(res) is d
     # the transforms that run as folds over the nodes answer at any depth
     # and give back a derivation they leave unchanged as it is
-    for fn in (normalize, eliminate_cuts, classical_eliminate_cuts):
+    for fn in (normalize, eliminate_cuts):
         assert fn(d) is d, fn
     res = resolve_derivation(d)
     assert (res.gamma, res.delta) == (c.ant, c.suc)
@@ -508,3 +537,23 @@ def test_transforms_of_a_deep_derivation_answer_or_are_a_resource_limit():
             fn(d, *args)
         except ResourceLimit as e:
             assert str(e) == "nesting too deep", fn
+
+
+def test_normalize_and_resolve_answer_a_deep_rgd():
+    # an RGd over an axiom, under 1500 LAnd: `normalize` moves it to the
+    # foot, and `resolve_derivation` splits only after normalizing, so its
+    # inversion does not step through the chain
+    xs = [Prop(f"x{i}") for i in range(1500)]
+    ys = [Prop(f"y{i}") for i in range(1500)]
+    d = infer("RGd", [make_at((p, *xs, *ys), (p,))], pf("p || q"), (), "L")
+    for x, y in zip(xs, ys):
+        d = infer("LAnd", [d], And(x, y))
+    n = normalize(d)
+    check_derivation(n)
+    assert is_normal(n) and n.rule.rule == "RGd"
+    assert n.conclusion == d.conclusion
+    res = resolve_derivation(d)
+    ant = d.conclusion.ant
+    assert res.mapping == {ant: (p,)}
+    check_derivation(res.branches[ant])
+    assert reassemble(res).conclusion == d.conclusion
