@@ -14,6 +14,11 @@ reading them never recurses, however deep the formula.
 Operator precedence is `~` > `&` > `|` > `||`, binary operators associate
 to the right.  `render` emits minimal parentheses and round-trips through
 `parse_formula`.  Multisets of formulas are tuples sorted by text.
+
+The parsers split the text into tokens with one `findall` and read them
+with one precedence-climbing rule, which takes one stack frame per `~`,
+per parenthesis and per binary operator nested to its right; offsets
+are computed only for an error message.
 """
 
 from __future__ import annotations
@@ -24,10 +29,11 @@ import weakref
 from _weakref import _remove_dead_weakref
 from bisect import insort
 from dataclasses import dataclass, fields
+from itertools import islice
 from operator import attrgetter
 
 from .errors import (InvalidPath, NonClassicalNegation, ParseError,
-                     nesting_limited)
+                     TeamSeqError, nesting_limited)
 
 _VAR_RE = re.compile(r"[a-z][a-zA-Z0-9_]*")
 
@@ -67,7 +73,7 @@ class _Interned(type):
                 if node is None:
                     node = super().__call__(*args)
                     # fixed before the node is published, from its children
-                    text, classical = _fixed(node)
+                    text, classical = _FIXED[cls](*args)
                     node.__dict__.update(_text=text, _classical=classical)
                     ref = _NodeRef(node, _forget)
                     ref.key = key
@@ -153,29 +159,35 @@ _PREC = {Gd: 1, Or: 2, And: 3, Neg: 4, Prop: 5, Bot: 5}
 _OPS = {Gd: "||", Or: "|", And: "&"}
 
 
-def _fixed(f: Formula) -> tuple[str, bool]:
-    """The text and the classicality of a node being interned, from the
-    values its children got when they were interned: no recursion."""
-    match f:
-        case Prop(name):
-            return name, True
-        case Bot():
-            return "bot", True
-        case Neg(c):
-            text = c._text
-            if _PREC[type(c)] < _PREC[Neg]:
-                text = f"({text})"
-            return "~" + text, True
-        case And(l, r) | Or(l, r) | Gd(l, r):
-            prec = _PREC[type(f)]
-            left, right = l._text, r._text
-            if _PREC[type(l)] <= prec:
-                left = f"({left})"
-            if _PREC[type(r)] < prec:
-                right = f"({right})"
-            return (f"{left} {_OPS[type(f)]} {right}",
-                    type(f) is not Gd and l._classical and r._classical)
-    raise TypeError(f"not a formula: {f!r}")
+def _neg_fixed(c: Formula) -> tuple[str, bool]:
+    text = c._text
+    return ("~(" + text + ")" if _PREC[type(c)] < _PREC[Neg]
+            else "~" + text), True
+
+
+def _binary_fixed(cls):
+    """The text and classicality of a `cls` node from its two children's:
+    a left side as loose as `cls` and a looser right side are
+    parenthesized, since `cls` associates to the right."""
+    prec, op, classical = _PREC[cls], f" {_OPS[cls]} ", cls is not Gd
+
+    def fixed(left: Formula, right: Formula) -> tuple[str, bool]:
+        lt, rt = left._text, right._text
+        if _PREC[type(left)] <= prec:
+            lt = "(" + lt + ")"
+        if _PREC[type(right)] < prec:
+            rt = "(" + rt + ")"
+        return (lt + op + rt,
+                classical and left._classical and right._classical)
+
+    return fixed
+
+
+# per type, the text and the classicality of a node being interned, from
+# its fields and the values its children got when they were interned: no
+# recursion
+_FIXED = {Prop: lambda name: (name, True), Bot: lambda: ("bot", True),
+          Neg: _neg_fixed, **{cls: _binary_fixed(cls) for cls in _OPS}}
 
 
 BOT = Bot()
@@ -218,14 +230,22 @@ def is_classical(f: Formula) -> bool:
 
 
 def props(f: Formula) -> frozenset[str]:
-    cache = f.__dict__
-    out = cache.get("_props")
+    """The variables of `f`, cached on `f` on first use.  They are
+    gathered on an explicit stack that takes a cached node's variables
+    without walking below it."""
+    out = f.__dict__.get("_props")
     if out is None:
-        if isinstance(f, Prop):
-            out = frozenset({f.name})
-        else:
-            out = frozenset().union(*map(props, children(f)))
-        cache["_props"] = out
+        names, stack = set(), [f]
+        while stack:
+            g = stack.pop()
+            known = g.__dict__.get("_props")
+            if known is not None:
+                names |= known
+            elif isinstance(g, Prop):
+                names.add(g.name)
+            else:
+                stack += children(g)
+        out = f.__dict__["_props"] = frozenset(names)
     return out
 
 
@@ -273,24 +293,21 @@ def subformula_at(f: Formula, path) -> Formula:
 
 
 def substitute_at(f: Formula, path, replacement: Formula) -> Formula:
-    """Replace exactly the occurrence addressed by `path` with `replacement`."""
-    if not path:
-        return replacement
-    step, rest = path[0], tuple(path[1:])
-    match f:
-        case Neg(c):
-            if step != 0:
-                raise InvalidPath(f"path step {step} at a negation")
-            return Neg(substitute_at(c, rest, replacement))
-        case And(l, r) | Or(l, r) | Gd(l, r):
-            if step == 0:
-                l = substitute_at(l, rest, replacement)
-            elif step == 1:
-                r = substitute_at(r, rest, replacement)
-            else:
-                raise InvalidPath(f"path step {step} at a binary node")
-            return type(f)(l, r)
-    raise InvalidPath(f"path descends below a leaf in {render(f)}")
+    """Replace exactly the occurrence addressed by `path` with `replacement`:
+    down the path, then the nodes on it rebuilt bottom-up."""
+    above = []
+    for step in path:
+        kids = children(f)
+        if not kids:
+            raise InvalidPath(f"path descends below a leaf in {render(f)}")
+        if step not in range(len(kids)):
+            raise InvalidPath(f"path step {step} at a " + (
+                "negation" if len(kids) == 1 else "binary node"))
+        above.append((f, kids, step))
+        f = kids[step]
+    for node, kids, step in reversed(above):
+        replacement = type(node)(*kids[:step], replacement, *kids[step + 1:])
+    return replacement
 
 
 def gd_paths(f: Formula) -> tuple[tuple[int, ...], ...]:
@@ -468,122 +485,135 @@ def render_partition(p: PartitionSequent) -> str:
 # ---------------------------------------------------------------------------
 # Parsing
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<arrow>=>)|(?P<gd>\|\|)|(?P<or>\|)|(?P<and>&)|(?P<neg>~)"
-    r"|(?P<lpar>\()|(?P<rpar>\))|(?P<comma>,)|(?P<semi>;)"
-    r"|(?P<word>[A-Za-z][A-Za-z0-9_]*))"
-)
-
-
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            if text[pos:].strip() == "":
-                break
-            raise ParseError(f"unexpected character {text[pos]!r} at {pos}",
-                             position=pos)
-        kind = m.lastgroup
-        value = m.group(m.lastgroup)
-        tokens.append((kind, value, m.start(m.lastgroup)))
-        pos = m.end()
-    tokens.append(("eof", "", len(text)))
-    return tokens
+# a token: a symbol, a word, or a lone character that starts no token
+_TOKEN_RE = re.compile(r"=>|\|\||[|&~(),;]|[A-Za-z][A-Za-z0-9_]*|\S")
+_STRAY_RE = re.compile(r"[^A-Za-z|&~(),;]")
+# binary operator -> (its precedence, its type)
+_BINARY = {op: (_PREC[cls], cls) for cls, op in _OPS.items()}
+# the names errors give the tokens `expect` asks for
+_NAMES = {")": "rpar", "=>": "arrow", ";": "semi", "": "eof"}
 
 
 class _Parser:
+    """The tokens of `text`, found by one `findall`, and a cursor over
+    them; the empty string ends the list.  Offsets are found only for an
+    error, by one more pass over the text."""
+
     def __init__(self, text: str):
         self.text = text
-        self.tokens = _tokenize(text)
+        self.tokens = _TOKEN_RE.findall(text)
+        self.tokens.append("")
         self.i = 0
 
-    def peek(self):
-        return self.tokens[self.i]
+    def offset(self, i: int) -> int:
+        m = next(islice(_TOKEN_RE.finditer(self.text), i, None), None)
+        return len(self.text) if m is None else m.start()
 
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
+    def stray(self) -> None:
+        """Raise the error of the first character that starts no token,
+        if there is one: it comes before any other error in the text."""
+        for m in _TOKEN_RE.finditer(self.text):
+            c = m.group()
+            if len(c) == 1 and _STRAY_RE.match(c):
+                raise ParseError(f"unexpected character {c!r} at {m.start()}",
+                                 position=m.start())
 
-    def expect(self, kind):
-        tok = self.next()
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind} at position {tok[2]}, got {tok[1]!r}",
-                             position=tok[2], expected=kind)
-        return tok
+    def expect(self, tok: str) -> None:
+        i = self.i
+        got = self.tokens[i]
+        if got != tok:
+            pos = self.offset(i)
+            raise ParseError(f"expected {_NAMES[tok]} at position {pos}, "
+                             f"got {got!r}", position=pos,
+                             expected=_NAMES[tok])
+        self.i = i + 1
 
-    # precedence-climbing with right associativity
-    def formula(self) -> Formula:
-        return self.gd()
-
-    def gd(self) -> Formula:
-        left = self.disj()
-        if self.peek()[0] == "gd":
-            self.next()
-            return Gd(left, self.gd())
-        return left
-
-    def disj(self) -> Formula:
-        left = self.conj()
-        if self.peek()[0] == "or":
-            self.next()
-            return Or(left, self.disj())
-        return left
-
-    def conj(self) -> Formula:
-        left = self.neg()
-        if self.peek()[0] == "and":
-            self.next()
-            return And(left, self.conj())
-        return left
-
-    def neg(self) -> Formula:
-        tok = self.peek()
-        if tok[0] == "neg":
-            self.next()
-            child = self.neg()
-            if not is_classical(child):
+    def formula(self, prec: int = 1) -> Formula:
+        """The formula at the cursor whose binary operators bind at least
+        as tightly as `prec`; each right operand is read at its operator's
+        own precedence, so binary operators associate to the right."""
+        tokens, i = self.tokens, self.i
+        tok = tokens[i]
+        self.i = i + 1
+        if tok == "~":
+            child = self.formula(_PREC[Neg])
+            if not child._classical:
                 raise NonClassicalNegation(
-                    f"`~` scopes over `||` at position {tok[2]}")
-            return Neg(child)
-        return self.atom()
-
-    def atom(self) -> Formula:
-        kind, value, pos = self.next()
-        if kind == "word":
-            if value == "bot":
-                return BOT
-            if not _VAR_RE.fullmatch(value):
-                raise ParseError(f"bad variable name {value!r} at {pos}",
-                                 position=pos)
-            return Prop(value)
-        if kind == "lpar":
-            f = self.formula()
-            self.expect("rpar")
-            return f
-        raise ParseError(f"expected a formula at position {pos}, got {value!r}",
-                         position=pos, expected="formula")
+                    f"`~` scopes over `||` at position {self.offset(i)}")
+            left = Neg(child)
+        elif tok == "(":
+            left = self.formula()
+            self.expect(")")
+        elif tok == "bot":
+            left = BOT
+        else:
+            try:
+                left = Prop(tok)
+            except ValueError:
+                pos = self.offset(i)
+                if tok[:1].isalpha():
+                    raise ParseError(f"bad variable name {tok!r} at {pos}",
+                                     position=pos) from None
+                raise ParseError(f"expected a formula at position {pos}, "
+                                 f"got {tok!r}", position=pos,
+                                 expected="formula") from None
+        op = _BINARY.get(tokens[self.i])
+        while op is not None and op[0] >= prec:
+            self.i += 1
+            left = op[1](left, self.formula(op[0]))
+            op = _BINARY.get(tokens[self.i])
+        return left
 
     def formula_list(self) -> list[Formula]:
-        if self.peek()[0] in ("arrow", "semi", "eof"):
+        if self.tokens[self.i] in ("=>", ";", ""):
             return []
         out = [self.formula()]
-        while self.peek()[0] == "comma":
-            self.next()
+        while self.tokens[self.i] == ",":
+            self.i += 1
             out.append(self.formula())
         return out
+
+    def sequent(self):
+        ant1 = self.formula_list()
+        partitioned = self.tokens[self.i] == ";"
+        ant2: list[Formula] = []
+        if partitioned:
+            self.i += 1
+            ant2 = self.formula_list()
+        self.expect("=>")
+        suc1 = self.formula_list()
+        suc2: list[Formula] = []
+        if partitioned:
+            self.expect(";")
+            suc2 = self.formula_list()
+        elif self.tokens[self.i] == ";":
+            raise ParseError("partition marker `;` on one side only",
+                             position=self.offset(self.i))
+        if partitioned:
+            return PartitionSequent(tuple(ant1), tuple(ant2), tuple(suc1),
+                                    tuple(suc2))
+        return Sequent(tuple(ant1), tuple(suc1))
+
+
+def _parsed(text: str, read):
+    """`read(parser)` over all of `text`, or the error the text gets
+    first: a character that starts no token is reported before any error
+    the parser meets on its way to it, a nesting too deep included."""
+    p = _Parser(text)
+    try:
+        out = read(p)
+        p.expect("")
+        return out
+    except (TeamSeqError, RecursionError):
+        p.stray()
+        raise
 
 
 @nesting_limited
 def parse_formula(text: str) -> Formula:
-    """The formula of `text`; input nested too deeply for the recursive
-    parser raises ResourceLimit."""
-    p = _Parser(text)
-    f = p.formula()
-    p.expect("eof")
-    return f
+    """The formula of `text`; input nested too deeply for the parser,
+    which takes one stack frame per level, raises ResourceLimit."""
+    return _parsed(text, _Parser.formula)
 
 
 @nesting_limited
@@ -593,28 +623,9 @@ def parse_sequent(text: str):
     Comma-separated formulas form multisets (duplicates kept); empty sides
     and empty partition blocks are allowed.  Returns a Sequent, or a
     PartitionSequent when `;` is present.  Input nested too deeply for the
-    recursive parser raises ResourceLimit.
+    parser, which takes one stack frame per level, raises ResourceLimit.
     """
-    p = _Parser(text)
-    ant1 = p.formula_list()
-    partitioned = p.peek()[0] == "semi"
-    ant2: list[Formula] = []
-    if partitioned:
-        p.next()
-        ant2 = p.formula_list()
-    p.expect("arrow")
-    suc1 = p.formula_list()
-    suc2: list[Formula] = []
-    if partitioned:
-        p.expect("semi")
-        suc2 = p.formula_list()
-    elif p.peek()[0] == "semi":
-        raise ParseError("partition marker `;` on one side only",
-                         position=p.peek()[2])
-    p.expect("eof")
-    if partitioned:
-        return PartitionSequent(tuple(ant1), tuple(ant2), tuple(suc1), tuple(suc2))
-    return Sequent(tuple(ant1), tuple(suc1))
+    return _parsed(text, _Parser.sequent)
 
 
 # ---------------------------------------------------------------------------

@@ -172,9 +172,7 @@ RECURSIVE = {
     "resolutions.is_resolution",
     "semantics._Space.sat", "semantics._Space.sat_set",
     "semantics.eval_classical",
-    "syntax._Parser.conj", "syntax._Parser.disj", "syntax._Parser.gd",
-    "syntax._Parser.neg", "syntax._formula_from_json",
-    "syntax.substitute_at",
+    "syntax._Parser.formula", "syntax._formula_from_json",
     "transforms._ccut", "transforms._contract",
     "transforms._push_classical", "transforms._push_rgd",
     "transforms._weaken",

@@ -24,7 +24,7 @@ from teamseq.syntax import (And, BOT, Bot, Gd, Neg, Or, PartitionSequent,
                             signed_props, subformula_at, substitute_at,
                             symbol_count)
 
-from conftest import gen_classical, gen_formula, gen_side
+from conftest import gen_classical, gen_formula, gen_side, on_fresh_stack
 
 p, q, r = Prop("p"), Prop("q"), Prop("r")
 
@@ -57,6 +57,96 @@ def test_parse_errors_carry_position():
         parse_formula("(p")
     with pytest.raises(ParseError):
         parse_formula("p q")
+
+
+def test_unexpected_character_is_named_at_its_offset():
+    # whitespace before the character is skipped, not reported
+    for text, char, pos in [("p $ q", "$", 2), ("a é b", "é", 2),
+                            ("p =", "=", 2), ("p  $", "$", 3), ("1p", "1", 0),
+                            ("p =>> q", ">", 4), ("p & 9", "9", 4)]:
+        for parse in (parse_formula, parse_sequent):
+            with pytest.raises(ParseError) as e:
+                parse(text)
+            assert str(e.value) == f"unexpected character {char!r} at {pos}"
+            assert (e.value.position, e.value.expected) == (pos, None)
+
+
+# (text, parse_formula's error, parse_sequent's error), each error as
+# (type, position, expected); a character that starts no token is reported
+# before any error the parser meets on its way to it
+MALFORMED = [
+    ("", (ParseError, 0, "formula"), (ParseError, 0, "arrow")),
+    (" ", (ParseError, 1, "formula"), (ParseError, 1, "arrow")),
+    ("p &", (ParseError, 3, "formula"), (ParseError, 3, "formula")),
+    ("(p", (ParseError, 2, "rpar"), (ParseError, 2, "rpar")),
+    ("p)", (ParseError, 1, "eof"), (ParseError, 1, "arrow")),
+    ("P", (ParseError, 0, None), (ParseError, 0, None)),
+    ("x1 & Y", (ParseError, 5, None), (ParseError, 5, None)),
+    ("p => q => r", (ParseError, 2, "eof"), (ParseError, 7, "eof")),
+    ("p ; q => r", (ParseError, 2, "eof"), (ParseError, 10, "semi")),
+    ("p => q ; r", (ParseError, 2, "eof"), (ParseError, 7, None)),
+    ("; =>", (ParseError, 0, "formula"), (ParseError, 4, "semi")),
+    ("~(p || q)", (NonClassicalNegation, None, None),
+     (NonClassicalNegation, None, None)),
+    ("p || ~(q || r)", (NonClassicalNegation, None, None),
+     (NonClassicalNegation, None, None)),
+    ("1p", (ParseError, 0, None), (ParseError, 0, None)),
+    ("_p", (ParseError, 0, None), (ParseError, 0, None)),
+    ("==> p", (ParseError, 0, None), (ParseError, 0, None)),
+    ("p,,q => r", (ParseError, 1, "eof"), (ParseError, 2, "formula")),
+    ("(p => q)", (ParseError, 3, "rpar"), (ParseError, 3, "rpar")),
+    ("p => q r", (ParseError, 2, "eof"), (ParseError, 7, "eof")),
+    ("()", (ParseError, 1, "formula"), (ParseError, 1, "formula")),
+    ("~~", (ParseError, 2, "formula"), (ParseError, 2, "formula")),
+    ("p ||| q", (ParseError, 4, "formula"), (ParseError, 4, "formula")),
+    ("p ~ q", (ParseError, 2, "eof"), (ParseError, 2, "arrow")),
+    ("bot bot", (ParseError, 4, "eof"), (ParseError, 4, "arrow")),
+    ("((p)", (ParseError, 4, "rpar"), (ParseError, 4, "rpar")),
+    ("p ; q", (ParseError, 2, "eof"), (ParseError, 5, "arrow")),
+    ("~(p||q) $", (ParseError, 8, None), (ParseError, 8, None)),
+    ("(" * 3000 + "p $", (ParseError, 3002, None), (ParseError, 3002, None)),
+    ("~" * 3000 + "(p || q)", (ResourceLimit, None, None),
+     (ResourceLimit, None, None)),
+]
+
+
+@pytest.mark.parametrize("text,formula_error,sequent_error", MALFORMED,
+                         ids=[repr(row[0][:12]) for row in MALFORMED])
+def test_malformed_text_errors(text, formula_error, sequent_error):
+    for parse, (kind, position, expected) in ((parse_formula, formula_error),
+                                              (parse_sequent, sequent_error)):
+        with pytest.raises(Exception) as e:
+            parse(text)
+        assert type(e.value) is kind, (parse.__name__, e.value)
+        assert getattr(e.value, "position", None) == position
+        assert getattr(e.value, "expected", None) == expected
+
+
+def _parenthesized(f):
+    """The text of `f` with every binary node and negation in parentheses."""
+    match f:
+        case Prop(name):
+            return name
+        case Bot():
+            return "bot"
+        case Neg(c):
+            return f"(~{_parenthesized(c)})"
+        case And(l, r) | Or(l, r) | Gd(l, r):
+            op = {And: "&", Or: "|", Gd: "||"}[type(f)]
+            return f"({_parenthesized(l)} {op} {_parenthesized(r)})"
+
+
+def test_parse_reads_back_rendered_and_parenthesized_text():
+    rng = random.Random(41)
+    for _ in range(500):
+        f = gen_formula(rng, rng.randint(0, 6), 3, "pqrs")
+        assert parse_formula(render(f)) is f
+        assert parse_formula(_parenthesized(f)) is f
+        text = _parenthesized(f)
+        assert parse_formula(text.replace(" ", "")) is f
+        assert parse_formula(text.replace(" ", "\n\t ")) is f
+        s = Sequent(gen_side(rng, 3, 3, 2), (f,))
+        assert parse_sequent(str(s)) == s
 
 
 def test_render_golden():
@@ -293,6 +383,19 @@ def test_deep_formulas_built_by_constructors():
     assert sequent_to_json(s)["suc"] == [obj]
     assert signed_props(f) == ({"p"}, set())
     assert signed_props(Neg(f)) == (set(), {"p"})
+    # props and substitute_at use explicit stacks too
+    g = And(q, f)
+    assert props(g) == {"p", "q"} and props(f) == {"p"}
+    assert Sequent((g, r), ()).props() == {"p", "q", "r"}
+    deep = (1,) * 3000
+    assert subformula_at(f, deep) is p
+    h = substitute_at(f, deep, Gd(q, r))
+    assert subformula_at(h, deep) is Gd(q, r) and gd_paths(h) == (deep,)
+    assert substitute_at(h, deep, p) is f
+    assert gd_sides(h, deep) == (substitute_at(f, deep, q),
+                                 substitute_at(f, deep, r))
+    with pytest.raises(InvalidPath, match="below a leaf in p"):
+        substitute_at(f, deep + (0,), q)
     assert gd_paths(f) == ()
     assert gd_paths(Gd(f, Gd(f, p))) == ((), (1,))
 
@@ -332,7 +435,7 @@ def test_gd_sides_are_cached_per_path():
         assert {k for k in vars(f) if isinstance(k, tuple)} == cached
 
 
-DEEP_TEXTS = ("p & " * 1500 + "p", "(" * 900 + "p" + ")" * 900,
+DEEP_TEXTS = ("p & " * 1500 + "p", "(" * 3000 + "p" + ")" * 3000,
               "~" * 3000 + "p")
 
 
@@ -346,6 +449,14 @@ def test_parse_sequent_too_deep_is_a_resource_limit():
     for text in DEEP_TEXTS:
         with pytest.raises(ResourceLimit, match="nesting too deep"):
             parse_sequent(f"q => {text}")
+
+
+def test_deep_parentheses_parse():
+    # the parser takes one stack frame per parenthesis
+    text = "(" * 900 + "p | q" + ")" * 900
+    assert on_fresh_stack(parse_formula, text) is Or(p, q)
+    assert on_fresh_stack(parse_sequent, f"{text} => {text}") == \
+        Sequent((Or(p, q),), (Or(p, q),))
 
 
 def test_render_deep_formula_round_trips():
