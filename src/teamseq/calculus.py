@@ -14,10 +14,18 @@ and concludes the context left, which the premises must share
 (ValueError otherwise), plus the principal formula.  `derive` is the one
 root-first builder: it steps back with `premises_of`, closes with `infer`.
 
+Sequent sides stay in canonical order without being sorted again:
+`infer` takes formulas out with `mset_sub` and puts them in with
+`mset_add`, which keep a canonical tuple canonical, and builds the
+conclusion with `Sequent._canonical`, which does not sort.
+
 The checker validates every side condition: context arithmetic as multiset
 equations, classicality of restricted contexts, path legality for the deep
 rules, and the classical-only right contraction of the variant system.  It
-never repairs anything.
+never repairs anything.  It compares a premise's sides with the expected
+multisets as tuples, and sorts only what it concatenates (the Cut
+conclusion) or reads from the rule (the RAndI and LOrI split): a side out
+of canonical order is refused, never accepted.
 """
 
 from __future__ import annotations
@@ -78,12 +86,16 @@ def is_cutfree(d: Derivation) -> bool:
 
 def rule_nodes(d: Derivation):
     """The nodes of `d` in preorder, premises left to right, without
-    recursion."""
+    recursion; a node object held twice comes once, where it is first
+    reached."""
+    seen: set[int] = set()
     stack = [d]
     while stack:
         node = stack.pop()
-        yield node
-        stack.extend(reversed(node.premises))
+        if id(node) not in seen:
+            seen.add(id(node))
+            yield node
+            stack.extend(reversed(node.premises))
 
 
 def fold(d: Derivation, step):
@@ -109,14 +121,14 @@ def make_at(ant, suc, var: Formula | None = None) -> Derivation:
         if not shared:
             raise ValueError("no shared variable for an identity axiom")
         var = shared[0]
-    return Derivation(Sequent(ant, suc),
+    return Derivation(Sequent._canonical(ant, suc),
                       RuleApp("At", pos=ant.index(var), pos2=suc.index(var),
                               formula=var))
 
 
 def make_lbot(ant, suc) -> Derivation:
     ant, suc = mset(ant), mset(suc)
-    return Derivation(Sequent(ant, suc),
+    return Derivation(Sequent._canonical(ant, suc),
                       RuleApp("LBot", pos=ant.index(BOT), formula=BOT))
 
 
@@ -127,13 +139,15 @@ def make_cut(p1: Derivation, p2: Derivation, cutformula: Formula) -> Derivation:
 
 
 def make_lc(premise: Derivation, f: Formula) -> Derivation:
-    concl = Sequent(mset_remove(premise.conclusion.ant, f), premise.conclusion.suc)
+    concl = Sequent._canonical(mset_remove(premise.conclusion.ant, f),
+                               premise.conclusion.suc)
     return Derivation(concl, RuleApp("LC", pos=concl.ant.index(f), formula=f),
                       (premise,))
 
 
 def make_rc(premise: Derivation, f: Formula) -> Derivation:
-    concl = Sequent(premise.conclusion.ant, mset_remove(premise.conclusion.suc, f))
+    concl = Sequent._canonical(premise.conclusion.ant,
+                               mset_remove(premise.conclusion.suc, f))
     return Derivation(concl, RuleApp("RC", pos=concl.suc.index(f), formula=f),
                       (premise,))
 
@@ -212,24 +226,36 @@ def infer(tag: str, premises, f: Formula, path=(), side: str | None = None,
     `f`, and for RAnd and LOr plus the implicit weakening `weak` in the
     succedent.  Raises ValueError when a premise lacks its active
     formulas or the premises leave different contexts."""
-    return _infer(tag, premises, f, actives(tag, f, path, side), path, side, weak)
+    return _infer(tag, premises, f, actives(tag, f, path, side), path, side,
+                  mset(weak) if weak else ())
 
 
 def _infer(tag: str, premises, f: Formula, acts, path, side, weak):
-    contexts = {(mset_sub(p.conclusion.ant, a) if a else p.conclusion.ant,
-                 mset_sub(p.conclusion.suc, s) if s else p.conclusion.suc)
-                for p, (a, s) in zip(premises, acts)}
-    if len(contexts) != 1 or len(premises) != len(acts):
+    """`infer` given the rule's `actives` and a canonical `weak`.  The
+    premises' sides are canonical, and each step below keeps them so: no
+    side is sorted again."""
+    if len(premises) != len(acts):
         raise ValueError(f"premises of the {tag} rule do not align")
-    (ant, suc), = contexts
-    weak = mset(weak) if tag in ("RAnd", "LOr") else None
+    context = None
+    for p, (a, s) in zip(premises, acts):
+        here = (mset_sub(p.conclusion.ant, a) if a else p.conclusion.ant,
+                mset_sub(p.conclusion.suc, s) if s else p.conclusion.suc)
+        if context is None:
+            context = here
+        elif here != context:
+            raise ValueError(f"premises of the {tag} rule do not align")
+    ant, suc = context
+    if tag not in ("RAnd", "LOr"):
+        weak = None
+    elif weak:
+        suc = mset_add(suc, *weak)
     if PRINCIPAL_SIDE[tag] == "ant":
-        concl = Sequent(ant + (f,), suc + (weak or ()))
-        pos = concl.ant.index(f)
+        ant = mset_add(ant, f)
+        pos = ant.index(f)
     else:
-        concl = Sequent(ant, suc + (f,) + (weak or ()))
-        pos = concl.suc.index(f)
-    return Derivation(concl, RuleApp(
+        suc = mset_add(suc, f)
+        pos = suc.index(f)
+    return Derivation(Sequent._canonical(ant, suc), RuleApp(
         tag, pos=pos, formula=f, weak=weak,
         path=tuple(path) if tag in ("LGd", "RGd") else None,
         side=side if tag == "RGd" else None), premises)
@@ -321,8 +347,9 @@ def check_inference(conclusion: Sequent, rule: RuleApp, premises) -> None:
                                  f"got {len(premises)}")
 
     def want(premise: Sequent, ant, suc, which="premise") -> None:
-        # the equality of `Sequent`, without building one
-        if premise.ant != mset(ant) or premise.suc != mset(suc):
+        # `ant` and `suc` are canonical, as a premise's sides are: equal
+        # multisets are equal tuples, and unequal ones are refused
+        if premise.ant != ant or premise.suc != suc:
             raise RuleViolation(tag, f"{which} is {premise}, "
                                      f"expected {Sequent(ant, suc)}")
 
@@ -414,8 +441,8 @@ def check_inference(conclusion: Sequent, rule: RuleApp, premises) -> None:
                 raise RuleViolation(tag, "cutformula absent from left premise")
             if phi not in right.ant:
                 raise RuleViolation(tag, "cutformula absent from right premise")
-            want(conclusion, left.ant + mset_remove(right.ant, phi),
-                 mset_remove(left.suc, phi) + right.suc, "conclusion")
+            want(conclusion, mset(left.ant + mset_remove(right.ant, phi)),
+                 mset(mset_remove(left.suc, phi) + right.suc), "conclusion")
         case "LC":
             f = _principal(rule, conclusion, "ant")
             want(premises[0], mset_add(conclusion.ant, f), conclusion.suc)
@@ -431,7 +458,7 @@ def check_inference(conclusion: Sequent, rule: RuleApp, premises) -> None:
                 raise RuleViolation(tag, "principal must be a conjunction")
             if rule.split is None:
                 raise RuleViolation(tag, "missing context split")
-            ant1, suc1 = rule.split
+            ant1, suc1 = map(mset, rule.split)
             if not (mset_leq(ant1, conclusion.ant)
                     and mset_leq(suc1, mset_remove(conclusion.suc, f))):
                 raise RuleViolation(tag, "split not contained in conclusion")
@@ -445,7 +472,7 @@ def check_inference(conclusion: Sequent, rule: RuleApp, premises) -> None:
                 raise RuleViolation(tag, "principal must be a split disjunction")
             if rule.split is None:
                 raise RuleViolation(tag, "missing context split")
-            ant1, suc1 = rule.split
+            ant1, suc1 = map(mset, rule.split)
             if not (mset_leq(ant1, mset_remove(conclusion.ant, f))
                     and mset_leq(suc1, conclusion.suc)):
                 raise RuleViolation(tag, "split not contained in conclusion")
@@ -457,10 +484,17 @@ def check_inference(conclusion: Sequent, rule: RuleApp, premises) -> None:
 
 def check_derivation(d: Derivation) -> None:
     """Check every node; raises DerivationCheckError locating the first
-    failure (address = child indices from the root)."""
+    failure (address = child indices from the root).  The walk is in
+    preorder, last premise first; a node object held twice is checked
+    once, at the first address the walk reaches it by, since its
+    inference is valid or not wherever it stands."""
+    seen: set[int] = set()
     stack: list[tuple[Derivation, tuple[int, ...]]] = [(d, ())]
     while stack:
         node, addr = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
         try:
             check_inference(node.conclusion, node.rule,
                             [p.conclusion for p in node.premises])

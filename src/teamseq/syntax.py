@@ -13,7 +13,8 @@ reading them never recurses, however deep the formula.
 
 Operator precedence is `~` > `&` > `|` > `||`, binary operators associate
 to the right.  `render` emits minimal parentheses and round-trips through
-`parse_formula`.  Multisets of formulas are tuples sorted by text.
+`parse_formula`.  Multisets of formulas are tuples sorted by text; the
+multiset operations keep a sorted tuple sorted.
 
 The parsers split the text into tokens with one `findall` and read them
 with one precedence-climbing rule, which takes one stack frame per `~`,
@@ -109,8 +110,26 @@ class Formula(metaclass=_Interned):
     def __reduce__(self):
         return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
+    def __repr__(self) -> str:
+        """The dataclass `repr`, e.g. `Neg(child=Prop(name='p'))`, built on
+        an explicit stack of nodes and text pieces, at any depth."""
+        out, stack = [], [self]
+        while stack:
+            x = stack.pop()
+            if isinstance(x, str):
+                out.append(x)
+            elif isinstance(x, Prop):
+                out.append(f"Prop(name={x.name!r})")
+            else:
+                out.append(type(x).__qualname__ + "(")
+                stack.append(")")
+                for i, fd in reversed(list(enumerate(fields(x)))):
+                    stack.append(getattr(x, fd.name))
+                    stack.append((", " if i else "") + fd.name + "=")
+        return "".join(out)
 
-@dataclass(frozen=True, eq=False)
+
+@dataclass(frozen=True, eq=False, repr=False)
 class Prop(Formula):
     name: str
 
@@ -120,12 +139,12 @@ class Prop(Formula):
             raise ValueError(f"bad variable name: {self.name!r}")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Bot(Formula):
     pass
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Neg(Formula):
     child: Formula
 
@@ -135,19 +154,19 @@ class Neg(Formula):
                 f"negation of nonclassical formula: {render(self.child)}")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Gd(Formula):
     """Global (question-forming) disjunction, written `||`."""
 
@@ -434,6 +453,16 @@ class Sequent:
         # a public constructor: it sorts whatever it is given, once
         object.__setattr__(self, "ant", mset(ant))
         object.__setattr__(self, "suc", mset(suc))
+
+    @classmethod
+    def _canonical(cls, ant: tuple, suc: tuple) -> Sequent:
+        """The sequent of two sides already in canonical order, as
+        `mset`, `mset_add`, `mset_remove` and `mset_sub` return them; it
+        does not sort them again, so the caller keeps the order."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "ant", ant)
+        object.__setattr__(s, "suc", suc)
+        return s
 
     def props(self) -> frozenset[str]:
         out: frozenset[str] = frozenset()

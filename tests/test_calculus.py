@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 import pytest
 
@@ -17,7 +18,8 @@ from teamseq.interpolation import interpolate_partition, verify_interpolant
 from teamseq.prover import prove_classical, prove_or_countermodel
 from teamseq.semantics import sequent_valid
 from teamseq.syntax import (And, BOT, Gd, Neg, Or, PartitionSequent, Prop,
-                            Sequent, children, parse_formula, parse_sequent)
+                            Sequent, children, is_classical, mset,
+                            parse_formula, parse_sequent)
 from teamseq.transforms import (contract, eliminate_cuts, invert, is_normal,
                                 normalize, reassemble, resolve_derivation,
                                 weaken)
@@ -611,3 +613,98 @@ def test_misaligned_premises_raise():
         infer("LOr", (make_at((p,), (p,)), make_at((q,), (q, r))), Or(p, q))
     with pytest.raises(ValueError):
         infer("LAnd", (make_at((p,), (p,)),), And(p, q))
+
+
+def shared_chain(n: int, leaf: Derivation | None = None) -> Derivation:
+    """The axiom `x0 => x0, x1, …, xn` (or `leaf`), then n RAnd steps on
+    `x_k & x_k`, each with both premises the same node: n + 1 node
+    objects, 2^n paths from the root to the leaf."""
+    xs = [Prop(f"x{k}") for k in range(n + 1)]
+    d = leaf or make_at((xs[0],), xs, xs[0])
+    for x in xs[1:]:
+        d = infer("RAnd", (d, d), And(x, x))
+    return d
+
+
+def test_shared_nodes_are_visited_once(tmp_path, capsys):
+    for n in (20, 60):
+        d = shared_chain(n)
+        path = tmp_path / f"chain{n}.json"
+        path.write_text(json.dumps(derivation_to_json(d)))
+        start = time.perf_counter()
+        check_derivation(d)
+        assert is_cutfree(d) and cutrank(d) == 0
+        assert len(list(rule_nodes(d))) == n + 1
+        assert cli.run(["check", str(path)]) == 0
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().out.startswith("ok:")
+    # a failing node below two parents is reported at the first address
+    # the walk (last premise first) reaches it by
+    xs = [Prop(f"x{k}") for k in range(4)]
+    bad = Derivation(Sequent(xs[:1], xs), RuleApp("At", pos=0, pos2=1,
+                                                   formula=xs[0]))
+    with pytest.raises(DerivationCheckError) as err:
+        check_derivation(shared_chain(3, bad))
+    assert err.value.address == (1, 1, 1)
+
+
+def canonical(d: Derivation) -> bool:
+    return all(n.conclusion.ant == mset(n.conclusion.ant)
+               and n.conclusion.suc == mset(n.conclusion.suc)
+               for n in rule_nodes(d))
+
+
+def test_derivations_keep_the_canonical_order():
+    """The invariant the checker's direct comparison rests on: every node
+    conclusion the prover, the transforms and interpolation build, and
+    every one read back from JSON, has its sides in canonical order."""
+    rng = random.Random(613)
+    done = 0
+    while done < 60:
+        d = prove_or_countermodel(gen_sequent(rng))
+        if not isinstance(d, Derivation):
+            continue
+        done += 1
+        derivs = [d, normalize(d), eliminate_cuts(d)]
+        if d.conclusion.suc:
+            phi = rng.choice(d.conclusion.suc)
+            derivs.append(eliminate_cuts(inject_cut(d, phi)))
+        derivs.extend(resolve_derivation(d).branches.values())
+        ant = d.conclusion.ant
+        k = rng.randint(0, len(ant))
+        lam1 = tuple(f for f in d.conclusion.suc if is_classical(f))[:1]
+        rest = list(d.conclusion.suc)
+        for f in lam1:
+            rest.remove(f)
+        res = interpolate_partition(
+            d, PartitionSequent(ant[:k], ant[k:], lam1, tuple(rest)))
+        derivs += [res.left_derivation, res.right_derivation]
+        for top in derivs:
+            assert canonical(top)
+            assert canonical(derivation_from_json(derivation_to_json(top)))
+
+
+def test_checker_refuses_a_non_canonical_premise():
+    # a premise side that is a permutation of the expected multiset, out
+    # of canonical order, is refused: equal tuples only
+    rng = random.Random(617)
+    refused, done = 0, 0
+    while done < 30:
+        d = prove_or_countermodel(gen_sequent(rng))
+        if not isinstance(d, Derivation):
+            continue
+        done += 1
+        for node in rule_nodes(d):
+            for i, prem in enumerate(node.premises):
+                c = prem.conclusion
+                for side in ("ant", "suc"):
+                    sides = {"ant": c.ant, "suc": c.suc}
+                    if len(set(sides[side])) < 2:
+                        continue
+                    sides[side] = sides[side][::-1]
+                    premises = [x.conclusion for x in node.premises]
+                    premises[i] = Sequent._canonical(sides["ant"], sides["suc"])
+                    with pytest.raises(RuleViolation):
+                        check_inference(node.conclusion, node.rule, premises)
+                    refused += 1
+    assert refused > 100

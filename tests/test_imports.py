@@ -211,3 +211,33 @@ def test_variant_rules_are_decided_in_one_place():
     outside = {name for name in named if not name.startswith("calculus.")}
     assert outside == {"transforms._VARIANT", "transforms._elim"}, outside
     assert any(name.startswith("calculus.") for name in named)
+
+
+def own_calls(fn) -> set:
+    """The plain names `fn` calls in its own body, nested definitions
+    left out."""
+    out, todo = set(), list(ast.iter_child_nodes(fn))
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.Lambda, ast.ClassDef)):
+            continue
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            out.add(node.func.id)
+        todo.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def test_multisets_are_sorted_in_one_place():
+    # sides stay canonical as they are built, so the forward step sorts
+    # nothing, and `mset` is the one sort of the syntax and the calculus
+    sorting = set()
+    for module in ("syntax", "calculus"):
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+        sorting |= {f"{module}.{fn.name}" for fn in ast.walk(tree)
+                    if isinstance(fn, ast.FunctionDef)
+                    and "sorted" in own_calls(fn)}
+        if module == "calculus":
+            infer, = (fn for fn in tree.body
+                      if isinstance(fn, ast.FunctionDef) and fn.name == "_infer")
+            assert not own_calls(infer) & {"Sequent", "mset", "sorted"}
+    assert sorting == {"syntax.mset"}, sorting

@@ -361,6 +361,18 @@ def test_canonical_order_matches_a_reference_renderer():
         assert mset_add(m, *mset_sub(want, m)) == want
 
 
+def test_repr_is_the_dataclass_repr_at_any_depth():
+    assert repr(And(p, q)) == "And(left=Prop(name='p'), right=Prop(name='q'))"
+    assert repr(Gd(Neg(BOT), Or(p, q))) == (
+        "Gd(left=Neg(child=Bot()), "
+        "right=Or(left=Prop(name='p'), right=Prop(name='q')))")
+    f = p
+    for _ in range(3000):
+        f = And(p, f)
+    assert repr(f) == ("And(left=Prop(name='p'), right=" * 3000
+                       + "Prop(name='p')" + ")" * 3000)
+
+
 def test_deep_formulas_built_by_constructors():
     # past the parser's nesting limit: the text and classicality were
     # fixed level by level, so reading them takes no recursion
