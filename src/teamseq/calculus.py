@@ -5,7 +5,10 @@ identifies the principal formula both by value and by position in the
 conclusion's canonical multiset, carries occurrence paths and chosen sides
 for the deep rules, the implicit-weakening multiset for the restricted
 context rules, the cutformula for cut, and the context split for the
-independent-context variants.
+independent-context variants.  `RuleApp` and `Derivation`, like
+`Sequent`, are frozen dataclasses with a hand-written `__init__` that sets
+each field once through `object.__setattr__`, which the prover and the
+transforms call once per node they build.
 
 Each logical rule is described once, by `premises_of`: the premises its
 principal formula leaves behind.  `infer`, the one forward step, reads it
@@ -25,12 +28,17 @@ rules, and the classical-only right contraction of the variant system.  It
 never repairs anything.  It compares a premise's sides with the expected
 multisets as tuples, and sorts only what it concatenates (the Cut
 conclusion) or reads from the rule (the RAndI and LOrI split): a side out
-of canonical order is refused, never accepted.
+of canonical order is refused, never accepted.  `check_inference` looks
+the tag up in `_CHECKS`, one check function per rule with its number of
+premises; `check_derivation` walks the nodes on a stack of `(node, parent
+entry, premise index)` and reads a node's address off those links only
+when the node fails.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import attrgetter
 
 from .errors import (ArityMismatch, DerivationCheckError, InvalidPath,
                      ParseError, RuleViolation, ShapeMismatch)
@@ -39,13 +47,12 @@ from .syntax import (_TABLE_TYPES, And, BOT, Bot, Formula, Neg, Or, Prop,
                      gd_sides, is_classical, mset, mset_add, mset_leq,
                      mset_remove, mset_sub, postorder, render, symbol_count)
 
-AXIOMS = ("At", "LBot")
-UNARY = ("LNeg", "RNeg", "LAnd", "ROr", "RGd", "LC", "RC")
-BINARY = ("RAnd", "LOr", "LGd", "Cut", "LOrI", "RAndI")
-RULES = AXIOMS + UNARY + BINARY
+
+# sets a field of a frozen dataclass from its own `__init__`
+_setattr = object.__setattr__
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RuleApp:
     rule: str
     pos: int | None = None            # principal position (ant or suc per rule)
@@ -58,15 +65,29 @@ class RuleApp:
     split: tuple[tuple[Formula, ...], tuple[Formula, ...]] | None = None
     # LOrI/RAndI: premise-1 share of (antecedent context, succedent context)
 
+    def __init__(self, rule, pos=None, pos2=None, formula=None, path=None,
+                 side=None, weak=None, cutformula=None, split=None):
+        _setattr(self, "rule", rule)
+        _setattr(self, "pos", pos)
+        _setattr(self, "pos2", pos2)
+        _setattr(self, "formula", formula)
+        _setattr(self, "path", path)
+        _setattr(self, "side", side)
+        _setattr(self, "weak", weak)
+        _setattr(self, "cutformula", cutformula)
+        _setattr(self, "split", split)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class Derivation:
     conclusion: Sequent
     rule: RuleApp
-    premises: tuple[Derivation, ...] = field(default_factory=tuple)
+    premises: tuple[Derivation, ...] = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "premises", tuple(self.premises))
+    def __init__(self, conclusion, rule, premises=()):
+        _setattr(self, "conclusion", conclusion)
+        _setattr(self, "rule", rule)
+        _setattr(self, "premises", tuple(premises))
 
 
 def height(d: Derivation) -> int:
@@ -311,9 +332,6 @@ def rebuild(r: RuleApp, premises, weak=None) -> Derivation:
 # ---------------------------------------------------------------------------
 # Checking
 
-_ARITY = {tag: n for n, tags in enumerate((AXIOMS, UNARY, BINARY))
-          for tag in tags}
-
 
 def _principal(rule: RuleApp, seq: Sequent, side: str) -> Formula:
     pool = seq.ant if side == "ant" else seq.suc
@@ -336,150 +354,201 @@ def _deep_sides(rule: RuleApp, f: Formula) -> tuple[Formula, Formula]:
         raise RuleViolation(rule.rule, str(e)) from e
 
 
+def _want(tag: str, premise: Sequent, ant, suc, which="premise") -> None:
+    # `ant` and `suc` are canonical, as a premise's sides are: equal
+    # multisets are equal tuples, and unequal ones are refused
+    if premise.ant != ant or premise.suc != suc:
+        raise RuleViolation(tag, f"{which} is {premise}, "
+                                 f"expected {Sequent(ant, suc)}")
+
+
+# One check per rule: `check(conclusion, rule, premises)`, with the
+# premises' sequents already counted against the rule's arity.
+
+def _check_at(c: Sequent, rule: RuleApp, ps) -> None:
+    f = _principal(rule, c, "ant")
+    if not isinstance(f, Prop):
+        raise RuleViolation("At", "identity axiom needs a variable")
+    if rule.pos2 is None or not 0 <= rule.pos2 < len(c.suc) or \
+            c.suc[rule.pos2] != f:
+        raise RuleViolation("At", f"variable {render(f)} not in succedent")
+
+
+def _check_lbot(c: Sequent, rule: RuleApp, ps) -> None:
+    if not isinstance(_principal(rule, c, "ant"), Bot):
+        raise RuleViolation("LBot", "principal must be bot")
+
+
+def _check_lneg(c: Sequent, rule: RuleApp, ps) -> None:
+    f = _principal(rule, c, "ant")
+    if not isinstance(f, Neg):
+        raise RuleViolation("LNeg", "principal must be a negation")
+    _want("LNeg", ps[0], mset_remove(c.ant, f), mset_add(c.suc, f.child))
+
+
+def _check_rneg(c: Sequent, rule: RuleApp, ps) -> None:
+    f = _principal(rule, c, "suc")
+    if not isinstance(f, Neg):
+        raise RuleViolation("RNeg", "principal must be a negation")
+    _want("RNeg", ps[0], mset_add(c.ant, f.child), mset_remove(c.suc, f))
+
+
+def _check_land(c: Sequent, rule: RuleApp, ps) -> None:
+    f = _principal(rule, c, "ant")
+    if not isinstance(f, And):
+        raise RuleViolation("LAnd", "principal must be a conjunction")
+    _want("LAnd", ps[0], mset_add(mset_remove(c.ant, f), f.left, f.right),
+          c.suc)
+
+
+def _check_ror(c: Sequent, rule: RuleApp, ps) -> None:
+    f = _principal(rule, c, "suc")
+    if not isinstance(f, Or):
+        raise RuleViolation("ROr", "principal must be a split disjunction")
+    _want("ROr", ps[0], c.ant,
+          mset_add(mset_remove(c.suc, f), f.left, f.right))
+
+
+def _classical_context(tag: str, rule: RuleApp, pool):
+    """`pool` less the implicit weakening of RAnd or LOr, which must be
+    in `pool` and leave a classical context."""
+    weak = rule.weak if rule.weak is not None else ()
+    if not mset_leq(weak, pool):
+        raise RuleViolation(tag, "weakening multiset not in conclusion")
+    lam = mset_sub(pool, weak)
+    if not all(is_classical(g) for g in lam):
+        raise RuleViolation(tag, "premise right context must be classical")
+    return lam
+
+
+def _check_rand(c: Sequent, rule: RuleApp, ps) -> None:
+    f = _principal(rule, c, "suc")
+    if not isinstance(f, And):
+        raise RuleViolation("RAnd", "principal must be a conjunction")
+    lam = _classical_context("RAnd", rule, mset_remove(c.suc, f))
+    _want("RAnd", ps[0], c.ant, mset_add(lam, f.left), "left premise")
+    _want("RAnd", ps[1], c.ant, mset_add(lam, f.right), "right premise")
+
+
+def _check_lor(c: Sequent, rule: RuleApp, ps) -> None:
+    f = _principal(rule, c, "ant")
+    if not isinstance(f, Or):
+        raise RuleViolation("LOr", "principal must be a split disjunction")
+    lam = _classical_context("LOr", rule, c.suc)
+    gam = mset_remove(c.ant, f)
+    _want("LOr", ps[0], mset_add(gam, f.left), lam, "left premise")
+    _want("LOr", ps[1], mset_add(gam, f.right), lam, "right premise")
+
+
+def _check_lgd(c: Sequent, rule: RuleApp, ps) -> None:
+    f = _principal(rule, c, "ant")
+    left, right = _deep_sides(rule, f)
+    gam = mset_remove(c.ant, f)
+    _want("LGd", ps[0], mset_add(gam, left), c.suc, "left premise")
+    _want("LGd", ps[1], mset_add(gam, right), c.suc, "right premise")
+
+
+def _check_rgd(c: Sequent, rule: RuleApp, ps) -> None:
+    f = _principal(rule, c, "suc")
+    sides = _deep_sides(rule, f)
+    if rule.side not in ("L", "R"):
+        raise RuleViolation("RGd", f"bad side {rule.side!r}")
+    _want("RGd", ps[0], c.ant,
+          mset_add(mset_remove(c.suc, f), sides["LR".index(rule.side)]))
+
+
+def _check_cut(c: Sequent, rule: RuleApp, ps) -> None:
+    phi = rule.cutformula
+    if phi is None:
+        raise RuleViolation("Cut", "missing cutformula")
+    left, right = ps
+    if phi not in left.suc:
+        raise RuleViolation("Cut", "cutformula absent from left premise")
+    if phi not in right.ant:
+        raise RuleViolation("Cut", "cutformula absent from right premise")
+    _want("Cut", c, mset(left.ant + mset_remove(right.ant, phi)),
+          mset(mset_remove(left.suc, phi) + right.suc), "conclusion")
+
+
+def _check_lc(c: Sequent, rule: RuleApp, ps) -> None:
+    f = _principal(rule, c, "ant")
+    _want("LC", ps[0], mset_add(c.ant, f), c.suc)
+
+
+def _check_rc(c: Sequent, rule: RuleApp, ps) -> None:
+    f = _principal(rule, c, "suc")
+    if not is_classical(f):
+        raise RuleViolation("RC", "right contraction needs a classical "
+                                  "formula")
+    _want("RC", ps[0], c.ant, mset_add(c.suc, f))
+
+
+def _context_split(tag: str, rule: RuleApp):
+    """The context split of RAndI or LOrI, as two canonical multisets."""
+    if rule.split is None:
+        raise RuleViolation(tag, "missing context split")
+    ant1, suc1 = map(mset, rule.split)
+    return ant1, suc1
+
+
+def _check_randi(c: Sequent, rule: RuleApp, ps) -> None:
+    f = _principal(rule, c, "suc")
+    if not isinstance(f, And):
+        raise RuleViolation("RAndI", "principal must be a conjunction")
+    ant1, suc1 = _context_split("RAndI", rule)
+    rest = mset_remove(c.suc, f)
+    if not (mset_leq(ant1, c.ant) and mset_leq(suc1, rest)):
+        raise RuleViolation("RAndI", "split not contained in conclusion")
+    _want("RAndI", ps[0], ant1, mset_add(suc1, f.left), "left premise")
+    _want("RAndI", ps[1], mset_sub(c.ant, ant1),
+          mset_add(mset_sub(rest, suc1), f.right), "right premise")
+
+
+def _check_lori(c: Sequent, rule: RuleApp, ps) -> None:
+    f = _principal(rule, c, "ant")
+    if not isinstance(f, Or):
+        raise RuleViolation("LOrI", "principal must be a split disjunction")
+    ant1, suc1 = _context_split("LOrI", rule)
+    rest = mset_remove(c.ant, f)
+    if not (mset_leq(ant1, rest) and mset_leq(suc1, c.suc)):
+        raise RuleViolation("LOrI", "split not contained in conclusion")
+    _want("LOrI", ps[0], mset_add(ant1, f.left), suc1, "left premise")
+    _want("LOrI", ps[1], mset_add(mset_sub(rest, ant1), f.right),
+          mset_sub(c.suc, suc1), "right premise")
+
+
+# rule tag -> (number of premises, check)
+_CHECKS = {
+    "At": (0, _check_at), "LBot": (0, _check_lbot),
+    "LNeg": (1, _check_lneg), "RNeg": (1, _check_rneg),
+    "LAnd": (1, _check_land), "ROr": (1, _check_ror),
+    "RGd": (1, _check_rgd), "LC": (1, _check_lc), "RC": (1, _check_rc),
+    "RAnd": (2, _check_rand), "LOr": (2, _check_lor),
+    "LGd": (2, _check_lgd), "Cut": (2, _check_cut),
+    "LOrI": (2, _check_lori), "RAndI": (2, _check_randi),
+}
+
+
 def check_inference(conclusion: Sequent, rule: RuleApp, premises) -> None:
-    """Validate one rule application; raises RuleViolation/ArityMismatch."""
+    """Validate one rule application; raises RuleViolation/ArityMismatch.
+    `premises` is any iterable of the premises' sequents."""
     premises = list(premises)
+    _rule_check(rule, len(premises))(conclusion, rule, premises)
+
+
+def _rule_check(rule: RuleApp, n: int):
+    """The check of `rule`'s tag, for a rule with `n` premises."""
     tag = rule.rule
-    if tag not in RULES:
+    entry = _CHECKS.get(tag) if isinstance(tag, str) else None
+    if entry is None:
         raise RuleViolation(tag, "unknown rule")
-    if len(premises) != _ARITY[tag]:
-        raise ArityMismatch(tag, f"expected {_ARITY[tag]} premises, "
-                                 f"got {len(premises)}")
+    arity, check = entry
+    if n != arity:
+        raise ArityMismatch(tag, f"expected {arity} premises, got {n}")
+    return check
 
-    def want(premise: Sequent, ant, suc, which="premise") -> None:
-        # `ant` and `suc` are canonical, as a premise's sides are: equal
-        # multisets are equal tuples, and unequal ones are refused
-        if premise.ant != ant or premise.suc != suc:
-            raise RuleViolation(tag, f"{which} is {premise}, "
-                                     f"expected {Sequent(ant, suc)}")
 
-    match tag:
-        case "At":
-            f = _principal(rule, conclusion, "ant")
-            if not isinstance(f, Prop):
-                raise RuleViolation(tag, "identity axiom needs a variable")
-            if rule.pos2 is None or not 0 <= rule.pos2 < len(conclusion.suc) or \
-                    conclusion.suc[rule.pos2] != f:
-                raise RuleViolation(tag, f"variable {render(f)} not in succedent")
-        case "LBot":
-            f = _principal(rule, conclusion, "ant")
-            if not isinstance(f, Bot):
-                raise RuleViolation(tag, "principal must be bot")
-        case "LNeg":
-            f = _principal(rule, conclusion, "ant")
-            if not isinstance(f, Neg):
-                raise RuleViolation(tag, "principal must be a negation")
-            want(premises[0], mset_remove(conclusion.ant, f),
-                 mset_add(conclusion.suc, f.child))
-        case "RNeg":
-            f = _principal(rule, conclusion, "suc")
-            if not isinstance(f, Neg):
-                raise RuleViolation(tag, "principal must be a negation")
-            want(premises[0], mset_add(conclusion.ant, f.child),
-                 mset_remove(conclusion.suc, f))
-        case "LAnd":
-            f = _principal(rule, conclusion, "ant")
-            if not isinstance(f, And):
-                raise RuleViolation(tag, "principal must be a conjunction")
-            want(premises[0],
-                 mset_add(mset_remove(conclusion.ant, f), f.left, f.right),
-                 conclusion.suc)
-        case "ROr":
-            f = _principal(rule, conclusion, "suc")
-            if not isinstance(f, Or):
-                raise RuleViolation(tag, "principal must be a split disjunction")
-            want(premises[0], conclusion.ant,
-                 mset_add(mset_remove(conclusion.suc, f), f.left, f.right))
-        case "RAnd":
-            f = _principal(rule, conclusion, "suc")
-            if not isinstance(f, And):
-                raise RuleViolation(tag, "principal must be a conjunction")
-            weak = rule.weak if rule.weak is not None else ()
-            rest = mset_remove(conclusion.suc, f)
-            if not mset_leq(weak, rest):
-                raise RuleViolation(tag, "weakening multiset not in conclusion")
-            lam = mset_sub(rest, weak)
-            if not all(is_classical(g) for g in lam):
-                raise RuleViolation(tag, "premise right context must be classical")
-            want(premises[0], conclusion.ant, mset_add(lam, f.left), "left premise")
-            want(premises[1], conclusion.ant, mset_add(lam, f.right), "right premise")
-        case "LOr":
-            f = _principal(rule, conclusion, "ant")
-            if not isinstance(f, Or):
-                raise RuleViolation(tag, "principal must be a split disjunction")
-            weak = rule.weak if rule.weak is not None else ()
-            if not mset_leq(weak, conclusion.suc):
-                raise RuleViolation(tag, "weakening multiset not in conclusion")
-            lam = mset_sub(conclusion.suc, weak)
-            if not all(is_classical(g) for g in lam):
-                raise RuleViolation(tag, "premise right context must be classical")
-            gam = mset_remove(conclusion.ant, f)
-            want(premises[0], mset_add(gam, f.left), lam, "left premise")
-            want(premises[1], mset_add(gam, f.right), lam, "right premise")
-        case "LGd":
-            f = _principal(rule, conclusion, "ant")
-            left, right = _deep_sides(rule, f)
-            gam = mset_remove(conclusion.ant, f)
-            want(premises[0], mset_add(gam, left), conclusion.suc,
-                 "left premise")
-            want(premises[1], mset_add(gam, right), conclusion.suc,
-                 "right premise")
-        case "RGd":
-            f = _principal(rule, conclusion, "suc")
-            sides = _deep_sides(rule, f)
-            if rule.side not in ("L", "R"):
-                raise RuleViolation(tag, f"bad side {rule.side!r}")
-            want(premises[0], conclusion.ant,
-                 mset_add(mset_remove(conclusion.suc, f),
-                          sides["LR".index(rule.side)]))
-        case "Cut":
-            phi = rule.cutformula
-            if phi is None:
-                raise RuleViolation(tag, "missing cutformula")
-            left, right = premises
-            if phi not in left.suc:
-                raise RuleViolation(tag, "cutformula absent from left premise")
-            if phi not in right.ant:
-                raise RuleViolation(tag, "cutformula absent from right premise")
-            want(conclusion, mset(left.ant + mset_remove(right.ant, phi)),
-                 mset(mset_remove(left.suc, phi) + right.suc), "conclusion")
-        case "LC":
-            f = _principal(rule, conclusion, "ant")
-            want(premises[0], mset_add(conclusion.ant, f), conclusion.suc)
-        case "RC":
-            f = _principal(rule, conclusion, "suc")
-            if not is_classical(f):
-                raise RuleViolation(tag, "right contraction needs a classical "
-                                         "formula")
-            want(premises[0], conclusion.ant, mset_add(conclusion.suc, f))
-        case "RAndI":
-            f = _principal(rule, conclusion, "suc")
-            if not isinstance(f, And):
-                raise RuleViolation(tag, "principal must be a conjunction")
-            if rule.split is None:
-                raise RuleViolation(tag, "missing context split")
-            ant1, suc1 = map(mset, rule.split)
-            if not (mset_leq(ant1, conclusion.ant)
-                    and mset_leq(suc1, mset_remove(conclusion.suc, f))):
-                raise RuleViolation(tag, "split not contained in conclusion")
-            want(premises[0], ant1, mset_add(suc1, f.left), "left premise")
-            want(premises[1], mset_sub(conclusion.ant, ant1),
-                 mset_add(mset_sub(mset_remove(conclusion.suc, f), suc1), f.right),
-                 "right premise")
-        case "LOrI":
-            f = _principal(rule, conclusion, "ant")
-            if not isinstance(f, Or):
-                raise RuleViolation(tag, "principal must be a split disjunction")
-            if rule.split is None:
-                raise RuleViolation(tag, "missing context split")
-            ant1, suc1 = map(mset, rule.split)
-            if not (mset_leq(ant1, mset_remove(conclusion.ant, f))
-                    and mset_leq(suc1, conclusion.suc)):
-                raise RuleViolation(tag, "split not contained in conclusion")
-            want(premises[0], mset_add(ant1, f.left), suc1, "left premise")
-            want(premises[1],
-                 mset_add(mset_sub(mset_remove(conclusion.ant, f), ant1), f.right),
-                 mset_sub(conclusion.suc, suc1), "right premise")
+_conclusion = attrgetter("conclusion")
 
 
 def check_derivation(d: Derivation) -> None:
@@ -487,21 +556,35 @@ def check_derivation(d: Derivation) -> None:
     failure (address = child indices from the root).  The walk is in
     preorder, last premise first; a node object held twice is checked
     once, at the first address the walk reaches it by, since its
-    inference is valid or not wherever it stands."""
+    inference is valid or not wherever it stands.  Each stack entry is
+    `(node, parent entry, premise index)`, and an address is read off
+    these links only for the node that fails."""
     seen: set[int] = set()
-    stack: list[tuple[Derivation, tuple[int, ...]]] = [(d, ())]
+    stack: list[tuple] = [(d, None, None)]
     while stack:
-        node, addr = stack.pop()
+        entry = stack.pop()
+        node = entry[0]
         if id(node) in seen:
             continue
         seen.add(id(node))
+        rule, premises = node.rule, node.premises
         try:
-            check_inference(node.conclusion, node.rule,
-                            [p.conclusion for p in node.premises])
+            _rule_check(rule, len(premises))(
+                node.conclusion, rule, list(map(_conclusion, premises)))
         except RuleViolation as e:
-            raise DerivationCheckError(addr, e) from e
-        for i, p in enumerate(node.premises):
-            stack.append((p, addr + (i,)))
+            raise DerivationCheckError(_address(entry), e) from e
+        for i, p in enumerate(premises):
+            stack.append((p, entry, i))
+
+
+def _address(entry) -> tuple[int, ...]:
+    """The premise indices from the root down to a stack entry of
+    `check_derivation`."""
+    out = []
+    while entry[1] is not None:
+        out.append(entry[2])
+        entry = entry[1]
+    return tuple(reversed(out))
 
 
 # ---------------------------------------------------------------------------

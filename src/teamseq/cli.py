@@ -17,8 +17,8 @@ from .calculus import (check_derivation, derivation_from_json,
 from .errors import (DerivationCheckError, ParseError, ResourceLimit,
                      TeamSeqError)
 from .interpolation import interpolate_partition, verify_interpolant
-from .prover import DEFAULT_NODE_BUDGET, prove_or_countermodel
-from .resolutions import partial_resolutions, resolutions
+from .prover import DEFAULT_NODE_BUDGET, Budget, prove_or_countermodel
+from .resolutions import iter_resolutions, partial_resolutions
 from .semantics import (DEFAULT_MAX_VARS, Team, closure_properties,
                         satisfies, sequent_valid, team_from_json,
                         team_to_json)
@@ -111,10 +111,16 @@ def _cmd_valid(args) -> int:
 
 def _cmd_resolutions(args) -> int:
     f = parse_formula(args.formula)
+    budget = Budget(_budget(args, DEFAULT_NODE_BUDGET))
     if args.degree is None:
-        out = resolutions(f)
+        out = []
+        for g in iter_resolutions(f):
+            budget.spend("resolution")
+            out.append(g)
     else:
-        out = partial_resolutions(f, args.degree)
+        out = partial_resolutions(f, args.degree,
+                                  functools.partial(budget.spend,
+                                                    "frontier state"))
     rendered = sorted(render(g) for g in out)
     _emit(args, {"formulas": rendered}, "\n".join(rendered))
     return 0
@@ -201,8 +207,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Sequent calculus toolkit for basic propositional team "
                     "logic.")
     ap.add_argument("--budget", type=_nonnegative, default=None,
-                    help="search node budget (prove/interpolate) or variable "
-                         "cap (valid/closure)")
+                    help="search node budget (prove/interpolate), count of "
+                         "formulas or frontier states (resolutions) or "
+                         "variable cap (valid/closure)")
     ap.add_argument("--json", action="store_true",
                     help="machine-readable output")
     sub = ap.add_subparsers(dest="command", required=True)

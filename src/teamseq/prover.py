@@ -7,7 +7,9 @@ succedent's resolutions (the right deep rule is only "invertible" in the
 choice sense, so this stage is a disjunctive search with backtracking).
 Each failed candidate leaves a witness valuation, and one generator
 stream per antecedent branch yields only the candidates that every stored
-witness leaves open, pruning refuted blocks of the product as it goes.
+witness leaves open, pruning refuted blocks of the product as it goes;
+the stream loops over the succedent's formulas with a stack, so a long
+succedent takes no stack frames.
 Stage 3 is a backward search over the invertible classical rules, which
 either closes every branch with an axiom or exposes an invalid atomic
 sequent, whose valuation is a countermodel of the sequent it was reached
@@ -19,6 +21,7 @@ right deep rules.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .calculus import (PRINCIPAL_SIDE, Derivation, derive, make_at,
                        make_lbot, replay_rgd)
@@ -32,7 +35,10 @@ DEFAULT_NODE_BUDGET = 10 ** 6
 _STAGE2_UNIT = "succedent generator node (stage 2)"
 
 
-class _Budget:
+class Budget:
+    """A count of search units against a limit: `spend` raises
+    ResourceLimit, naming the unit, once the count passes the limit."""
+
     def __init__(self, limit: int):
         self.limit = limit
         self.used = 0
@@ -63,7 +69,7 @@ _CLASSICAL_RULES = (("LAnd", And), ("ROr", Or), ("LNeg", Neg), ("RNeg", Neg),
                     ("RAnd", And), ("LOr", Or))
 
 
-def _classical_step(ant, suc, domain, budget: _Budget):
+def _classical_step(ant, suc, domain, budget: Budget):
     """`derive` step of stage 3."""
     budget.spend("classical sequent")
     if BOT in ant:
@@ -97,7 +103,7 @@ def prove_classical(s: Sequent, domain=None,
     if domain is None:
         domain = tuple(sorted(s.props()))
     return derive((s.ant, s.suc), _classical_step, tuple(domain),
-                  _Budget(node_budget))
+                  Budget(node_budget))
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +125,7 @@ def _search_branch(ant, suc, domain, budget):
     witnesses: list[dict[str, int]] = []
     rows = []
     for pairing in resolution_choices(suc, witnesses,
-                                      lambda: budget.spend(_STAGE2_UNIT)):
+                                      partial(budget.spend, _STAGE2_UNIT)):
         out = derive((ant, mset(r for _, r in pairing)), _classical_step,
                      domain, budget)
         if isinstance(out, Derivation):
@@ -153,8 +159,8 @@ def prove_or_countermodel(s: Sequent, node_budget: int = DEFAULT_NODE_BUDGET):
     already refutes is searched.  `node_budget` counts antecedent splits,
     nodes of the stage-2 candidate generator (including pruned ones) and
     classical sequents; `ResourceLimit` names the unit that ran out, in its
-    message and as its `unit`.  A formula too deep for the formula walks,
-    or a succedent of about a thousand formulas, raises ResourceLimit too.
+    message and as its `unit`.  A formula too deep for the formula walks
+    raises ResourceLimit too.
     """
     domain = tuple(sorted(s.props()))
-    return derive((s.ant, s.suc), _split_step, domain, _Budget(node_budget))
+    return derive((s.ant, s.suc), _split_step, domain, Budget(node_budget))

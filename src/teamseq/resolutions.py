@@ -15,6 +15,14 @@ false, and a subtree is cut as soon as some witness falsifies it with
 every `||` read as `|`.  The list may grow between pulls; every step reads
 it anew.  This is the counterexample-guided search of the prover's
 stage 2.
+
+A multiset is covered by one loop over its positions with a stack of
+their open streams, so a succedent of any length takes no stack frame per
+formula.  A `|` tree with a `||` below is covered the same way, as the
+multiset of its maximal non-`|` subformulas, and rebuilt around each
+choice; it costs one generator node per position, not one per binary
+level.  The generator recurses over `&` and `||` only, one frame per
+nesting level of the formula.
 """
 
 from __future__ import annotations
@@ -162,25 +170,92 @@ def _gen(f: Formula, need, t: _TruthMasks, on_node) -> Iterator[Formula]:
                     break  # a witness added since refutes a
             if not right:  # nor for any later a: b's stream ignores a
                 return
-    else:  # `|` with a global disjunction below
-        for (_, a), (_, b) in _covers((f.left, f.right), need, t, on_node):
-            yield Or(a, b)
+    else:  # a `|` tree with a global disjunction below
+        leaves, shape = _or_tree(f)
+        for pairing in _covers(leaves, need, t, on_node):
+            yield _join(shape, pairing)
 
 
-def _covers(fs, need, t: _TruthMasks, on_node, i: int = 0):
-    """Pairings (f, r) for `fs[i:]` such that each needed witness makes
-    some r true: each choice r for `fs[i]` under the witnesses the rest
-    cannot make true, then the rest under those at which r is false."""
-    on_node()
-    if t.witnesses and need() & ~t.any(fs, i):
-        return
-    if i == len(fs):
-        yield ()
-        return
-    f = fs[i]
-    for r in _gen(f, lambda: need() & ~t.any(fs, i + 1), t, on_node):
-        for tail in _covers(fs, lambda: need() & ~t.of(r), t, on_node, i + 1):
-            yield ((f, r),) + tail
+def _covers(fs, need, t: _TruthMasks, on_node) -> Iterator[tuple]:
+    """Pairings (f, r), one per formula f of `fs`, such that each needed
+    witness makes some r true: at each position, each choice r under the
+    witnesses that the later formulas cannot make true, then the later
+    positions under those at which every earlier choice is false.
+
+    One loop over the positions, with a stack of their open streams: a
+    classical formula is a one-element stream (one generator node, as
+    `_gen` counts it), any other formula a `_gen` stream."""
+    n = len(fs)
+    streams: list[Iterator[Formula]] = []
+    chosen: list[tuple] = []  # a pair (f, r) per stream below the top
+
+    def need_at(i: int) -> int:
+        # the witnesses left to positions i and on by the first i choices
+        m = need()
+        for _, r in chosen[:i]:
+            m &= ~t.of(r)
+        return m
+
+    while True:
+        i = len(streams)  # enter position i
+        on_node()
+        if t.witnesses and need_at(i) & ~t.any(fs, i):
+            pass  # cut: no choice here leaves every witness a true formula
+        elif i == n:
+            yield tuple(chosen)
+        else:
+            f = fs[i]
+            if is_classical(f):
+                on_node()
+                streams.append(iter((f,)))
+            else:
+                streams.append(_gen(
+                    f, lambda i=i: need_at(i) & ~t.any(fs, i + 1), t, on_node))
+        # take the next choice of the deepest open stream
+        while streams:
+            k = len(streams) - 1
+            del chosen[k:]
+            r = next(streams[k], None)
+            if r is not None:
+                chosen.append((fs[k], r))
+                break
+            streams.pop()
+        else:
+            return
+
+
+def _or_tree(f: Or) -> tuple[tuple[Formula, ...], tuple[bool, ...]]:
+    """The maximal non-`|` subformulas of the `|` tree `f`, left to right,
+    and its shape in postorder: False for each of them in turn, True for
+    each `|` joining the two before it.  Cached on `f`."""
+    hit = f.__dict__.get("_or_tree")
+    if hit is None:
+        leaves, shape = [], []
+        stack = [(f, False)]
+        while stack:
+            g, joined = stack.pop()
+            if joined:
+                shape.append(True)
+            elif isinstance(g, Or):
+                stack += ((g, True), (g.right, False), (g.left, False))
+            else:
+                leaves.append(g)
+                shape.append(False)
+        hit = f.__dict__["_or_tree"] = (tuple(leaves), tuple(shape))
+    return hit
+
+
+def _join(shape: tuple[bool, ...], pairing) -> Formula:
+    """The `|` tree of `shape` over the resolutions of `pairing`."""
+    out = []
+    it = iter(pairing)
+    for joined in shape:
+        if joined:
+            right = out.pop()
+            out[-1] = Or(out[-1], right)
+        else:
+            out.append(next(it)[1])
+    return out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +316,11 @@ def apply_resolution_step(lf: LabelledFormula, step: ResolutionStep) -> Labelled
     return LabelledFormula(new_formula, tuple(new_labels))
 
 
-def partial_resolutions(f: Formula, n: int) -> frozenset[Formula]:
-    """All results of resolving exactly `n` distinct labelled occurrences."""
+def partial_resolutions(f: Formula, n: int, on_state=None
+                        ) -> frozenset[Formula]:
+    """All results of resolving exactly `n` distinct labelled occurrences.
+    `on_state` is called once per frontier state produced, before it
+    joins its frontier."""
     total = len(gd_paths(f))
     if n < 0 or n > total:
         raise DegreeOutOfRange(f"degree {n} outside 0..{total}")
@@ -254,6 +332,8 @@ def partial_resolutions(f: Formula, n: int) -> frozenset[Formula]:
                 if lab in used:
                     continue
                 for side in ("L", "R"):
+                    if on_state is not None:
+                        on_state()
                     nxt.add((apply_resolution_step(lf, ResolutionStep(side, lab)),
                              used | {lab}))
         frontier = nxt

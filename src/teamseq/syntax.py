@@ -444,6 +444,10 @@ def mset_leq(small, big) -> bool:
 # ---------------------------------------------------------------------------
 # Sequents
 
+# sets a field of a frozen dataclass from its own `__init__`
+_setattr = object.__setattr__
+
+
 @dataclass(frozen=True, init=False)
 class Sequent:
     ant: tuple[Formula, ...]
@@ -451,8 +455,8 @@ class Sequent:
 
     def __init__(self, ant, suc):
         # a public constructor: it sorts whatever it is given, once
-        object.__setattr__(self, "ant", mset(ant))
-        object.__setattr__(self, "suc", mset(suc))
+        _setattr(self, "ant", mset(ant))
+        _setattr(self, "suc", mset(suc))
 
     @classmethod
     def _canonical(cls, ant: tuple, suc: tuple) -> Sequent:
@@ -460,8 +464,8 @@ class Sequent:
         `mset`, `mset_add`, `mset_remove` and `mset_sub` return them; it
         does not sort them again, so the caller keeps the order."""
         s = object.__new__(cls)
-        object.__setattr__(s, "ant", ant)
-        object.__setattr__(s, "suc", suc)
+        _setattr(s, "ant", ant)
+        _setattr(s, "suc", suc)
         return s
 
     def props(self) -> frozenset[str]:
@@ -486,10 +490,10 @@ class PartitionSequent:
 
     def __init__(self, gamma1, gamma2, delta1, delta2):
         # canonical as in `Sequent`: each block sorted once
-        object.__setattr__(self, "gamma1", mset(gamma1))
-        object.__setattr__(self, "gamma2", mset(gamma2))
-        object.__setattr__(self, "delta1", mset(delta1))
-        object.__setattr__(self, "delta2", mset(delta2))
+        _setattr(self, "gamma1", mset(gamma1))
+        _setattr(self, "gamma2", mset(gamma2))
+        _setattr(self, "delta1", mset(delta1))
+        _setattr(self, "delta2", mset(delta2))
 
     def flatten(self) -> Sequent:
         return Sequent(self.gamma1 + self.gamma2, self.delta1 + self.delta2)

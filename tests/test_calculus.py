@@ -648,6 +648,52 @@ def test_shared_nodes_are_visited_once(tmp_path, capsys):
     assert err.value.address == (1, 1, 1)
 
 
+def test_check_inference_reads_any_iterable_of_premises():
+    d = infer("RAnd", (make_at((p,), (p,)), make_at((p,), (p,))), And(p, p))
+    check_inference(d.conclusion, d.rule, (x.conclusion for x in d.premises))
+    check_inference(d.conclusion, d.rule, tuple(x.conclusion
+                                                for x in d.premises))
+    for premises in ((), [d.premises[0].conclusion] * 3):
+        with pytest.raises(ArityMismatch, match="expected 2 premises"):
+            check_inference(d.conclusion, d.rule, iter(premises))
+
+
+def test_check_inference_refuses_an_unknown_tag():
+    for tag in ("Foo", "at", "", None, 3, ("At",), ["At"]):
+        with pytest.raises(RuleViolation, match="unknown rule") as err:
+            check_inference(ps("p => p"),
+                            RuleApp(tag, pos=0, pos2=0, formula=p), [])
+        assert type(err.value) is RuleViolation
+
+
+def test_check_derivation_locates_a_corrupt_leaf():
+    # a stage-1 derivation of about 1400 nodes; each corrupted leaf is
+    # reported at the path a seeded walk took to it
+    pairs = [(f"a{i}", f"b{i}") for i in range(7)]
+    s = ps(", ".join(f"{a} || {b}" for a, b in pairs) + " => "
+           + " | ".join(f"({a} || {b})" for a, b in pairs))
+    d = prove_or_countermodel(s)
+    assert len(list(rule_nodes(d))) > 1000
+    rng = random.Random(631)
+    for _ in range(10):
+        path, nodes = [], [d]
+        while nodes[-1].premises:
+            path.append(rng.randrange(len(nodes[-1].premises)))
+            nodes.append(nodes[-1].premises[path[-1]])
+        leaf = nodes.pop()
+        out = Derivation(leaf.conclusion, RuleApp(leaf.rule.rule,
+                                                  pos=leaf.rule.pos,
+                                                  formula=leaf.rule.formula))
+        for node, i in zip(reversed(nodes), reversed(path)):
+            out = Derivation(node.conclusion, node.rule,
+                             node.premises[:i] + (out,)
+                             + node.premises[i + 1:])
+        with pytest.raises(DerivationCheckError) as err:
+            check_derivation(out)
+        assert err.value.address == tuple(path)
+        assert "not in succedent" in str(err.value.cause)
+
+
 def canonical(d: Derivation) -> bool:
     return all(n.conclusion.ant == mset(n.conclusion.ant)
                and n.conclusion.suc == mset(n.conclusion.suc)

@@ -97,10 +97,13 @@ def test_library_references_every_private_definition():
 
 
 def _calls_reached(tree, roots):
-    """The module-level functions of `tree` that `roots` reach through
-    the names they read, the roots included."""
-    defs = {node.name: node for node in tree.body
-            if isinstance(node, ast.FunctionDef)}
+    """The module-level functions and constants of `tree` that `roots`
+    reach through the names they read, the roots included; a constant
+    such as a dispatch table leads on to the functions it names."""
+    defs = {name: node for name, node in private_definitions(tree)
+            if isinstance(node, ast.Assign)}
+    defs.update((node.name, node) for node in tree.body
+                if isinstance(node, ast.FunctionDef))
     reached, todo = set(), list(roots)
     while todo:
         name = todo.pop()
@@ -168,7 +171,7 @@ def self_calls(tree, module: str):
 # this set on purpose.
 RECURSIVE = {
     "interpolation._interp",
-    "resolutions._TruthMasks.of", "resolutions._covers", "resolutions._gen",
+    "resolutions._TruthMasks.of", "resolutions._gen",
     "resolutions.is_resolution",
     "semantics._Space.sat", "semantics._Space.sat_set",
     "semantics.eval_classical",

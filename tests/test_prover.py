@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+from teamseq import cli
 from teamseq.calculus import Derivation, check_derivation, is_cutfree
 from teamseq.errors import NonClassicalInput, ResourceLimit
 from teamseq.prover import (_STAGE2_UNIT, ClassicalCountermodel,
@@ -201,9 +202,19 @@ def test_budget_error_carries_its_unit():
     assert e.value.unit == "classical sequent"
 
 
-def test_prove_or_countermodel_too_deep_is_a_resource_limit():
-    with pytest.raises(ResourceLimit, match="nesting too deep"):
-        prove_or_countermodel(Sequent((), (Prop("p"),) * 1000))
+def test_prove_or_countermodel_answers_a_long_succedent():
+    # stage 2 takes no stack frame per succedent formula
+    assert prove_or_countermodel(Sequent((), (p,) * 1000)) == team("p", (0,))
+
+
+def test_prove_or_countermodel_resolves_a_long_succedent(capsys):
+    gd = pf("a || b")
+    s = Sequent((gd,), (gd,) * 800)
+    d = prove_or_countermodel(s)
+    assert isinstance(d, Derivation) and d.conclusion == s
+    check_derivation(d)
+    assert cli.run(["prove", "a || b => " + ", ".join(["a || b"] * 800)]) == 0
+    assert capsys.readouterr().out.startswith('{"formulas"')
 
 
 def test_prove_classical_answers_a_deep_search():

@@ -4,8 +4,9 @@ from itertools import product
 import pytest
 
 from teamseq.errors import DegreeOutOfRange, LabelAbsent
-from teamseq.resolutions import (ResolutionStep, apply_resolution_step,
-                                 gd_label, is_resolution, iter_resolutions,
+from teamseq.resolutions import (ResolutionStep, _TruthMasks,
+                                 apply_resolution_step, gd_label,
+                                 is_resolution, iter_resolutions,
                                  partial_resolutions, resolution_choices,
                                  resolution_steps, resolutions,
                                  resolutions_multiset, resolutions_ordered)
@@ -144,6 +145,115 @@ def test_witness_pruned_stream_is_the_filtered_stream():
                            lambda c: all(eval_classical(c[0], w) for w in ws),
                            trial)
             assert pruned == plain, f
+
+
+def reference_gen(f, need, t, on_node):
+    """Reference: the recursive generator with a binary case for `|`,
+    which covers its two sides as a two-formula multiset."""
+    on_node()
+    if t.witnesses and need() & ~t.of(f):
+        return
+    if is_classical(f):
+        yield f
+    elif isinstance(f, Gd):
+        yield from reference_gen(f.left, need, t, on_node)
+        for x in reference_gen(f.right, need, t, on_node):
+            if not is_resolution(f.left, x):
+                yield x
+    elif isinstance(f, And):
+        for a in reference_gen(f.left, need, t, on_node):
+            right = False
+            for b in reference_gen(f.right, need, t, on_node):
+                right = True
+                yield And(a, b)
+                if t.witnesses and need() & ~t.of(a):
+                    break
+            if not right:
+                return
+    else:
+        for (_, a), (_, b) in reference_covers((f.left, f.right), need, t,
+                                               on_node):
+            yield Or(a, b)
+
+
+def reference_covers(fs, need, t, on_node, i=0):
+    """Reference: one nested generator, and one `need` closure, per
+    position of `fs`."""
+    on_node()
+    if t.witnesses and need() & ~t.any(fs, i):
+        return
+    if i == len(fs):
+        yield ()
+        return
+    f = fs[i]
+    for r in reference_gen(f, lambda: need() & ~t.any(fs, i + 1), t, on_node):
+        for tail in reference_covers(fs, lambda: need() & ~t.of(r), t,
+                                     on_node, i + 1):
+            yield ((f, r),) + tail
+
+
+def reference_choices(formulas, witnesses, on_node):
+    t = _TruthMasks(witnesses)
+    return reference_covers(mset(formulas), t.all, t, on_node)
+
+
+def or_above_gd(f) -> bool:
+    """Whether some `|` in `f` has a global disjunction below it."""
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, Or) and not is_classical(g):
+            return True
+        if isinstance(g, (And, Or, Gd)):
+            stack += (g.left, g.right)
+    return False
+
+
+def _drive_every_pull(stream, witnesses, nodes, seed):
+    """Pull up to 60 candidates, appending a witness after every pull, as
+    the prover does after each failed candidate: a valuation that
+    falsifies every formula of the candidate where there is one, else
+    any.  Returns each candidate with the node count when it came."""
+    policy = random.Random(seed)
+    got = []
+    for c in stream:
+        got.append((c, len(nodes)))
+        refuting = [v for v in VALUATIONS
+                    if not any(eval_classical(r, v) for _, r in c)]
+        witnesses.append(policy.choice(refuting or VALUATIONS))
+        if len(got) == 60:
+            break
+    return got
+
+
+def test_enumerator_matches_the_recursive_reference():
+    # same pairings in the same order under a growing witness list; the
+    # same generator-node counts, at every pull, unless a `|` has a `||`
+    # below it, where the loop covers the whole `|` tree at once
+    rng = random.Random(137)
+    mixed = differ = 0
+    for trial in range(400):
+        fs = gen_side(rng, 3, 4, 3)
+        if trial % 4 == 0:  # make sure of many `|` trees over `||`
+            fs += (Or(Gd(gen_formula(rng, 2, 1), gen_formula(rng, 2, 1)),
+                      gen_formula(rng, 2, 1)),)
+        start = rng.sample(VALUATIONS, rng.randint(0, 2))
+        ws, nodes = list(start), []
+        got = _drive_every_pull(
+            resolution_choices(fs, ws, lambda: nodes.append(1)), ws, nodes,
+            trial)
+        total = len(nodes)
+        ws, nodes = list(start), []
+        want = _drive_every_pull(
+            reference_choices(fs, ws, lambda: nodes.append(1)), ws, nodes,
+            trial)
+        assert [c for c, _ in got] == [c for c, _ in want], fs
+        if any(or_above_gd(f) for f in fs):
+            mixed += 1
+            differ += total != len(nodes)
+        else:
+            assert got == want and total == len(nodes), fs
+    assert mixed >= 100 and differ >= 10, (mixed, differ)
 
 
 def test_generator_reports_every_node():
