@@ -1,12 +1,11 @@
 """Resolutions: answering the questions a formula asks.
 
 Each global disjunction is a choice point; committing to a disjunct at
-every occurrence yields a classical formula.  Partial resolutions commit
-at only some occurrences, labelled left to right.
+every occurrence yields a classical formula.  A partial resolution of
+degree n commits at n of the occurrences.
 """
 
-from teamseq import (ResolutionStep, apply_resolution_step, gd_label,
-                     parse_formula, partial_resolutions, render, resolutions,
+from teamseq import (parse_formula, partial_resolutions, render, resolutions,
                      resolutions_multiset)
 
 f = parse_formula("p || (q || r)")
@@ -15,15 +14,6 @@ for n in range(3):
     out = sorted(render(g) for g in partial_resolutions(f, n))
     print(f"  degree {n}: {out}")
 print("  full resolutions:", sorted(render(g) for g in resolutions(f)))
-
-print()
-lf = gd_label(f)
-print("labelled occurrences:", [(list(p), lab) for p, lab in lf.labels])
-a = apply_resolution_step(lf, ResolutionStep("R", 0))
-print("after [R/0]: ", render(a.formula), " remaining labels:",
-      [lab for _, lab in a.labels])
-b = apply_resolution_step(a, ResolutionStep("L", 1))
-print("after [L/1]: ", render(b.formula))
 
 print()
 ms = resolutions_multiset([parse_formula("p||(q||r)"), parse_formula("s||r")])

@@ -12,7 +12,7 @@ from .calculus import (Derivation, RuleApp, check_derivation, check_inference,
                        height, is_cutfree)
 from .errors import (ArityMismatch, ContainsCut, DegreeOutOfRange,
                      DerivationCheckError, DomainMismatch,
-                     FormulaNotDuplicated, InvalidPath, LabelAbsent,
+                     FormulaNotDuplicated, InvalidPath,
                      NonClassicalAntecedent, NonClassicalInput,
                      NonClassicalLambda1, NonClassicalNegation,
                      NonClassicalRightContraction, ParseError,
@@ -24,9 +24,7 @@ from .interpolation import (InterpolationResult, NotEntailed, PolarityBounds,
                             verify_interpolant)
 from .prover import (ClassicalCountermodel, prove_classical,
                      prove_or_countermodel)
-from .resolutions import (LabelledFormula, ResolutionStep,
-                          apply_resolution_step, gd_label,
-                          partial_resolutions, resolution_steps, resolutions,
+from .resolutions import (partial_resolutions, resolution_steps, resolutions,
                           resolutions_multiset)
 from .semantics import (ClosureReport, Team, big_and, big_or,
                         closure_properties, eval_classical,

@@ -120,7 +120,7 @@ def _cmd_resolutions(args) -> int:
     else:
         out = partial_resolutions(f, args.degree,
                                   functools.partial(budget.spend,
-                                                    "frontier state"))
+                                                    "partial resolution"))
     rendered = sorted(render(g) for g in out)
     _emit(args, {"formulas": rendered}, "\n".join(rendered))
     return 0
@@ -208,8 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "logic.")
     ap.add_argument("--budget", type=_nonnegative, default=None,
                     help="search node budget (prove/interpolate), count of "
-                         "formulas or frontier states (resolutions) or "
-                         "variable cap (valid/closure)")
+                         "formulas (resolutions) or variable cap "
+                         "(valid/closure)")
     ap.add_argument("--json", action="store_true",
                     help="machine-readable output")
     sub = ap.add_subparsers(dest="command", required=True)

@@ -56,10 +56,6 @@ class DegreeOutOfRange(TeamSeqError):
     """A partial-resolution degree outside 0..count of global disjunctions."""
 
 
-class LabelAbsent(TeamSeqError):
-    """A resolution step refers to a label no longer present."""
-
-
 class RuleViolation(TeamSeqError):
     """An inference fails a rule's side conditions or context arithmetic."""
 

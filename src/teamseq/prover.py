@@ -152,7 +152,7 @@ def prove_or_countermodel(s: Sequent, node_budget: int = DEFAULT_NODE_BUDGET):
     """Decide `s`: a cutfree Derivation if valid, a countermodel Team if not.
 
     Deterministic: antecedent splits take the first nonclassical formula
-    (canonical order) at its lowest-labelled occurrence; succedent
+    (canonical order) at its first `||` in infix order; succedent
     candidates are tried left-disjunct first; the reported countermodel
     comes from the first failing antecedent branch and is the union of the
     distinct witnesses found there.  No candidate that a stored witness

@@ -1,9 +1,9 @@
 """Resolutions and partial resolutions of formulas and multisets.
 
 A resolution of a formula is a classical formula obtained by committing to
-one disjunct at every global-disjunction occurrence; partial resolutions
-commit only at some occurrences.  Occurrences are identified by labels
-assigned left-to-right (infix position), matching `syntax.gd_paths`.
+one disjunct at every global-disjunction occurrence; a partial resolution
+of degree n commits at n of them.  Partial resolutions are built in one
+memoized pass over the formula's structure.
 
 One generator enumerates resolutions, of a formula and of a multiset's
 formulas together, left disjunct first.  Given a list of witness
@@ -28,11 +28,10 @@ nesting level of the formula.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 
-from .errors import DegreeOutOfRange, LabelAbsent
-from .syntax import (And, Formula, Gd, Neg, Or, Prop, first_gd, gd_paths,
-                     gd_sides, is_classical, mset, render)
+from .errors import DegreeOutOfRange, nesting_limited
+from .syntax import (And, Formula, Gd, Neg, Or, Prop, children, first_gd,
+                     gd_sides, is_classical, mset, postorder, render)
 
 
 def iter_resolutions(f: Formula) -> Iterator[Formula]:
@@ -41,11 +40,6 @@ def iter_resolutions(f: Formula) -> Iterator[Formula]:
     resolution and is yielded as is."""
     t = _TruthMasks([])
     return _gen(f, t.all, t, _no_op)
-
-
-def resolutions_ordered(f: Formula) -> tuple[Formula, ...]:
-    """Resolutions in deterministic order: left disjunct alternatives first."""
-    return tuple(iter_resolutions(f))
 
 
 def resolutions(f: Formula) -> frozenset[Formula]:
@@ -259,85 +253,62 @@ def _join(shape: tuple[bool, ...], pairing) -> Formula:
 
 
 # ---------------------------------------------------------------------------
-# Labelled formulas and resolution steps
+# Partial resolutions
 
-@dataclass(frozen=True)
-class LabelledFormula:
-    """A formula with numeric labels on its global-disjunction occurrences.
-
-    `labels` maps occurrence path -> label; `gd_label` assigns 0,1,... in
-    left-to-right position order.
-    """
-
-    formula: Formula
-    labels: tuple[tuple[tuple[int, ...], int], ...]
-
-    def path_of(self, label: int) -> tuple[int, ...] | None:
-        for path, lab in self.labels:
-            if lab == label:
-                return path
-        return None
-
-
-def gd_label(f: Formula) -> LabelledFormula:
-    return LabelledFormula(f, tuple((path, i)
-                                    for i, path in enumerate(gd_paths(f))))
-
-
-@dataclass(frozen=True)
-class ResolutionStep:
-    side: str  # 'L' or 'R'
-    label: int
-    target: int | None = None  # multiset position, when stepping a multiset
-
-
-def apply_resolution_step(lf: LabelledFormula, step: ResolutionStep) -> LabelledFormula:
-    """Replace the labelled occurrence by its chosen disjunct.
-
-    Labels inside the discarded disjunct vanish; all other labels keep
-    their numbers (paths are re-rooted under the contracted node).
-    """
-    path = lf.path_of(step.label)
-    if path is None:
-        raise LabelAbsent(f"label {step.label} not present in {render(lf.formula)}")
-    keep = 0 if step.side == "L" else 1
-    new_formula = gd_sides(lf.formula, path)[keep]
-    new_labels = []
-    plen = len(path)
-    for p, lab in lf.labels:
-        if p == path:
-            continue
-        if p[:plen] == path:
-            if p[plen] == keep:
-                new_labels.append((path + p[plen + 1:], lab))
-            # labels in the discarded disjunct are consumed
-        else:
-            new_labels.append((p, lab))
-    return LabelledFormula(new_formula, tuple(new_labels))
-
-
-def partial_resolutions(f: Formula, n: int, on_state=None
+@nesting_limited
+def partial_resolutions(f: Formula, n: int, on_formula=None
                         ) -> frozenset[Formula]:
-    """All results of resolving exactly `n` distinct labelled occurrences.
-    `on_state` is called once per frontier state produced, before it
-    joins its frontier."""
-    total = len(gd_paths(f))
-    if n < 0 or n > total:
-        raise DegreeOutOfRange(f"degree {n} outside 0..{total}")
-    frontier: set[tuple[LabelledFormula, frozenset[int]]] = {(gd_label(f), frozenset())}
-    for _ in range(n):
-        nxt: set[tuple[LabelledFormula, frozenset[int]]] = set()
-        for lf, used in frontier:
-            for _, lab in lf.labels:
-                if lab in used:
-                    continue
-                for side in ("L", "R"):
-                    if on_state is not None:
-                        on_state()
-                    nxt.add((apply_resolution_step(lf, ResolutionStep(side, lab)),
-                             used | {lab}))
-        frontier = nxt
-    return frozenset(lf.formula for lf, _ in frontier)
+    """All results of resolving exactly `n` distinct occurrences of `||`
+    in `f`, each to either disjunct, in any order.
+
+    One pass over the structure, memoized per (subformula, degree k): `&`
+    and `|` split k over their two sides, and so does a `||` left as it
+    is.  A `||` resolved to one side spends one step on itself and keeps
+    that side resolved to some degree j; the other k - 1 - j steps went
+    to occurrences in the discarded side before it was discarded.
+    `on_formula` is called once per formula added to the set of a
+    (subformula, degree) pair."""
+    count: dict[int, int] = {}  # id -> the number of `||` in that node
+    for g in postorder(f, children, count):
+        count[id(g)] = isinstance(g, Gd) + sum(count[id(c)]
+                                              for c in children(g))
+    if not 0 <= n <= count[id(f)]:
+        raise DegreeOutOfRange(f"degree {n} outside 0..{count[id(f)]}")
+    on_formula = on_formula or _no_op
+    memo: dict[tuple[Formula, int], set[Formula]] = {}
+
+    def put(out: set, formulas) -> None:
+        for x in formulas:
+            if x not in out:
+                on_formula()
+                out.add(x)
+
+    def splits(k: int, left: Formula, right: Formula):
+        # the degrees j of `left` that leave k - j to `right`
+        return range(max(0, k - count[id(right)]),
+                     min(k, count[id(left)]) + 1)
+
+    def part(g: Formula, k: int) -> set[Formula]:
+        # 0 <= k <= count[id(g)], so a classical g is asked only for k = 0
+        out = memo.get((g, k))
+        if out is not None:
+            return out
+        out = memo[g, k] = set()
+        if k == 0:
+            put(out, (g,))
+            return out
+        cls, l, r = type(g), g.left, g.right
+        for j in splits(k, l, r):
+            ls, rs = part(l, j), part(r, k - j)
+            put(out, (cls(a, b) for a in ls for b in rs))
+        if cls is Gd:
+            for j in splits(k - 1, l, r):
+                put(out, part(l, j))
+            for j in splits(k - 1, r, l):
+                put(out, part(r, j))
+        return out
+
+    return frozenset(part(f, n))
 
 
 def resolution_steps(f: Formula, target: Formula):
@@ -345,7 +316,7 @@ def resolution_steps(f: Formula, target: Formula):
     `target`; `kept` is `formula-before` with the occurrence at `path`
     replaced by its `side` disjunct, the formula the step leaves behind.
 
-    Deterministic: always resolves the first (lowest-label) occurrence,
+    Deterministic: always resolves the first occurrence left to right,
     preferring the left disjunct when both reach `target`.
 
     Cached on a nonclassical `f` per target as the (path, side, kept)

@@ -331,7 +331,7 @@ def substitute_at(f: Formula, path, replacement: Formula) -> Formula:
 
 def gd_paths(f: Formula) -> tuple[tuple[int, ...], ...]:
     """Paths of all global-disjunction occurrences, in left-to-right
-    (infix-position) order; the k-th path carries label k."""
+    (infix-position) order."""
     out: list[tuple[int, ...]] = []
     stack: list = [(f, ())]  # a formula to walk, or (None, path) to list
     while stack:
@@ -369,12 +369,12 @@ def gd_sides(f: Formula, path) -> tuple[Formula, Formula]:
 
 def first_gd(formulas):
     """The first nonclassical formula of a canonical multiset and the path
-    of its lowest-labelled global disjunction (the next left deep-rule
-    split), or None when every formula is classical."""
+    of its first global disjunction in infix order (the next left
+    deep-rule split), or None when every formula is classical."""
     for f in formulas:
         if is_classical(f):
             continue
-        # labels run in infix order: a `||` follows those in its left side
+        # in infix order a `||` follows those in its left side
         path, g = (), f
         while True:
             if not is_classical(g.left):

@@ -9,7 +9,7 @@ from teamseq import cli
 from teamseq.calculus import (check_derivation, derivation_from_json,
                               derivation_to_json, is_cutfree)
 from teamseq.cli import run
-from teamseq.resolutions import resolutions
+from teamseq.resolutions import partial_resolutions, resolutions
 from teamseq.semantics import team_from_json
 from teamseq.syntax import parse_formula, parse_sequent, render
 from teamseq.transforms import eliminate_cuts, is_normal, normalize
@@ -135,8 +135,8 @@ def test_resolutions_degree(capsys):
 
 
 def test_resolutions_count_against_the_budget(capsys):
-    # 8 conjoined `a_i || b_i`: 256 resolutions; at degree 1, 16 frontier
-    # states (each of the 8 labels resolved either way)
+    # 8 conjoined `a_i || b_i`: 256 resolutions; at degree 1, 16 results
+    # built from 116 formulas over all (subformula, degree) sets
     f = " & ".join(f"(a{i} || b{i})" for i in range(8))
     assert invoke(capsys, "--budget", "100", "resolutions", f) == (3, "")
     code, out = invoke(capsys, "--budget", "300", "resolutions", f)
@@ -144,11 +144,13 @@ def test_resolutions_count_against_the_budget(capsys):
     assert out.splitlines() == sorted(render(g)
                                       for g in resolutions(parse_formula(f)))
     assert len(out.splitlines()) == 256
-    assert invoke(capsys, "--budget", "15", "resolutions", f,
+    assert invoke(capsys, "--budget", "115", "resolutions", f,
                   "--degree", "1") == (3, "")
-    code, out = invoke(capsys, "--budget", "16", "resolutions", f,
+    code, out = invoke(capsys, "--budget", "116", "resolutions", f,
                        "--degree", "1")
     assert code == 0 and len(out.splitlines()) == 16
+    assert out.splitlines() == sorted(
+        render(g) for g in partial_resolutions(parse_formula(f), 1))
     assert invoke(capsys, "--budget", "300", "resolutions", f,
                   "--degree", "8") == (3, "")
 

@@ -172,7 +172,7 @@ def self_calls(tree, module: str):
 RECURSIVE = {
     "interpolation._interp",
     "resolutions._TruthMasks.of", "resolutions._gen",
-    "resolutions.is_resolution",
+    "resolutions.is_resolution", "resolutions.partial_resolutions.part",
     "semantics._Space.sat", "semantics._Space.sat_set",
     "semantics.eval_classical",
     "syntax._Parser.formula", "syntax._formula_from_json",

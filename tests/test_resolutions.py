@@ -1,18 +1,19 @@
 import random
+import time
+from dataclasses import dataclass
 from itertools import product
 
 import pytest
 
-from teamseq.errors import DegreeOutOfRange, LabelAbsent
-from teamseq.resolutions import (ResolutionStep, _TruthMasks,
-                                 apply_resolution_step, gd_label,
-                                 is_resolution, iter_resolutions,
+from teamseq.errors import DegreeOutOfRange, ResourceLimit
+from teamseq.resolutions import (_TruthMasks, is_resolution, iter_resolutions,
                                  partial_resolutions, resolution_choices,
                                  resolution_steps, resolutions,
-                                 resolutions_multiset, resolutions_ordered)
+                                 resolutions_multiset)
 from teamseq.semantics import Team, eval_classical, satisfies, sequent_valid
 from teamseq.syntax import (And, Bot, Gd, Neg, Or, Prop, Sequent, gd_count,
-                            is_classical, mset, parse_formula)
+                            gd_paths, gd_sides, is_classical, mset,
+                            parse_formula, render)
 
 from conftest import gen_formula, gen_side
 
@@ -60,7 +61,7 @@ def test_lazy_resolutions_match_eager_reference():
     rng = random.Random(83)
     for _ in range(200):
         f = gen_formula(rng, rng.randint(0, 5), 4)
-        assert resolutions_ordered(f) == eager_resolutions(f)
+        assert tuple(iter_resolutions(f)) == eager_resolutions(f)
 
 
 def test_is_resolution_matches_membership():
@@ -84,7 +85,7 @@ def test_resolution_choices_are_the_ordered_product():
     rng = random.Random(97)
     for _ in range(100):
         fs = gen_side(rng, 3, 3, 3)
-        eager = list(product(*[[(f, r) for r in resolutions_ordered(f)]
+        eager = list(product(*[[(f, r) for r in iter_resolutions(f)]
                                for f in mset(fs)]))
         assert list(resolution_choices(fs)) == eager
 
@@ -309,6 +310,119 @@ def test_full_degree_partial_resolutions_are_resolutions():
         k = gd_count(f)
         assert partial_resolutions(f, k) == resolutions(f)
         assert len(resolutions(f)) <= 2 ** k
+
+
+# Reference: partial resolutions as a frontier of labelled formulas, one
+# resolution step at a time.  Each `||` occurrence carries a label, 0, 1,
+# ... in left-to-right position order; a step replaces a labelled
+# occurrence by one of its disjuncts, and the labels inside the discarded
+# disjunct vanish.
+
+class LabelAbsent(Exception):
+    """A resolution step refers to a label no longer present."""
+
+
+@dataclass(frozen=True)
+class LabelledFormula:
+    """A formula with numeric labels on its global-disjunction occurrences:
+    `labels` maps occurrence path -> label."""
+
+    formula: object
+    labels: tuple
+
+    def path_of(self, label):
+        for path, lab in self.labels:
+            if lab == label:
+                return path
+        return None
+
+
+def gd_label(f):
+    return LabelledFormula(f, tuple((path, i)
+                                    for i, path in enumerate(gd_paths(f))))
+
+
+@dataclass(frozen=True)
+class ResolutionStep:
+    side: str  # 'L' or 'R'
+    label: int
+
+
+def apply_resolution_step(lf, step):
+    """Replace the labelled occurrence by its chosen disjunct.  Labels
+    inside the discarded disjunct vanish; all other labels keep their
+    numbers (paths are re-rooted under the contracted node)."""
+    path = lf.path_of(step.label)
+    if path is None:
+        raise LabelAbsent(f"label {step.label} not present in "
+                          f"{render(lf.formula)}")
+    keep = 0 if step.side == "L" else 1
+    new_labels = []
+    plen = len(path)
+    for p, lab in lf.labels:
+        if p == path:
+            continue
+        if p[:plen] == path:
+            if p[plen] == keep:
+                new_labels.append((path + p[plen + 1:], lab))
+        else:
+            new_labels.append((p, lab))
+    return LabelledFormula(gd_sides(lf.formula, path)[keep],
+                           tuple(new_labels))
+
+
+def frontier_partial_resolutions(f, n):
+    """All results of resolving exactly `n` distinct labelled occurrences,
+    by growing the frontier of (labelled formula, used labels) states."""
+    frontier = {(gd_label(f), frozenset())}
+    for _ in range(n):
+        frontier = {(apply_resolution_step(lf, ResolutionStep(side, lab)),
+                     used | {lab})
+                    for lf, used in frontier
+                    for _, lab in lf.labels if lab not in used
+                    for side in "LR"}
+    return frozenset(lf.formula for lf, _ in frontier)
+
+
+def test_partial_resolutions_match_the_frontier_reference():
+    rng = random.Random(163)
+    fs = [gen_formula(rng, rng.randint(0, 5), 4) for _ in range(600)]
+    p, q = pf("p || q"), pf("q || r & p")
+    fs += [And(p, p), Or(p, p), Gd(p, p), Gd(Prop("p"), Prop("p")),
+           Gd(p, And(p, q)), And(Gd(q, p), Or(q, Gd(q, q)))]
+    pairs = 0
+    for f in fs:
+        for n in range(gd_count(f) + 1):
+            assert partial_resolutions(f, n) == \
+                frontier_partial_resolutions(f, n), (render(f), n)
+            pairs += 1
+    assert pairs >= 900, pairs
+
+
+def gd_chain(n):
+    """`p0 || (p1 || ... (p{n-1} || pn))`, built by constructors."""
+    f = Prop(f"p{n}")
+    for i in reversed(range(n)):
+        f = Gd(Prop(f"p{i}"), f)
+    return f
+
+
+def test_partial_resolutions_of_wide_and_deep_formulas():
+    # one set per (subformula, degree), not one frontier state per
+    # sequence of steps
+    wide = pf(" & ".join(f"(a{i} || b{i})" for i in range(10)))
+    start = time.perf_counter()
+    assert len(partial_resolutions(wide, 10)) == 1024
+    assert time.perf_counter() - start < 1
+    assert len(partial_resolutions(gd_chain(60), 2)) == 3599
+
+
+def test_deep_partial_resolutions_answer_or_are_a_resource_limit():
+    try:
+        out = partial_resolutions(gd_chain(3000), 1)
+    except ResourceLimit:
+        return
+    assert len(out) == 6000
 
 
 def test_labelled_steps_golden():
