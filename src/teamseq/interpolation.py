@@ -6,14 +6,19 @@ of `G1 ; G2 => L1 ; D2` is a formula derivable on the left flank
 variables are confined to both flanks.  The first succedent block must be
 classical; otherwise no interpolant need exist.
 
-The extraction walks the derivation once, assigning each axiom its local
-interpolant and combining premise interpolants per the flank holding the
-principal formula: a one-premise rule steps back on that flank with
-`calculus.premises_of` and is rebuilt there, and a two-premise rule joins
-the two interpolants with `|` (left flank; `||` for a left deep rule under
-a nonclassical D2) or `&` (right flank).  Both flank derivations are built
-alongside by `calculus.infer` and `calculus.rebuild`, which raise
-ValueError on misaligned premises.
+The extraction takes two passes over the derivation.  The first assigns
+each axiom its local interpolant and combines premise interpolants per
+the flank holding the principal formula: a one-premise rule steps back on
+that flank with `calculus.premises_of`, and a two-premise rule joins the
+two interpolants with `|` (left flank; `||` for a left deep rule under a
+nonclassical D2) or `&` (right flank).  The second builds both flank
+derivations with `calculus.infer` and `calculus.rebuild`, which raise
+ValueError on misaligned premises.  A join weakens each premise's flank
+by the other premise's interpolant; that weakening is carried down as
+extra context and put in where the flank is built, so each flank node is
+built once, in its final context.  Both passes are memoized per node, so
+a derivation whose nodes are shared is extracted in time linear in its
+distinct nodes.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from .prover import DEFAULT_NODE_BUDGET, prove_or_countermodel
 from .semantics import Team, sequent_valid
 from .syntax import (And, BOT, Formula, Gd, Neg, Or, PartitionSequent,
                      Sequent, is_classical, mset, mset_add, signed_props)
-from .transforms import _g3, _weaken
+from .transforms import _g3
 
 
 @dataclass(frozen=True)
@@ -89,79 +94,140 @@ def _allocate_weak(weak, l1, d2):
     return mset(w1), mset(w2), mset(l1_rest), mset(d2_rest)
 
 
-def _interp(d: Derivation, g1, g2, l1, d2):
-    """Returns (interpolant, left derivation, right derivation)."""
+def _step(d: Derivation, blocks):
+    """Where the rule of `d` sits in the partition `blocks`, that is
+    `(g1, g2, l1, d2)`: whether its principal formula is on the left flank
+    (G1, L1) or the right one (G2, D2), the blocks of its premises, and a
+    two-premise rule's implicit weakening split into its shares `(w1, w2)`
+    of L1 and D2 (None for a one-premise rule)."""
+    g1, g2, l1, d2 = blocks
     r = d.rule
-    tag = r.rule
-
-    if tag == "At":
-        p = r.formula
-        in_g1 = p in g1
-        in_l1 = p in l1
-        if in_g1 and in_l1:
-            return (BOT,
-                    make_at(g1, mset_add(l1, BOT), p),
-                    make_lbot(mset_add(g2, BOT), d2))
-        if in_g1:
-            return (p,
-                    make_at(g1, mset_add(l1, p), p),
-                    make_at(mset_add(g2, p), d2, p))
-        if in_l1:
-            np = Neg(p)
-            return (np,
-                    infer("RNeg", [make_at(mset_add(g1, p), l1, p)], np),
-                    infer("LNeg", [make_at(g2, mset_add(d2, p), p)], np))
-        nb = Neg(BOT)
-        return (nb,
-                infer("RNeg", [make_lbot(mset_add(g1, BOT), l1)], nb),
-                infer("LNeg", [make_at(g2, mset_add(d2, BOT), p)], nb))
-
-    if tag == "LBot":
-        if BOT in g1:
-            return (BOT,
-                    make_lbot(g1, mset_add(l1, BOT)),
-                    make_lbot(mset_add(g2, BOT), d2))
-        nb = Neg(BOT)
-        return (nb,
-                infer("RNeg", [make_lbot(mset_add(g1, BOT), l1)], nb),
-                infer("LNeg", [make_lbot(g2, mset_add(d2, BOT))], nb))
-
-    f = r.formula
+    tag, f = r.rule, r.formula
+    weak = None
     if len(d.premises) == 2:
         w1, w2, l1, d2 = _allocate_weak(r.weak, l1, d2)
-    # the flank holding the principal formula: (G1, L1) or (G2, D2)
+        weak = w1, w2
     on_left = f in (g1 if PRINCIPAL_SIDE[tag] == "ant" else l1)
     if on_left:
-        prems = premises_of(tag, g1, l1, f, r.path, r.side)
-        subs = [_interp(p, a, g2, s, d2) for p, (a, s) in zip(d.premises, prems)]
+        prems = [(a, g2, s, d2)
+                 for a, s in premises_of(tag, g1, l1, f, r.path, r.side)]
     else:
-        prems = premises_of(tag, g2, d2, f, r.path, r.side)
-        subs = [_interp(p, g1, a, l1, s) for p, (a, s) in zip(d.premises, prems)]
+        prems = [(g1, a, l1, s)
+                 for a, s in premises_of(tag, g2, d2, f, r.path, r.side)]
+    return on_left, prems, weak
 
+
+def _interpolant(d: Derivation, blocks, steps: dict) -> Formula:
+    """The interpolant of `d` under the partition `blocks`.  `steps` maps
+    each (node, blocks) reached to its interpolant and its `_step` (None
+    at an axiom), so a node shared in `d` is done once per blocks."""
+    key = id(d), blocks
+    hit = steps.get(key)
+    if hit is not None:
+        return hit[0]
+    r = d.rule
+    if r.rule in ("At", "LBot"):
+        # At on p: bot if p is in G1 and L1, p if in G1 only, ~p if in L1
+        # only, else ~bot; LBot: bot if bot is in G1, else ~bot
+        g1, _, l1, _ = blocks
+        p = r.formula
+        if p in g1:
+            phi = BOT if r.rule == "LBot" or p in l1 else p
+        else:
+            phi = Neg(p if r.rule == "At" and p in l1 else BOT)
+        steps[key] = phi, None
+        return phi
+    step = on_left, prems, _ = _step(d, blocks)
+    subs = [_interpolant(p, b, steps) for p, b in zip(d.premises, prems)]
     if len(subs) == 1:  # LNeg RNeg LAnd ROr RGd
-        phi, l, rr = subs[0]
-        if on_left:
-            return phi, rebuild(r, (l,)), rr
-        return phi, l, rebuild(r, (rr,))
+        phi = subs[0]
+    elif not on_left:
+        phi = And(*subs)
+    elif r.rule == "LGd" and not all(is_classical(g) for g in blocks[3]):
+        phi = Gd(*subs)
+    else:
+        phi = Or(*subs)
+    steps[key] = phi, step
+    return phi
+
+
+def _axiom(p: Formula, ant, suc) -> Derivation:
+    """The axiom on `ant => suc` for `p`: LBot for bot, else At on `p`."""
+    return make_lbot(ant, suc) if p is BOT else make_at(ant, suc, p)
+
+
+def _interp(d: Derivation, blocks, xl, xr, steps: dict, memo: dict):
+    """The flank derivations `(left, right)` of `d` under `blocks`, which
+    conclude `G1 => L1, xl, phi` and `G2, xr, phi => D2`, with `phi` and
+    the rules' steps read from `steps` (`_interpolant`).
+
+    `xl` and `xr` are premise interpolants that two-premise rules below
+    the root join.  Each is put where weakening the built flank
+    (`transforms.weaken`) would put it, so no flank is built twice: the
+    right flank takes `xr` at its axioms, and the left flank takes `xl`
+    at its axioms or as the implicit weakening of the first RAnd or LOr
+    on the way up.  Neither enters the blocks the axioms are read from.
+    `memo` holds the result per (node, blocks, xl, xr)."""
+    key = id(d), blocks, xl, xr
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    r = d.rule
+    tag = r.rule
+    phi, step = steps[id(d), blocks]
+
+    if step is None:  # At LBot: phi is c or ~c, c the axiom's variable or bot
+        g1, g2, l1, d2 = blocks
+        l1, g2 = mset_add(l1, *xl), mset_add(g2, *xr)
+        if isinstance(phi, Neg):
+            c = phi.child
+            out = (infer("RNeg", [_axiom(c, mset_add(g1, c), l1)], phi),
+                   infer("LNeg", [_axiom(r.formula, g2, mset_add(d2, c))],
+                         phi))
+        else:
+            out = (_axiom(r.formula, g1, mset_add(l1, phi)),
+                   _axiom(phi, mset_add(g2, phi), d2))
+        memo[key] = out
+        return out
+
+    on_left, prems, weak = step
+    if weak is None:  # LNeg RNeg LAnd ROr RGd
+        left, right = _interp(d.premises[0], prems[0], xl, xr, steps, memo)
+        out = ((rebuild(r, (left,)), right) if on_left
+               else (left, rebuild(r, (right,))))
+        memo[key] = out
+        return out
 
     # RAnd LOr LGd
-    (p1, la, ra), (p2, lb, rb) = subs
-    if not on_left:
-        phi = And(p1, p2)
-        inner = (_weaken(ra, "L", p2), _weaken(rb, "L", p1))
+    (a, b), (ba, bb), (w1, w2) = d.premises, prems, weak
+    p1, p2 = steps[id(a), ba][0], steps[id(b), bb][0]
+    if not on_left:  # phi = p1 & p2
+        la, ra = _interp(a, ba, (), mset_add(xr, p2), steps, memo)
+        lb, rb = _interp(b, bb, (), mset_add(xr, p1), steps, memo)
         if tag == "RAnd":
-            right = infer("LAnd", [rebuild(r, inner, w2)], phi)
+            right = infer("LAnd", [rebuild(r, (ra, rb), w2)], phi)
         else:
-            right = rebuild(r, [infer("LAnd", [e], phi) for e in inner], w2)
-        return phi, infer("RAnd", (la, lb), phi, weak=w1), right
-    if tag == "LGd" and not all(is_classical(g) for g in d2):
-        phi = Gd(p1, p2)
-        left = rebuild(r, (infer("RGd", [la], phi, (), "L"),
-                           infer("RGd", [lb], phi, (), "R")))
-        return phi, left, infer("LGd", (ra, rb), phi)
-    phi = Or(p1, p2)
-    left = rebuild(r, (_weaken(la, "R", p2), _weaken(lb, "R", p1)), w1)
-    return phi, infer("ROr", [left], phi), infer("LOr", (ra, rb), phi, weak=w2)
+            right = rebuild(r, [infer("LAnd", [e], phi) for e in (ra, rb)],
+                            w2)
+        out = infer("RAnd", (la, lb), phi, weak=mset_add(w1, *xl)), right
+    elif isinstance(phi, Gd):  # LGd under a nonclassical D2
+        la, ra = _interp(a, ba, xl, xr, steps, memo)
+        lb, rb = _interp(b, bb, xl, xr, steps, memo)
+        out = (rebuild(r, (infer("RGd", [la], phi, (), "L"),
+                           infer("RGd", [lb], phi, (), "R"))),
+               infer("LGd", (ra, rb), phi))
+    else:  # phi = p1 | p2
+        if tag == "LGd":  # xl goes up to the premises
+            up = xl
+        else:  # RAnd and LOr take xl as implicit weakening
+            up, w1 = (), mset_add(w1, *xl)
+        la, ra = _interp(a, ba, mset_add(up, p2), xr, steps, memo)
+        lb, rb = _interp(b, bb, mset_add(up, p1), xr, steps, memo)
+        left = rebuild(r, (la, lb), w1)
+        out = (infer("ROr", [left], phi),
+               infer("LOr", (ra, rb), phi, weak=w2))
+    memo[key] = out
+    return out
 
 
 @nesting_limited
@@ -181,8 +247,12 @@ def interpolate_partition(d: Derivation,
             f"partition flattens to {partition.flatten()}, derivation "
             f"concludes {d.conclusion}")
     check_derivation(d)
-    phi, left, right = _interp(_g3(d), partition.gamma1, partition.gamma2,
-                               partition.delta1, partition.delta2)
+    d = _g3(d)
+    blocks = (partition.gamma1, partition.gamma2, partition.delta1,
+              partition.delta2)
+    steps: dict = {}
+    phi = _interpolant(d, blocks, steps)
+    left, right = _interp(d, blocks, (), (), steps, {})
     return InterpolationResult(phi, left, right, polarity_bounds(partition))
 
 

@@ -19,9 +19,15 @@ closed.  At `DEFAULT_MAX_VARS` = 4 variables the costliest such pair, all
 teams of at most 8 valuations on both sides, took about 0.5-0.7 s, and
 the costliest pair that is not downward closed, all nonempty teams on
 both sides, about 3 s (2-core x86-64 host, CPython 3.11).  On a wider
-`_Space` built directly the cover image raises `ResourceLimit` before it
-builds any set.  Single-team satisfaction never builds a mask over all
-teams, so it works on any domain size.
+`_Space` built directly the cover image and the set of a variable raise
+`ResourceLimit` before they build any set.  Single-team satisfaction
+never builds a mask over all teams, so it works on any domain size.
+
+The set of `~c` is read off the valuations v with {v} satisfying c,
+computed for all v at once by the clauses on one-valuation teams, so no
+set of c over all teams is built.  The sets that depend only on the
+number of variables (the teams lacking each valuation, the set of each
+variable) are built once per arity, up to `DEFAULT_MAX_VARS`.
 
 The sweeps over all teams are operations on these sets, not loops over
 teams: each closure property is its definition evaluated on a formula's
@@ -34,7 +40,7 @@ membership) order.  None of them uses a closure theorem of the logic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 from itertools import combinations
 from operator import and_
 
@@ -132,6 +138,7 @@ class _Space:
         self.nvals = 1 << self.n
         self.nteams = 1 << self.nvals
         self._sets: dict[Formula, int] = {}
+        self._points_of: dict[Formula, int] = {}
         self._memo: dict[tuple[Formula, int], bool] = {}
 
     def valuation(self, vindex: int) -> tuple[int, ...]:
@@ -216,13 +223,12 @@ class _Space:
             return hit
         match f:
             case Prop(name):
-                bit = self.n - 1 - self.domain.index(name)
-                out = self._avoiding(sum(1 << v for v in range(self.nvals)
-                                         if not (v >> bit) & 1))
+                out = _constants(self.n).props[self.domain.index(name)]
             case Bot():
                 out = 1
             case Neg(c):
-                out = self._avoiding(self._points(self.sat_set(c)))
+                # t satisfies ~c iff no v in t has {v} satisfying c
+                out = self._avoiding(self.sat_points(c))
             case And(l, r):
                 out = self.sat_set(l) & self.sat_set(r)
             case Gd(l, r):
@@ -230,6 +236,35 @@ class _Space:
             case Or(l, r):
                 out = self._or_set(self.sat_set(l), self.sat_set(r))
         self._sets[f] = out
+        return out
+
+    def sat_points(self, f: Formula) -> int:
+        """Mask of the valuations v with {v} satisfying `f`, for all v at
+        once, by the clauses of `sat` read on one-valuation teams."""
+        hit = self._points_of.get(f)
+        if hit is not None:
+            return hit
+        match f:
+            case Prop(name):
+                bit = self.n - 1 - self.domain.index(name)
+                out = sum(1 << v for v in range(self.nvals) if (v >> bit) & 1)
+            case Bot():
+                out = 0
+            case Neg(c):
+                out = ~self.sat_points(c) & ((1 << self.nvals) - 1)
+            case And(l, r):
+                out = self.sat_points(l) & self.sat_points(r)
+            case Gd(l, r):
+                out = self.sat_points(l) | self.sat_points(r)
+            case Or(l, r):
+                # the covers of {v} are {v} + {v}, {v} + {} and {} + {v}
+                pl, pr = self.sat_points(l), self.sat_points(r)
+                out = pl & pr
+                if self.sat(0, r):
+                    out |= pl
+                if self.sat(0, l):
+                    out |= pr
+        self._points_of[f] = out
         return out
 
     def _avoiding(self, bad_vals: int) -> int:
@@ -247,17 +282,8 @@ class _Space:
     @cached_property
     def _without(self) -> list[int]:
         """`_without[v]` is the set of teams that do not contain valuation
-        v, `_avoiding(1 << v)`.  Built on first use: at four variables each
-        is 2^16 bits.
-
-        Team indices lacking the last valuation are the lower half.  Going
-        down, in every block of 2^(v+2) indices the set for v + 1 holds the
-        lower half, and xor with itself shifted up by 2^v leaves the first
-        and third quarters: the indices with bit v clear."""
-        out = [(1 << (self.nteams >> 1)) - 1]
-        for v in reversed(range(self.nvals - 1)):
-            out.append(out[-1] ^ out[-1] << (1 << v))
-        return out[::-1]
+        v, `_avoiding(1 << v)`; see `_constants`."""
+        return _constants(self.n).without
 
     def _maximal(self, sat: int) -> int | None:
         """The maximal teams of `sat` if it is downward closed, else None.
@@ -317,6 +343,41 @@ class _Space:
                     up ^= lacking
             out |= up
         return out
+
+
+@dataclass(frozen=True)
+class _Constants:
+    """The sets of teams that depend only on the number of variables,
+    shared by every `_Space` of that arity, which only reads them."""
+
+    without: list[int]  # per valuation v, the teams that lack v
+    props: list[int]    # per domain position, the teams that satisfy it
+
+
+@cache
+def _constants(n: int) -> _Constants:
+    """The `_Constants` of `n` variables, built once per arity and only up
+    to `DEFAULT_MAX_VARS` (2^16-bit sets, under 0.2 MB for all arities);
+    a wider arity raises `ResourceLimit` before anything is built.
+
+    Team indices lacking the last valuation are the lower half.  Going
+    down, in every block of 2^(v+2) indices the set for v + 1 holds the
+    lower half, and xor with itself shifted up by 2^v leaves the first
+    and third quarters: the indices with bit v clear.  The teams that
+    satisfy the variable at position i are those that lack every
+    valuation with its bit clear."""
+    if n > DEFAULT_MAX_VARS:
+        raise ResourceLimit(f"team sets over {n} variables exceed the "
+                            f"{DEFAULT_MAX_VARS}-variable cap")
+    nvals = 1 << n
+    without = [(1 << (1 << (nvals - 1))) - 1]
+    for v in reversed(range(nvals - 1)):
+        without.append(without[-1] ^ without[-1] << (1 << v))
+    without.reverse()
+    props = [reduce(and_, (w for v, w in enumerate(without)
+                           if not (v >> (n - 1 - i)) & 1))
+             for i in range(n)]
+    return _Constants(without, props)
 
 
 def _space_for(domain, max_vars: int) -> _Space:

@@ -96,7 +96,7 @@ class Formula(metaclass=_Interned):
     The text (`render`) and classicality (`is_classical`) of a node are
     stored in its `__dict__` when it is interned, built from its
     children's stored values, before any other thread can see the node.
-    `props`, `gd_sides` (per path), `calculus.actives` and
+    `props`, `signed_props`, `gd_sides` (per path), `calculus.actives` and
     `resolutions.resolution_steps` (per target) stay lazy: they cache
     their value in the `__dict__` on first use.  Either way the value is
     outside the dataclass fields, so `repr` is unaffected, and it lives
@@ -251,12 +251,16 @@ def is_classical(f: Formula) -> bool:
 def props(f: Formula) -> frozenset[str]:
     """The variables of `f`, cached on `f` on first use.  They are
     gathered on an explicit stack that takes a cached node's variables
-    without walking below it."""
+    without walking below it, and reaches each node once, so a formula
+    with shared nodes costs its size."""
     out = f.__dict__.get("_props")
     if out is None:
-        names, stack = set(), [f]
+        names, seen, stack = set(), set(), [f]
         while stack:
             g = stack.pop()
+            if g in seen:
+                continue
+            seen.add(g)
             known = g.__dict__.get("_props")
             if known is not None:
                 names |= known
@@ -269,20 +273,35 @@ def props(f: Formula) -> frozenset[str]:
 
 
 def signed_props(f: Formula) -> tuple[frozenset[str], frozenset[str]]:
-    """Variables with a positive (even-negation) / negative occurrence."""
-    pos: set[str] = set()
-    neg: set[str] = set()
-    stack = [(f, True)]
-    while stack:
-        g, parity = stack.pop()
-        match g:
-            case Prop(name):
-                (pos if parity else neg).add(name)
-            case Neg(c):
-                stack.append((c, not parity))
-            case And(l, r) | Or(l, r) | Gd(l, r):
-                stack += (r, parity), (l, parity)
-    return frozenset(pos), frozenset(neg)
+    """Variables with a positive (even-negation) / negative occurrence,
+    cached on `f` on first use.  They are gathered on an explicit stack
+    that takes a cached node's pair (swapped under an odd number of
+    negations) without walking below it, and reaches each node at most
+    once per parity, so a formula with shared nodes costs its size."""
+    out = f.__dict__.get("_signed_props")
+    if out is None:
+        pos: set[str] = set()
+        neg: set[str] = set()
+        seen, stack = set(), [(f, True)]
+        while stack:
+            item = stack.pop()
+            if item in seen:
+                continue
+            seen.add(item)
+            g, parity = item
+            known = g.__dict__.get("_signed_props")
+            if known is not None:
+                kp, kn = known if parity else known[::-1]
+                pos |= kp
+                neg |= kn
+            elif isinstance(g, Prop):
+                (pos if parity else neg).add(g.name)
+            elif isinstance(g, Neg):
+                stack.append((g.child, not parity))
+            else:
+                stack += ((c, parity) for c in children(g))
+        out = f.__dict__["_signed_props"] = frozenset(pos), frozenset(neg)
+    return out
 
 
 def symbol_count(f: Formula) -> int:

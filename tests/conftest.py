@@ -126,6 +126,17 @@ def gen_shuffled(rng: random.Random, s: Sequent, steps: int):
     return infer(tag, prems, f, path)
 
 
+def shared_chain(n: int, leaf: Derivation | None = None) -> Derivation:
+    """The axiom `x0 => x0, x1, …, xn` (or `leaf`), then n RAnd steps on
+    `x_k & x_k`, each with both premises the same node: n + 1 node
+    objects, 2^n paths from the root to the leaf."""
+    xs = [Prop(f"x{k}") for k in range(n + 1)]
+    d = leaf or make_at((xs[0],), xs, xs[0])
+    for x in xs[1:]:
+        d = infer("RAnd", (d, d), And(x, x))
+    return d
+
+
 def on_fresh_stack(fn, *args):
     """`fn(*args)` in a new thread, whose stack starts empty, so the
     nesting a test reaches does not depend on the test runner's depth."""

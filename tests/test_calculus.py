@@ -24,7 +24,8 @@ from teamseq.transforms import (contract, eliminate_cuts, invert, is_normal,
                                 normalize, reassemble, resolve_derivation,
                                 weaken)
 
-from conftest import gen_sequent, inject_cut, variant_examples
+from conftest import (gen_sequent, inject_cut, shared_chain,
+                      variant_examples)
 
 pf, ps = parse_formula, parse_sequent
 p, q, r, s_ = Prop("p"), Prop("q"), Prop("r"), Prop("s")
@@ -613,17 +614,6 @@ def test_misaligned_premises_raise():
         infer("LOr", (make_at((p,), (p,)), make_at((q,), (q, r))), Or(p, q))
     with pytest.raises(ValueError):
         infer("LAnd", (make_at((p,), (p,)),), And(p, q))
-
-
-def shared_chain(n: int, leaf: Derivation | None = None) -> Derivation:
-    """The axiom `x0 => x0, x1, …, xn` (or `leaf`), then n RAnd steps on
-    `x_k & x_k`, each with both premises the same node: n + 1 node
-    objects, 2^n paths from the root to the leaf."""
-    xs = [Prop(f"x{k}") for k in range(n + 1)]
-    d = leaf or make_at((xs[0],), xs, xs[0])
-    for x in xs[1:]:
-        d = infer("RAnd", (d, d), And(x, x))
-    return d
 
 
 def test_shared_nodes_are_visited_once(tmp_path, capsys):

@@ -170,10 +170,11 @@ def self_calls(tree, module: str):
 # `errors.nesting_limited`.  A change that adds or removes one updates
 # this set on purpose.
 RECURSIVE = {
-    "interpolation._interp",
+    "interpolation._interp", "interpolation._interpolant",
     "resolutions._TruthMasks.of", "resolutions._gen",
     "resolutions.is_resolution", "resolutions.partial_resolutions.part",
-    "semantics._Space.sat", "semantics._Space.sat_set",
+    "semantics._Space.sat", "semantics._Space.sat_points",
+    "semantics._Space.sat_set",
     "semantics.eval_classical",
     "syntax._Parser.formula", "syntax._formula_from_json",
     "transforms._ccut", "transforms._contract",

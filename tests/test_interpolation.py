@@ -1,21 +1,25 @@
 import random
+import time
 from dataclasses import replace
 
 import pytest
 
-from teamseq.calculus import (Derivation, RuleApp, make_at, make_cut,
-                              rule_nodes)
+from teamseq.calculus import (PRINCIPAL_SIDE, Derivation, RuleApp,
+                              derivation_to_json, infer, make_at, make_cut,
+                              make_lbot, premises_of, rebuild, rule_nodes)
 from teamseq.errors import (ContainsCut, DerivationCheckError,
                             NonClassicalLambda1, PartitionMismatch)
-from teamseq.interpolation import (NotEntailed, craig_lyndon,
+from teamseq.interpolation import (NotEntailed, _allocate_weak, craig_lyndon,
                                    interpolate_partition, verify_interpolant)
 from teamseq.prover import prove_or_countermodel
 from teamseq.semantics import Team, satisfies
-from teamseq.syntax import (BOT, Neg, Or, PartitionSequent, Prop,
-                            is_classical, parse_formula, parse_sequent, props,
-                            signed_props, symbol_count)
+from teamseq.syntax import (And, BOT, Gd, Neg, Or, PartitionSequent, Prop,
+                            is_classical, mset_add, parse_formula,
+                            parse_sequent, props, render, signed_props,
+                            symbol_count)
+from teamseq.transforms import _g3, _weaken
 
-from conftest import gen_sequent
+from conftest import gen_sequent, gen_shuffled, shared_chain
 
 pf, ps = parse_formula, parse_sequent
 p, q = Prop("p"), Prop("q")
@@ -188,3 +192,137 @@ def test_property_random_partitions():
         res = interpolate_partition(d, part)
         assert verify_interpolant(res, part), str(part)
         done += 1
+
+
+def reference_interp(d: Derivation, g1, g2, l1, d2):
+    """The extraction in one pass: (interpolant, left derivation, right
+    derivation), each premise's flanks built whole and a two-premise rule
+    adding the other premise's interpolant with `_weaken`."""
+    r = d.rule
+    tag = r.rule
+
+    if tag == "At":
+        p = r.formula
+        in_g1 = p in g1
+        in_l1 = p in l1
+        if in_g1 and in_l1:
+            return (BOT,
+                    make_at(g1, mset_add(l1, BOT), p),
+                    make_lbot(mset_add(g2, BOT), d2))
+        if in_g1:
+            return (p,
+                    make_at(g1, mset_add(l1, p), p),
+                    make_at(mset_add(g2, p), d2, p))
+        if in_l1:
+            np = Neg(p)
+            return (np,
+                    infer("RNeg", [make_at(mset_add(g1, p), l1, p)], np),
+                    infer("LNeg", [make_at(g2, mset_add(d2, p), p)], np))
+        nb = Neg(BOT)
+        return (nb,
+                infer("RNeg", [make_lbot(mset_add(g1, BOT), l1)], nb),
+                infer("LNeg", [make_at(g2, mset_add(d2, BOT), p)], nb))
+
+    if tag == "LBot":
+        if BOT in g1:
+            return (BOT,
+                    make_lbot(g1, mset_add(l1, BOT)),
+                    make_lbot(mset_add(g2, BOT), d2))
+        nb = Neg(BOT)
+        return (nb,
+                infer("RNeg", [make_lbot(mset_add(g1, BOT), l1)], nb),
+                infer("LNeg", [make_lbot(g2, mset_add(d2, BOT))], nb))
+
+    f = r.formula
+    if len(d.premises) == 2:
+        w1, w2, l1, d2 = _allocate_weak(r.weak, l1, d2)
+    on_left = f in (g1 if PRINCIPAL_SIDE[tag] == "ant" else l1)
+    if on_left:
+        prems = premises_of(tag, g1, l1, f, r.path, r.side)
+        subs = [reference_interp(p, a, g2, s, d2)
+                for p, (a, s) in zip(d.premises, prems)]
+    else:
+        prems = premises_of(tag, g2, d2, f, r.path, r.side)
+        subs = [reference_interp(p, g1, a, l1, s)
+                for p, (a, s) in zip(d.premises, prems)]
+
+    if len(subs) == 1:
+        phi, l, rr = subs[0]
+        if on_left:
+            return phi, rebuild(r, (l,)), rr
+        return phi, l, rebuild(r, (rr,))
+
+    (p1, la, ra), (p2, lb, rb) = subs
+    if not on_left:
+        phi = And(p1, p2)
+        inner = (_weaken(ra, "L", p2), _weaken(rb, "L", p1))
+        if tag == "RAnd":
+            right = infer("LAnd", [rebuild(r, inner, w2)], phi)
+        else:
+            right = rebuild(r, [infer("LAnd", [e], phi) for e in inner], w2)
+        return phi, infer("RAnd", (la, lb), phi, weak=w1), right
+    if tag == "LGd" and not all(is_classical(g) for g in d2):
+        phi = Gd(p1, p2)
+        left = rebuild(r, (infer("RGd", [la], phi, (), "L"),
+                           infer("RGd", [lb], phi, (), "R")))
+        return phi, left, infer("LGd", (ra, rb), phi)
+    phi = Or(p1, p2)
+    left = rebuild(r, (_weaken(la, "R", p2), _weaken(lb, "R", p1)), w1)
+    return phi, infer("ROr", [left], phi), infer("LOr", (ra, rb), phi, weak=w2)
+
+
+def test_extraction_matches_the_one_pass_reference():
+    # flanks built once, with the weakening carried down, are the flanks
+    # the one-pass extraction builds and then weakens: same interpolant,
+    # same derivation files.  Half the derivations are shuffled (seldom in
+    # phase normal form), and D2 is often nonclassical.
+    rng = random.Random(173)
+    joins = dict.fromkeys((" & ", " | ", " || "), 0)
+    weak = 0
+    done = 0
+    while done < 1000:
+        s = gen_sequent(rng)
+        d = prove_or_countermodel(s)
+        if isinstance(d, Team):
+            continue
+        if rng.random() < 0.5:
+            d = gen_shuffled(rng, s, rng.randint(1, 6)) or d
+        ant, suc = d.conclusion.ant, d.conclusion.suc
+        idx = sorted(range(len(ant)), key=lambda _: rng.random())
+        k = rng.randint(0, len(ant))
+        lam1 = tuple(f for f in suc if is_classical(f) and rng.random() < 0.4)
+        rest = list(suc)
+        for f in lam1:
+            rest.remove(f)
+        part = PartitionSequent(tuple(ant[i] for i in idx[:k]),
+                                tuple(ant[i] for i in idx[k:]),
+                                lam1, tuple(rest))
+        res = interpolate_partition(d, part)
+        want = reference_interp(_g3(d), part.gamma1, part.gamma2,
+                                part.delta1, part.delta2)
+        assert res.interpolant == want[0], str(part)
+        assert derivation_to_json(res.left_derivation) == \
+            derivation_to_json(want[1]), str(part)
+        assert derivation_to_json(res.right_derivation) == \
+            derivation_to_json(want[2]), str(part)
+        text = render(res.interpolant)
+        for op in joins:
+            joins[op] += op in text
+        weak += any(n.rule.weak for n in rule_nodes(res.left_derivation))
+        done += 1
+    # each join, and implicit weakening on the left flank, is exercised
+    assert min(joins.values()) >= 50 and weak >= 50, (joins, weak)
+
+
+@pytest.mark.parametrize("n", (16, 20))
+def test_shared_derivation_interpolates_in_linear_time(n):
+    # 2^n paths over n + 1 nodes: each node is extracted once per
+    # partition of its sequent, so both flanks stay as shared as the input
+    d = shared_chain(n)
+    part = PartitionSequent(d.conclusion.ant, (), (), d.conclusion.suc)
+    start = time.perf_counter()
+    res = interpolate_partition(d, part)
+    report = verify_interpolant(res, part)
+    assert time.perf_counter() - start < 1.0
+    assert report.ok
+    assert len(list(rule_nodes(res.left_derivation))) == n + 1

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from functools import reduce
 from itertools import combinations
 from operator import or_
@@ -6,8 +7,8 @@ from operator import or_
 import pytest
 
 from teamseq.errors import DomainMismatch, ParseError, ResourceLimit
-from teamseq.semantics import (ClosureReport, Team, _Space, big_or,
-                               closure_properties,
+from teamseq.semantics import (ClosureReport, Team, _constants, _Space,
+                               big_or, closure_properties,
                                eval_classical, find_countermodel_bruteforce,
                                satisfies, sequent_valid, team_from_json,
                                team_to_json)
@@ -15,7 +16,7 @@ from teamseq.syntax import (BOT, Neg, Or, Prop, Sequent, gd_paths,
                             is_classical, parse_formula, parse_sequent,
                             props, render, subformula_at, substitute_at)
 
-from conftest import gen_formula, gen_sequent
+from conftest import gen_classical, gen_formula, gen_sequent
 
 pf, ps = parse_formula, parse_sequent
 
@@ -284,6 +285,80 @@ def test_or_set_refuses_beyond_four_variables():
     # the check comes before any set over all teams is built
     with pytest.raises(ResourceLimit):
         _Space(tuple("abcde"))._or_set(1, 1)
+
+
+def test_sat_set_is_the_set_of_satisfying_teams():
+    # every team checked one by one against the defining clauses, with
+    # `~` over classical formulas that hold `|`
+    rng = random.Random(79)
+    for n in range(4):
+        domain = ("p", "q", "r")[:n]
+        space = _Space(domain)
+        vs = domain or ("p",)
+        for _ in range(60 if n < 3 else 30):
+            f = gen_formula(rng, rng.randint(0, 4), 2, vars=vs)
+            if rng.random() < 0.4:
+                f = Neg(gen_classical(rng, rng.randint(1, 4), vs))
+            if not props(f) <= set(domain):
+                continue
+            want = sum(1 << t for t in range(space.nteams)
+                       if space.sat(t, f))
+            assert space.sat_set(f) == want, render(f)
+    for text in ("~(p | q)", "~(p | ~p)", "~(bot | p)", "~~(p & q | r)"):
+        f = pf(text)
+        space = _Space(("p", "q", "r"))
+        assert space.sat_set(f) == sum(1 << t for t in range(space.nteams)
+                                       if space.sat(t, f)), text
+
+
+def test_team_constants_per_arity():
+    # the sets each space used to build for itself
+    for n in range(5):
+        space = _Space(("a", "b", "c", "d")[:n])
+        without = [(1 << (space.nteams >> 1)) - 1]
+        for v in reversed(range(space.nvals - 1)):
+            without.append(without[-1] ^ without[-1] << (1 << v))
+        assert _constants(n).without == without[::-1]
+        assert _constants(n).props == [
+            space._avoiding(sum(1 << v for v in range(space.nvals)
+                                if not (v >> (n - 1 - i)) & 1))
+            for i in range(n)]
+        assert _constants(n) is _constants(n)
+        assert space._without is _constants(n).without
+
+
+def test_negation_reads_one_valuation_teams(monkeypatch):
+    calls = []
+    or_set = _Space._or_set
+
+    def counted(self, sl, sr):
+        calls.append((sl, sr))
+        return or_set(self, sl, sr)
+
+    monkeypatch.setattr(_Space, "_or_set", counted)
+    space = _Space(("p", "q", "r", "s"))
+    for text in ("~(p | q)", "~(p & q | r & ~s)"):
+        f = pf(text)
+        assert space.sat_set(f) == sum(1 << t for t in range(space.nteams)
+                                       if space.sat(t, f)), text
+    assert calls == []
+    space.sat_set(pf("p | q"))
+    assert len(calls) == 1  # the count sees a cover transform
+
+
+def test_team_sets_beyond_the_cap_are_refused_before_allocation():
+    space = _Space(tuple("abcde"))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimit):
+            space.sat_set(Prop("a"))
+        with pytest.raises(ResourceLimit):
+            space._without
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a set over all teams of five variables is 2^32 bits, 512 MB
+    assert peak < 100_000
 
 
 def test_single_team_beyond_the_cap():

@@ -513,6 +513,51 @@ def test_signed_props_cover_props():
         assert pos | neg == props(f)
 
 
+def reference_signed_props(f):
+    """Signed variables by a plain walk of every path, no cache."""
+    pos, neg, stack = set(), set(), [(f, True)]
+    while stack:
+        g, parity = stack.pop()
+        match g:
+            case Prop(name):
+                (pos if parity else neg).add(name)
+            case Neg(c):
+                stack.append((c, not parity))
+            case And(l, r) | Or(l, r) | Gd(l, r):
+                stack += (r, parity), (l, parity)
+    return pos, neg
+
+
+def test_signed_props_are_cached_and_visit_shared_nodes_once(monkeypatch):
+    # cached pairs of subformulas are taken under either parity
+    rng = random.Random(14)
+    for _ in range(500):
+        f = gen_formula(rng, rng.randint(0, 6), 3)
+        if is_classical(f) and rng.random() < 0.5:
+            f = Neg(f)
+        subs = [f]
+        for g in subs:
+            subs.extend(children(g))
+        for g in rng.sample(subs, min(2, len(subs) - 1)):
+            signed_props(g)
+        assert signed_props(f) == reference_signed_props(f), render(f)
+        assert signed_props(f) is signed_props(f)
+    f = p
+    for _ in range(3000):
+        f = And(p, f)
+    assert signed_props(Neg(f)) == (set(), {"p"})
+    # 2^20 paths over 21 shared nodes (each node's text doubles per level)
+    g = q
+    for _ in range(20):
+        g = And(Neg(g), g)
+    steps = []
+    monkeypatch.setattr(syntax, "children",
+                        lambda h: steps.append(h) or children(h))
+    assert signed_props(Or(p, g)) == ({"p", "q"}, {"q"})
+    assert props(Or(p, g)) == {"p", "q"}
+    assert len(steps) <= 4 * 42
+
+
 def test_substitute_at():
     host = parse_formula("p & (q || r)")
     assert substitute_at(host, (1,), q) == parse_formula("p & q")
