@@ -15,7 +15,8 @@ principal formula leaves behind.  `infer`, the one forward step, reads it
 leaf-first: it takes each premise's active formulas out of that premise
 and concludes the context left, which the premises must share
 (ValueError otherwise), plus the principal formula.  `derive` is the one
-root-first builder: it steps back with `premises_of`, closes with `infer`.
+root-first builder: it steps back with `premises_of` and closes each rule
+from the goal it expanded, which needs no `infer`.
 
 Sequent sides stay in canonical order without being sorted again:
 `infer` takes formulas out with `mset_sub` and puts them in with
@@ -283,29 +284,40 @@ def _infer(tag: str, premises, f: Formula, acts, path, side, weak):
 
 
 def derive(goal, step, *args):
-    """A derivation of `goal`, a pair `(ant, suc)`, built root-first on an
-    explicit stack, or the first failure.  `step(ant, suc, *args)` returns
-    a Derivation, a failure (anything but a tuple), or a logical rule
-    `(tag, f, path)`, whose premises are derived left to right and closed
-    with `infer`."""
-    stack = []  # per open rule: tag, f, path, premises, their derivations
+    """A derivation of `goal`, a pair `(ant, suc)` of canonical sides,
+    built root-first on an explicit stack, or the first failure.
+    `step(ant, suc, *args)` returns a Derivation of `ant => suc`, a
+    failure (anything but a tuple), or a logical rule `(tag, f, path)`,
+    whose premises are derived left to right.  A rule is closed from the
+    goal it expanded, which its premises come from: the conclusion is
+    that goal, and nothing is inferred again.  A step's derivation of
+    another sequent raises ValueError."""
+    stack = []  # per open rule: its goal, tag, f, path, premises, derivations
     ant, suc = goal
     while True:
         out = step(ant, suc, *args)
         if isinstance(out, tuple):
             tag, f, path = out
             premises = premises_of(tag, ant, suc, f, path)
-            stack.append((tag, f, path, premises, []))
+            stack.append((ant, suc, tag, f, path, premises, []))
             ant, suc = premises[0]
             continue
+        if isinstance(out, Derivation) and (out.conclusion.ant != ant
+                                            or out.conclusion.suc != suc):
+            raise ValueError(f"a step derived {out.conclusion} for the goal "
+                             f"{Sequent._canonical(ant, suc)}")
         while isinstance(out, Derivation) and stack:
-            tag, f, path, premises, derived = stack[-1]
+            ant, suc, tag, f, path, premises, derived = stack[-1]
             derived.append(out)
             if len(derived) < len(premises):
                 ant, suc = premises[len(derived)]
                 break
             stack.pop()
-            out = infer(tag, derived, f, path)
+            side = ant if PRINCIPAL_SIDE[tag] == "ant" else suc
+            out = Derivation(Sequent._canonical(ant, suc), RuleApp(
+                tag, pos=side.index(f), formula=f,
+                path=path if tag in ("LGd", "RGd") else None,
+                weak=() if tag in ("RAnd", "LOr") else None), derived)
         else:
             return out
 

@@ -13,9 +13,12 @@ succedent takes no stack frames.
 Stage 3 is a backward search over the invertible classical rules, which
 either closes every branch with an axiom or exposes an invalid atomic
 sequent, whose valuation is a countermodel of the sequent it was reached
-from.  Stages 1 and 3 are step functions of `calculus.derive`, which
-builds the derivation root-first on an explicit stack; stage 2 replays
-right deep rules.
+from.  A stage-3 failure is a bare record, that valuation as a row and
+the atomic sequent's sides: stage 2 keeps the row as its witness, and
+only `prove_classical` makes a public `ClassicalCountermodel` of it.
+Stages 1 and 3 are step functions of `calculus.derive`, which builds the
+derivation root-first on an explicit stack; stage 2 replays right deep
+rules.
 """
 
 from __future__ import annotations
@@ -23,8 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 
-from .calculus import (PRINCIPAL_SIDE, Derivation, derive, make_at,
-                       make_lbot, replay_rgd)
+from .calculus import Derivation, derive, make_at, make_lbot, replay_rgd
 from .errors import NonClassicalInput, ResourceLimit, nesting_limited
 from .resolutions import resolution_choices, resolution_steps
 from .semantics import Team
@@ -64,9 +66,22 @@ class ClassicalCountermodel:
 # ---------------------------------------------------------------------------
 # Classical backward search
 
-# stage 3 expands the first formula of the first rule that applies
-_CLASSICAL_RULES = (("LAnd", And), ("ROr", Or), ("LNeg", Neg), ("RNeg", Neg),
-                    ("RAnd", And), ("LOr", Or))
+# per formula type, the rank and tag of the rule stage 3 applies to it on
+# each side: the rule of least rank applies, to the first formula it fits
+_ANT_RULES = {And: (0, "LAnd"), Neg: (2, "LNeg"), Or: (5, "LOr")}
+_SUC_RULES = {Or: (1, "ROr"), Neg: (3, "RNeg"), And: (4, "RAnd")}
+
+
+class _Refuted:
+    """Stage 3's failure: the atomic sequent `ant => suc` it reached, which
+    is no axiom, and the valuation `row` over the domain that makes its
+    antecedent true, kept bare; `prove_classical` makes the public
+    countermodel of it."""
+
+    __slots__ = ("row", "ant", "suc")
+
+    def __init__(self, row, ant, suc):
+        self.row, self.ant, self.suc = row, ant, suc
 
 
 def _classical_step(ant, suc, domain, budget: Budget):
@@ -78,15 +93,18 @@ def _classical_step(ant, suc, domain, budget: Budget):
         if isinstance(f, Prop) and f in suc:
             return make_at(ant, suc, f)
 
-    for tag, kind in _CLASSICAL_RULES:
-        for f in ant if PRINCIPAL_SIDE[tag] == "ant" else suc:
-            if isinstance(f, kind):
-                return tag, f, ()
+    best, pick = (6, None), None  # every rule ranks below 6
+    for side, rules in ((ant, _ANT_RULES), (suc, _SUC_RULES)):
+        for f in side:
+            rule = rules.get(type(f))
+            if rule is not None and rule < best:
+                best, pick = rule, f
+    if pick is not None:
+        return best[1], pick, ()
 
     # atomic and not an axiom: the valuation making the antecedent true
-    v = tuple(1 if Prop(x) in ant else 0 for x in domain)
-    return ClassicalCountermodel(Team(domain, frozenset({v})),
-                                 Sequent(ant, suc))
+    return _Refuted(tuple(1 if Prop(x) in ant else 0 for x in domain),
+                    ant, suc)
 
 
 @nesting_limited
@@ -100,10 +118,13 @@ def prove_classical(s: Sequent, domain=None,
     """
     if not s.is_classical():
         raise NonClassicalInput(f"nonclassical formula in {s}")
-    if domain is None:
-        domain = tuple(sorted(s.props()))
-    return derive((s.ant, s.suc), _classical_step, tuple(domain),
-                  Budget(node_budget))
+    domain = tuple(sorted(s.props()) if domain is None else domain)
+    out = derive((s.ant, s.suc), _classical_step, domain,
+                 Budget(node_budget))
+    if isinstance(out, _Refuted):
+        return ClassicalCountermodel(Team(domain, frozenset({out.row})),
+                                     Sequent(out.ant, out.suc))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -132,9 +153,8 @@ def _search_branch(ant, suc, domain, budget):
             # the last formula's steps end nearest the root
             return replay_rgd(out, [step for f, r in reversed(pairing)
                                     for step in resolution_steps(f, r)])
-        for row in out.team.members:
-            rows.append(row)
-            witnesses.append(dict(zip(domain, row)))
+        rows.append(out.row)
+        witnesses.append(dict(zip(domain, out.row)))
     return Team(domain, frozenset(rows))
 
 

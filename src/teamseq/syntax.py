@@ -25,7 +25,6 @@ are computed only for an error message.
 from __future__ import annotations
 
 import re
-import threading
 import weakref
 from _weakref import _remove_dead_weakref
 from bisect import insort
@@ -47,7 +46,6 @@ class _NodeRef(weakref.ref):
 
 # (type, *fields) -> a weak reference to the live node of that formula
 _NODES: dict[tuple, _NodeRef] = {}
-_NODES_LOCK = threading.Lock()
 
 
 def _forget(ref: _NodeRef) -> None:
@@ -66,36 +64,46 @@ class _Interned(type):
         key = (cls, *args)
         ref = _NODES.get(key)
         node = None if ref is None else ref()
-        if node is None:
-            with _NODES_LOCK:
-                # a second lookup: another thread may have built it meanwhile
-                ref = _NODES.get(key)
-                node = None if ref is None else ref()
-                if node is None:
-                    node = super().__call__(*args)
-                    # fixed before the node is published, from its children
-                    text, classical = _FIXED[cls](*args)
-                    node.__dict__.update(_text=text, _classical=classical)
-                    ref = _NodeRef(node, _forget)
-                    ref.key = key
-                    _NODES[key] = ref
-        return node
+        if node is not None:
+            return node
+        # a miss: the node is complete, its fields checked and its text and
+        # classicality fixed from its children's, before it is published
+        text, classical = _FIXED[cls](*args)
+        node = object.__new__(cls)
+        node.__dict__.update(zip(_FIELDS[cls], args), _text=text,
+                             _classical=classical)
+        ref = _NodeRef(node, _forget)
+        ref.key = key
+        while True:
+            # one atomic publish; a live entry that another thread published
+            # first wins, and a dead one is dropped, atomically, for ours
+            old = _NODES.setdefault(key, ref)
+            if old is ref:
+                return node
+            winner = old()
+            if winner is not None:
+                return winner
+            _remove_dead_weakref(_NODES, key)
 
 
 class Formula(metaclass=_Interned):
     """Base class; concrete nodes are Prop, Bot, Neg, And, Or, Gd.
 
     Equal formulas are one node: constructors intern every node in a
-    weak-value table, under a lock on a miss, so two threads never build
-    two nodes for one formula, and a node no longer referenced is
-    collected with its table entry.  Nodes are immutable and compare and
-    hash by identity, which is sound because every node comes from the
-    table.  `copy`, `deepcopy` and `pickle` rebuild a node through its
-    constructor, so they return the interned node too.
+    weak-value table.  A miss builds the whole node (fields checked, text
+    and classicality fixed) and publishes it with one atomic `setdefault`,
+    so of two threads that build one formula, both return the node
+    published first; a node no longer referenced is collected with its
+    table entry.  Nodes are immutable and compare and hash by identity,
+    which is sound because every node comes from the table.  `copy`,
+    `deepcopy` and `pickle` rebuild a node through its constructor, so
+    they return the interned node too.
 
-    The text (`render`) and classicality (`is_classical`) of a node are
-    stored in its `__dict__` when it is interned, built from its
-    children's stored values, before any other thread can see the node.
+    A node is built with `object.__new__`, not through the dataclass
+    `__init__`: its fields, its text (`render`) and its classicality
+    (`is_classical`) are written straight into its `__dict__`, the last
+    two built from its children's stored values, before any other thread
+    can see the node.
     `props`, `signed_props`, `gd_sides` (per path), `calculus.actives` and
     `resolutions.resolution_steps` (per target) stay lazy: they cache
     their value in the `__dict__` on first use.  Either way the value is
@@ -133,11 +141,6 @@ class Formula(metaclass=_Interned):
 class Prop(Formula):
     name: str
 
-    def __post_init__(self):
-        # `bot` reads back as the constant, so it names no variable
-        if not _VAR_RE.fullmatch(self.name) or self.name == "bot":
-            raise ValueError(f"bad variable name: {self.name!r}")
-
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Bot(Formula):
@@ -147,11 +150,6 @@ class Bot(Formula):
 @dataclass(frozen=True, eq=False, repr=False)
 class Neg(Formula):
     child: Formula
-
-    def __post_init__(self):
-        if not self.child._classical:
-            raise NonClassicalNegation(
-                f"negation of nonclassical formula: {render(self.child)}")
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -178,8 +176,18 @@ _PREC = {Gd: 1, Or: 2, And: 3, Neg: 4, Prop: 5, Bot: 5}
 _OPS = {Gd: "||", Or: "|", And: "&"}
 
 
+def _prop_fixed(name: str) -> tuple[str, bool]:
+    # `bot` reads back as the constant, so it names no variable
+    if not _VAR_RE.fullmatch(name) or name == "bot":
+        raise ValueError(f"bad variable name: {name!r}")
+    return name, True
+
+
 def _neg_fixed(c: Formula) -> tuple[str, bool]:
     text = c._text
+    if not c._classical:
+        raise NonClassicalNegation(
+            f"negation of nonclassical formula: {text}")
     return ("~(" + text + ")" if _PREC[type(c)] < _PREC[Neg]
             else "~" + text), True
 
@@ -203,24 +211,26 @@ def _binary_fixed(cls):
 
 
 # per type, the text and the classicality of a node being interned, from
-# its fields and the values its children got when they were interned: no
-# recursion
-_FIXED = {Prop: lambda name: (name, True), Bot: lambda: ("bot", True),
+# its fields and the values its children got when they were interned (no
+# recursion); a field the type refuses raises here, before the node exists
+_FIXED = {Prop: _prop_fixed, Bot: lambda: ("bot", True),
           Neg: _neg_fixed, **{cls: _binary_fixed(cls) for cls in _OPS}}
+# per type, the names of its fields, in constructor order
+_FIELDS = {cls: tuple(fd.name for fd in fields(cls)) for cls in _FIXED}
+# per type, the children of a node, as a tuple
+_CHILDREN = {Prop: lambda f: (), Bot: lambda f: (),
+             Neg: lambda f: (f.child,),
+             **{cls: attrgetter("left", "right") for cls in _OPS}}
 
 
 BOT = Bot()
 
 
 def children(f: Formula) -> tuple[Formula, ...]:
-    match f:
-        case Prop() | Bot():
-            return ()
-        case Neg(c):
-            return (c,)
-        case And(l, r) | Or(l, r) | Gd(l, r):
-            return (l, r)
-    raise TypeError(f"not a formula: {f!r}")
+    kids = _CHILDREN.get(type(f))
+    if kids is None:
+        raise TypeError(f"not a formula: {f!r}")
+    return kids(f)
 
 
 def postorder(root, kids, seen: dict):
@@ -306,12 +316,12 @@ def signed_props(f: Formula) -> tuple[frozenset[str], frozenset[str]]:
 
 def symbol_count(f: Formula) -> int:
     """Number of atom and connective occurrences (parentheses excluded),
-    counted without recursion."""
-    out, stack = 0, [f]
-    while stack:
-        out += 1
-        stack.extend(children(stack.pop()))
-    return out
+    counted without recursion once per distinct node, so a formula with
+    shared nodes costs its size."""
+    done: dict[int, int] = {}
+    for g in postorder(f, children, done):
+        done[id(g)] = 1 + sum(done[id(c)] for c in children(g))
+    return done[id(f)]
 
 
 # ---------------------------------------------------------------------------

@@ -591,9 +591,7 @@ def _family_step(ant, suc, family):
     """`derive` step over `family`, the derivations by classical antecedent."""
     hit = first_gd(ant)
     if hit is None:
-        out = family[mset(ant)]
-        assert out.conclusion == Sequent(ant, suc)
-        return out
+        return family[ant]
     return "LGd", *hit
 
 
@@ -604,7 +602,8 @@ def _reassemble(goal, branches) -> Derivation:
     family = {xi: replay_rgd(c, [step for f, r in reversed(pairs)
                                  for step in resolution_steps(f, r)])
               for xi, (c, pairs) in branches.items()}
-    return derive(goal, _family_step, family)
+    ant, suc = goal
+    return derive((mset(ant), mset(suc)), _family_step, family)
 
 
 def _eliminate_one(d1: Derivation, d2: Derivation, phi: Formula) -> Derivation:

@@ -4,10 +4,10 @@ import time
 
 import pytest
 
-from teamseq import cli
+from teamseq import cli, prover, transforms
 from teamseq.calculus import (PRINCIPAL_SIDE, Derivation, RuleApp,
                               _formula_entry, _read_table, check_derivation,
-                              check_inference, cutrank,
+                              check_inference, cutrank, derive,
                               derivation_from_json, derivation_to_json,
                               height, infer, is_cutfree, make_at, make_cut,
                               make_lbot, make_lc, make_lori, make_randi,
@@ -16,7 +16,7 @@ from teamseq.errors import (ArityMismatch, DerivationCheckError,
                             ParseError, RuleViolation, ShapeMismatch)
 from teamseq.interpolation import interpolate_partition, verify_interpolant
 from teamseq.prover import prove_classical, prove_or_countermodel
-from teamseq.semantics import sequent_valid
+from teamseq.semantics import Team, sequent_valid, team_to_json
 from teamseq.syntax import (And, BOT, Gd, Neg, Or, PartitionSequent, Prop,
                             Sequent, children, is_classical, mset,
                             parse_formula, parse_sequent)
@@ -744,3 +744,80 @@ def test_checker_refuses_a_non_canonical_premise():
                         check_inference(node.conclusion, node.rule, premises)
                     refused += 1
     assert refused > 100
+
+
+def _derive_by_infer(goal, step, *args):
+    """The reference for `derive`: the same root-first search, with each
+    rule closed by `infer`, which infers its conclusion again from the
+    premises."""
+    stack = []
+    ant, suc = goal
+    while True:
+        out = step(ant, suc, *args)
+        if isinstance(out, tuple):
+            tag, f, path = out
+            premises = premises_of(tag, ant, suc, f, path)
+            stack.append((tag, f, path, premises, []))
+            ant, suc = premises[0]
+            continue
+        while isinstance(out, Derivation) and stack:
+            tag, f, path, premises, derived = stack[-1]
+            derived.append(out)
+            if len(derived) < len(premises):
+                ant, suc = premises[len(derived)]
+                break
+            stack.pop()
+            out = infer(tag, derived, f, path)
+        else:
+            return out
+
+
+def _as_json(out):
+    if isinstance(out, Team):
+        return json.dumps(team_to_json(out))
+    check_derivation(out)
+    return json.dumps(derivation_to_json(out))
+
+
+def test_derive_closes_rules_as_infer_does(monkeypatch):
+    # a rule closed from its goal is the node `infer` builds from its
+    # premises, field for field: the prover's answers, the reassembled
+    # resolutions and the eliminated cuts (whose goal `_reassemble` sorts)
+    # are the same bytes with either builder
+    rng = random.Random(41)
+    seqs = [gen_sequent(rng) for _ in range(1000)]
+
+    def outputs():
+        answers, rebuilt = [], []
+        for s in seqs:
+            out = prove_or_countermodel(s)
+            answers.append(_as_json(out))
+            if isinstance(out, Derivation) and len(rebuilt) < 300:
+                rebuilt.append(_as_json(reassemble(resolve_derivation(out))))
+                if out.conclusion.suc:
+                    cut = inject_cut(out, out.conclusion.suc[-1])
+                    rebuilt.append(_as_json(eliminate_cuts(cut)))
+        return answers, rebuilt
+
+    answers, rebuilt = outputs()
+    assert len(rebuilt) >= 300
+    with monkeypatch.context() as m:
+        m.setattr(prover, "derive", _derive_by_infer)
+        m.setattr(transforms, "derive", _derive_by_infer)
+        assert outputs() == (answers, rebuilt)
+
+
+def test_derive_refuses_a_derivation_of_another_sequent():
+    wrong = make_at((p,), (p, q))
+    with pytest.raises(ValueError):
+        derive(((p,), (p,)), lambda ant, suc: wrong)
+
+    def step(ant, suc):  # LNeg where it can, and `wrong` at the leaves
+        negs = [f for f in ant if isinstance(f, Neg)]
+        return ("LNeg", negs[0], ()) if negs else wrong
+
+    with pytest.raises(ValueError):
+        derive(((Neg(q),), (p,)), step)
+    d = derive((mset((p, Neg(q))), (p,)), step)
+    assert d.premises == (wrong,)
+    check_derivation(d)

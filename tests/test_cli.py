@@ -1,7 +1,10 @@
 import json
+import os
 import random
 import re
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -403,3 +406,17 @@ def test_reused_parser_keeps_no_state_between_runs(tmp_path, capsys):
     assert invoke(capsys, "normalize", str(path)) == (0, normalized)
     assert invoke(capsys, "cutelim", str(path))[0] == 0
     assert invoke(capsys, "normalize", str(path)) == (0, normalized)
+
+
+def test_python_dash_m_runs_the_cli():
+    # each exit code of the contract, through the module entry point
+    root = Path(__file__).resolve().parent.parent
+    path = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    for argv, code in ((["prove", "p => p"], 0), (["prove", "p => q"], 1),
+                       (["prove", "p =>> q"], 2),
+                       (["--budget", "0", "prove", "p => p"], 3)):
+        proc = subprocess.run([sys.executable, "-m", "teamseq", *argv],
+                              env=env, capture_output=True, text=True,
+                              timeout=60)
+        assert proc.returncode == code, (argv, proc.stderr)

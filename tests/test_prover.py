@@ -5,16 +5,18 @@ from itertools import product
 import pytest
 
 from teamseq import cli
-from teamseq.calculus import Derivation, check_derivation, is_cutfree
+from teamseq.calculus import (PRINCIPAL_SIDE, Derivation, check_derivation,
+                              is_cutfree)
 from teamseq.errors import NonClassicalInput, ResourceLimit
-from teamseq.prover import (_STAGE2_UNIT, ClassicalCountermodel,
-                            prove_classical, prove_or_countermodel)
+from teamseq.prover import (_STAGE2_UNIT, Budget, ClassicalCountermodel,
+                            _classical_step, prove_classical,
+                            prove_or_countermodel)
 from teamseq.resolutions import resolution_choices, resolutions_multiset
 from teamseq.semantics import (Team, big_or, eval_classical,
                                find_countermodel_bruteforce, satisfies,
                                sequent_valid)
-from teamseq.syntax import (Neg, Prop, Sequent, mset, parse_formula,
-                            parse_sequent)
+from teamseq.syntax import (And, Neg, Or, Prop, Sequent, mset, parse_formula,
+                            parse_sequent, props)
 
 from conftest import gen_sequent, gen_side, on_fresh_stack
 
@@ -263,3 +265,37 @@ def test_reported_countermodel_is_first_failing_branch():
     assert out == team("p", (0,), (1,))
     # brute force agrees here
     assert find_countermodel_bruteforce(ps("p||(p|~p) => p||~p")) == out
+
+
+# the reference for stage 3's choice: the first rule of this list that
+# applies, to the first formula of its side it fits
+_CLASSICAL_RULES = (("LAnd", And), ("ROr", Or), ("LNeg", Neg), ("RNeg", Neg),
+                    ("RAnd", And), ("LOr", Or))
+
+
+def _first_rule(ant, suc):
+    for tag, kind in _CLASSICAL_RULES:
+        for f in ant if PRINCIPAL_SIDE[tag] == "ant" else suc:
+            if isinstance(f, kind):
+                return tag, f, ()
+    return None
+
+
+def test_classical_step_picks_the_rule_the_scan_picks():
+    rng = random.Random(43)
+    tags = set()
+    for _ in range(3000):
+        ant, suc = mset(gen_side(rng, 4, 3, 0)), mset(gen_side(rng, 4, 3, 0))
+        domain = tuple(sorted({x for f in ant + suc for x in props(f)}))
+        out = _classical_step(ant, suc, domain, Budget(1))
+        if isinstance(out, Derivation):  # an axiom comes before any rule
+            assert out.rule.rule in ("At", "LBot")
+            continue
+        want = _first_rule(ant, suc)
+        if want is None:  # atomic: the row makes the antecedent true
+            assert out.row == tuple(int(Prop(x) in ant) for x in domain)
+            assert (out.ant, out.suc) == (ant, suc)
+        else:
+            assert out == want
+            tags.add(want[0])
+    assert tags == {tag for tag, _ in _CLASSICAL_RULES}

@@ -5,6 +5,7 @@ import pickle
 import random
 import sys
 import threading
+import time
 import weakref
 
 import pytest
@@ -261,6 +262,54 @@ def test_unreferenced_nodes_leave_the_table():
     assert ref() is None
     assert key not in syntax._NODES
     assert all(entry() is not None for entry in syntax._NODES.values())
+
+
+def test_refused_nodes_are_never_published():
+    # a constructor checks its fields before the node is published, so a
+    # refused node leaves the table as it was
+    gd = Gd(p, q)
+    gc.collect()
+    gc.disable()
+    try:
+        before = dict(syntax._NODES)
+        for build, error in ((lambda: Prop("bad name"), ValueError),
+                             (lambda: Prop("bot"), ValueError),
+                             (lambda: Neg(gd), NonClassicalNegation)):
+            with pytest.raises(error):
+                build()
+            assert syntax._NODES.keys() == before.keys()
+            assert all(syntax._NODES[k] is ref for k, ref in before.items())
+    finally:
+        gc.enable()
+
+
+class _Stand:
+    """An object a table entry can refer to weakly."""
+
+
+def test_a_dead_entry_gets_a_live_node():
+    # an entry whose node is gone but whose removal has not run yet: the
+    # next constructor call replaces it with a live node of its own
+    key = (Prop, "zdead")
+    stand = _Stand()
+    ref = syntax._NodeRef(stand)  # no callback: the entry outlives it
+    ref.key = key
+    syntax._NODES[key] = ref
+    del stand
+    assert ref() is None and syntax._NODES[key] is ref
+    node = Prop("zdead")
+    assert render(node) == "zdead" and Prop("zdead") is node
+    assert syntax._NODES[key]() is node
+    # a node rebuilt from its pickle once the original is collected is the
+    # one the constructors return, with its stored values
+    data = pickle.dumps(Neg(And(node, p)))
+    gc.collect()
+    f = pickle.loads(data)
+    assert f is Neg(And(Prop("zdead"), p)) and render(f) == "~(zdead & p)"
+    assert copy.copy(f) is f and copy.deepcopy(f) is f
+    del node, f
+    gc.collect()
+    assert key not in syntax._NODES
 
 
 def test_caches_make_no_reference_cycle():
@@ -603,6 +652,29 @@ def test_symbol_count():
     assert symbol_count(p) == 1
     assert symbol_count(parse_formula("p & q")) == 3
     assert symbol_count(parse_formula("~(p | bot)")) == 4
+
+
+def _symbols_by_paths(f):
+    """The reference: one symbol per node on every path."""
+    return 1 + sum(_symbols_by_paths(c) for c in children(f))
+
+
+def test_symbol_count_matches_a_path_walk():
+    rng = random.Random(37)
+    for _ in range(500):
+        f = gen_formula(rng, rng.randint(0, 6), 3)
+        assert symbol_count(f) == _symbols_by_paths(f)
+
+
+def test_symbol_count_costs_the_distinct_nodes():
+    # 21 distinct nodes, 2^21 - 1 symbols; each level doubles the text
+    # stored with the node, so the chain stays at 20 levels
+    g = p
+    for _ in range(20):
+        g = And(g, g)
+    start = time.perf_counter()
+    assert symbol_count(g) == 2 ** 21 - 1
+    assert time.perf_counter() - start < 0.1
 
 
 def test_parse_sequent():
