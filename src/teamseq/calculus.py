@@ -16,7 +16,12 @@ leaf-first: it takes each premise's active formulas out of that premise
 and concludes the context left, which the premises must share
 (ValueError otherwise), plus the principal formula.  `derive` is the one
 root-first builder: it steps back with `premises_of` and closes each rule
-from the goal it expanded, which needs no `infer`.
+from the goal it expanded, which needs no `infer`.  It does not expand the
+right premise of a left deep rule whose left side is idle in the left
+premise's derivation, that is, taken from the antecedent by none of its
+rules (`antecedent_taken`): by weakening, that derivation with the side
+swapped for the principal formula (`swap_antecedents`, one fold) derives
+the goal.
 
 Sequent sides stay in canonical order without being sorted again:
 `infer` takes formulas out with `mset_sub` and puts them in with
@@ -283,6 +288,48 @@ def _infer(tag: str, premises, f: Formula, acts, path, side, weak):
         side=side if tag == "RGd" else None), premises)
 
 
+# rules that take their principal formula from the antecedent, and rules
+# whose premises keep their conclusion's whole antecedent
+_TAKES = frozenset(("At", "LBot", "LNeg", "LAnd", "LOr", "LGd", "LC"))
+_KEEPS = frozenset(("RNeg", "ROr", "RAnd", "RGd", "RC"))
+
+
+def antecedent_taken(d: Derivation):
+    """The formulas the rules of `d` take from the antecedent: the
+    principal of each At, LBot, LNeg, LAnd, LOr, LGd and LC, and the whole
+    antecedent of a rule that splits it (Cut, LOrI, RAndI).  A formula of
+    the endsequent's antecedent that never comes is idle in `d`: every
+    node of `d` holds it as context, so `swap_antecedents` may put another
+    formula in its place."""
+    for n in rule_nodes(d):
+        tag = n.rule.rule
+        if tag in _TAKES:
+            yield n.rule.formula
+        elif tag not in _KEEPS:
+            yield from n.conclusion.ant
+
+
+def swap_antecedents(d: Derivation, swaps) -> Derivation:
+    """`d` with, for each pair `(a, f)` of `swaps` in order, one `a`
+    replaced by `f` in the antecedent of every node, in one fold.  Each
+    `a` must be idle where its pair applies (see `antecedent_taken`): the
+    rules that take from the antecedent get their principal's new
+    position, and every other field is kept."""
+    def step(node: Derivation, premises) -> Derivation:
+        ant = node.conclusion.ant
+        for a, f in swaps:
+            ant = mset_add(mset_remove(ant, a), f)
+        r = node.rule
+        pos = ant.index(r.formula) if r.rule in _TAKES else r.pos
+        if pos != r.pos:
+            r = RuleApp(r.rule, pos, r.pos2, r.formula, r.path, r.side,
+                        r.weak, r.cutformula, r.split)
+        return Derivation(Sequent._canonical(ant, node.conclusion.suc), r,
+                          premises)
+
+    return fold(d, step)
+
+
 def derive(goal, step, *args):
     """A derivation of `goal`, a pair `(ant, suc)` of canonical sides,
     built root-first on an explicit stack, or the first failure.
@@ -291,35 +338,69 @@ def derive(goal, step, *args):
     whose premises are derived left to right.  A rule is closed from the
     goal it expanded, which its premises come from: the conclusion is
     that goal, and nothing is inferred again.  A step's derivation of
-    another sequent raises ValueError."""
-    stack = []  # per open rule: its goal, tag, f, path, premises, derivations
+    another sequent raises ValueError.
+
+    An LGd whose left premise's derivation takes no formula equal to the
+    left side `a` from the antecedent (its side is idle) has no right
+    premise: by weakening, that derivation with one `a` in every
+    antecedent replaced by the principal `f` derives the goal, and the
+    right premise is never stepped.  A run of such splits applies its
+    replacements in order, in one `swap_antecedents` fold.  So a split is
+    pruned only where the goal is proved, and a failure is the one the
+    unpruned search meets first.  The idle test reads `taken`, the
+    formulas that rules take from the antecedent in closing order, kept
+    while a split's left premise is open: that premise's rules are the
+    segment from the split's mark on, and a step's derivation is walked
+    once."""
+    stack = []  # per open rule: goal, tag, f, path, premises, derived, mark
+    taken, open_left = [], 0  # `open_left`: splits in their left premise
     ant, suc = goal
     while True:
         out = step(ant, suc, *args)
         if isinstance(out, tuple):
             tag, f, path = out
             premises = premises_of(tag, ant, suc, f, path)
-            stack.append((ant, suc, tag, f, path, premises, []))
+            stack.append((ant, suc, tag, f, path, premises, [], len(taken)))
+            open_left += tag == "LGd"
             ant, suc = premises[0]
             continue
-        if isinstance(out, Derivation) and (out.conclusion.ant != ant
-                                            or out.conclusion.suc != suc):
-            raise ValueError(f"a step derived {out.conclusion} for the goal "
-                             f"{Sequent._canonical(ant, suc)}")
+        if isinstance(out, Derivation):
+            if out.conclusion.ant != ant or out.conclusion.suc != suc:
+                raise ValueError(f"a step derived {out.conclusion} for the "
+                                 f"goal {Sequent._canonical(ant, suc)}")
+            if open_left:
+                taken.extend(antecedent_taken(out))
+        swaps = []  # `out` derives its goal once these are swapped in
         while isinstance(out, Derivation) and stack:
-            ant, suc, tag, f, path, premises, derived = stack[-1]
+            ant, suc, tag, f, path, premises, derived, mark = stack[-1]
+            if tag == "LGd" and not derived:
+                open_left -= 1
+                a = gd_sides(f, path)[0]
+                try:
+                    taken.index(a, mark)
+                except ValueError:  # idle: prune the right premise
+                    stack.pop()
+                    swaps.append((a, f))
+                    continue
+            if swaps:
+                out, swaps = swap_antecedents(out, swaps), []
             derived.append(out)
             if len(derived) < len(premises):
                 ant, suc = premises[len(derived)]
                 break
             stack.pop()
-            side = ant if PRINCIPAL_SIDE[tag] == "ant" else suc
+            if PRINCIPAL_SIDE[tag] == "ant":
+                pos = ant.index(f)
+                if open_left:
+                    taken.append(f)
+            else:
+                pos = suc.index(f)
             out = Derivation(Sequent._canonical(ant, suc), RuleApp(
-                tag, pos=side.index(f), formula=f,
+                tag, pos=pos, formula=f,
                 path=path if tag in ("LGd", "RGd") else None,
                 weak=() if tag in ("RAnd", "LOr") else None), derived)
         else:
-            return out
+            return swap_antecedents(out, swaps) if swaps else out
 
 
 def replay_rgd(d: Derivation, steps) -> Derivation:

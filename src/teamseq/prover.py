@@ -17,8 +17,9 @@ from.  A stage-3 failure is a bare record, that valuation as a row and
 the atomic sequent's sides: stage 2 keeps the row as its witness, and
 only `prove_classical` makes a public `ClassicalCountermodel` of it.
 Stages 1 and 3 are step functions of `calculus.derive`, which builds the
-derivation root-first on an explicit stack; stage 2 replays right deep
-rules.
+derivation root-first on an explicit stack and skips the right premise of
+a split that the left premise's proof does not use; stage 2 replays right
+deep rules.
 """
 
 from __future__ import annotations
@@ -176,11 +177,19 @@ def prove_or_countermodel(s: Sequent, node_budget: int = DEFAULT_NODE_BUDGET):
     candidates are tried left-disjunct first; the reported countermodel
     comes from the first failing antecedent branch and is the union of the
     distinct witnesses found there.  No candidate that a stored witness
-    already refutes is searched.  `node_budget` counts antecedent splits,
-    nodes of the stage-2 candidate generator (including pruned ones) and
-    classical sequents; `ResourceLimit` names the unit that ran out, in its
-    message and as its `unit`.  A formula too deep for the formula walks
-    raises ResourceLimit too.
+    already refutes is searched.  A split whose left premise is proved
+    without any rule taking that premise's new formula from the
+    antecedent has its right premise left unsearched (see
+    `calculus.derive`): that proof, with the split formula in place of its
+    left side, proves the split's sequent.  This prunes only proved
+    branches, so every verdict and countermodel is the one the full
+    search gives; a valid sequent gets a smaller derivation, whose nodes
+    up to the axioms may hold the `||`, and spends fewer units.
+    `node_budget` counts antecedent splits, nodes of the stage-2 candidate
+    generator (including pruned ones) and classical sequents;
+    `ResourceLimit` names the unit that ran out, in its message and as its
+    `unit`.  A formula too deep for the formula walks raises ResourceLimit
+    too.
     """
     domain = tuple(sorted(s.props()))
     return derive((s.ant, s.suc), _split_step, domain, Budget(node_budget))

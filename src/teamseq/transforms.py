@@ -37,9 +37,10 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, replace
 
-from .calculus import (PRINCIPAL_SIDE, Derivation, RuleApp, actives, derive,
-                       fold, infer, is_cutfree, make_at, make_lbot,
-                       premises_of, rebuild, replay_rgd, rule_nodes)
+from .calculus import (PRINCIPAL_SIDE, Derivation, RuleApp, actives,
+                       antecedent_taken, derive, fold, infer, is_cutfree,
+                       make_at, make_lbot, premises_of, rebuild, replay_rgd,
+                       rule_nodes, swap_antecedents)
 from .errors import (ContainsCut, FormulaNotDuplicated, NonClassicalAntecedent,
                      NonClassicalRightContraction, ShapeMismatch,
                      nesting_limited)
@@ -564,9 +565,12 @@ def _split(n: Derivation) -> dict[tuple, tuple[Derivation, tuple]]:
     """The classical branches of the normalized cutfree G3 derivation `n`,
     by classical antecedent.  Left deep-rule inversion splits the
     antecedent (where two branches reach the same one, the left one wins);
-    then right deep-rule inversion resolves the succedent in order.  Each
-    branch is a classical derivation and the (formula, resolution) pairs of
-    `n`'s succedent."""
+    a `||` whose formula is idle in the derivation (no rule takes it) is
+    inverted by one fold that puts each side in its place, which is what
+    `_invert` gives without stepping through every node.  Then right
+    deep-rule inversion resolves the succedent in order.  Each branch is a
+    classical derivation and the (formula, resolution) pairs of `n`'s
+    succedent."""
     out = {}
     todo = [n]
     while todo:
@@ -574,7 +578,12 @@ def _split(n: Derivation) -> dict[tuple, tuple[Derivation, tuple]]:
         ant = d.conclusion.ant
         hit = first_gd(ant)
         if hit is not None:
-            todo.extend(reversed(_invert(d, _Item("LGd", *hit))))
+            f = hit[0]
+            if f in antecedent_taken(d):
+                todo.extend(reversed(_invert(d, _Item("LGd", *hit))))
+            else:
+                todo.extend(swap_antecedents(d, ((f, g),))
+                            for g in reversed(gd_sides(*hit)))
         elif ant not in out:
             pairs = []
             for f in n.conclusion.suc:

@@ -1,12 +1,14 @@
 import json
 import random
 import time
+from functools import partial
 
 import pytest
 
 from teamseq import cli, prover, transforms
 from teamseq.calculus import (PRINCIPAL_SIDE, Derivation, RuleApp,
-                              _formula_entry, _read_table, check_derivation,
+                              _formula_entry, _read_table, antecedent_taken,
+                              check_derivation,
                               check_inference, cutrank, derive,
                               derivation_from_json, derivation_to_json,
                               height, infer, is_cutfree, make_at, make_cut,
@@ -18,8 +20,9 @@ from teamseq.interpolation import interpolate_partition, verify_interpolant
 from teamseq.prover import prove_classical, prove_or_countermodel
 from teamseq.semantics import Team, sequent_valid, team_to_json
 from teamseq.syntax import (And, BOT, Gd, Neg, Or, PartitionSequent, Prop,
-                            Sequent, children, is_classical, mset,
-                            parse_formula, parse_sequent)
+                            Sequent, children, gd_sides, is_classical, mset,
+                            mset_add, mset_remove, parse_formula,
+                            parse_sequent)
 from teamseq.transforms import (contract, eliminate_cuts, invert, is_normal,
                                 normalize, reassemble, resolve_derivation,
                                 weaken)
@@ -583,7 +586,7 @@ def test_rebuild_reproduces_every_node():
     node: prover output and its phase normal form."""
     rng = random.Random(523)
     nodes, tags, done = 0, set(), 0
-    while done < 100:
+    while done < 120:
         d = prove_or_countermodel(gen_sequent(rng))
         if not isinstance(d, Derivation):
             continue
@@ -657,11 +660,11 @@ def test_check_inference_refuses_an_unknown_tag():
 
 
 def test_check_derivation_locates_a_corrupt_leaf():
-    # a stage-1 derivation of about 1400 nodes; each corrupted leaf is
-    # reported at the path a seeded walk took to it
+    # a stage-1 derivation of 2687 nodes, whose every split is used; each
+    # corrupted leaf is reported at the path a seeded walk took to it
     pairs = [(f"a{i}", f"b{i}") for i in range(7)]
     s = ps(", ".join(f"{a} || {b}" for a, b in pairs) + " => "
-           + " | ".join(f"({a} || {b})" for a, b in pairs))
+           + " & ".join(f"({a} || {b})" for a, b in pairs))
     d = prove_or_countermodel(s)
     assert len(list(rule_nodes(d))) > 1000
     rng = random.Random(631)
@@ -746,10 +749,42 @@ def test_checker_refuses_a_non_canonical_premise():
     assert refused > 100
 
 
-def _derive_by_infer(goal, step, *args):
+# the rules that take their principal formula from the antecedent
+_ANT_RULES = ("At", "LBot", "LNeg", "LAnd", "LOr", "LGd", "LC")
+
+
+def _takes(d: Derivation, a) -> bool:
+    """Whether a rule of `d` takes a formula equal to `a` from the
+    antecedent, by a walk of every path."""
+    todo = [d]
+    while todo:
+        n = todo.pop()
+        if n.rule.rule in _ANT_RULES and n.rule.formula == a:
+            return True
+        todo.extend(n.premises)
+    return False
+
+
+def _swap_by_infer(d: Derivation, a, f) -> Derivation:
+    """`d` with one `a` in every antecedent replaced by `f`, each node
+    built again: axioms by `make_at` and `make_lbot`, the rest by
+    `infer`."""
+    r, c = d.rule, d.conclusion
+    if r.rule == "At":
+        return make_at(mset_add(mset_remove(c.ant, a), f), c.suc, r.formula)
+    if r.rule == "LBot":
+        return make_lbot(mset_add(mset_remove(c.ant, a), f), c.suc)
+    return infer(r.rule, [_swap_by_infer(x, a, f) for x in d.premises],
+                 r.formula, r.path or (), r.side, r.weak or ())
+
+
+def _derive_by_infer(goal, step, *args, prune=True):
     """The reference for `derive`: the same root-first search, with each
     rule closed by `infer`, which infers its conclusion again from the
-    premises."""
+    premises.  With `prune`, an LGd whose left premise's derivation takes
+    no formula equal to its left side from the antecedent is closed by
+    that derivation with the side swapped for the principal, and its
+    right premise is never searched."""
     stack = []
     ant, suc = goal
     while True:
@@ -762,6 +797,12 @@ def _derive_by_infer(goal, step, *args):
             continue
         while isinstance(out, Derivation) and stack:
             tag, f, path, premises, derived = stack[-1]
+            if prune and tag == "LGd" and not derived:
+                a = gd_sides(f, path)[0]
+                if not _takes(out, a):
+                    stack.pop()
+                    out = _swap_by_infer(out, a, f)
+                    continue
             derived.append(out)
             if len(derived) < len(premises):
                 ant, suc = premises[len(derived)]
@@ -781,7 +822,8 @@ def _as_json(out):
 
 def test_derive_closes_rules_as_infer_does(monkeypatch):
     # a rule closed from its goal is the node `infer` builds from its
-    # premises, field for field: the prover's answers, the reassembled
+    # premises, field for field, and a pruned split's swap is the nodes
+    # `infer` builds again: the prover's answers, the reassembled
     # resolutions and the eliminated cuts (whose goal `_reassemble` sorts)
     # are the same bytes with either builder
     rng = random.Random(41)
@@ -805,6 +847,79 @@ def test_derive_closes_rules_as_infer_does(monkeypatch):
         m.setattr(prover, "derive", _derive_by_infer)
         m.setattr(transforms, "derive", _derive_by_infer)
         assert outputs() == (answers, rebuilt)
+
+
+def _size(d: Derivation) -> int:
+    return sum(1 for _ in rule_nodes(d))
+
+
+def test_pruned_splits_keep_every_answer(monkeypatch):
+    # against the search that expands every split: the same verdicts and
+    # countermodels, and derivations that check and are no larger
+    rng = random.Random(43)
+    seqs = [gen_sequent(rng, max_formulas=3) for _ in range(1500)]
+    pruned = [prove_or_countermodel(s) for s in seqs]
+    with monkeypatch.context() as m:
+        m.setattr(prover, "derive", partial(_derive_by_infer, prune=False))
+        full = [prove_or_countermodel(s) for s in seqs]
+    proved = smaller = 0
+    for s, out, ref in zip(seqs, pruned, full):
+        assert type(out) is type(ref), s
+        if isinstance(ref, Team):
+            assert _as_json(out) == _as_json(ref), s
+            continue
+        check_derivation(out)
+        assert out.conclusion == s
+        assert _size(out) <= _size(ref), s
+        proved += 1
+        smaller += _size(out) < _size(ref)
+    assert proved > 400 and smaller > 100, (proved, smaller)
+
+
+def test_a_split_whose_side_is_taken_is_kept():
+    # an At, an LAnd and an LNeg on the left side: both premises stay
+    for text in ("p || q => p, q", "(p & r) || q => p, q",
+                 "~r || q, r => q"):
+        d = ok(prove_or_countermodel(ps(text)))
+        assert d.rule.rule == "LGd" and len(d.premises) == 2, text
+
+
+def test_a_run_of_idle_splits_swaps_in_order():
+    # the first split of `(p||q)||r` is on `p||q`, whose left premise
+    # holds `p||r`, the formula of the next split; `s` closes the branch,
+    # so both are pruned and the axiom holds `(p||q)||r` in their place
+    goal = ps("(p || q) || r, s => s")
+    d = ok(prove_or_countermodel(goal))
+    assert d.rule.rule == "At" and d.conclusion == goal
+    assert d.rule.formula == s_ and not d.premises
+    # a split kept below a pruned one: `t` takes `t` at the axiom
+    goal = ps("(p || q) || r, t || u => s | ~s, t, u")
+    d = ok(prove_or_countermodel(goal))
+    assert d.conclusion == goal
+    assert [n.rule.formula for n in rule_nodes(d)
+            if n.rule.rule == "LGd"] == [pf("t || u")]
+
+
+def test_a_split_side_held_twice_is_swapped_once():
+    # the axiom takes a `q` equal to the side, so the split stays
+    d = ok(prove_or_countermodel(ps("q, q || r => q")))
+    assert d.rule.rule == "LGd"
+    # no rule takes `q`: one of the two takes the place of `q || r`
+    goal = ps("q, q || r, s => s")
+    d = ok(prove_or_countermodel(goal))
+    assert d.rule.rule == "At" and d.conclusion == goal
+
+
+def test_antecedent_taken_lists_what_the_rules_take():
+    ex = variant_examples()
+    assert list(antecedent_taken(ex["LC"])) == [p, p]
+    # RAndI and LOrI split the antecedent: all of it is taken
+    for tag in ("RAndI", "LOrI"):
+        d = ex[tag]
+        assert list(antecedent_taken(d))[:len(d.conclusion.ant)] == \
+            list(d.conclusion.ant), tag
+    cut = inject_cut(prove_or_countermodel(ps("p => p | q")), pf("p | q"))
+    assert list(antecedent_taken(cut))[:1] == [p]
 
 
 def test_derive_refuses_a_derivation_of_another_sequent():

@@ -6,7 +6,7 @@ import pytest
 
 from teamseq import cli
 from teamseq.calculus import (PRINCIPAL_SIDE, Derivation, check_derivation,
-                              is_cutfree)
+                              is_cutfree, rule_nodes)
 from teamseq.errors import NonClassicalInput, ResourceLimit
 from teamseq.prover import (_STAGE2_UNIT, Budget, ClassicalCountermodel,
                             _classical_step, prove_classical,
@@ -299,3 +299,19 @@ def test_classical_step_picks_the_rule_the_scan_picks():
             assert out == want
             tags.add(want[0])
     assert tags == {tag for tag, _ in _CLASSICAL_RULES}
+
+
+def test_idle_splits_are_not_expanded():
+    # the 7-pair split family: one atom closes each antecedent branch, so
+    # most of the 127 splits have a left premise whose proof never takes
+    # their side, and their right premise is never searched
+    pairs = [(f"a{i}", f"b{i}") for i in range(7)]
+    s = ps(", ".join(f"{a} || {b}" for a, b in pairs) + " => "
+           + " | ".join(f"({a} || {b})" for a, b in pairs))
+    d = prove_or_countermodel(s)
+    check_derivation(d)
+    assert d.conclusion == s
+    assert sum(1 for _ in rule_nodes(d)) <= 400
+    # the units of the right premises are not spent: 287 of them prove
+    # it, where expanding every split takes 3845
+    assert isinstance(prove_or_countermodel(s, node_budget=300), Derivation)

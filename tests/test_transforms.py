@@ -4,9 +4,10 @@ from dataclasses import replace
 import pytest
 
 from teamseq import transforms
-from teamseq.calculus import (Derivation, check_derivation, cutrank,
-                              derivation_to_json, fold, height, infer,
-                              is_cutfree, make_at, make_cut, rule_nodes)
+from teamseq.calculus import (Derivation, antecedent_taken, check_derivation,
+                              cutrank, derivation_to_json, fold, height,
+                              infer, is_cutfree, make_at, make_cut,
+                              rule_nodes, swap_antecedents)
 from teamseq.errors import (ContainsCut, FormulaNotDuplicated,
                             NonClassicalAntecedent,
                             NonClassicalRightContraction, ResourceLimit,
@@ -15,7 +16,8 @@ from teamseq.interpolation import interpolate_partition
 from teamseq.prover import prove_classical, prove_or_countermodel
 from teamseq.semantics import Team, sequent_valid
 from teamseq.syntax import (And, Neg, Or, PartitionSequent, Prop, Sequent,
-                            gd_paths, is_classical, parse_formula,
+                            first_gd, gd_paths, gd_sides, is_classical,
+                            mset_add, mset_remove, parse_formula,
                             parse_sequent)
 from teamseq.transforms import (ResolvedDerivation, contract, eliminate_cuts,
                                 invert, is_normal, normalize, reassemble,
@@ -537,6 +539,40 @@ def test_transforms_of_a_deep_derivation_answer_or_are_a_resource_limit():
             fn(d, *args)
         except ResourceLimit as e:
             assert str(e) == "nesting too deep", fn
+    # with `a || b` for one `p`, no rule takes the `||`: `_split` puts each
+    # side in its place by one fold, and the two branches reassemble
+    a, b = Prop("a"), Prop("b")
+    d = make_at((p, pf("a || b"), *xs, *ys), (p,))
+    for x, y in zip(xs, ys):
+        d = infer("LAnd", [d], And(x, y))
+    res = resolve_derivation(d)
+    assert [xi for xi in res.branches] == \
+        [mset_add(mset_remove(d.conclusion.ant, pf("a || b")), g)
+         for g in (a, b)]
+    for c in res.branches.values():
+        check_derivation(c)
+    back = reassemble(res)
+    check_derivation(back)
+    assert back.conclusion == d.conclusion
+
+
+def test_an_idle_split_is_inverted_by_one_fold():
+    # where no rule of a derivation takes the formula of its first `||`,
+    # `_split` swaps each side in by `swap_antecedents`: the same bytes as
+    # inversion through every node
+    rng = random.Random(11)
+    idle = 0
+    for d in valid_sample(rng, 1200):
+        n = normalize(d)
+        hit = first_gd(n.conclusion.ant)
+        if hit is None or hit[0] in antecedent_taken(n):
+            continue
+        idle += 1
+        folded = [swap_antecedents(n, ((hit[0], g),)) for g in gd_sides(*hit)]
+        inverted = transforms._invert(n, transforms._Item("LGd", *hit))
+        assert [derivation_to_json(x) for x in folded] == \
+            [derivation_to_json(x) for x in inverted]
+    assert idle > 100, idle
 
 
 def test_normalize_and_resolve_answer_a_deep_rgd():
