@@ -141,6 +141,17 @@ def fold(d: Derivation, step):
 # ValueError on misuse; the checker remains the independent authority on
 # rule legality.
 
+def axiom(ant, suc, f: Formula) -> Derivation:
+    """The axiom on `f` over the canonical sides `ant` and `suc`, which it
+    does not sort again: LBot when `f` is bot, held by `ant`, and
+    otherwise At on the variable `f`, held by both sides."""
+    if f is BOT:
+        rule = RuleApp("LBot", pos=ant.index(BOT), formula=BOT)
+    else:
+        rule = RuleApp("At", pos=ant.index(f), pos2=suc.index(f), formula=f)
+    return Derivation(Sequent._canonical(ant, suc), rule)
+
+
 def make_at(ant, suc, var: Formula | None = None) -> Derivation:
     ant, suc = mset(ant), mset(suc)
     if var is None:
@@ -148,15 +159,11 @@ def make_at(ant, suc, var: Formula | None = None) -> Derivation:
         if not shared:
             raise ValueError("no shared variable for an identity axiom")
         var = shared[0]
-    return Derivation(Sequent._canonical(ant, suc),
-                      RuleApp("At", pos=ant.index(var), pos2=suc.index(var),
-                              formula=var))
+    return axiom(ant, suc, var)
 
 
 def make_lbot(ant, suc) -> Derivation:
-    ant, suc = mset(ant), mset(suc)
-    return Derivation(Sequent._canonical(ant, suc),
-                      RuleApp("LBot", pos=ant.index(BOT), formula=BOT))
+    return axiom(mset(ant), mset(suc), BOT)
 
 
 def make_cut(p1: Derivation, p2: Derivation, cutformula: Formula) -> Derivation:

@@ -25,8 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .calculus import (PRINCIPAL_SIDE, Derivation, check_derivation, infer,
-                       is_cutfree, make_at, make_lbot, premises_of, rebuild)
+from .calculus import (PRINCIPAL_SIDE, Derivation, axiom, check_derivation,
+                       infer, is_cutfree, premises_of, rebuild)
 from .errors import (ContainsCut, NonClassicalLambda1, PartitionMismatch,
                      ResourceLimit, TeamSeqError, nesting_limited)
 from .prover import DEFAULT_NODE_BUDGET, prove_or_countermodel
@@ -151,11 +151,6 @@ def _interpolant(d: Derivation, blocks, steps: dict) -> Formula:
     return phi
 
 
-def _axiom(p: Formula, ant, suc) -> Derivation:
-    """The axiom on `ant => suc` for `p`: LBot for bot, else At on `p`."""
-    return make_lbot(ant, suc) if p is BOT else make_at(ant, suc, p)
-
-
 def _interp(d: Derivation, blocks, xl, xr, steps: dict, memo: dict):
     """The flank derivations `(left, right)` of `d` under `blocks`, which
     conclude `G1 => L1, xl, phi` and `G2, xr, phi => D2`, with `phi` and
@@ -181,12 +176,12 @@ def _interp(d: Derivation, blocks, xl, xr, steps: dict, memo: dict):
         l1, g2 = mset_add(l1, *xl), mset_add(g2, *xr)
         if isinstance(phi, Neg):
             c = phi.child
-            out = (infer("RNeg", [_axiom(c, mset_add(g1, c), l1)], phi),
-                   infer("LNeg", [_axiom(r.formula, g2, mset_add(d2, c))],
+            out = (infer("RNeg", [axiom(mset_add(g1, c), l1, c)], phi),
+                   infer("LNeg", [axiom(g2, mset_add(d2, c), r.formula)],
                          phi))
         else:
-            out = (_axiom(r.formula, g1, mset_add(l1, phi)),
-                   _axiom(phi, mset_add(g2, phi), d2))
+            out = (axiom(g1, mset_add(l1, phi), r.formula),
+                   axiom(mset_add(g2, phi), d2, phi))
         memo[key] = out
         return out
 

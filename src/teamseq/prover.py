@@ -13,9 +13,14 @@ succedent takes no stack frames.
 Stage 3 is a backward search over the invertible classical rules, which
 either closes every branch with an axiom or exposes an invalid atomic
 sequent, whose valuation is a countermodel of the sequent it was reached
-from.  A stage-3 failure is a bare record, that valuation as a row and
-the atomic sequent's sides: stage 2 keeps the row as its witness, and
-only `prove_classical` makes a public `ClassicalCountermodel` of it.
+from.  It closes on the first antecedent variable, in canonical order,
+that the succedent holds as a formula or as a disjunct of a `|` chain,
+taking ROr toward it first; stage 1 splits in the same order, so a
+branch closes on the side of its outermost open split and leaves the
+inner splits idle, whatever the succedent's order.  A stage-3 failure
+is a bare record, that valuation as a row and the atomic sequent's
+sides: stage 2 keeps the row as its witness, and only
+`prove_classical` makes a public `ClassicalCountermodel` of it.
 Stages 1 and 3 are step functions of `calculus.derive`, which builds the
 derivation root-first on an explicit stack and skips the right premise of
 a split that the left premise's proof does not use; stage 2 replays right
@@ -27,9 +32,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 
-from .calculus import Derivation, derive, make_at, make_lbot, replay_rgd
-from .errors import NonClassicalInput, ResourceLimit, nesting_limited
-from .resolutions import resolution_choices, resolution_steps
+from .calculus import Derivation, axiom, derive, replay_rgd
+from .errors import (DomainMismatch, NonClassicalInput, ResourceLimit,
+                     nesting_limited)
+from .resolutions import _or_tree, resolution_choices, resolution_steps
 from .semantics import Team
 from .syntax import And, BOT, Neg, Or, Prop, Sequent, first_gd, mset
 
@@ -86,13 +92,26 @@ class _Refuted:
 
 
 def _classical_step(ant, suc, domain, budget: Budget):
-    """`derive` step of stage 3."""
+    """`derive` step of stage 3.
+
+    LBot if the antecedent holds bot.  Otherwise the first antecedent
+    variable `p` (canonical order) that the succedent holds, or that is a
+    leaf of the `|` tree of a succedent formula: At on `p`, or ROr on the
+    first such formula, whose premise holds `p` one `|` nearer.  Such a
+    sequent is valid and ROr is invertible, so this changes only which
+    proof a valid sequent gets.  With no such `p`, the rule of least rank
+    in `_ANT_RULES` and `_SUC_RULES`, applied to the first formula it
+    fits; with none, the sequent is atomic and refuted."""
     budget.spend("classical sequent")
     if BOT in ant:
-        return make_lbot(ant, suc)
-    for f in ant:
-        if isinstance(f, Prop) and f in suc:
-            return make_at(ant, suc, f)
+        return axiom(ant, suc, BOT)
+    for p in ant:
+        if isinstance(p, Prop):
+            if p in suc:
+                return axiom(ant, suc, p)
+            for g in suc:
+                if isinstance(g, Or) and p in _or_tree(g)[0]:
+                    return "ROr", g, ()
 
     best, pick = (6, None), None  # every rule ranks below 6
     for side, rules in ((ant, _ANT_RULES), (suc, _SUC_RULES)):
@@ -113,13 +132,26 @@ def prove_classical(s: Sequent, domain=None,
                     node_budget: int = DEFAULT_NODE_BUDGET):
     """Backward root-first search over the invertible classical rules.
 
-    Returns a checked cutfree Derivation when the sequent is valid, or a
-    ClassicalCountermodel carrying the witnessing team otherwise.  A
-    formula too deep for the formula walks raises ResourceLimit.
+    Returns a cutfree Derivation when the sequent is valid, or a
+    ClassicalCountermodel carrying the witnessing team otherwise; the
+    derivation is not checked here (`calculus.check_derivation` does
+    that).  The team is over `domain`, by default the sequent's variables
+    sorted; a domain that is not a sequence of variable names, repeats
+    one or misses one of the sequent's raises DomainMismatch.  A formula
+    too deep for the formula walks raises ResourceLimit.
     """
     if not s.is_classical():
         raise NonClassicalInput(f"nonclassical formula in {s}")
-    domain = tuple(sorted(s.props()) if domain is None else domain)
+    if domain is None:
+        domain = tuple(sorted(s.props()))
+    else:
+        try:  # a tuple of variable names, each once
+            domain = Team(domain, frozenset()).domain
+        except (TypeError, ValueError) as e:
+            raise DomainMismatch(str(e)) from None
+        missing = s.props() - set(domain)
+        if missing:
+            raise DomainMismatch(f"{sorted(missing)} not in domain {domain}")
     out = derive((s.ant, s.suc), _classical_step, domain,
                  Budget(node_budget))
     if isinstance(out, _Refuted):
@@ -184,7 +216,11 @@ def prove_or_countermodel(s: Sequent, node_budget: int = DEFAULT_NODE_BUDGET):
     left side, proves the split's sequent.  This prunes only proved
     branches, so every verdict and countermodel is the one the full
     search gives; a valid sequent gets a smaller derivation, whose nodes
-    up to the axioms may hold the `||`, and spends fewer units.
+    up to the axioms may hold the `||`, and spends fewer units.  Stage 3
+    closes on the first antecedent variable in canonical order that the
+    succedent can reach by ROr alone (see `_classical_step`), which is
+    the outermost split's side when the splits are over variables, so how
+    many splits are pruned does not depend on the succedent's order.
     `node_budget` counts antecedent splits, nodes of the stage-2 candidate
     generator (including pruned ones) and classical sequents;
     `ResourceLimit` names the unit that ran out, in its message and as its

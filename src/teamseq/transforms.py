@@ -38,9 +38,9 @@ import operator
 from dataclasses import dataclass, replace
 
 from .calculus import (PRINCIPAL_SIDE, Derivation, RuleApp, actives,
-                       antecedent_taken, derive, fold, infer, is_cutfree,
-                       make_at, make_lbot, premises_of, rebuild, replay_rgd,
-                       rule_nodes, swap_antecedents)
+                       antecedent_taken, axiom, derive, fold, infer,
+                       is_cutfree, make_at, make_lbot, premises_of, rebuild,
+                       replay_rgd, rule_nodes, swap_antecedents)
 from .errors import (ContainsCut, FormulaNotDuplicated, NonClassicalAntecedent,
                      NonClassicalRightContraction, ShapeMismatch,
                      nesting_limited)
@@ -72,12 +72,6 @@ def _g3(d: Derivation) -> Derivation:
     return fold(d, _elim) if _scan(d) else d
 
 
-def _axiom_on(d: Derivation, ant, suc) -> Derivation:
-    if d.rule.rule == "At":
-        return make_at(ant, suc, d.rule.formula)
-    return make_lbot(ant, suc)
-
-
 # ---------------------------------------------------------------------------
 # Weakening
 
@@ -92,8 +86,8 @@ def _weaken(d: Derivation, side: str, f: Formula) -> Derivation:
     c = d.conclusion
     if tag in ("At", "LBot"):
         if side == "L":
-            return _axiom_on(d, mset_add(c.ant, f), c.suc)
-        return _axiom_on(d, c.ant, mset_add(c.suc, f))
+            return axiom(mset_add(c.ant, f), c.suc, d.rule.formula)
+        return axiom(c.ant, mset_add(c.suc, f), d.rule.formula)
     if tag in ("RAnd", "LOr") and side == "R":
         return rebuild(d.rule, d.premises, weak=mset_add(d.rule.weak or (), f))
     if tag == "Cut":
@@ -147,7 +141,7 @@ def _invert(d: Derivation, item: _Item):
     (derivation, side) for the disjunctive RGd item."""
     r = d.rule
     if r.rule in ("At", "LBot"):
-        outs = [_axiom_on(d, a, s)
+        outs = [axiom(a, s, r.formula)
                 for a, s in premises_of(item.tag, d.conclusion.ant,
                                         d.conclusion.suc, item.active, item.path)]
         return (outs[0], "L") if item.tag == "RGd" else outs
@@ -332,8 +326,8 @@ def _contract(d: Derivation, side: str, f: Formula) -> Derivation:
     c = d.conclusion
     if r.rule in ("At", "LBot"):
         if side == "L":
-            return _axiom_on(d, mset_remove(c.ant, f), c.suc)
-        return _axiom_on(d, c.ant, mset_remove(c.suc, f))
+            return axiom(mset_remove(c.ant, f), c.suc, r.formula)
+        return axiom(c.ant, mset_remove(c.suc, f), r.formula)
 
     if PRINCIPAL_SIDE.get(r.rule) == ("ant" if side == "L" else "suc") \
             and r.formula == f:

@@ -1,22 +1,26 @@
+import json
 import random
+import string
 import time
+from functools import reduce
 from itertools import product
 
 import pytest
 
-from teamseq import cli
+from teamseq import cli, prover
 from teamseq.calculus import (PRINCIPAL_SIDE, Derivation, check_derivation,
-                              is_cutfree, rule_nodes)
-from teamseq.errors import NonClassicalInput, ResourceLimit
+                              is_cutfree, make_at, make_lbot, rule_nodes)
+from teamseq.errors import DomainMismatch, NonClassicalInput, ResourceLimit
 from teamseq.prover import (_STAGE2_UNIT, Budget, ClassicalCountermodel,
-                            _classical_step, prove_classical,
+                            _classical_step, _Refuted, prove_classical,
                             prove_or_countermodel)
 from teamseq.resolutions import resolution_choices, resolutions_multiset
 from teamseq.semantics import (Team, big_or, eval_classical,
                                find_countermodel_bruteforce, satisfies,
-                               sequent_valid)
-from teamseq.syntax import (And, Neg, Or, Prop, Sequent, mset, parse_formula,
-                            parse_sequent, props)
+                               sequent_valid, team_to_json)
+from teamseq.syntax import (BOT, And, Gd, Neg, Or, Prop, Sequent, mset,
+                            parse_formula, parse_sequent, props,
+                            sequent_to_json)
 
 from conftest import gen_sequent, gen_side, on_fresh_stack
 
@@ -267,51 +271,181 @@ def test_reported_countermodel_is_first_failing_branch():
     assert find_countermodel_bruteforce(ps("p||(p|~p) => p||~p")) == out
 
 
-# the reference for stage 3's choice: the first rule of this list that
-# applies, to the first formula of its side it fits
+# the reference for stage 3's choice: LBot; else, for the first antecedent
+# variable that the succedent holds, as a formula or as a disjunct of a
+# `|` chain, At on it or ROr on the first formula whose chain holds it;
+# else the first rule of this list that applies, to the first formula of
+# its side it fits
 _CLASSICAL_RULES = (("LAnd", And), ("ROr", Or), ("LNeg", Neg), ("RNeg", Neg),
                     ("RAnd", And), ("LOr", Or))
 
 
+def _disjuncts(f):
+    if isinstance(f, Or):
+        return _disjuncts(f.left) + _disjuncts(f.right)
+    return [f]
+
+
 def _first_rule(ant, suc):
+    """The case that decides, and the step stage 3 should take."""
+    if BOT in ant:
+        return "LBot", ("LBot", BOT)
+    for x in ant:
+        if isinstance(x, Prop):
+            if x in suc:
+                return "At", ("At", x)
+            for g in suc:
+                if isinstance(g, Or) and x in _disjuncts(g):
+                    return "ROr toward a variable", ("ROr", g, ())
     for tag, kind in _CLASSICAL_RULES:
         for f in ant if PRINCIPAL_SIDE[tag] == "ant" else suc:
             if isinstance(f, kind):
-                return tag, f, ()
-    return None
+                return tag, (tag, f, ())
+    return "atomic", None
 
 
 def test_classical_step_picks_the_rule_the_scan_picks():
     rng = random.Random(43)
-    tags = set()
+    cases = set()
     for _ in range(3000):
         ant, suc = mset(gen_side(rng, 4, 3, 0)), mset(gen_side(rng, 4, 3, 0))
         domain = tuple(sorted({x for f in ant + suc for x in props(f)}))
         out = _classical_step(ant, suc, domain, Budget(1))
-        if isinstance(out, Derivation):  # an axiom comes before any rule
-            assert out.rule.rule in ("At", "LBot")
-            continue
-        want = _first_rule(ant, suc)
-        if want is None:  # atomic: the row makes the antecedent true
+        case, want = _first_rule(ant, suc)
+        cases.add(case)
+        if isinstance(out, Derivation):
+            assert (out.rule.rule, out.rule.formula) == want
+            assert out.conclusion == Sequent(ant, suc)
+        elif want is None:  # atomic: the row makes the antecedent true
             assert out.row == tuple(int(Prop(x) in ant) for x in domain)
             assert (out.ant, out.suc) == (ant, suc)
         else:
             assert out == want
-            tags.add(want[0])
-    assert tags == {tag for tag, _ in _CLASSICAL_RULES}
+    assert cases == {"LBot", "At", "ROr toward a variable", "atomic",
+                     *(tag for tag, _ in _CLASSICAL_RULES)}
 
 
 def test_idle_splits_are_not_expanded():
     # the 7-pair split family: one atom closes each antecedent branch, so
     # most of the 127 splits have a left premise whose proof never takes
-    # their side, and their right premise is never searched
+    # their side, and their right premise is never searched; with the
+    # succedent's pairs in reverse order too, since stage 3 closes on the
+    # outermost split's side whatever the succedent's order
     pairs = [(f"a{i}", f"b{i}") for i in range(7)]
-    s = ps(", ".join(f"{a} || {b}" for a, b in pairs) + " => "
-           + " | ".join(f"({a} || {b})" for a, b in pairs))
-    d = prove_or_countermodel(s)
-    check_derivation(d)
-    assert d.conclusion == s
-    assert sum(1 for _ in rule_nodes(d)) <= 400
-    # the units of the right premises are not spent: 287 of them prove
-    # it, where expanding every split takes 3845
-    assert isinstance(prove_or_countermodel(s, node_budget=300), Derivation)
+    for order in (pairs, pairs[::-1]):
+        s = ps(", ".join(f"{a} || {b}" for a, b in pairs) + " => "
+               + " | ".join(f"({a} || {b})" for a, b in order))
+        d = prove_or_countermodel(s)
+        check_derivation(d)
+        assert d.conclusion == s
+        assert sum(1 for _ in rule_nodes(d)) <= 400
+        # the units of the right premises are not spent: 287 of them
+        # prove it, where expanding every split takes 3845
+        assert isinstance(prove_or_countermodel(s, node_budget=300),
+                          Derivation)
+
+
+_NAMES = [c + d for c in string.ascii_lowercase
+          for d in string.ascii_lowercase + string.digits]
+
+
+def _split_family(rng, n):
+    """`a0 || b0, …  =>  (a0 || b0) | …` over random names in random
+    order, each pair oriented at random, and the `|` chain nested to the
+    left or to the right."""
+    names = rng.sample(_NAMES, 2 * n)
+    pairs = [(names[2 * i], names[2 * i + 1]) for i in range(n)]
+    gds = [Gd(Prop(a), Prop(b)) if rng.random() < 0.5 else Gd(Prop(b), Prop(a))
+           for a, b in pairs]
+    if rng.random() < 0.5:
+        chain = reduce(Or, gds)
+    else:
+        chain = reduce(lambda right, left: Or(left, right), reversed(gds))
+    return Sequent(gds, (chain,))
+
+
+def test_split_pruning_ignores_succedent_order():
+    # every branch closes on the side of its outermost open split, so each
+    # renaming keeps 7 of the 127 splits, in at most 104 nodes
+    rng = random.Random(28)
+    for _ in range(300):
+        s = _split_family(rng, 7)
+        d = prove_or_countermodel(s, node_budget=300)
+        check_derivation(d)
+        assert d.conclusion == s
+        assert sum(1 for _ in rule_nodes(d)) <= 104, s
+
+
+def _close_at_first_shared_variable(ant, suc, domain, budget):
+    """Stage 3 with the older closing order, the reference for the
+    answers: At on the first antecedent variable that the succedent holds
+    as a formula, else the rule of least rank, with no ROr toward a
+    variable first."""
+    budget.spend("classical sequent")
+    if BOT in ant:
+        return make_lbot(ant, suc)
+    for f in ant:
+        if isinstance(f, Prop) and f in suc:
+            return make_at(ant, suc, f)
+    best, pick = (6, None), None
+    for side, rules in ((ant, {And: (0, "LAnd"), Neg: (2, "LNeg"),
+                               Or: (5, "LOr")}),
+                        (suc, {Or: (1, "ROr"), Neg: (3, "RNeg"),
+                               And: (4, "RAnd")})):
+        for f in side:
+            rule = rules.get(type(f))
+            if rule is not None and rule < best:
+                best, pick = rule, f
+    if pick is not None:
+        return best[1], pick, ()
+    return _Refuted(tuple(1 if Prop(x) in ant else 0 for x in domain),
+                    ant, suc)
+
+
+def _answer(out):
+    """A countermodel as JSON, or the derivation, checked."""
+    if isinstance(out, Team):
+        return json.dumps(team_to_json(out))
+    if isinstance(out, ClassicalCountermodel):
+        return json.dumps([team_to_json(out.team),
+                           sequent_to_json(out.atomic)])
+    check_derivation(out)
+    return out.conclusion
+
+
+def test_closing_order_keeps_every_answer(monkeypatch):
+    # closing toward a variable changes only the proofs of valid sequents:
+    # every failing path takes the older rules, so the witnesses, the
+    # candidate streams and the countermodels are the same
+    rng = random.Random(28)
+    seqs = [gen_sequent(rng, max_formulas=3) for _ in range(1500)]
+    classical = [s for s in seqs if s.is_classical()]
+
+    def answers():
+        return ([_answer(prove_or_countermodel(s)) for s in seqs]
+                + [_answer(prove_classical(s)) for s in classical])
+
+    new = answers()
+    with monkeypatch.context() as m:
+        m.setattr(prover, "_classical_step", _close_at_first_shared_variable)
+        old = answers()
+    proved = 0
+    for s, out, ref in zip(seqs + classical, new, old):
+        assert type(out) is type(ref), s
+        if isinstance(out, str):
+            assert out == ref, s
+        else:
+            assert out == s
+            proved += 1
+    assert proved > 400 and len(classical) > 300, (proved, len(classical))
+
+
+def test_prove_classical_checks_its_domain():
+    s = ps("p => q")
+    for domain in (("p",), ("p", "p", "q"), ("p", "q", "1x"), ("p", "q", 1),
+                   5):
+        with pytest.raises(DomainMismatch):
+            prove_classical(s, domain=domain)
+    out = prove_classical(s, domain=("r", "q", "p"))
+    assert out.team == team("rqp", (0, 0, 1))
+    assert satisfies(out.team, p) and not satisfies(out.team, q)
