@@ -267,6 +267,9 @@ class VerificationReport:
     ok: bool
     failures: tuple[str, ...]
     oracle_checked: bool  # False: a goal was beyond the oracle's budget
+    # the team space of the left and right goal, as its number of variables
+    # n: the oracle ranges over its 2^(2^n) teams when n is within budget
+    goal_vars: tuple[int, int]
 
     def __bool__(self):
         return self.ok
@@ -310,4 +313,6 @@ def verify_interpolant(result: InterpolationResult,
     if not neg <= bounds.negative:
         failures.append(f"negative variables {sorted(neg - bounds.negative)} "
                         f"outside the allowed vocabulary")
-    return VerificationReport(not failures, tuple(failures), oracle_checked)
+    return VerificationReport(not failures, tuple(failures), oracle_checked,
+                              (len(left_goal.props()),
+                               len(right_goal.props())))

@@ -13,12 +13,13 @@ computed by one algorithm: for each team P of one side, the other side is
 closed upward along the valuations of P, one shift-or per valuation.  A
 downward-closed side needs only its maximal teams; a side that is not
 downward closed goes member by member, each closure cut down to the teams
-that contain the member.  Downward closure is checked on the concrete
-set, never assumed from the formula.  Every formula's set is downward
-closed.  At `DEFAULT_MAX_VARS` = 4 variables the costliest such pair, all
-teams of at most 8 valuations on both sides, took about 0.5-0.7 s, and
-the costliest pair that is not downward closed, all nonempty teams on
-both sides, about 3 s (2-core x86-64 host, CPython 3.11).  On a wider
+that contain the member; so does a side of at most one team, without the
+check.  Downward closure is checked on the concrete set, never assumed
+from the formula.  Every formula's set is downward closed.  At
+`DEFAULT_MAX_VARS` = 4 variables the costliest such pair, all teams of at
+most 8 valuations on both sides, took about 0.5-0.7 s, and the costliest
+pair that is not downward closed, all nonempty teams on both sides,
+about 3 s (2-core x86-64 host, CPython 3.11).  On a wider
 `_Space` built directly the cover image and the set of a variable raise
 `ResourceLimit` before they build any set.  Single-team satisfaction
 never builds a mask over all teams, so it works on any domain size.
@@ -28,6 +29,14 @@ computed for all v at once by the clauses on one-valuation teams, so no
 set of c over all teams is built.  The sets that depend only on the
 number of variables (the teams lacking each valuation, the set of each
 variable) are built once per arity, up to `DEFAULT_MAX_VARS`.
+
+Validity builds the antecedent's set over all teams and checks every
+team of it against the succedent.  When that set holds few small teams,
+each team is read on its own (`_Space.sat_fold`): the succedent is
+folded over the team's subteams by the clause of `|`, with single-team
+satisfaction, so no cover image over all teams is built; otherwise the
+succedent's sets are folded by cover images.  `_bad_teams` states the
+fixed cost rule between the two.
 
 The sweeps over all teams are operations on these sets, not loops over
 teams: each closure property is its definition evaluated on a formula's
@@ -198,6 +207,23 @@ class _Space:
             yield low.bit_length() - 1
             mask ^= low
 
+    def sat_fold(self, mask: int, formulas) -> bool:
+        """Whether team `mask` satisfies the split disjunction of
+        `formulas` folded left to right (`big_or`; the empty fold is
+        `bot`), by the clause of `|` and without building the formula.
+        A subteam of `mask` satisfies a prefix joined with the next
+        formula iff it is s | u for subteams s satisfying the prefix and u
+        satisfying the formula, so the subteams satisfying each prefix are
+        kept as a set and each formula is read with `sat`."""
+        subteams = [mask]
+        while subteams[-1]:
+            subteams.append((subteams[-1] - 1) & mask)
+        held = {0}  # the subteams that satisfy bot
+        for f in formulas:
+            good = [u for u in subteams if self.sat(u, f)]
+            held = {s | u for s in held for u in good}
+        return mask in held
+
     def _sat_split(self, mask: int, l: Formula, r: Formula) -> bool:
         # all covers mask = s | u: iterate s over submasks, then u over
         # supersets of mask \ s inside mask.
@@ -315,24 +341,29 @@ class _Space:
         member P only the teams that contain v are kept, which leaves the
         teams P | u.  Downward closure is checked on the set itself
         (`_maximal`), never assumed from the formula, and the side whose
-        teams need fewer shift-ors is used.
+        teams need fewer shift-ors is used.  A side of at most one team
+        goes member by member with neither the check nor the count.
         """
         if self.n > DEFAULT_MAX_VARS:
             raise ResourceLimit(f"cover transform over {self.n} variables "
                                 f"exceeds the {DEFAULT_MAX_VARS}-variable "
                                 f"cap")
         without = self._without
-        best = None
-        for side, other in ((sl, sr), (sr, sl)):
-            top = self._maximal(side)
-            teams = side if top is None else top
-            # the sum of |P| over these teams P: each of them counts once
-            # per valuation, less once per valuation it lacks
-            steps = teams.bit_count() * self.nvals - sum(
-                (teams & w).bit_count() for w in without)
-            if best is None or steps < best[0]:
-                best = steps, teams, other, top is None
-        _, teams, other, by_member = best
+        if sl & (sl - 1) == 0 or sr & (sr - 1) == 0:
+            teams, other = (sl, sr) if sl & (sl - 1) == 0 else (sr, sl)
+            by_member = True
+        else:
+            best = None
+            for side, other in ((sl, sr), (sr, sl)):
+                top = self._maximal(side)
+                teams = side if top is None else top
+                # the sum of |P| over these teams P: each of them counts
+                # once per valuation, less once per valuation it lacks
+                steps = teams.bit_count() * self.nvals - sum(
+                    (teams & w).bit_count() for w in without)
+                if best is None or steps < best[0]:
+                    best = steps, teams, other, top is None
+            _, teams, other, by_member = best
         out = 0
         for team in self._members(teams):
             up = other
@@ -403,21 +434,40 @@ def satisfies(team: Team, f: Formula) -> bool:
 @nesting_limited
 def sequent_valid(s: Sequent, max_vars: int = DEFAULT_MAX_VARS) -> bool:
     """True iff every team satisfying the antecedent satisfies the split
-    disjunction of the succedent, over the sequent's own variables."""
+    disjunction of the succedent, over the sequent's own variables.  Each
+    such team is checked, team by team or through cover images over all
+    teams as `_bad_teams`'s cost rule chooses, by the defining clauses."""
     space = _space_for(tuple(sorted(s.props())), max_vars)
     return _bad_teams(space, s) == 0
 
 
 def _bad_teams(space: _Space, s: Sequent) -> int:
     """Set of the team masks that satisfy every antecedent formula but not
-    the split disjunction of the succedent, folded left to right over the
-    succedent's satisfaction sets, so a long succedent nests no formula.
-    The set of all teams is built only for an empty antecedent."""
-    goal = reduce(space._or_set, map(space.sat_set, s.suc)) if s.suc else 1
+    the split disjunction of the succedent.
+
+    The antecedent's set `hyp` is built over all teams (all teams for an
+    empty antecedent).  Then every team of `hyp` is decided, by the
+    defining clauses only, on one of two exact paths, both folding the
+    succedent left to right so that a long succedent nests no formula.
+    Team by team, each t in `hyp` is read with `sat_fold`, which costs
+    up to 4^|t| pairs of subteams per formula.  Over all teams, the
+    succedent's satisfaction sets are joined by cover images (`_or_set`),
+    each a run of operations on nteams-bit sets.  The rule: team by team
+    iff the sum of 4^|t| over the teams t of `hyp` is at most nteams/256,
+    which is 256 at four variables, where the two paths were measured to
+    cost about the same (0.1-0.2 ms per goal; 2-core x86-64 host,
+    CPython 3.11)."""
     if s.ant:
         hyp = reduce(and_, map(space.sat_set, s.ant))
     else:
         hyp = (1 << space.nteams) - 1
+    cap = space.nteams >> 8
+    # the count first, so that a large set is not walked
+    if hyp.bit_count() <= cap and sum(
+            4 ** t.bit_count() for t in space._members(hyp)) <= cap:
+        return sum(1 << t for t in space._members(hyp)
+                   if not space.sat_fold(t, s.suc))
+    goal = reduce(space._or_set, map(space.sat_set, s.suc)) if s.suc else 1
     return hyp & ~goal
 
 

@@ -171,6 +171,21 @@ def test_verify_rejects_tampering():
     assert any("vocabulary" in f for f in rep2.failures)
 
 
+def test_verification_reports_each_goal_team_space():
+    # the left goal `G1 => L1, phi` and the right goal `G2, phi => D2`,
+    # each with the number of variables its team space is built over
+    for text, checked, goal_vars in (
+            # p, q, r, s on the left; p, q, x on the right
+            ("(p||q)|r ; ~p => r|s ; q||x", True, (4, 3)),
+            # five variables on the left, beyond the oracle's cap
+            ("a|b|c|d|e ; a => a|b|c|d|e ; a", False, (5, 1))):
+        part = ps(text)
+        rep = verify_interpolant(
+            interpolate_partition(proved(part.flatten()), part), part)
+        assert rep.ok and rep.oracle_checked is checked
+        assert rep.goal_vars == goal_vars
+
+
 def test_property_random_partitions():
     rng = random.Random(167)
     done = 0

@@ -88,6 +88,8 @@ def test_resolution_choices_are_the_ordered_product():
         eager = list(product(*[[(f, r) for r in iter_resolutions(f)]
                                for f in mset(fs)]))
         assert list(resolution_choices(fs)) == eager
+        # a side already in canonical order, as the prover hands it over
+        assert list(resolution_choices(mset(fs), canonical=True)) == eager
 
 
 VALUATIONS = [dict(zip("pqr", bits)) for bits in product((0, 1), repeat=3)]

@@ -1,18 +1,18 @@
 import random
 import tracemalloc
-from functools import reduce
+from functools import partial, reduce
 from itertools import combinations
 from operator import or_
 
 import pytest
 
 from teamseq.errors import DomainMismatch, ParseError, ResourceLimit
-from teamseq.semantics import (ClosureReport, Team, _constants, _Space,
-                               big_or, closure_properties,
+from teamseq.semantics import (ClosureReport, Team, _bad_teams, _constants,
+                               _Space, big_or, closure_properties,
                                eval_classical, find_countermodel_bruteforce,
                                satisfies, sequent_valid, team_from_json,
                                team_to_json)
-from teamseq.syntax import (BOT, Neg, Or, Prop, Sequent, gd_paths,
+from teamseq.syntax import (And, BOT, Gd, Neg, Or, Prop, Sequent, gd_paths,
                             is_classical, parse_formula, parse_sequent,
                             props, render, subformula_at, substitute_at)
 
@@ -407,6 +407,175 @@ def test_countermodel_agrees_with_validity():
                          if all(satisfies(t, f) for f in s.ant)
                          and not satisfies(t, big_or(s.suc)))
             assert cm == first, str(s)
+
+
+class GivenHypothesis(_Space):
+    """A space in which the antecedent formula `HYP` (its variable is
+    outside every domain used here) stands for the set of teams `hyp`, so
+    `_bad_teams` can be fed any set; it counts the teams read by
+    `sat_fold` and the cover images built."""
+
+    HYP = Prop("given")
+
+    def __init__(self, domain, hyp):
+        super().__init__(domain)
+        self.hyp, self.folded, self.images = hyp, 0, 0
+
+    def sat_set(self, f):
+        return self.hyp if f == self.HYP else super().sat_set(f)
+
+    def sat_fold(self, mask, formulas):
+        self.folded += 1
+        return super().sat_fold(mask, formulas)
+
+    def _or_set(self, sl, sr):
+        self.images += 1
+        return super()._or_set(sl, sr)
+
+
+def reference_goal(space, suc):
+    """The teams satisfying the split disjunction of `suc`: the fold of
+    its formulas' satisfaction sets by the loop reference cover image;
+    an empty `suc` is `bot`, satisfied by the empty team alone."""
+    if not suc:
+        return 1
+    return reduce(partial(loop_or_set, space), map(space.sat_set, suc))
+
+
+def first_in_order(domain, teams):
+    """The first team of the set `teams` in (size, membership) order."""
+    space = _Space(domain)
+    return next((t for t in all_teams(domain)
+                 if (teams >> space.team_mask(t)) & 1), None)
+
+
+BOT_FORMULAS = (BOT, Neg(BOT), Or(BOT, Neg(BOT)), Gd(BOT, Neg(BOT)),
+                And(Neg(BOT), Or(Neg(BOT), Neg(BOT))))
+
+
+def test_bad_teams_matches_the_cover_image_reference():
+    # both paths of `_bad_teams` against `hyp & ~goal`, the goal folded
+    # from the succedent's sets by the loop reference, with the antecedent
+    # set given directly: none, the empty team alone, arbitrary sets, all
+    # teams, and sets whose cost sum(4^|t|) is at the team-by-team bound
+    # or just past it; succedents of none to three formulas
+    rng = random.Random(83)
+    # per arity, a set at the bound nteams/256 and one just past it
+    bounds = {0: (0, 1), 1: (0, 1), 2: (0, 1), 3: (1, 1 | 2),
+              4: (1 << 0b1111, 1 << 0b1111 | 1)}
+    for n in range(5):
+        domain = ("a", "b", "c", "d")[:n]
+        nteams = 1 << (1 << n)
+        cap = nteams >> 8
+
+        def cost(hyp):
+            return sum(4 ** t.bit_count() for t in range(nteams)
+                       if (hyp >> t) & 1)
+
+        at, past = bounds[n]
+        assert cost(at) == cap < cost(past)
+        hyps = [0, 1, (1 << nteams) - 1, at, past]
+        for density in (0.02, 0.3, 0.8):
+            hyps.append(sum(1 << t for t in range(nteams)
+                            if rng.random() < density))
+        if n == 4:  # sets of a few teams of at most two valuations
+            small = [t for t in range(nteams) if t.bit_count() <= 2]
+            hyps += [sum(1 << t for t in rng.sample(small, 8))
+                     for _ in range(4)]
+        succedents = [(), (BOT,), (Neg(BOT), BOT)]
+        for _ in range(3 if n == 4 else 8):
+            succedents.append(tuple(
+                rng.choice(BOT_FORMULAS) if not n
+                else gen_formula(rng, rng.randint(0, 3), 2, vars=domain)
+                for _ in range(rng.randint(1, 2 if n == 4 else 3))))
+        for suc in succedents:
+            goal = reference_goal(_Space(domain), suc)
+            for hyp in hyps:
+                space = GivenHypothesis(domain, hyp)
+                got = _bad_teams(space, Sequent((space.HYP,), suc))
+                assert got == hyp & ~goal, (n, suc, hyp)
+                # the team-by-team path reads every team of the set and
+                # builds no cover image
+                by_team = cost(hyp) <= cap
+                assert space.folded == (hyp.bit_count() if by_team else 0)
+                assert not (by_team and space.images)
+
+
+def test_countermodels_match_the_cover_image_reference():
+    # random sequents over 0-4 variables, empty sides included, against
+    # the first team of `hyp & ~goal` in (size, membership) order
+    rng = random.Random(89)
+    seen_empty = {"ant": False, "suc": False}
+    for n in range(5):
+        domain = ("a", "b", "c", "d")[:n]
+        done = 0
+        while done < (4 if n == 4 else 25):
+            sides = [tuple(
+                rng.choice(BOT_FORMULAS) if not n
+                else gen_formula(rng, rng.randint(0, 3), 1, vars=domain)
+                for _ in range(rng.randint(0, 2))) for _ in range(2)]
+            s = Sequent(*sides)
+            if s.props() != set(domain):
+                continue
+            done += 1
+            seen_empty["ant"] |= not s.ant
+            seen_empty["suc"] |= not s.suc
+            space = _Space(domain)
+            hyp = reduce(lambda x, y: x & y, map(space.sat_set, s.ant),
+                         (1 << space.nteams) - 1)
+            bad = hyp & ~reference_goal(space, s.suc)
+            assert _bad_teams(_Space(domain), s) == bad, str(s)
+            assert find_countermodel_bruteforce(s) == \
+                first_in_order(domain, bad), str(s)
+            assert sequent_valid(s) == (bad == 0)
+    assert all(seen_empty.values())
+
+
+SMALL_HYPOTHESIS = pf("a & b & c & d")  # the empty team and {1111}
+
+
+def test_long_succedent_under_a_small_antecedent():
+    # four variables, an antecedent set of two teams: each team is read
+    # against the 1000 formulas one by one, and no formula nests them
+    a = Prop("a")
+    for suc, valid in (((a,) * 1000, True), ((Neg(a),) * 1000, False)):
+        s = Sequent((SMALL_HYPOTHESIS,), suc)
+        assert sequent_valid(s) == valid
+        cm = find_countermodel_bruteforce(s)
+        assert cm == (None if valid else team("abcd", (1, 1, 1, 1)))
+
+
+@pytest.mark.parametrize("entry", [sequent_valid,
+                                   find_countermodel_bruteforce])
+def test_deep_succedent_under_a_small_antecedent_is_a_resource_limit(entry):
+    # a 3000-deep `a | (a | …)` chain read team by team still meets its
+    # whole depth in the single-team clauses
+    a = Prop("a")
+    f = a
+    for _ in range(3000):
+        f = Or(a, f)
+        render(f)
+        props(f)
+    with pytest.raises(ResourceLimit, match="nesting too deep"):
+        entry(Sequent((SMALL_HYPOTHESIS,), (f,)))
+
+
+def test_small_antecedent_builds_no_cover_image(monkeypatch):
+    calls = []
+    or_set = _Space._or_set
+
+    def counted(self, sl, sr):
+        calls.append((sl, sr))
+        return or_set(self, sl, sr)
+
+    monkeypatch.setattr(_Space, "_or_set", counted)
+    for text, valid in (("a & b & c & d => a | b, c", True),
+                        ("a & b & c & d => ~a | ~b, ~c", False)):
+        assert sequent_valid(ps(text)) == valid, text
+    assert calls == []
+    # with no antecedent every team is read, by cover images
+    assert not sequent_valid(ps("=> a | b, c || d"))
+    assert len(calls) >= 1
 
 
 def test_closure_properties_golden():
