@@ -8,11 +8,12 @@ sequent side (the oracle is doubly exponential, so tests stay small).
 import random
 from concurrent.futures import ThreadPoolExecutor
 
+from teamseq import prover
 from teamseq.calculus import (Derivation, infer, make_at, make_cut, make_lc,
                               make_lori, make_randi, premises_of)
 from teamseq.prover import prove_or_countermodel
-from teamseq.syntax import (And, BOT, Gd, Neg, Or, Prop, Sequent, gd_count,
-                            gd_paths, is_classical)
+from teamseq.syntax import (And, BOT, Gd, Neg, Or, Prop, Sequent, first_gd,
+                            gd_count, gd_paths, is_classical)
 
 VARS = ("p", "q", "r")
 
@@ -57,6 +58,17 @@ def gen_sequent(rng: random.Random, max_formulas=2, depth=4, gd_per_side=2,
                 vars=VARS):
     return Sequent(gen_side(rng, max_formulas, depth, gd_per_side, vars),
                    gen_side(rng, max_formulas, depth, gd_per_side, vars))
+
+
+def split_first_step(ant, suc, domain, budget):
+    """Stage 1 without split on demand, the reference for the prover's
+    answers: every antecedent `||` is split before stages 2 and 3 see the
+    goal."""
+    budget.spend("antecedent split")
+    hit = first_gd(ant)
+    if hit is None:
+        return prover._search_branch(ant, suc, domain, budget)
+    return "LGd", *hit
 
 
 def identity_derivation(f) -> Derivation:

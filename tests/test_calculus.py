@@ -17,7 +17,8 @@ from teamseq.calculus import (PRINCIPAL_SIDE, Derivation, RuleApp,
 from teamseq.errors import (ArityMismatch, DerivationCheckError,
                             ParseError, RuleViolation, ShapeMismatch)
 from teamseq.interpolation import interpolate_partition, verify_interpolant
-from teamseq.prover import prove_classical, prove_or_countermodel
+from teamseq.prover import (DEFAULT_NODE_BUDGET, Budget, prove_classical,
+                            prove_or_countermodel)
 from teamseq.semantics import Team, sequent_valid, team_to_json
 from teamseq.syntax import (And, BOT, Gd, Neg, Or, PartitionSequent, Prop,
                             Sequent, children, gd_sides, is_classical, mset,
@@ -28,7 +29,7 @@ from teamseq.transforms import (contract, eliminate_cuts, invert, is_normal,
                                 weaken)
 
 from conftest import (gen_sequent, inject_cut, shared_chain,
-                      variant_examples)
+                      split_first_step, variant_examples)
 
 pf, ps = parse_formula, parse_sequent
 p, q, r, s_ = Prop("p"), Prop("q"), Prop("r"), Prop("s")
@@ -892,12 +893,19 @@ def test_a_run_of_idle_splits_swaps_in_order():
     d = ok(prove_or_countermodel(goal))
     assert d.rule.rule == "At" and d.conclusion == goal
     assert d.rule.formula == s_ and not d.premises
-    # a split kept below a pruned one: `t` takes `t` at the axiom
+    # a split kept below a pruned one: `t` takes `t` at the axiom.  The
+    # prover proves this goal through `s | ~s` before it splits, so the
+    # split-first step drives `derive` here
     goal = ps("(p || q) || r, t || u => s | ~s, t, u")
-    d = ok(prove_or_countermodel(goal))
+    d = ok(derive((goal.ant, goal.suc), split_first_step,
+                  tuple(sorted(goal.props())), Budget(DEFAULT_NODE_BUDGET)))
     assert d.conclusion == goal
     assert [n.rule.formula for n in rule_nodes(d)
             if n.rule.rule == "LGd"] == [pf("t || u")]
+    # the prover's own proof of it splits nothing
+    d = ok(prove_or_countermodel(goal))
+    assert d.conclusion == goal
+    assert all(n.rule.rule != "LGd" for n in rule_nodes(d))
 
 
 def test_a_split_side_held_twice_is_swapped_once():

@@ -9,7 +9,8 @@ import pytest
 
 from teamseq import cli, prover
 from teamseq.calculus import (PRINCIPAL_SIDE, Derivation, check_derivation,
-                              is_cutfree, make_at, make_lbot, rule_nodes)
+                              derivation_to_json, is_cutfree, make_at,
+                              make_lbot, rule_nodes)
 from teamseq.errors import DomainMismatch, NonClassicalInput, ResourceLimit
 from teamseq.prover import (_STAGE2_UNIT, Budget, ClassicalCountermodel,
                             _classical_step, _Refuted, prove_classical,
@@ -18,11 +19,11 @@ from teamseq.resolutions import resolution_choices, resolutions_multiset
 from teamseq.semantics import (Team, big_or, eval_classical,
                                find_countermodel_bruteforce, satisfies,
                                sequent_valid, team_to_json)
-from teamseq.syntax import (BOT, And, Gd, Neg, Or, Prop, Sequent, mset,
-                            parse_formula, parse_sequent, props,
-                            sequent_to_json)
+from teamseq.syntax import (BOT, And, Gd, Neg, Or, Prop, Sequent,
+                            is_classical, mset, parse_formula, parse_sequent,
+                            props, sequent_to_json)
 
-from conftest import gen_sequent, gen_side, on_fresh_stack
+from conftest import gen_sequent, gen_side, on_fresh_stack, split_first_step
 
 pf, ps = parse_formula, parse_sequent
 p, q = Prop("p"), Prop("q")
@@ -325,22 +326,28 @@ def test_classical_step_picks_the_rule_the_scan_picks():
                      *(tag for tag, _ in _CLASSICAL_RULES)}
 
 
+def _seven_pairs():
+    """`a0 || b0, …, a6 || b6 => (a0 || b0) | … | (a6 || b6)`, and the
+    same with the succedent's pairs in reverse order."""
+    pairs = [(f"a{i}", f"b{i}") for i in range(7)]
+    return [ps(", ".join(f"{a} || {b}" for a, b in pairs) + " => "
+               + " | ".join(f"({a} || {b})" for a, b in order))
+            for order in (pairs, pairs[::-1])]
+
+
 def test_idle_splits_are_not_expanded():
     # the 7-pair split family: one atom closes each antecedent branch, so
-    # most of the 127 splits have a left premise whose proof never takes
-    # their side, and their right premise is never searched; with the
-    # succedent's pairs in reverse order too, since stage 3 closes on the
-    # outermost split's side whatever the succedent's order
-    pairs = [(f"a{i}", f"b{i}") for i in range(7)]
-    for order in (pairs, pairs[::-1]):
-        s = ps(", ".join(f"{a} || {b}" for a, b in pairs) + " => "
-               + " | ".join(f"({a} || {b})" for a, b in order))
+    # of the 127 splits only the first is made, and each of its premises
+    # is proved with the other six `||`-formulas idle (split on demand);
+    # with the succedent's pairs in reverse order too, since stage 3
+    # closes on the split's side whatever the succedent's order
+    for s in _seven_pairs():
         d = prove_or_countermodel(s)
         check_derivation(d)
         assert d.conclusion == s
         assert sum(1 for _ in rule_nodes(d)) <= 400
-        # the units of the right premises are not spent: 287 of them
-        # prove it, where expanding every split takes 3845
+        # the units of the unmade splits are not spent: 130 (116 in
+        # reverse order) prove it, where expanding every split takes 3845
         assert isinstance(prove_or_countermodel(s, node_budget=300),
                           Derivation)
 
@@ -365,8 +372,10 @@ def _split_family(rng, n):
 
 
 def test_split_pruning_ignores_succedent_order():
-    # every branch closes on the side of its outermost open split, so each
-    # renaming keeps 7 of the 127 splits, in at most 104 nodes
+    # every renaming keeps one split of the 127, each premise closing on
+    # its own side whatever the succedent's order, in 19 to 29 nodes; 104
+    # bounds the split-first search too, whose branches close on the side
+    # of their outermost open split, so that 7 splits are kept
     rng = random.Random(28)
     for _ in range(300):
         s = _split_family(rng, 7)
@@ -374,6 +383,55 @@ def test_split_pruning_ignores_succedent_order():
         check_derivation(d)
         assert d.conclusion == s
         assert sum(1 for _ in rule_nodes(d)) <= 104, s
+
+
+def test_split_on_demand_proves_the_split_family_small():
+    # the root's attempt fails, the first pair is split, and each premise
+    # is proved by an attempt, in both succedent orders; splitting first
+    # takes up to 104 nodes and 287 units
+    for s in _seven_pairs():
+        d = prove_or_countermodel(s, node_budget=130)
+        check_derivation(d)
+        assert d.conclusion == s
+        assert sum(1 for _ in rule_nodes(d)) <= 29
+        assert [n.rule.rule for n in rule_nodes(d)].count("LGd") == 1
+
+
+def test_split_on_demand_keeps_every_answer(monkeypatch):
+    # against the split-first step: the same verdicts and countermodels,
+    # derivations that check, and the same bytes wherever the antecedent
+    # holds at most one `||`-formula, where no attempt is made; on the
+    # split family every proof is another one
+    rng = random.Random(30)
+    seqs = [gen_sequent(rng, max_formulas=4, gd_per_side=3)
+            for _ in range(3000)]
+    rng = random.Random(28)
+    family = [_split_family(rng, 7) for _ in range(300)]
+
+    def answers():
+        return [prove_or_countermodel(s) for s in seqs + family]
+
+    new = answers()
+    with monkeypatch.context() as m:
+        m.setattr(prover, "_split_step", split_first_step)
+        ref = answers()
+    proved, other = 0, [0, 0]  # proofs unlike the reference's, per source
+    for i, (s, out, want) in enumerate(zip(seqs + family, new, ref)):
+        assert type(out) is type(want), s
+        if isinstance(want, Team):
+            assert json.dumps(team_to_json(out)) == \
+                json.dumps(team_to_json(want)), s
+            continue
+        check_derivation(out)
+        assert out.conclusion == s
+        proved += 1
+        if json.dumps(derivation_to_json(out)) != \
+                json.dumps(derivation_to_json(want)):
+            # only an attempt that succeeded gives another proof
+            assert sum(not is_classical(f) for f in s.ant) >= 2, s
+            other[i >= len(seqs)] += 1
+    assert proved > 1800 and other[0] > 90 and other[1] == 300, \
+        (proved, other)
 
 
 def _close_at_first_shared_variable(ant, suc, domain, budget):

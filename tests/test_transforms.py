@@ -12,7 +12,7 @@ from teamseq.errors import (ContainsCut, FormulaNotDuplicated,
                             NonClassicalAntecedent,
                             NonClassicalRightContraction, ResourceLimit,
                             ShapeMismatch)
-from teamseq.interpolation import interpolate_partition
+from teamseq.interpolation import interpolate_partition, verify_interpolant
 from teamseq.prover import prove_classical, prove_or_countermodel
 from teamseq.semantics import Team, sequent_valid
 from teamseq.syntax import (And, Neg, Or, PartitionSequent, Prop, Sequent,
@@ -593,3 +593,38 @@ def test_normalize_and_resolve_answer_a_deep_rgd():
     assert res.mapping == {ant: (p,)}
     check_derivation(res.branches[ant])
     assert reassemble(res).conclusion == d.conclusion
+
+
+def test_transforms_of_a_proof_that_opens_a_formula_holding_gd():
+    # with two `||`-formulas in the antecedent the prover first tries the
+    # goal with no split, so stage 3 takes LAnd or LOr to a formula that
+    # holds `||` and leaves the `||` idle to the axioms: every transform
+    # and interpolation of such a proof still gives results that check
+    for text, tag in (("(p || q) & r, s || r => r", "LAnd"),
+                      ("((p || q) & bot) | r, s || r => r", "LOr")):
+        d = proved(text)
+        assert d.rule.rule == tag and not is_classical(d.rule.formula)
+        assert all(n.rule.rule != "LGd" for n in rule_nodes(d)), text
+        n = normalize(d)
+        check_derivation(n)
+        assert is_normal(n) and n.conclusion == d.conclusion
+        free = eliminate_cuts(inject_cut(d, pf("r")))
+        check_derivation(free)
+        assert is_cutfree(free) and free.conclusion == d.conclusion
+        res = resolve_derivation(d)
+        for xi, c in res.branches.items():
+            check_derivation(c)
+            assert c.conclusion == Sequent(xi, res.mapping[xi])
+        back = reassemble(res)
+        check_derivation(back)
+        assert back.conclusion == d.conclusion
+        ant, suc = d.conclusion.ant, d.conclusion.suc
+        for k in range(4):  # each antecedent formula to either block
+            g1 = tuple(f for i, f in enumerate(ant) if k >> i & 1)
+            g2 = tuple(f for i, f in enumerate(ant) if not k >> i & 1)
+            for lam1 in ((), suc):
+                lam2 = () if lam1 else suc
+                part = PartitionSequent(g1, g2, lam1, lam2)
+                report = verify_interpolant(interpolate_partition(d, part),
+                                            part)
+                assert report.ok and report.oracle_checked, str(part)
