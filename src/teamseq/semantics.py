@@ -1,47 +1,53 @@
 """Brute-force team-semantics oracle.
 
 Teams are sets of valuations over an explicit variable domain.  Everything
-here enumerates exhaustively (the split-disjunction clause searches all
-covers t = s + u), so it is doubly exponential in the number of variables;
-`max_vars` caps that at 4 by default and can only lower the cap, which is
-checked before any set over all teams is built.  This module is the ground
+here enumerates exhaustively (the split-disjunction clause ranges over all
+covers t = s + u), so it is doubly exponential.  This module is the ground
 truth against which the calculus, prover, and transformations are tested.
 
-Satisfaction sets over all teams are bitmasks with one bit per team.  The
-split disjunction's set is the cover image {s | u} of its two sides' sets,
-computed by one algorithm: for each team P of one side, the other side is
-closed upward along the valuations of P, one shift-or per valuation.  A
+A `_Space` ranges over a tuple of rows: valuation indices, first domain
+variable most significant, by default all 2^n valuations of the domain,
+or the rows of one team.  A team of the space is a bitmask over its rows,
+and a satisfaction set is a bitmask with one bit per team.  A set over k
+rows has 2^k bits, so sets are built for at most 16 rows, the valuations
+of four variables; beyond that `sat_set` and the teams lacking each row
+raise `ResourceLimit` before anything is built.  Validity and the closure
+properties range over all teams of the domain, so `max_vars` caps them at
+4 variables and can only lower that cap.
+
+The split disjunction's set is the cover image {s | u} of its two sides'
+sets, computed by one algorithm: for each team P of one side, the other
+side is closed upward along the rows of P, one shift-or per row.  A
 downward-closed side needs only its maximal teams; a side that is not
 downward closed goes member by member, each closure cut down to the teams
 that contain the member; so does a side of at most one team, without the
 check.  Downward closure is checked on the concrete set, never assumed
-from the formula.  Every formula's set is downward closed.  At
-`DEFAULT_MAX_VARS` = 4 variables the costliest such pair, all teams of at
-most 8 valuations on both sides, took about 0.5-0.7 s, and the costliest
-pair that is not downward closed, all nonempty teams on both sides,
-about 3 s (2-core x86-64 host, CPython 3.11).  On a wider
-`_Space` built directly the cover image and the set of a variable raise
-`ResourceLimit` before they build any set.  Single-team satisfaction
-never builds a mask over all teams, so it works on any domain size.
+from the formula.  Every formula's set is downward closed.  At 16 rows
+the costliest such pair, all teams of at most 8 rows on both sides, took
+about 0.5-0.7 s, and the costliest pair that is not downward closed, all
+nonempty teams on both sides, about 3 s (2-core x86-64 host, CPython
+3.11).
 
-The set of `~c` is read off the valuations v with {v} satisfying c,
-computed for all v at once by the clauses on one-valuation teams, so no
-set of c over all teams is built.  The sets that depend only on the
-number of variables (the teams lacking each valuation, the set of each
-variable) are built once per arity, up to `DEFAULT_MAX_VARS`.
+`sat_points` reads a formula on every one-row team at once, as k bits
+for k rows on any number of rows.  A team satisfies a variable, `bot` or
+`~c` iff each of its one-row teams does, by their clauses, so their sets
+are read off these bits and no set of c over all teams is built.  The
+teams lacking each row are built once per row count.
+
+`satisfies` reads one team in the space of its own rows, where the team
+is the full mask: `&` and `||` by their clauses, the other leaves from
+`sat_points`, and `|` from its set, which is refused above 16 rows.
 
 Validity builds the antecedent's set over all teams and checks every
-team of it against the succedent.  When that set holds few small teams,
-each team is read on its own (`_Space.sat_fold`): the succedent is
-folded over the team's subteams by the clause of `|`, with single-team
-satisfaction, so no cover image over all teams is built; otherwise the
-succedent's sets are folded by cover images.  `_bad_teams` states the
-fixed cost rule between the two.
+team of it against the succedent, whose sets are joined by cover images:
+over all teams, or, when the antecedent holds few small teams, in each
+team's own row space.  `_bad_teams` states the fixed cost rule between
+the two.
 
 The sweeps over all teams are operations on these sets, not loops over
 teams: each closure property is its definition evaluated on a formula's
 satisfaction set (union closure is the cover image of the set with
-itself, flatness compares the set with the teams of its one-valuation
+itself, flatness compares the set with the teams of its one-row
 members), and the first countermodel is the first set bit in (size,
 membership) order.  None of them uses a closure theorem of the logic.
 """
@@ -58,6 +64,7 @@ from .syntax import (And, Bot, BOT, Formula, Gd, Neg, Or, Prop, Sequent,
                      props)
 
 DEFAULT_MAX_VARS = 4
+_MAX_ROWS = 1 << DEFAULT_MAX_VARS  # team sets of 2^16 bits
 
 
 @dataclass(frozen=True)
@@ -69,16 +76,19 @@ class Team:
 
     def __post_init__(self):
         object.__setattr__(self, "domain", tuple(self.domain))
-        object.__setattr__(self, "members", frozenset(tuple(v) for v in self.members))
+        members = [tuple(v) for v in self.members]
         for name in self.domain:
             if not isinstance(name, str):
                 raise ValueError(f"variable {name!r} is not a string")
             Prop(name)  # raises ValueError on a malformed name
         if len(set(self.domain)) != len(self.domain):
             raise ValueError(f"repeated variable in domain {self.domain}")
-        for v in self.members:
-            if len(v) != len(self.domain) or any(b not in (0, 1) for b in v):
+        # checked before the set is built, where 1.0 and True equal 1
+        for v in members:
+            if len(v) != len(self.domain) or any(
+                    type(b) is not int or b not in (0, 1) for b in v):
                 raise ValueError(f"valuation {v} does not fit domain {self.domain}")
+        object.__setattr__(self, "members", frozenset(members))
 
     def __str__(self):
         rows = ",".join("{" + ",".join(map(str, v)) + "}" for v in sorted(self.members))
@@ -94,8 +104,7 @@ def team_from_json(obj) -> Team:
         names = obj["vars"]
         if not isinstance(names, list):
             raise ValueError(f"vars {names!r} is not an array of strings")
-        return Team(tuple(names),
-                    frozenset(tuple(row) for row in obj["team"]))
+        return Team(tuple(names), obj["team"])
     except KeyError as e:
         raise ParseError(f"bad team: missing field {e}") from e
     except (TypeError, ValueError) as e:
@@ -134,150 +143,97 @@ def big_and(formulas) -> Formula:
 
 
 class _Space:
-    """Satisfaction sets over all teams on a fixed domain.
+    """Satisfaction sets over the teams of a fixed tuple of rows.
 
-    Valuations are indexed 0..2^n-1 (first domain variable = most
-    significant bit); a team is a bitmask over valuation indices; the
-    satisfaction set of a formula is a bitmask over team masks.
+    A row is a valuation index (first domain variable = most significant
+    bit); the rows are all 2^n valuations unless given.  A team is a
+    bitmask over row positions; the satisfaction set of a formula is a
+    bitmask over team masks.  In the space of one team's rows that team
+    is the full mask, `nteams - 1`.
     """
 
-    def __init__(self, domain: tuple[str, ...]):
+    def __init__(self, domain: tuple[str, ...], rows=None):
         self.domain = tuple(domain)
         self.n = len(self.domain)
-        self.nvals = 1 << self.n
+        self.rows = range(1 << self.n) if rows is None else tuple(rows)
+        self.nvals = len(self.rows)
         self.nteams = 1 << self.nvals
         self._sets: dict[Formula, int] = {}
         self._points_of: dict[Formula, int] = {}
-        self._memo: dict[tuple[Formula, int], bool] = {}
 
     def valuation(self, vindex: int) -> tuple[int, ...]:
         return tuple((vindex >> (self.n - 1 - i)) & 1 for i in range(self.n))
 
-    def team_mask(self, team: Team) -> int:
-        if tuple(team.domain) != self.domain:
-            raise DomainMismatch(f"team domain {team.domain} != {self.domain}")
-        mask = 0
-        for v in team.members:
-            idx = 0
-            for b in v:
-                idx = (idx << 1) | b
-            mask |= 1 << idx
-        return mask
-
     def team(self, mask: int) -> Team:
-        members = frozenset(self.valuation(i) for i in range(self.nvals)
-                            if (mask >> i) & 1)
+        members = frozenset(self.valuation(self.rows[i])
+                            for i in self._members(mask))
         return Team(self.domain, members)
 
-    # -- single-team satisfaction (memoized, early exit) -------------------
-    def sat(self, mask: int, f: Formula) -> bool:
-        key = (f, mask)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        match f:
-            case Prop(name):
-                i = self.domain.index(name)
-                out = all((v >> (self.n - 1 - i)) & 1
-                          for v in self._members(mask))
-            case Bot():
-                out = mask == 0
-            case Neg(c):
-                # on a one-valuation team the clause of ~ is plain negation,
-                # so a run of ~ is read in a loop, not one frame per ~
-                flip = True
-                while isinstance(c, Neg):
-                    c, flip = c.child, not flip
-                out = all(self.sat(1 << v, c) != flip
-                          for v in self._members(mask))
-            case And(l, r):
-                out = self.sat(mask, l) and self.sat(mask, r)
-            case Or(l, r):
-                out = self._sat_split(mask, l, r)
-            case Gd(l, r):
-                out = self.sat(mask, l) or self.sat(mask, r)
-        self._memo[key] = out
-        return out
+    def team_space(self, mask: int) -> _Space:
+        """The space of the rows of team `mask`."""
+        return _Space(self.domain, [self.rows[i] for i in self._members(mask)])
 
     def _members(self, mask: int):
-        """Indices of the set bits of `mask`, lowest first: the valuations
-        of a team, or the teams of a set of teams."""
+        """Indices of the set bits of `mask`, lowest first: the rows of a
+        team, or the teams of a set of teams."""
         while mask:
             low = mask & -mask
             yield low.bit_length() - 1
             mask ^= low
 
-    def sat_fold(self, mask: int, formulas) -> bool:
-        """Whether team `mask` satisfies the split disjunction of
-        `formulas` folded left to right (`big_or`; the empty fold is
-        `bot`), by the clause of `|` and without building the formula.
-        A subteam of `mask` satisfies a prefix joined with the next
-        formula iff it is s | u for subteams s satisfying the prefix and u
-        satisfying the formula, so the subteams satisfying each prefix are
-        kept as a set and each formula is read with `sat`."""
-        subteams = [mask]
-        while subteams[-1]:
-            subteams.append((subteams[-1] - 1) & mask)
-        held = {0}  # the subteams that satisfy bot
-        for f in formulas:
-            good = [u for u in subteams if self.sat(u, f)]
-            held = {s | u for s in held for u in good}
-        return mask in held
-
-    def _sat_split(self, mask: int, l: Formula, r: Formula) -> bool:
-        # all covers mask = s | u: iterate s over submasks, then u over
-        # supersets of mask \ s inside mask.
-        s = mask
-        while True:
-            if self.sat(s, l):
-                rest = mask & ~s
-                w = s
-                while True:
-                    if self.sat(rest | w, r):
-                        return True
-                    if w == 0:
-                        break
-                    w = (w - 1) & s
-            if s == 0:
-                return False
-            s = (s - 1) & mask
+    def sat_all(self, f: Formula) -> bool:
+        """Whether the team of all the space's rows satisfies `f`, by the
+        clauses of `&` and `||`; a `|` is read from its set over all
+        teams, any other formula from its one-row teams."""
+        match f:
+            case And(l, r):
+                return self.sat_all(l) and self.sat_all(r)
+            case Gd(l, r):
+                return self.sat_all(l) or self.sat_all(r)
+            case Or():
+                return bool((self.sat_set(f) >> (self.nteams - 1)) & 1)
+        return self.sat_points(f) == self.nteams - 1
 
     # -- full satisfaction sets (for sweeps over all teams) ----------------
     def sat_set(self, f: Formula) -> int:
         hit = self._sets.get(f)
         if hit is not None:
             return hit
+        if self.nvals > _MAX_ROWS:
+            raise ResourceLimit(f"team sets over {self.nvals} rows exceed "
+                                f"the {_MAX_ROWS}-row cap")
         match f:
-            case Prop(name):
-                out = _constants(self.n).props[self.domain.index(name)]
-            case Bot():
-                out = 1
-            case Neg(c):
-                # t satisfies ~c iff no v in t has {v} satisfying c
-                out = self._avoiding(self.sat_points(c))
             case And(l, r):
                 out = self.sat_set(l) & self.sat_set(r)
             case Gd(l, r):
                 out = self.sat_set(l) | self.sat_set(r)
             case Or(l, r):
                 out = self._or_set(self.sat_set(l), self.sat_set(r))
+            case _:
+                # a team satisfies p, bot or ~c iff each of its one-row
+                # teams does, so no set of c over all teams is built
+                out = self._avoiding(~self.sat_points(f))
         self._sets[f] = out
         return out
 
     def sat_points(self, f: Formula) -> int:
-        """Mask of the valuations v with {v} satisfying `f`, for all v at
-        once, by the clauses of `sat` read on one-valuation teams."""
+        """Mask of the rows v with {v} satisfying `f`, for all v at once,
+        by the defining clauses read on one-row teams."""
         hit = self._points_of.get(f)
         if hit is not None:
             return hit
-        match f:
+        # on a one-row team the clause of ~ is plain negation, so a run of
+        # ~ is read in a loop, not one frame per ~
+        c, flip = f, False
+        while isinstance(c, Neg):
+            c, flip = c.child, not flip
+        match c:
             case Prop(name):
                 bit = self.n - 1 - self.domain.index(name)
-                out = sum(1 << v for v in range(self.nvals) if (v >> bit) & 1)
+                out = sum(1 << i for i, v in enumerate(self.rows)
+                          if (v >> bit) & 1)
             case Bot():
                 out = 0
-            case Neg(c):
-                out = ~self.sat_points(c) & ((1 << self.nvals) - 1)
             case And(l, r):
                 out = self.sat_points(l) & self.sat_points(r)
             case Gd(l, r):
@@ -286,18 +242,25 @@ class _Space:
                 # the covers of {v} are {v} + {v}, {v} + {} and {} + {v}
                 pl, pr = self.sat_points(l), self.sat_points(r)
                 out = pl & pr
-                if self.sat(0, r):
+                if self._no_rows.sat_set(r) & 1:
                     out |= pl
-                if self.sat(0, l):
+                if self._no_rows.sat_set(l) & 1:
                     out |= pr
+        if flip:
+            out ^= self.nteams - 1
         self._points_of[f] = out
         return out
+
+    @cached_property
+    def _no_rows(self) -> _Space:
+        """The space whose only team is the empty team."""
+        return _Space(self.domain, ())
 
     def _avoiding(self, bad_vals: int) -> int:
         """Set of all team masks disjoint from `bad_vals`.
 
         Submasks of the complement form a product over its bits, so the
-        indicator doubles once per allowed valuation.
+        indicator doubles once per allowed row.
         """
         out = 1  # the empty team
         for v in range(self.nvals):
@@ -307,25 +270,25 @@ class _Space:
 
     @cached_property
     def _without(self) -> list[int]:
-        """`_without[v]` is the set of teams that do not contain valuation
-        v, `_avoiding(1 << v)`; see `_constants`."""
-        return _constants(self.n).without
+        """`_without[v]` is the set of teams that do not contain row v,
+        `_avoiding(1 << v)`; see `_constants`."""
+        return _constants(self.nvals).without
 
     def _maximal(self, sat: int) -> int | None:
         """The maximal teams of `sat` if it is downward closed, else None.
 
         Bit t of `(sat >> (1 << v)) & _without[v]` is set iff t lacks v and
-        t + {v} is in `sat`: these are the members less one valuation.
-        `sat` is downward closed iff all of them are members, since by
-        induction every subteam of a member is then one, and its maximal
-        teams are the members that are not among them."""
+        t + {v} is in `sat`: these are the members less one row.  `sat` is
+        downward closed iff all of them are members, since by induction
+        every subteam of a member is then one, and its maximal teams are
+        the members that are not among them."""
         smaller = 0
         for v, without in enumerate(self._without):
             smaller |= (sat >> (1 << v)) & without
         return None if smaller & ~sat else sat & ~smaller
 
     def _points(self, sat: int) -> int:
-        """Mask of the valuations whose one-valuation team is in `sat`."""
+        """Mask of the rows whose one-row team is in `sat`."""
         return sum(((sat >> (1 << v)) & 1) << v for v in range(self.nvals))
 
     def _or_set(self, sl: int, sr: int) -> int:
@@ -333,21 +296,18 @@ class _Space:
 
         For a team P, the teams s | u with s a subteam of P and u in the
         other side are the t with t \\ P <= u <= t for some such u: the
-        other side closed upward along the valuations of P, one shift-or
-        per valuation.  A downward-closed side is the union of the subteam
-        sets of its maximal teams, so its image is the union of one such
-        closure per maximal team.  A side that is not downward closed goes
-        member by member: after the shift-or along each valuation v of a
-        member P only the teams that contain v are kept, which leaves the
-        teams P | u.  Downward closure is checked on the set itself
-        (`_maximal`), never assumed from the formula, and the side whose
-        teams need fewer shift-ors is used.  A side of at most one team
-        goes member by member with neither the check nor the count.
+        other side closed upward along the rows of P, one shift-or per
+        row.  A downward-closed side is the union of the subteam sets of
+        its maximal teams, so its image is the union of one such closure
+        per maximal team.  A side that is not downward closed goes member
+        by member: after the shift-or along each row v of a member P only
+        the teams that contain v are kept, which leaves the teams P | u.
+        Downward closure is checked on the set itself (`_maximal`), never
+        assumed from the formula, and the side whose teams need fewer
+        shift-ors is used.  A side of at most one team goes member by
+        member with neither the check nor the count.  Above 16 rows
+        `_without` raises `ResourceLimit` before any set is built.
         """
-        if self.n > DEFAULT_MAX_VARS:
-            raise ResourceLimit(f"cover transform over {self.n} variables "
-                                f"exceeds the {DEFAULT_MAX_VARS}-variable "
-                                f"cap")
         without = self._without
         if sl & (sl - 1) == 0 or sr & (sr - 1) == 0:
             teams, other = (sl, sr) if sl & (sl - 1) == 0 else (sr, sl)
@@ -358,7 +318,7 @@ class _Space:
                 top = self._maximal(side)
                 teams = side if top is None else top
                 # the sum of |P| over these teams P: each of them counts
-                # once per valuation, less once per valuation it lacks
+                # once per row, less once per row it lacks
                 steps = teams.bit_count() * self.nvals - sum(
                     (teams & w).bit_count() for w in without)
                 if best is None or steps < best[0]:
@@ -378,37 +338,30 @@ class _Space:
 
 @dataclass(frozen=True)
 class _Constants:
-    """The sets of teams that depend only on the number of variables,
-    shared by every `_Space` of that arity, which only reads them."""
+    """The sets of teams that depend only on the number of rows, shared
+    by every `_Space` with that many rows, which only reads them."""
 
-    without: list[int]  # per valuation v, the teams that lack v
-    props: list[int]    # per domain position, the teams that satisfy it
+    without: list[int]  # per row v, the teams that lack v
 
 
 @cache
-def _constants(n: int) -> _Constants:
-    """The `_Constants` of `n` variables, built once per arity and only up
-    to `DEFAULT_MAX_VARS` (2^16-bit sets, under 0.2 MB for all arities);
-    a wider arity raises `ResourceLimit` before anything is built.
+def _constants(k: int) -> _Constants:
+    """The `_Constants` of `k` rows, built once per row count and only up
+    to `_MAX_ROWS` (2^16-bit sets, about 0.25 MB for all counts); more rows
+    raise `ResourceLimit` before anything is built.
 
-    Team indices lacking the last valuation are the lower half.  Going
-    down, in every block of 2^(v+2) indices the set for v + 1 holds the
-    lower half, and xor with itself shifted up by 2^v leaves the first
-    and third quarters: the indices with bit v clear.  The teams that
-    satisfy the variable at position i are those that lack every
-    valuation with its bit clear."""
-    if n > DEFAULT_MAX_VARS:
-        raise ResourceLimit(f"team sets over {n} variables exceed the "
-                            f"{DEFAULT_MAX_VARS}-variable cap")
-    nvals = 1 << n
-    without = [(1 << (1 << (nvals - 1))) - 1]
-    for v in reversed(range(nvals - 1)):
+    Team indices lacking the last row are the lower half.  Going down, in
+    every block of 2^(v+2) indices the set for v + 1 holds the lower half,
+    and xor with itself shifted up by 2^v leaves the first and third
+    quarters: the indices with bit v clear."""
+    if k > _MAX_ROWS:
+        raise ResourceLimit(f"team sets over {k} rows exceed the "
+                            f"{_MAX_ROWS}-row cap")
+    without = [(1 << (1 << (k - 1))) - 1] if k else []
+    for v in reversed(range(k - 1)):
         without.append(without[-1] ^ without[-1] << (1 << v))
     without.reverse()
-    props = [reduce(and_, (w for v, w in enumerate(without)
-                           if not (v >> (n - 1 - i)) & 1))
-             for i in range(n)]
-    return _Constants(without, props)
+    return _Constants(without)
 
 
 def _space_for(domain, max_vars: int) -> _Space:
@@ -423,20 +376,23 @@ def _space_for(domain, max_vars: int) -> _Space:
 
 @nesting_limited
 def satisfies(team: Team, f: Formula) -> bool:
-    """Team satisfaction, straight from the defining clauses."""
+    """Team satisfaction by the defining clauses, read in the space of the
+    team's own rows (`_Space.sat_all`).  It answers on any number of
+    variables and rows, except that a `|` outside `~` is read from its set
+    over all subteams, which raises `ResourceLimit` above 16 rows."""
     if not props(f) <= set(team.domain):
         raise DomainMismatch(f"{sorted(props(f) - set(team.domain))} not in "
                              f"team domain {team.domain}")
-    space = _Space(team.domain)
-    return space.sat(space.team_mask(team), f)
+    rows = (reduce(lambda i, b: i << 1 | b, v, 0) for v in team.members)
+    return _Space(team.domain, rows).sat_all(f)
 
 
 @nesting_limited
 def sequent_valid(s: Sequent, max_vars: int = DEFAULT_MAX_VARS) -> bool:
     """True iff every team satisfying the antecedent satisfies the split
     disjunction of the succedent, over the sequent's own variables.  Each
-    such team is checked, team by team or through cover images over all
-    teams as `_bad_teams`'s cost rule chooses, by the defining clauses."""
+    such team is checked, alone or with all teams as `_bad_teams`'s cost
+    rule chooses, by the defining clauses."""
     space = _space_for(tuple(sorted(s.props())), max_vars)
     return _bad_teams(space, s) == 0
 
@@ -446,29 +402,33 @@ def _bad_teams(space: _Space, s: Sequent) -> int:
     the split disjunction of the succedent.
 
     The antecedent's set `hyp` is built over all teams (all teams for an
-    empty antecedent).  Then every team of `hyp` is decided, by the
-    defining clauses only, on one of two exact paths, both folding the
-    succedent left to right so that a long succedent nests no formula.
-    Team by team, each t in `hyp` is read with `sat_fold`, which costs
-    up to 4^|t| pairs of subteams per formula.  Over all teams, the
-    succedent's satisfaction sets are joined by cover images (`_or_set`),
-    each a run of operations on nteams-bit sets.  The rule: team by team
-    iff the sum of 4^|t| over the teams t of `hyp` is at most nteams/256,
-    which is 256 at four variables, where the two paths were measured to
-    cost about the same (0.1-0.2 ms per goal; 2-core x86-64 host,
-    CPython 3.11)."""
+    empty antecedent).  The succedent's set is its formulas' sets folded
+    left to right by cover images (`_or_set`), so that a long succedent
+    nests no formula; an empty succedent is `bot`.  It is built on one of
+    two exact paths.  Team by team, it is built in the space of each team
+    t of `hyp` (`team_space`), on sets of 2^|t| bits, and t is bad iff
+    its full mask is not in it.  Over all teams, it is built once, on
+    nteams-bit sets.  The rule: team by team iff the sum of 4^|t| over
+    the teams t of `hyp` is at most nteams/256, which is 256 at four
+    variables."""
     if s.ant:
         hyp = reduce(and_, map(space.sat_set, s.ant))
     else:
         hyp = (1 << space.nteams) - 1
+
+    def goal(sp: _Space) -> int:
+        """The set of the teams of `sp` that satisfy the succedent."""
+        return reduce(sp._or_set, map(sp.sat_set, s.suc)) if s.suc else 1
+
     cap = space.nteams >> 8
     # the count first, so that a large set is not walked
     if hyp.bit_count() <= cap and sum(
             4 ** t.bit_count() for t in space._members(hyp)) <= cap:
+        # t is the full mask 2^|t| - 1 of its own row space
         return sum(1 << t for t in space._members(hyp)
-                   if not space.sat_fold(t, s.suc))
-    goal = reduce(space._or_set, map(space.sat_set, s.suc)) if s.suc else 1
-    return hyp & ~goal
+                   if not (goal(space.team_space(t))
+                           >> ((1 << t.bit_count()) - 1)) & 1)
+    return hyp & ~goal(space)
 
 
 @nesting_limited

@@ -6,6 +6,8 @@ import shlex
 import subprocess
 import sys
 import time
+import tracemalloc
+from itertools import product
 from pathlib import Path
 
 from teamseq import cli
@@ -106,8 +108,9 @@ def test_eval(tmp_path, capsys):
     path.write_text(json.dumps({"vars": ["p"], "team": [[1], [0]]}))
     code, out = invoke(capsys, "eval", "p || ~p", "--team", str(path))
     assert code == 1 and out.strip() == "false"
-    # rows that are not 0/1 valuations of the domain are input errors
-    for rows in ([[2]], [[1, 0]]):
+    # rows that are not 0/1 valuations of the domain are input errors,
+    # 1.0 and true too, which equal 1 and would merge with a row [1]
+    for rows in ([[2]], [[1, 0]], [[1.0]], [[True]], [[1], [True]]):
         path.write_text(json.dumps({"vars": ["p"], "team": rows}))
         assert invoke(capsys, "eval", "p", "--team", str(path))[0] == 2
     # one team over six variables, far beyond the oracle's sweep cap
@@ -124,9 +127,50 @@ def test_eval(tmp_path, capsys):
     for obj in ({"vars": ["p", "p"], "team": [[1, 0]]},
                 {"vars": ["p", "p"], "team": [[0, 1]]},
                 {"vars": "pq", "team": [[1, 0]]},
-                {"vars": ["bot"], "team": [[1]]}):
+                {"vars": ["bot"], "team": [[1]]},
+                {"vars": ["p", "q"], "team": [[1.0, True]]}):
         path.write_text(json.dumps(obj))
         assert invoke(capsys, "eval", "p", "--team", str(path))[0] == 2
+
+
+def test_eval_is_bounded_on_long_and_wide_teams(tmp_path, capsys):
+    # a team is read in the space of its own rows: `|` up to 16 rows,
+    # beyond that exit 3 before any set over its subteams is built, and
+    # every other formula on any number of rows and variables
+    path = tmp_path / "team.json"
+
+    def evaluated(formula, names, rows):
+        path.write_text(json.dumps({"vars": names, "team": rows}))
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            code = run(["eval", formula, "--team", str(path)])
+            elapsed = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1.0 and peak < 100_000_000, (formula, elapsed,
+                                                      peak)
+        out = capsys.readouterr()
+        return code, out.out.strip() or out.err.strip()
+
+    def full(n):
+        return ([f"p{i}" for i in range(n)],
+                [list(v) for v in product((0, 1), repeat=n)])
+
+    assert evaluated("(p0 || ~p0) | (p1 || ~p1) | (p2 || ~p2) | (p3 || ~p3)",
+                     *full(4)) == (1, "false")
+    assert evaluated("p0 | p1", *full(5)) == \
+        (3, "budget exhausted: team sets over 32 rows exceed the 16-row cap")
+    for formula, answer in (("~bot & ~(p0 & ~p0)", (0, "true")),
+                            ("~(p0 & p1 & p2 & p3 & p4) || p4", (1, "false")),
+                            ("~~(p0 | ~p0)", (0, "true"))):
+        assert evaluated(formula, *full(5)) == answer
+    names, rows = [f"p{i}" for i in range(64)], [[0] * 64, [1] * 64]
+    assert evaluated("(p0 | ~p63) & ~(p0 & ~p63)", names, rows) == \
+        (0, "true")
+    assert evaluated("p0 || p63", names, rows) == (1, "false")
 
 
 def test_resolutions_degree(capsys):

@@ -173,7 +173,7 @@ RECURSIVE = {
     "interpolation._interp", "interpolation._interpolant",
     "resolutions._TruthMasks.of", "resolutions._gen",
     "resolutions.is_resolution", "resolutions.partial_resolutions.part",
-    "semantics._Space.sat", "semantics._Space.sat_points",
+    "semantics._Space.sat_all", "semantics._Space.sat_points",
     "semantics._Space.sat_set",
     "semantics.eval_classical",
     "syntax._Parser.formula", "syntax._formula_from_json",

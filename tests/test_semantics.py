@@ -12,9 +12,10 @@ from teamseq.semantics import (ClosureReport, Team, _bad_teams, _constants,
                                eval_classical, find_countermodel_bruteforce,
                                satisfies, sequent_valid, team_from_json,
                                team_to_json)
-from teamseq.syntax import (And, BOT, Gd, Neg, Or, Prop, Sequent, gd_paths,
-                            is_classical, parse_formula, parse_sequent,
-                            props, render, subformula_at, substitute_at)
+from teamseq.syntax import (And, BOT, Bot, Gd, Neg, Or, Prop, Sequent,
+                            gd_paths, is_classical, parse_formula,
+                            parse_sequent, props, render, subformula_at,
+                            substitute_at)
 
 from conftest import gen_classical, gen_formula, gen_sequent
 
@@ -189,6 +190,62 @@ def loop_or_set(space, sl, sr):
     return out
 
 
+class ClauseWalk:
+    """Reference single-team satisfaction: the defining clauses read on one
+    team at a time, memoized, the clause of `|` searching every cover of
+    the team.  A team is a mask over the valuation indices of `domain`,
+    first variable most significant."""
+
+    def __init__(self, domain):
+        self.n = len(domain)
+        self.domain = tuple(domain)
+        self.memo = {}
+
+    def members(self, mask):
+        return [v for v in range(mask.bit_length()) if (mask >> v) & 1]
+
+    def sat(self, mask, f):
+        key = (f, mask)
+        if key not in self.memo:
+            self.memo[key] = self.clause(mask, f)
+        return self.memo[key]
+
+    def clause(self, mask, f):
+        match f:
+            case Prop(name):
+                bit = self.n - 1 - self.domain.index(name)
+                return all((v >> bit) & 1 for v in self.members(mask))
+            case Bot():
+                return mask == 0
+            case Neg(c):
+                # a run of ~ on a one-valuation team is plain negation
+                flip = True
+                while isinstance(c, Neg):
+                    c, flip = c.child, not flip
+                return all(self.sat(1 << v, c) != flip
+                           for v in self.members(mask))
+            case And(l, r):
+                return self.sat(mask, l) and self.sat(mask, r)
+            case Gd(l, r):
+                return self.sat(mask, l) or self.sat(mask, r)
+            case Or(l, r):
+                # all covers mask = s | u: s over the submasks of mask, then
+                # u over the supersets of mask \ s inside mask
+                s = mask
+                while True:
+                    if self.sat(s, l):
+                        w = s
+                        while True:
+                            if self.sat(mask & ~s | w, r):
+                                return True
+                            if w == 0:
+                                break
+                            w = (w - 1) & s
+                    if s == 0:
+                        return False
+                    s = (s - 1) & mask
+
+
 @pytest.mark.parametrize("n", range(5))
 def test_or_set_matches_loop_reference(n):
     space = _Space(("a", "b", "c", "d")[:n])
@@ -245,7 +302,7 @@ def test_or_set_matches_loop_reference_on_random_and_formula_sets():
         assert space._or_set(x, y) == loop_or_set(space, x, y), (f, g)
 
 
-def test_or_set_at_four_variables(monkeypatch):
+def test_or_set_at_four_variables():
     space = _Space(("a", "b", "c", "d"))
     # all teams of at most four valuations: 1820 maximal teams a side
     quads = [sum(1 << v for v in c) for c in combinations(range(16), 4)]
@@ -259,15 +316,13 @@ def test_or_set_at_four_variables(monkeypatch):
     # verdicts of its two sides read from the sets
     small = [t for t in range(space.nteams) if t.bit_count() <= 3]
     a, b = Prop("a"), Prop("b")
-    sides = {}
-    sat = _Space.sat
 
-    def sat_of_sides(self, mask, f):
-        if f in sides:
-            return bool((sides[f] >> mask) & 1)
-        return sat(self, mask, f)
+    class GivenSides(ClauseWalk):
+        def sat(self, mask, f):
+            if f in sides:
+                return bool((sides[f] >> mask) & 1)
+            return super().sat(mask, f)
 
-    monkeypatch.setattr(_Space, "sat", sat_of_sides)
     rng = random.Random(73)
     for _ in range(4):
         x, y = (sum(1 << t for t in range(1, space.nteams)
@@ -275,9 +330,9 @@ def test_or_set_at_four_variables(monkeypatch):
                 for _ in range(2))
         assert space._maximal(x) is None and space._maximal(y) is None
         sides = {a: x, b: y}
-        space._memo.clear()
+        walk = GivenSides(space.domain)
         image = space._or_set(x, y)
-        assert all(((image >> t) & 1) == space.sat(t, Or(a, b))
+        assert all(((image >> t) & 1) == walk.sat(t, Or(a, b))
                    for t in small), (x, y)
 
 
@@ -293,7 +348,7 @@ def test_sat_set_is_the_set_of_satisfying_teams():
     rng = random.Random(79)
     for n in range(4):
         domain = ("p", "q", "r")[:n]
-        space = _Space(domain)
+        space, walk = _Space(domain), ClauseWalk(domain)
         vs = domain or ("p",)
         for _ in range(60 if n < 3 else 30):
             f = gen_formula(rng, rng.randint(0, 4), 2, vars=vs)
@@ -302,13 +357,13 @@ def test_sat_set_is_the_set_of_satisfying_teams():
             if not props(f) <= set(domain):
                 continue
             want = sum(1 << t for t in range(space.nteams)
-                       if space.sat(t, f))
+                       if walk.sat(t, f))
             assert space.sat_set(f) == want, render(f)
     for text in ("~(p | q)", "~(p | ~p)", "~(bot | p)", "~~(p & q | r)"):
         f = pf(text)
-        space = _Space(("p", "q", "r"))
+        space, walk = _Space(("p", "q", "r")), ClauseWalk(("p", "q", "r"))
         assert space.sat_set(f) == sum(1 << t for t in range(space.nteams)
-                                       if space.sat(t, f)), text
+                                       if walk.sat(t, f)), text
 
 
 def test_team_constants_per_arity():
@@ -318,13 +373,10 @@ def test_team_constants_per_arity():
         without = [(1 << (space.nteams >> 1)) - 1]
         for v in reversed(range(space.nvals - 1)):
             without.append(without[-1] ^ without[-1] << (1 << v))
-        assert _constants(n).without == without[::-1]
-        assert _constants(n).props == [
-            space._avoiding(sum(1 << v for v in range(space.nvals)
-                                if not (v >> (n - 1 - i)) & 1))
-            for i in range(n)]
-        assert _constants(n) is _constants(n)
-        assert space._without is _constants(n).without
+        k = space.nvals
+        assert _constants(k).without == without[::-1]
+        assert _constants(k) is _constants(k)
+        assert space._without is _constants(k).without
 
 
 def test_negation_reads_one_valuation_teams(monkeypatch):
@@ -336,11 +388,12 @@ def test_negation_reads_one_valuation_teams(monkeypatch):
         return or_set(self, sl, sr)
 
     monkeypatch.setattr(_Space, "_or_set", counted)
-    space = _Space(("p", "q", "r", "s"))
+    domain = ("p", "q", "r", "s")
+    space, walk = _Space(domain), ClauseWalk(domain)
     for text in ("~(p | q)", "~(p & q | r & ~s)"):
         f = pf(text)
         assert space.sat_set(f) == sum(1 << t for t in range(space.nteams)
-                                       if space.sat(t, f)), text
+                                       if walk.sat(t, f)), text
     assert calls == []
     space.sat_set(pf("p | q"))
     assert len(calls) == 1  # the count sees a cover transform
@@ -378,6 +431,38 @@ def test_single_team_beyond_the_cap():
         assert satisfies(big, f) == satisfies(small, f)
 
 
+def test_satisfies_matches_the_clause_walk():
+    # seeded teams of up to 8 rows over 0-5 variables, full teams among
+    # them, against the reference clause walk; each team is also read in
+    # a row space of its rows in shuffled order, and up to four variables
+    # its bit in the set over all teams is compared too
+    rng = random.Random(97)
+    for n in range(6):
+        domain = ("p", "q", "r", "s", "t")[:n]
+        walk, space = ClauseWalk(domain), _Space(domain) if n <= 4 else None
+        for _ in range(100):
+            if n:
+                f = gen_formula(rng, rng.randint(0, 4), 2, vars=domain)
+                if rng.random() < 0.3:
+                    f = Neg(gen_classical(rng, rng.randint(1, 4), domain))
+            else:
+                f = rng.choice(BOT_FORMULAS)
+            if n <= 3 and rng.random() < 0.25:
+                rows = list(range(1 << n))
+            else:
+                rows = rng.sample(range(1 << n),
+                                  rng.randint(0, min(8, 1 << n)))
+            mask = sum(1 << v for v in rows)
+            want = walk.sat(mask, f)
+            members = [tuple((v >> (n - 1 - i)) & 1 for i in range(n))
+                       for v in rows]
+            assert satisfies(Team(domain, members), f) == want, (f, rows)
+            rng.shuffle(rows)
+            assert _Space(domain, rows).sat_all(f) == want, (f, rows)
+            if space is not None:
+                assert ((space.sat_set(f) >> mask) & 1) == want, (f, rows)
+
+
 def test_countermodel_golden():
     cm = find_countermodel_bruteforce(ps("p||(p|~p) => p||~p"))
     assert cm == team("p", (1,), (0,))
@@ -412,21 +497,21 @@ def test_countermodel_agrees_with_validity():
 class GivenHypothesis(_Space):
     """A space in which the antecedent formula `HYP` (its variable is
     outside every domain used here) stands for the set of teams `hyp`, so
-    `_bad_teams` can be fed any set; it counts the teams read by
-    `sat_fold` and the cover images built."""
+    `_bad_teams` can be fed any set; it counts the teams read in their
+    own row space and the cover images built over all teams."""
 
     HYP = Prop("given")
 
     def __init__(self, domain, hyp):
         super().__init__(domain)
-        self.hyp, self.folded, self.images = hyp, 0, 0
+        self.hyp, self.read_alone, self.images = hyp, 0, 0
 
     def sat_set(self, f):
         return self.hyp if f == self.HYP else super().sat_set(f)
 
-    def sat_fold(self, mask, formulas):
-        self.folded += 1
-        return super().sat_fold(mask, formulas)
+    def team_space(self, mask):
+        self.read_alone += 1
+        return super().team_space(mask)
 
     def _or_set(self, sl, sr):
         self.images += 1
@@ -445,8 +530,8 @@ def reference_goal(space, suc):
 def first_in_order(domain, teams):
     """The first team of the set `teams` in (size, membership) order."""
     space = _Space(domain)
-    return next((t for t in all_teams(domain)
-                 if (teams >> space.team_mask(t)) & 1), None)
+    members = {space.team(t) for t in space._members(teams)}
+    return next((t for t in all_teams(domain) if t in members), None)
 
 
 BOT_FORMULAS = (BOT, Neg(BOT), Or(BOT, Neg(BOT)), Gd(BOT, Neg(BOT)),
@@ -497,7 +582,8 @@ def test_bad_teams_matches_the_cover_image_reference():
                 # the team-by-team path reads every team of the set and
                 # builds no cover image
                 by_team = cost(hyp) <= cap
-                assert space.folded == (hyp.bit_count() if by_team else 0)
+                assert space.read_alone == (hyp.bit_count() if by_team
+                                            else 0)
                 assert not (by_team and space.images)
 
 
@@ -565,7 +651,9 @@ def test_small_antecedent_builds_no_cover_image(monkeypatch):
     or_set = _Space._or_set
 
     def counted(self, sl, sr):
-        calls.append((sl, sr))
+        # only cover images over all teams of the four variables
+        if self.nvals == 16:
+            calls.append((sl, sr))
         return or_set(self, sl, sr)
 
     monkeypatch.setattr(_Space, "_or_set", counted)
