@@ -191,8 +191,7 @@ def _search_branch(ant, suc, domain, budget):
     witnesses: list[dict[str, int]] = []
     rows = []
     for pairing in resolution_choices(suc, witnesses,
-                                      partial(budget.spend, _STAGE2_UNIT),
-                                      canonical=True):
+                                      partial(budget.spend, _STAGE2_UNIT)):
         out = derive((ant, mset(r for _, r in pairing)), _classical_step,
                      domain, budget)
         if isinstance(out, Derivation):

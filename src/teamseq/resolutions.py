@@ -59,13 +59,11 @@ def is_resolution(f: Formula, target: Formula) -> bool:
             and is_resolution(f.right, target.right))
 
 
-def resolution_choices(formulas, witnesses=None, on_node=None, *,
-                       canonical: bool = False
+def resolution_choices(formulas, witnesses=None, on_node=None
                        ) -> Iterator[tuple[tuple[Formula, Formula], ...]]:
     """All resolution functions for a multiset, as (formula, resolution)
-    pairings; formulas in canonical order, choices enumerated left-first.
-    With `canonical`, `formulas` is a tuple already in that order, such as
-    a sequent side, and is not sorted again.
+    pairings, choices enumerated left-first.  `formulas` is a canonical
+    tuple, such as a sequent side, and is not sorted again.
 
     The pairings are generated lazily, one per pull, so a caller that stops
     early pays neither the time nor the memory of the rest.  With
@@ -75,15 +73,14 @@ def resolution_choices(formulas, witnesses=None, on_node=None, *,
     yielded, in the same order; `on_node` is called once per generator
     node entered."""
     t = _TruthMasks([] if witnesses is None else witnesses)
-    fs = formulas if canonical else mset(formulas)
-    return _covers(fs, t.all, t, on_node or _no_op)
+    return _covers(formulas, t.all, t, on_node or _no_op)
 
 
 def resolutions_multiset(formulas) -> frozenset[tuple[Formula, ...]]:
     """Images of a multiset under all resolution functions, as canonical
     multisets."""
     out = set()
-    for pairing in resolution_choices(formulas):
+    for pairing in resolution_choices(mset(formulas)):
         out.add(mset(r for _, r in pairing))
     return frozenset(out)
 

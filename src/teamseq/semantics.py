@@ -268,22 +268,16 @@ class _Space:
                 out |= out << (1 << v)
         return out
 
-    @cached_property
-    def _without(self) -> list[int]:
-        """`_without[v]` is the set of teams that do not contain row v,
-        `_avoiding(1 << v)`; see `_constants`."""
-        return _constants(self.nvals).without
-
     def _maximal(self, sat: int) -> int | None:
         """The maximal teams of `sat` if it is downward closed, else None.
 
-        Bit t of `(sat >> (1 << v)) & _without[v]` is set iff t lacks v and
+        Bit t of `(sat >> (1 << v)) & without[v]` is set iff t lacks v and
         t + {v} is in `sat`: these are the members less one row.  `sat` is
         downward closed iff all of them are members, since by induction
         every subteam of a member is then one, and its maximal teams are
         the members that are not among them."""
         smaller = 0
-        for v, without in enumerate(self._without):
+        for v, without in enumerate(_without(self.nvals)):
             smaller |= (sat >> (1 << v)) & without
         return None if smaller & ~sat else sat & ~smaller
 
@@ -308,7 +302,7 @@ class _Space:
         member with neither the check nor the count.  Above 16 rows
         `_without` raises `ResourceLimit` before any set is built.
         """
-        without = self._without
+        without = _without(self.nvals)
         if sl & (sl - 1) == 0 or sr & (sr - 1) == 0:
             teams, other = (sl, sr) if sl & (sl - 1) == 0 else (sr, sl)
             by_member = True
@@ -336,18 +330,12 @@ class _Space:
         return out
 
 
-@dataclass(frozen=True)
-class _Constants:
-    """The sets of teams that depend only on the number of rows, shared
-    by every `_Space` with that many rows, which only reads them."""
-
-    without: list[int]  # per row v, the teams that lack v
-
-
 @cache
-def _constants(k: int) -> _Constants:
-    """The `_Constants` of `k` rows, built once per row count and only up
-    to `_MAX_ROWS` (2^16-bit sets, about 0.25 MB for all counts); more rows
+def _without(k: int) -> list[int]:
+    """Per row v of `k` rows, the set of teams that do not contain v,
+    `_avoiding(1 << v)`: shared by every `_Space` with that many rows,
+    which only reads it.  Built once per row count and only up to
+    `_MAX_ROWS` (2^16-bit sets, about 0.25 MB for all counts); more rows
     raise `ResourceLimit` before anything is built.
 
     Team indices lacking the last row are the lower half.  Going down, in
@@ -361,7 +349,7 @@ def _constants(k: int) -> _Constants:
     for v in reversed(range(k - 1)):
         without.append(without[-1] ^ without[-1] << (1 << v))
     without.reverse()
-    return _Constants(without)
+    return without
 
 
 def _space_for(domain, max_vars: int) -> _Space:

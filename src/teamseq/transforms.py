@@ -6,11 +6,13 @@ rules above the right deep rule above the left deep rule), the
 decomposition of a derivation into classical derivations indexed by
 antecedent resolutions, and cut elimination.
 
-Cut elimination is the paper's corollary of the normal form: both premises
-of a cut are normalized and split into classical branches (`_split`), each
-pair of branches is cut classically (`_ccut`), and the deep rules are put
-back (`_reassemble`); `resolve_derivation` and `reassemble` are that split
-and that reassembly.
+The normal form is the paper's: a cutfree derivation is split into
+classical branches by inversion (`_split`), and the deep rules are put
+back below them (`_reassemble`); `normalize`, `resolve_derivation` and
+`reassemble` are that split and that reassembly.  Cut elimination is
+the paper's corollary of it: both premises of a cut are split, each pair
+of branches is cut classically (`_ccut`), and the deep rules are put
+back.
 
 They work in G3, the calculus without the variant rules (LC, RC, RAndI,
 LOrI), where weakening and contraction are admissible.  Cut elimination
@@ -18,18 +20,24 @@ removes the variant rules too; the others run it first where one occurs.
 Each public transform scans its input once (`_scan`) and refuses a rule
 without its formula before it reduces anything.
 
-Inversion is the workhorse: its recursion carries out exactly the rule
-commutations the other transformations need, including the three ways two
-left deep-rule applications on the same formula can interact (disjoint
-occurrences, one inside the kept disjunct, one inside the discarded
-disjunct).
+Weakening, inversion, contraction and the classical cut go by induction
+on height, as in Negri and von Plato, *Structural Proof Theory* (2001),
+and each is one walk (`_walk`): up the rules that hold its formula as
+context, on an explicit stack and once per node object, each such rule
+rebuilt over its transformed premises.  A walk stops at the axioms, at
+an RAnd or LOr whose implicit weakening holds the formula, and at a rule
+on the formula itself, where it recurses only into a strictly smaller
+formula.  So they answer at any height, and shared nodes stay shared.
+Inversion covers the three ways two left deep-rule applications on the
+same formula can interact (disjoint occurrences, one inside the kept
+disjunct, one inside the discarded disjunct).
 
-Inversion, contraction and normalization read each rule the way the
-calculus steps back through it: `calculus.actives` gives, per premise,
-the active formulas that premise adds, and `calculus.infer` (or `rebuild`
-on a recorded rule) reapplies the rule, with another principal formula
-or path where a commutation moves it; it raises ValueError on misaligned
-premises.  So each commutation is one case over all rules.
+Inversion and contraction read each rule the way the calculus steps back
+through it: `calculus.actives` gives, per premise, the active formulas
+that premise adds, and `calculus.infer` (or `rebuild` on a recorded rule)
+reapplies the rule, with another principal formula or path where a
+commutation moves it; it raises ValueError on misaligned premises.  So
+each commutation is one case over all rules.
 """
 
 from __future__ import annotations
@@ -37,20 +45,21 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, replace
 
-from .calculus import (PRINCIPAL_SIDE, Derivation, RuleApp, actives,
-                       antecedent_taken, axiom, derive, fold, infer,
-                       is_cutfree, make_at, make_lbot, premises_of, rebuild,
-                       replay_rgd, rule_nodes, swap_antecedents)
+from .calculus import (PRINCIPAL_SIDE, Derivation, actives, axiom, derive,
+                       fold, infer, is_cutfree, premises_of, rebuild,
+                       replay_rgd, rule_nodes)
 from .errors import (ContainsCut, FormulaNotDuplicated, NonClassicalAntecedent,
                      NonClassicalRightContraction, ShapeMismatch,
                      nesting_limited)
 from .prover import prove_or_countermodel
 from .resolutions import resolution_steps, resolutions_multiset
-from .syntax import (And, Formula, Gd, Neg, Or, Sequent, children, first_gd,
-                     gd_sides, is_classical, mset, mset_add, mset_remove,
-                     mset_sub, render, subformula_at, substitute_at)
+from .syntax import (And, Formula, Gd, Neg, Or, Sequent, children,
+                     first_gd, gd_sides, is_classical, mset, mset_add,
+                     mset_remove, mset_sub, postorder, render, subformula_at)
 
 _VARIANT = ("LC", "RC", "RAndI", "LOrI")
+# the rules with an implicit weakening in the succedent
+_WEAK = ("RAnd", "LOr")
 
 
 def _scan(d: Derivation) -> bool:
@@ -72,33 +81,76 @@ def _g3(d: Derivation) -> Derivation:
     return fold(d, _elim) if _scan(d) else d
 
 
+def _walk(d: Derivation, step) -> list:
+    """The outputs of a transform of `d` that walks up its nodes on an
+    explicit stack (`postorder`), once per node object.  `step(node)`
+    gives a list of the node's outputs where the walk stops, or else a
+    tuple of the indices of the premises it goes up; output k of such a
+    node is its rule over its premises, each one gone up replaced by that
+    premise's output k."""
+    steps: dict[int, object] = {}
+
+    def up(node: Derivation):
+        out = steps[id(node)] = step(node)
+        return [node.premises[i] for i in out] if type(out) is tuple else ()
+
+    done: dict[int, list] = {}
+    for node in postorder(d, up, done):
+        out = steps[id(node)]
+        if type(out) is tuple:
+            prems = list(node.premises)
+            subs = [done[id(prems[i])] for i in out]
+            outs = []
+            for k in range(len(subs[0])):
+                for i, sub in zip(out, subs):
+                    prems[i] = sub[k]
+                outs.append(rebuild(node.rule, prems))
+            out = outs
+        done[id(node)] = out
+    return done[id(d)]
+
+
+def _every(d: Derivation) -> tuple:
+    """The indices of all premises of `d`: a walk goes up each."""
+    return tuple(range(len(d.premises)))
+
+
+def _side(side: str) -> str:
+    """The sequent side 'ant' or 'suc' a transform names 'L' or 'R'."""
+    if side not in ("L", "R"):
+        raise ShapeMismatch(f"side {side!r} is neither 'L' nor 'R'")
+    return "ant" if side == "L" else "suc"
+
+
 # ---------------------------------------------------------------------------
 # Weakening
 
 @nesting_limited
 def weaken(d: Derivation, side: str, f: Formula) -> Derivation:
     """Add `f` to one side of the endsequent; height-preserving on G3."""
-    return _weaken(_g3(d), side, f)
+    _side(side)
+    return _weaken(_g3(d), side, (f,))
 
 
-def _weaken(d: Derivation, side: str, f: Formula) -> Derivation:
-    tag = d.rule.rule
-    c = d.conclusion
-    if tag in ("At", "LBot"):
-        if side == "L":
-            return axiom(mset_add(c.ant, f), c.suc, d.rule.formula)
-        return axiom(c.ant, mset_add(c.suc, f), d.rule.formula)
-    if tag in ("RAnd", "LOr") and side == "R":
-        return rebuild(d.rule, d.premises, weak=mset_add(d.rule.weak or (), f))
-    if tag == "Cut":
-        return rebuild(d.rule, (_weaken(d.premises[0], side, f), d.premises[1]))
-    return rebuild(d.rule, tuple(_weaken(p, side, f) for p in d.premises))
+def _weaken(d: Derivation, side: str, fs) -> Derivation:
+    """`d` with the multiset `fs` added to one side of every node up to
+    the axioms, each of which takes `fs`; on the right, an RAnd or LOr
+    takes it into its implicit weakening instead, and a Cut passes it to
+    its left premise."""
+    if not fs:
+        return d
 
+    def step(n: Derivation):
+        r, c = n.rule, n.conclusion
+        if r.rule in ("At", "LBot"):
+            if side == "L":
+                return [axiom(mset_add(c.ant, *fs), c.suc, r.formula)]
+            return [axiom(c.ant, mset_add(c.suc, *fs), r.formula)]
+        if side == "R" and r.rule in _WEAK:
+            return [rebuild(r, n.premises, weak=mset_add(r.weak or (), *fs))]
+        return (0,) if r.rule == "Cut" else _every(n)
 
-def _weaken_all(d: Derivation, side: str, fs) -> Derivation:
-    for f in fs:
-        d = _weaken(d, side, f)
-    return d
+    return _walk(d, step)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -116,16 +168,6 @@ def _with(prems, idx: int, d: Derivation) -> tuple:
     return tuple(prems[:idx]) + (d,) + tuple(prems[idx + 1:])
 
 
-def _each_out(item: _Item, sub, fn):
-    """Map `fn(k, out)` over the outputs of an inversion on `item`: each
-    output of a conjunctive item, or the one output of an RGd item (k the
-    index of its side), which keeps its side."""
-    if item.tag == "RGd":
-        out, side = sub
-        return fn("LR".index(side), out), side
-    return [fn(k, out) for k, out in enumerate(sub)]
-
-
 def _path_rel(p: tuple, q: tuple):
     """Relation of p to a different path q: 'disjoint',
     ('p_inside_q', j, rest), or ('q_inside_p', j, rest)."""
@@ -138,58 +180,53 @@ def _path_rel(p: tuple, q: tuple):
 
 def _invert(d: Derivation, item: _Item):
     """Returns a list of derivations (conjunctive items), or a pair
-    (derivation, side) for the disjunctive RGd item."""
-    r = d.rule
-    if r.rule in ("At", "LBot"):
-        outs = [axiom(a, s, r.formula)
-                for a, s in premises_of(item.tag, d.conclusion.ant,
-                                        d.conclusion.suc, item.active, item.path)]
-        return (outs[0], "L") if item.tag == "RGd" else outs
+    (derivation, side) for the disjunctive RGd item.  The walk goes up the
+    rules that hold the item's occurrence as context; an RGd item goes up
+    one premise at each, so it stops at one node, which keeps the side."""
+    side = PRINCIPAL_SIDE[item.tag]
+    kept = []  # the side that node keeps, for an RGd item
 
-    if PRINCIPAL_SIDE.get(r.rule) == PRINCIPAL_SIDE[item.tag] \
-            and r.formula == item.active:
-        return _invert_principal(d, item)
-    return _invert_context(d, item)
-
-
-def _invert_context(d: Derivation, item: _Item):
-    """The item's active occurrence is a context formula of the root rule."""
-    r = d.rule
-
-    if r.rule in ("RAnd", "LOr") and item.active in (r.weak or ()) \
-            and PRINCIPAL_SIDE[item.tag] == "suc":
-        # introduced by the implicit weakening: rebuild, adjusting the slot
-        rest = mset_remove(r.weak, item.active)
-        outs = [rebuild(r, tuple(_weaken_all(p, "L", ant) for p in d.premises),
-                        weak=mset_add(rest, *suc))
-                for ant, suc in actives(item.tag, item.active, item.path)]
-        return (outs[0], "L") if item.tag == "RGd" else outs
-
-    if r.rule == "Cut":
-        phi = r.cutformula
-        p1, p2 = d.premises
-        if PRINCIPAL_SIDE[item.tag] == "ant":
-            in_first = item.active in p1.conclusion.ant
-        else:
-            in_first = item.active in mset_remove(p1.conclusion.suc, phi)
-        idx = 0 if in_first else 1
-        return _each_out(item, _invert(d.premises[idx], item),
-                         lambda _k, o: rebuild(r, _with(d.premises, idx, o)))
-
-    if item.tag == "RGd":
-        # disjunctive item through a context: only unary rules can occur
-        # (restricted binary contexts are classical; reachable otherwise
-        # only below a cut on a nonclassical formula, where the choice of
-        # side need not be uniform across premises)
-        if len(d.premises) != 1:
+    def step(n: Derivation):
+        r = n.rule
+        if PRINCIPAL_SIDE.get(r.rule) == side and r.formula == item.active:
+            outs = _invert_principal(n, item)
+            if item.tag != "RGd":
+                return outs
+            kept.append(outs[1])
+            return [outs[0]]
+        # an axiom or an implicit weakening gives an RGd item one output,
+        # which keeps the left side
+        if r.rule in ("At", "LBot"):
+            c = n.conclusion
+            outs = [axiom(a, s, r.formula)
+                    for a, s in premises_of(item.tag, c.ant, c.suc,
+                                            item.active, item.path)]
+        elif side == "suc" and r.rule in _WEAK \
+                and item.active in (r.weak or ()):
+            # introduced by the implicit weakening: rebuild, adjusting it
+            rest = mset_remove(r.weak, item.active)
+            outs = [rebuild(r, tuple(_weaken(p, "L", ant) for p in n.premises),
+                            weak=mset_add(rest, *suc))
+                    for ant, suc in actives(item.tag, item.active, item.path)]
+        elif r.rule == "Cut":
+            p1 = n.premises[0].conclusion
+            return (0,) if item.active in (
+                p1.ant if side == "ant"
+                else mset_remove(p1.suc, r.cutformula)) else (1,)
+        elif item.tag == "RGd" and len(n.premises) != 1:
+            # restricted binary contexts are classical, so this is reached
+            # only below a cut on a nonclassical formula, where the choice
+            # of side need not be uniform across premises
             raise ShapeMismatch(
                 f"right deep-rule inversion through {r.rule} with a "
                 f"nonclassical antecedent")
-        out, side = _invert(d.premises[0], item)
-        return rebuild(r, (out,)), side
+        else:
+            return _every(n)
+        kept.append("L")
+        return outs
 
-    subs = [_invert(p, item) for p in d.premises]
-    return [rebuild(r, prems) for prems in zip(*subs)]
+    outs = _walk(d, step)
+    return (outs[0], kept[0]) if item.tag == "RGd" else outs
 
 
 def _invert_principal(d: Derivation, item: _Item):
@@ -202,7 +239,7 @@ def _invert_principal(d: Derivation, item: _Item):
     if t_i == t_r == "RGd":
         return _invert_rgd_rgd(d, item)
     if t_i == t_r:
-        return [_weaken_all(p, "R", r.weak or ()) for p in d.premises]
+        return [_weaken(p, "R", r.weak or ()) for p in d.premises]
 
     if t_i in ("LGd", "RGd"):
         # a shallow rule on the formula holding the item's deep occurrence:
@@ -211,8 +248,14 @@ def _invert_principal(d: Derivation, item: _Item):
         k = i if len(d.premises) == 2 else 0
         sub = _invert(d.premises[k], _Item(t_i, children(chi)[i], rest))
         hosts = gd_sides(chi, item.path)
-        return _each_out(item, sub, lambda m, o: rebuild(
-            replace(r, formula=hosts[m]), _with(d.premises, k, o)))
+
+        def out(m: int, o: Derivation) -> Derivation:
+            return rebuild(replace(r, formula=hosts[m]),
+                           _with(d.premises, k, o))
+        if t_i == "RGd":
+            o, side = sub
+            return out("LR".index(side), o), side
+        return [out(m, o) for m, o in enumerate(sub)]
 
     # a deep rule inside the formula the shallow item decomposes: invert
     # each premise, then reapply the deep rule in the output holding it
@@ -313,35 +356,36 @@ def contract(d: Derivation, side: str, f: Formula) -> Derivation:
 
     Right contraction demands a classical formula.
     """
+    pool = getattr(d.conclusion, _side(side))
     if side == "R" and not is_classical(f):
         raise NonClassicalRightContraction(render(f))
-    pool = d.conclusion.ant if side == "L" else d.conclusion.suc
     if pool.count(f) < 2:
         raise FormulaNotDuplicated(f"{render(f)} not duplicated on {side}")
     return _contract(_g3(d), side, f)
 
 
 def _contract(d: Derivation, side: str, f: Formula) -> Derivation:
-    r = d.rule
-    c = d.conclusion
-    if r.rule in ("At", "LBot"):
-        if side == "L":
-            return axiom(mset_remove(c.ant, f), c.suc, r.formula)
-        return axiom(c.ant, mset_remove(c.suc, f), r.formula)
+    """`d` with one copy of `f` less on one side of every node up to the
+    axioms, each of which gives one up; on the right, an RAnd or LOr that
+    holds `f` in its implicit weakening gives that copy up, and a rule on
+    `f` contracts its premises' active formulas (`_contract_principal`).
+    A Cut passes the contraction to the premise that holds both copies."""
+    principal = _side(side)
 
-    if PRINCIPAL_SIDE.get(r.rule) == ("ant" if side == "L" else "suc") \
-            and r.formula == f:
-        return _contract_principal(d, side, f)
-
-    if r.rule in ("RAnd", "LOr") and side == "R":
-        weak = r.weak or ()
-        if f in weak:
-            return rebuild(d.rule, d.premises, weak=mset_remove(weak, f))
-        return rebuild(d.rule, tuple(_contract(p, side, f) for p in d.premises))
-
-    if r.rule == "Cut":
+    def step(n: Derivation):
+        r, c = n.rule, n.conclusion
+        if r.rule in ("At", "LBot"):
+            if side == "L":
+                return [axiom(mset_remove(c.ant, f), c.suc, r.formula)]
+            return [axiom(c.ant, mset_remove(c.suc, f), r.formula)]
+        if side == "R" and r.rule in _WEAK and f in (r.weak or ()):
+            return [rebuild(r, n.premises, weak=mset_remove(r.weak, f))]
+        if PRINCIPAL_SIDE.get(r.rule) == principal and r.formula == f:
+            return [_contract_principal(n, side, f)]
+        if r.rule != "Cut":
+            return _every(n)
+        p1, p2 = n.premises
         phi = r.cutformula
-        p1, p2 = d.premises
         if side == "L":
             c1 = p1.conclusion.ant.count(f)
             c2 = mset_remove(p2.conclusion.ant, phi).count(f)
@@ -349,20 +393,18 @@ def _contract(d: Derivation, side: str, f: Formula) -> Derivation:
             c1 = mset_remove(p1.conclusion.suc, phi).count(f)
             c2 = p2.conclusion.suc.count(f)
         if c1 >= 2:
-            return rebuild(d.rule, (_contract(p1, side, f), p2))
+            return (0,)
         if c2 >= 2:
-            return rebuild(d.rule, (p1, _contract(p2, side, f)))
+            return (1,)
         raise ShapeMismatch("contraction across the two premises of a cut")
 
-    return rebuild(d.rule, tuple(_contract(p, side, f) for p in d.premises))
+    return _walk(d, step)[0]
 
 
 def _contract_principal(d: Derivation, side: str, f: Formula) -> Derivation:
     """Invert premise k on the other copy of `f` and keep output k: it
     holds each active formula of premise k twice, so contract each."""
     r = d.rule
-    if side == "R" and f in (r.weak or ()):
-        return rebuild(r, d.premises, weak=mset_remove(r.weak, f))
     item = _Item(r.rule, f, r.path or ())
     prems = []
     for k, (ant, suc) in enumerate(actives(item.tag, f, item.path)):
@@ -389,98 +431,19 @@ def is_normal(d: Derivation) -> bool:
                for n in rule_nodes(d) for p in n.premises)
 
 
-def _push_rgd(host: Formula, path, side: str, n: Derivation) -> Derivation:
-    """Insert a right deep-rule application below the normalized `n`."""
-    if n.rule.rule == "LGd":
-        return rebuild(n.rule, [_push_rgd(host, path, side, p)
-                                for p in n.premises])
-    return infer("RGd", (n,), host, path, side)
-
-
-def _active_child(r: RuleApp, idx: int, g: Formula, side: str):
-    """The index of the child of `r`'s principal formula that premise `idx`
-    of `r` receives as an active formula equal to `g` on `side`, or None
-    when `g` is a context formula there."""
-    acts = actives(r.rule, r.formula)
-    if g not in acts[idx][side == "suc"]:
-        return None
-    # a binary rule gives premise idx child idx; a unary one gives both
-    return idx if len(acts) == 2 else children(r.formula).index(g)
-
-
-def _push_classical(r: RuleApp, premises):
-    """Insert the classical rule `r` below normalized premises, commuting
-    it past their deep-rule segments."""
-
-    def on(formula):
-        """The pushed rule with another principal formula."""
-        return replace(r, formula=formula)
-
-    prems = tuple(premises)
-
-    # commute below a left deep rule first
-    for idx, n in enumerate(prems):
-        if n.rule.rule != "LGd":
-            continue
-        g, gpath = n.rule.formula, n.rule.path
-        i = _active_child(r, idx, g, "ant")
-        if i is not None:
-            outs = [_push_classical(on(substitute_at(r.formula, (i,), gk)),
-                                    _with(prems, idx, n.premises[k]))
-                    for k, gk in enumerate(gd_sides(g, gpath))]
-            return infer("LGd", outs, r.formula, (i,) + gpath)
-        # a context occurrence; in a binary rule, align the other premise
-        # by inversion
-        if len(prems) == 1:
-            aligned = (prems, prems)
-        else:
-            aligned = [_with(prems, 1 - idx, a)
-                       for a in _invert(prems[1 - idx], _Item("LGd", g, gpath))]
-        outs = [_push_classical(r, _with(aligned[k], idx, n.premises[k]))
-                for k in (0, 1)]
-        return rebuild(n.rule, outs)
-
-    # then below a right deep rule
-    for idx, n in enumerate(prems):
-        if n.rule.rule != "RGd":
-            continue
-        h, hpath, hside = n.rule.formula, n.rule.path, n.rule.side
-        i = _active_child(r, idx, h, "suc")
-        if i is not None:
-            resolved = gd_sides(h, hpath)["LR".index(hside)]
-            out = _push_classical(on(substitute_at(r.formula, (i,), resolved)),
-                                  _with(prems, idx, n.premises[0]))
-            return infer("RGd", (out,), r.formula, (i,) + hpath, hside)
-        # context occurrence: commute straight down (the restricted binary
-        # rules cannot reach here: their classical contexts exclude h)
-        assert len(prems) == 1, r.rule
-        out = _push_classical(r, [n.premises[0]])
-        return _push_rgd(h, hpath, hside, out)
-
-    return rebuild(r, prems)
-
-
 @nesting_limited
 def normalize(d: Derivation) -> Derivation:
     """Transform a cutfree derivation into phase normal form: on every
     branch, classical rules above right deep rules above left deep rules;
-    the endsequent is unchanged."""
+    the endsequent is unchanged.  A derivation in normal form is returned
+    as it is; any other is split into its classical branches and
+    reassembled."""
     if not is_cutfree(d):
         raise ContainsCut("normal form is defined for cutfree derivations")
-    return fold(_g3(d), _norm)
-
-
-def _norm(d: Derivation, ps) -> Derivation:
-    """`fold` step of `normalize`: `d` over its normalized premises `ps`."""
-    r = d.rule
-    if all(map(operator.is_, ps, d.premises)) and all(
-            _PHASE.get(p.rule.rule, 2) >= _PHASE.get(r.rule, 2) for p in ps):
+    d = _g3(d)
+    if is_normal(d):
         return d
-    if r.rule == "LGd":
-        return rebuild(r, ps)
-    if r.rule == "RGd":
-        return _push_rgd(r.formula, r.path, r.side, ps[0])
-    return _push_classical(r, ps)
+    return _reassemble((d.conclusion.ant, d.conclusion.suc), _split(d))
 
 
 # ---------------------------------------------------------------------------
@@ -488,44 +451,68 @@ def _norm(d: Derivation, ps) -> Derivation:
 # classically, reassemble
 
 def _ccut(d1: Derivation, d2: Derivation, phi: Formula) -> Derivation:
-    """Cutfree classical derivation of the cut of d1 and d2 on phi."""
-    t_ant = d1.conclusion.ant + mset_remove(d2.conclusion.ant, phi)
-    t_suc = mset_remove(d1.conclusion.suc, phi) + d2.conclusion.suc
+    """Cutfree classical derivation of the cut of d1 and d2 on phi: a walk
+    up d1 to its rules on phi, and from each of them a walk up d2 to its
+    rules on phi, where the cut is reduced (`_reduce`).  Whether d2 is an
+    axiom that settles the cut is the same at every node of d1, so it is
+    read once, at d1's root, after d1's own axiom cases."""
+    if d1.rule.rule not in ("At", "LBot") and _settles(d2, phi):
+        return _cut_axiom(d1, d2, phi)
 
-    r1, r2 = d1.rule, d2.rule
-    if r1.rule == "At":
-        if phi == r1.formula:
-            # absorb d2 with the axiom's antecedent variable intact
-            out = _weaken_all(d2, "L", mset_sub(t_ant, d2.conclusion.ant))
-            return _weaken_all(out, "R", mset_sub(t_suc, d2.conclusion.suc))
-        return make_at(t_ant, t_suc, r1.formula)
-    if r1.rule == "LBot":
-        return make_lbot(t_ant, t_suc)
-    if r2.rule == "At":
-        if phi == r2.formula:
-            out = _weaken_all(d1, "L", mset_sub(t_ant, d1.conclusion.ant))
-            return _weaken_all(out, "R", mset_sub(t_suc, d1.conclusion.suc))
-        return make_at(t_ant, t_suc, r2.formula)
-    if r2.rule == "LBot" and d2.conclusion.ant.count(r2.formula) > (phi == r2.formula):
-        # a bot that is not consumed by the cut remains in the conclusion
-        return make_lbot(t_ant, t_suc)
-    # (a cut on bot itself is always commuted into d1: no rule introduces
-    # bot on the right, so it is never left-principal)
-
-    if not (PRINCIPAL_SIDE.get(r1.rule) == "suc" and r1.formula == phi):
-        if phi in (r1.weak or ()):
+    def left(n: Derivation):
+        r = n.rule
+        if r.rule in ("At", "LBot"):
+            return [_cut_axiom(n, d2, phi)]
+        if PRINCIPAL_SIDE.get(r.rule) == "suc" and r.formula == phi:
+            return [_walk(d2, lambda m: right(n, m))[0]]
+        if r.rule in _WEAK and phi in (r.weak or ()):
             # phi is implicitly weakened in: weaken d2's context in instead
-            prems = tuple(_weaken_all(p, "L",
-                                      mset_remove(d2.conclusion.ant, phi))
-                          for p in d1.premises)
-            new_weak = mset_remove(r1.weak, phi) + d2.conclusion.suc
-            return rebuild(r1, prems, weak=new_weak)
-        return rebuild(r1, tuple(_ccut(p, d2, phi) for p in d1.premises))
+            prems = tuple(_weaken(p, "L", mset_remove(d2.conclusion.ant, phi))
+                          for p in n.premises)
+            new_weak = mset_remove(r.weak, phi) + d2.conclusion.suc
+            return [rebuild(r, prems, weak=new_weak)]
+        return _every(n)
 
-    if not (PRINCIPAL_SIDE.get(r2.rule) == "ant" and r2.formula == phi):
-        return rebuild(r2, tuple(_ccut(d1, p, phi) for p in d2.premises))
+    def right(n1: Derivation, n: Derivation):
+        if _settles(n, phi):
+            return [_cut_axiom(n1, n, phi)]
+        if PRINCIPAL_SIDE.get(n.rule.rule) == "ant" and n.rule.formula == phi:
+            return [_reduce(n1, n, phi)]
+        return _every(n)
 
-    # principal on both sides: reduce the rank
+    return _walk(d1, left)[0]
+
+
+def _settles(d2: Derivation, phi: Formula) -> bool:
+    """Whether the right premise `d2` of a cut on phi is an axiom that
+    settles it: At, or LBot on a bot that the cut does not consume, which
+    then stays in its conclusion.  (A cut on bot itself always goes up the
+    left premise: no rule introduces bot on the right, so it is never
+    left-principal.)"""
+    r = d2.rule
+    return r.rule == "At" or r.rule == "LBot" and \
+        d2.conclusion.ant.count(r.formula) > (phi == r.formula)
+
+
+def _cut_axiom(d1: Derivation, d2: Derivation, phi: Formula) -> Derivation:
+    """The cut of d1 and d2 on phi, where d1 is an axiom, or else d2 is one
+    that settles the cut: the other premise weakened to the cut's
+    conclusion where the axiom is At on phi, and otherwise the axiom over
+    that conclusion."""
+    ax, other = (d1, d2) if d1.rule.rule in ("At", "LBot") else (d2, d1)
+    ant = d1.conclusion.ant + mset_remove(d2.conclusion.ant, phi)
+    suc = mset_remove(d1.conclusion.suc, phi) + d2.conclusion.suc
+    r = ax.rule
+    if r.rule == "At" and r.formula == phi:
+        # absorb the other premise with the axiom's antecedent variable intact
+        out = _weaken(other, "L", mset_sub(ant, other.conclusion.ant))
+        return _weaken(out, "R", mset_sub(suc, other.conclusion.suc))
+    return axiom(mset(ant), mset(suc), r.formula)
+
+
+def _reduce(d1: Derivation, d2: Derivation, phi: Formula) -> Derivation:
+    """The cut of d1 and d2 on phi, each with a rule on phi at its root,
+    reduced to cuts on phi's immediate subformulas."""
     match phi:
         case Neg(beta):
             u = d1.premises[0]          # ant + beta => suc - phi
@@ -541,7 +528,7 @@ def _ccut(d1: Derivation, d2: Derivation, phi: Formula) -> Derivation:
             lam = mset_remove(d1.premises[0].conclusion.suc, a)
             for g in lam:
                 e = _contract(e, "R", g)
-            return _weaken_all(e, "R", d1.rule.weak or ())
+            return _weaken(e, "R", d1.rule.weak or ())
         case Or(a, b):
             p = d1.premises[0]          # => a, b, rest
             q1, q2 = d2.premises        # ant + a => lam,  ant + b => lam
@@ -551,17 +538,14 @@ def _ccut(d1: Derivation, d2: Derivation, phi: Formula) -> Derivation:
                 e = _contract(e, "L", g)
             for g in q1.conclusion.suc:
                 e = _contract(e, "R", g)
-            return _weaken_all(e, "R", d2.rule.weak or ())
+            return _weaken(e, "R", d2.rule.weak or ())
     raise ShapeMismatch(f"cannot reduce cut on {render(phi)}")
 
 
 def _split(n: Derivation) -> dict[tuple, tuple[Derivation, tuple]]:
-    """The classical branches of the normalized cutfree G3 derivation `n`,
-    by classical antecedent.  Left deep-rule inversion splits the
-    antecedent (where two branches reach the same one, the left one wins);
-    a `||` whose formula is idle in the derivation (no rule takes it) is
-    inverted by one fold that puts each side in its place, which is what
-    `_invert` gives without stepping through every node.  Then right
+    """The classical branches of the cutfree G3 derivation `n`, by
+    classical antecedent.  Left deep-rule inversion splits the antecedent
+    (where two branches reach the same one, the left one wins), then right
     deep-rule inversion resolves the succedent in order.  Each branch is a
     classical derivation and the (formula, resolution) pairs of `n`'s
     succedent."""
@@ -572,12 +556,7 @@ def _split(n: Derivation) -> dict[tuple, tuple[Derivation, tuple]]:
         ant = d.conclusion.ant
         hit = first_gd(ant)
         if hit is not None:
-            f = hit[0]
-            if f in antecedent_taken(d):
-                todo.extend(reversed(_invert(d, _Item("LGd", *hit))))
-            else:
-                todo.extend(swap_antecedents(d, ((f, g),))
-                            for g in reversed(gd_sides(*hit)))
+            todo.extend(reversed(_invert(d, _Item("LGd", *hit))))
         elif ant not in out:
             pairs = []
             for f in n.conclusion.suc:
@@ -612,9 +591,9 @@ def _reassemble(goal, branches) -> Derivation:
 def _eliminate_one(d1: Derivation, d2: Derivation, phi: Formula) -> Derivation:
     """Replace a cut with cutfree G3 premises by a cutfree derivation."""
     pi = mset_remove(d2.conclusion.ant, phi)
-    right = _split(fold(d2, _norm))
+    right = _split(d2)
     branches = {}
-    for xi, (c1, pairs) in _split(fold(d1, _norm)).items():
+    for xi, (c1, pairs) in _split(d1).items():
         k = [f for f, _r in pairs].index(phi)
         alpha, ctx = pairs[k][1], pairs[:k] + pairs[k + 1:]
         for theta in resolutions_multiset(pi):
@@ -632,9 +611,9 @@ def eliminate_cuts(d: Derivation) -> Derivation:
     the same endsequent; a cutfree G3 derivation is returned as it is.
 
     Each innermost cut is eliminated as the paper's corollary: both
-    (cutfree) premises are normalized and split into classical branches,
-    each pair of branches that meets on a resolution of the cut formula is
-    cut classically, and the deep rules are put back.  A classical cut is
+    (cutfree) premises are split into classical branches, each pair of
+    branches that meets on a resolution of the cut formula is cut
+    classically, and the deep rules are put back.  A classical cut is
     the case of one branch on each side.  LC and RC become contraction,
     and RAndI (LOrI) two cuts with a derivation of `a, b => a & b`
     (`a | b => a, b`).  A rule without its formula raises ShapeMismatch
@@ -683,8 +662,8 @@ class ResolvedDerivation:
 @nesting_limited
 def resolve_derivation(d: Derivation) -> ResolvedDerivation:
     """Decompose `d` into classical subderivations indexed by antecedent
-    resolutions (after cut elimination and normalization)."""
-    n = fold(eliminate_cuts(d), _norm)
+    resolutions (after cut elimination)."""
+    n = eliminate_cuts(d)
     split = _split(n)
     return ResolvedDerivation(
         n.conclusion.ant, n.conclusion.suc,

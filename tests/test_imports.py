@@ -177,9 +177,6 @@ RECURSIVE = {
     "semantics._Space.sat_set",
     "semantics.eval_classical",
     "syntax._Parser.formula", "syntax._formula_from_json",
-    "transforms._ccut", "transforms._contract",
-    "transforms._push_classical", "transforms._push_rgd",
-    "transforms._weaken",
 }
 
 

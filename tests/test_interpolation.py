@@ -270,7 +270,7 @@ def reference_interp(d: Derivation, g1, g2, l1, d2):
     (p1, la, ra), (p2, lb, rb) = subs
     if not on_left:
         phi = And(p1, p2)
-        inner = (_weaken(ra, "L", p2), _weaken(rb, "L", p1))
+        inner = (_weaken(ra, "L", (p2,)), _weaken(rb, "L", (p1,)))
         if tag == "RAnd":
             right = infer("LAnd", [rebuild(r, inner, w2)], phi)
         else:
@@ -282,7 +282,8 @@ def reference_interp(d: Derivation, g1, g2, l1, d2):
                            infer("RGd", [lb], phi, (), "R")))
         return phi, left, infer("LGd", (ra, rb), phi)
     phi = Or(p1, p2)
-    left = rebuild(r, (_weaken(la, "R", p2), _weaken(lb, "R", p1)), w1)
+    left = rebuild(r, (_weaken(la, "R", (p2,)), _weaken(lb, "R", (p1,))),
+                   w1)
     return phi, infer("ROr", [left], phi), infer("LOr", (ra, rb), phi, weak=w2)
 
 

@@ -87,9 +87,8 @@ def test_resolution_choices_are_the_ordered_product():
         fs = gen_side(rng, 3, 3, 3)
         eager = list(product(*[[(f, r) for r in iter_resolutions(f)]
                                for f in mset(fs)]))
-        assert list(resolution_choices(fs)) == eager
-        # a side already in canonical order, as the prover hands it over
-        assert list(resolution_choices(mset(fs), canonical=True)) == eager
+        # a side in canonical order, as the prover hands it over
+        assert list(resolution_choices(mset(fs))) == eager
 
 
 VALUATIONS = [dict(zip("pqr", bits)) for bits in product((0, 1), repeat=3)]
@@ -243,8 +242,8 @@ def test_enumerator_matches_the_recursive_reference():
         start = rng.sample(VALUATIONS, rng.randint(0, 2))
         ws, nodes = list(start), []
         got = _drive_every_pull(
-            resolution_choices(fs, ws, lambda: nodes.append(1)), ws, nodes,
-            trial)
+            resolution_choices(mset(fs), ws, lambda: nodes.append(1)), ws,
+            nodes, trial)
         total = len(nodes)
         ws, nodes = list(start), []
         want = _drive_every_pull(

@@ -7,7 +7,7 @@ from operator import or_
 import pytest
 
 from teamseq.errors import DomainMismatch, ParseError, ResourceLimit
-from teamseq.semantics import (ClosureReport, Team, _bad_teams, _constants,
+from teamseq.semantics import (ClosureReport, Team, _bad_teams, _without,
                                _Space, big_or, closure_properties,
                                eval_classical, find_countermodel_bruteforce,
                                satisfies, sequent_valid, team_from_json,
@@ -277,8 +277,8 @@ def test_or_set_matches_loop_reference_on_random_and_formula_sets():
     rng = random.Random(71)
     for n in range(4):
         space = _Space(("a", "b", "c")[:n])
-        assert space._without == [space._avoiding(1 << v)
-                                  for v in range(space.nvals)]
+        assert _without(space.nvals) == [space._avoiding(1 << v)
+                                         for v in range(space.nvals)]
         full = (1 << space.nteams) - 1
         for _ in range(150):
             x, y = (sum(1 << t for t in range(space.nteams)
@@ -374,9 +374,8 @@ def test_team_constants_per_arity():
         for v in reversed(range(space.nvals - 1)):
             without.append(without[-1] ^ without[-1] << (1 << v))
         k = space.nvals
-        assert _constants(k).without == without[::-1]
-        assert _constants(k) is _constants(k)
-        assert space._without is _constants(k).without
+        assert _without(k) == without[::-1]
+        assert _without(k) is _without(k)
 
 
 def test_negation_reads_one_valuation_teams(monkeypatch):
@@ -406,7 +405,7 @@ def test_team_sets_beyond_the_cap_are_refused_before_allocation():
         with pytest.raises(ResourceLimit):
             space.sat_set(Prop("a"))
         with pytest.raises(ResourceLimit):
-            space._without
+            _without(space.nvals)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

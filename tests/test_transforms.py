@@ -1,4 +1,5 @@
 import random
+import time
 from dataclasses import replace
 
 import pytest
@@ -24,7 +25,7 @@ from teamseq.transforms import (ResolvedDerivation, contract, eliminate_cuts,
                                 resolve_derivation, weaken)
 
 from conftest import (gen_formula, gen_sequent, gen_shuffled,
-                      identity_derivation, inject_cut)
+                      identity_derivation, inject_cut, shared_chain)
 
 pf, ps = parse_formula, parse_sequent
 p, q = Prop("p"), Prop("q")
@@ -84,6 +85,13 @@ def test_weaken_property_suite():
             if side == "L" else Sequent(d.conclusion.ant,
                                         d.conclusion.suc + (f,))
         assert w.conclusion == target
+
+
+def test_weaken_refuses_a_side_other_than_l_or_r():
+    d = proved("p => p")
+    for side in ("X", "left", "r", None):
+        with pytest.raises(ShapeMismatch, match="neither 'L' nor 'R'"):
+            weaken(d, side, q)
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +199,14 @@ def test_contract_right_nonclassical_rejected():
     assert not sequent_valid(ps("(p||~p)|(p||~p) => p||~p"))
 
 
+def test_contract_refuses_a_side_other_than_l_or_r():
+    # before, any side but "L" contracted the succedent
+    d = proved("p, p => p, p")
+    for side in ("left", "X", "l"):
+        with pytest.raises(ShapeMismatch, match="neither 'L' nor 'R'"):
+            contract(d, side, p)
+
+
 def test_contract_missing_duplicate():
     d = proved("p => p")
     with pytest.raises(FormulaNotDuplicated):
@@ -261,7 +277,7 @@ def test_normalize_property_suite():
 
 def test_normalize_and_cutelim_shuffled_derivations():
     # rules applied root-first in random order leave deep rules above
-    # classical ones, so normalize has to commute them
+    # classical ones, so normalize has to split and reassemble them
     rng = random.Random(157)
     done = not_normal = 0
     while done < 60:
@@ -529,18 +545,25 @@ def test_transforms_of_a_deep_derivation_answer_or_are_a_resource_limit():
     assert (res.gamma, res.delta) == (c.ant, c.suc)
     assert res.mapping == {c.ant: c.suc}
     check_derivation(res.branches[c.ant])
-    # the recursive ones answer or raise ResourceLimit
-    top = c.ant.index(And(xs[0], ys[0]))
-    for fn, args in ((weaken, ("L", q)), (invert, ("LAnd", top)),
-                     (contract, ("L", p)),
-                     (interpolate_partition,
-                      (PartitionSequent(c.ant, (), (), c.suc),))):
-        try:
-            fn(d, *args)
-        except ResourceLimit as e:
-            assert str(e) == "nesting too deep", fn
-    # with `a || b` for one `p`, no rule takes the `||`: `_split` puts each
-    # side in its place by one fold, and the two branches reassemble
+    # so do the structural rules, which walk up the chain to its axiom
+    top = And(xs[0], ys[0])
+    w = weaken(d, "L", q)
+    (o,) = invert(d, "LAnd", c.ant.index(top))
+    k = contract(d, "L", p)
+    for out, concl in ((w, Sequent(c.ant + (q,), c.suc)),
+                       (o, Sequent(mset_remove(c.ant, top) + (xs[0], ys[0]),
+                                   c.suc)),
+                       (k, Sequent(mset_remove(c.ant, p), c.suc))):
+        check_derivation(out)
+        assert out.conclusion == concl
+    # interpolation still recurses per node: it answers or raises
+    # ResourceLimit
+    try:
+        interpolate_partition(d, PartitionSequent(c.ant, (), (), c.suc))
+    except ResourceLimit as e:
+        assert str(e) == "nesting too deep"
+    # with `a || b` for one `p`, no rule takes the `||`: `_split` inverts
+    # it through the whole chain, and the two branches reassemble
     a, b = Prop("a"), Prop("b")
     d = make_at((p, pf("a || b"), *xs, *ys), (p,))
     for x, y in zip(xs, ys):
@@ -556,10 +579,47 @@ def test_transforms_of_a_deep_derivation_answer_or_are_a_resource_limit():
     assert back.conclusion == d.conclusion
 
 
+def test_a_deep_commuting_cut_is_eliminated():
+    # the cut formula `q & r` is context in all 1500 LAnd of the left
+    # premise, so the classical cut walks up the whole chain to its axiom
+    xs = [Prop(f"x{i}") for i in range(1500)]
+    ys = [Prop(f"y{i}") for i in range(1500)]
+    r = Prop("r")
+    d1 = make_at((p, *xs, *ys), (p, And(q, r)), p)
+    for x, y in zip(xs, ys):
+        d1 = infer("LAnd", [d1], And(x, y))
+    d2 = infer("LAnd", [make_at((q, r), (q,), q)], And(q, r))
+    c = make_cut(d1, d2, And(q, r))
+    check_derivation(c)
+    e = eliminate_cuts(c)
+    check_derivation(e)
+    assert is_cutfree(e)
+    assert e.conclusion == c.conclusion
+
+
+def test_structural_rules_keep_shared_nodes_shared():
+    # 21 node objects, 2^20 paths: each walk steps each node object once
+    n = 20
+    xs = [Prop(f"x{k}") for k in range(n + 1)]
+    d = shared_chain(n, make_at((xs[0], p, p, And(p, q)), xs, xs[0]))
+    assert len(list(rule_nodes(d))) == n + 1
+    pos = d.conclusion.ant.index(And(p, q))
+    for fn, args in ((weaken, ("L", q)), (invert, ("LAnd", pos)),
+                     (contract, ("L", p))):
+        start = time.perf_counter()
+        out = fn(d, *args)
+        if fn is invert:
+            (out,) = out
+        assert time.perf_counter() - start < 1.0, fn
+        assert len(list(rule_nodes(out))) == n + 1, fn
+        check_derivation(out)
+
+
 def test_an_idle_split_is_inverted_by_one_fold():
     # where no rule of a derivation takes the formula of its first `||`,
-    # `_split` swaps each side in by `swap_antecedents`: the same bytes as
-    # inversion through every node
+    # `swap_antecedents` (which `calculus.derive` uses to prune such a
+    # split) puts each side in its place: the same bytes as inversion
+    # through every node
     rng = random.Random(11)
     idle = 0
     for d in valid_sample(rng, 1200):
@@ -576,9 +636,9 @@ def test_an_idle_split_is_inverted_by_one_fold():
 
 
 def test_normalize_and_resolve_answer_a_deep_rgd():
-    # an RGd over an axiom, under 1500 LAnd: `normalize` moves it to the
-    # foot, and `resolve_derivation` splits only after normalizing, so its
-    # inversion does not step through the chain
+    # an RGd over an axiom, under 1500 LAnd: `normalize` and
+    # `resolve_derivation` invert it through the whole chain, and
+    # `normalize` puts it back at the foot
     xs = [Prop(f"x{i}") for i in range(1500)]
     ys = [Prop(f"y{i}") for i in range(1500)]
     d = infer("RGd", [make_at((p, *xs, *ys), (p,))], pf("p || q"), (), "L")
