@@ -38,11 +38,10 @@ teams lacking each row are built once per row count.
 is the full mask: `&` and `||` by their clauses, the other leaves from
 `sat_points`, and `|` from its set, which is refused above 16 rows.
 
-Validity builds the antecedent's set over all teams and checks every
-team of it against the succedent, whose sets are joined by cover images:
-over all teams, or, when the antecedent holds few small teams, in each
-team's own row space.  `_bad_teams` states the fixed cost rule between
-the two.
+Validity reads the antecedent as row masks whose subteam sets together
+make up its set, by set identities, one per clause (`_row_masks`), that
+show the set to be a union of subteam sets rather than assume a closure
+theorem, and folds the succedent by cover images once, over their rows.
 
 The sweeps over all teams are operations on these sets, not loops over
 teams: each closure property is its definition evaluated on a formula's
@@ -57,14 +56,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
 from itertools import combinations
-from operator import and_
+from operator import and_, or_
 
-from .errors import DomainMismatch, ParseError, ResourceLimit, nesting_limited
+from .errors import (DomainMismatch, ParseError, ResourceLimit, TeamSeqError,
+                     nesting_limited)
 from .syntax import (And, Bot, BOT, Formula, Gd, Neg, Or, Prop, Sequent,
-                     props)
+                     children, postorder, props)
 
 DEFAULT_MAX_VARS = 4
 _MAX_ROWS = 1 << DEFAULT_MAX_VARS  # team sets of 2^16 bits
+_MAX_MASKS = 32  # row masks in one reading of an antecedent
 
 
 @dataclass(frozen=True)
@@ -173,6 +174,10 @@ class _Space:
         """The space of the rows of team `mask`."""
         return _Space(self.domain, [self.rows[i] for i in self._members(mask)])
 
+    def positions(self, vals: int) -> int:
+        """The team of the rows in `vals`, a mask of valuation indices."""
+        return sum(1 << i for i, v in enumerate(self.rows) if vals >> v & 1)
+
     def _members(self, mask: int):
         """Indices of the set bits of `mask`, lowest first: the rows of a
         team, or the teams of a set of teams."""
@@ -230,8 +235,13 @@ class _Space:
         match c:
             case Prop(name):
                 bit = self.n - 1 - self.domain.index(name)
-                out = sum(1 << i for i, v in enumerate(self.rows)
-                          if (v >> bit) & 1)
+                if isinstance(self.rows, range):
+                    # valuation indices are n-bit masks: those with `bit`
+                    # set are the teams of n rows that hold row `bit`
+                    out = (self.nteams - 1) ^ _without(self.n)[bit]
+                else:
+                    out = sum(1 << i for i, v in enumerate(self.rows)
+                              if (v >> bit) & 1)
             case Bot():
                 out = 0
             case And(l, r):
@@ -378,53 +388,83 @@ def satisfies(team: Team, f: Formula) -> bool:
 @nesting_limited
 def sequent_valid(s: Sequent, max_vars: int = DEFAULT_MAX_VARS) -> bool:
     """True iff every team satisfying the antecedent satisfies the split
-    disjunction of the succedent, over the sequent's own variables.  Each
-    such team is checked, alone or with all teams as `_bad_teams`'s cost
-    rule chooses, by the defining clauses."""
+    disjunction of the succedent over its variables, by `_bad_teams`."""
     space = _space_for(tuple(sorted(s.props())), max_vars)
-    return _bad_teams(space, s) == 0
+    return _bad_teams(space, s)[1] == 0
 
 
-def _bad_teams(space: _Space, s: Sequent) -> int:
-    """Set of the team masks that satisfy every antecedent formula but not
-    the split disjunction of the succedent.
+def _bad_teams(space: _Space, s: Sequent) -> tuple[_Space, int]:
+    """The space of the rows U of `_hypothesis`, and its teams that satisfy
+    the antecedent but not the succedent's sets folded left to right by
+    cover images (`_or_set`), so no formula nests; an empty succedent is
+    `bot`.  U's rows keep their order, so its first bad team in (size,
+    membership) order is the first overall."""
+    sub, hyp = _hypothesis(space, s.ant)
+    goal = reduce(sub._or_set, map(sub.sat_set, s.suc)) if s.suc else 1
+    return sub, hyp & ~goal
 
-    The antecedent's set `hyp` is built over all teams (all teams for an
-    empty antecedent).  The succedent's set is its formulas' sets folded
-    left to right by cover images (`_or_set`), so that a long succedent
-    nests no formula; an empty succedent is `bot`.  It is built on one of
-    two exact paths.  Team by team, it is built in the space of each team
-    t of `hyp` (`team_space`), on sets of 2^|t| bits, and t is bad iff
-    its full mask is not in it.  Over all teams, it is built once, on
-    nteams-bit sets.  The rule: team by team iff the sum of 4^|t| over
-    the teams t of `hyp` is at most nteams/256, which is 256 at four
-    variables."""
-    if s.ant:
-        hyp = reduce(and_, map(space.sat_set, s.ant))
-    else:
-        hyp = (1 << space.nteams) - 1
 
-    def goal(sp: _Space) -> int:
-        """The set of the teams of `sp` that satisfy the succedent."""
-        return reduce(sp._or_set, map(sp.sat_set, s.suc)) if s.suc else 1
+def _hypothesis(space: _Space, ant) -> tuple[_Space, int]:
+    """The space of the rows U of `ant`'s row masks and the union of their
+    subteam sets; past `_MAX_MASKS`, all rows and the formulas' sets met."""
+    masks = _row_masks(space, ant)
+    if masks is None:
+        return space, reduce(and_, map(space.sat_set, ant))
+    sub = space.team_space(reduce(or_, masks))
+    return sub, reduce(or_, (sub._avoiding(~sub.positions(m)) for m in masks))
 
-    cap = space.nteams >> 8
-    # the count first, so that a large set is not walked
-    if hyp.bit_count() <= cap and sum(
-            4 ** t.bit_count() for t in space._members(hyp)) <= cap:
-        # t is the full mask 2^|t| - 1 of its own row space
-        return sum(1 << t for t in space._members(hyp)
-                   if not (goal(space.team_space(t))
-                           >> ((1 << t.bit_count()) - 1)) & 1)
-    return hyp & ~goal(space)
+
+def _row_masks(space: _Space, ant) -> list[int] | None:
+    """Row masks R_i such that a team satisfies every formula of `ant` iff
+    it lies in some R_i, or None past `_MAX_MASKS`.  With S(R) the
+    subteams of R, one set identity per clause, read bottom up: a
+    variable, `bot` or `~c` gives [`sat_points`], as a team satisfies it
+    iff its one-row teams do; `A & B` the pairwise a & b, as S(a) & S(b)
+    is S(a & b); `A || B` both lists; `A | B` the pairwise a | b, as the
+    cover image of S(a) and S(b) is S(a | b) (t = (t & a) | (t & b)).  The
+    formulas of `ant` meet pairwise from all rows.  No closure theorem is
+    used: the identities show each set to be a union of subteam sets.
+    The walk is `postorder`; only a `~c` recurses, over c."""
+    masks: dict[int, list[int]] = {}
+    out = [(1 << space.nvals) - 1]
+    for f in ant:
+        for g in postorder(f, lambda g: () if isinstance(g, Neg)
+                           else children(g), masks):
+            match g:
+                case And(l, r) | Or(l, r):
+                    op = or_ if isinstance(g, Or) else and_
+                    m = _outermost(op(a, b) for a in masks[id(l)]
+                                   for b in masks[id(r)])
+                case Gd(l, r):
+                    m = _outermost(masks[id(l)] + masks[id(r)])
+                case _:
+                    m = [space.sat_points(g)]
+            if m is None:
+                return None
+            masks[id(g)] = m
+        out = _outermost(a & b for a in out for b in masks[id(f)])
+        if out is None:
+            return None
+    return out
+
+
+def _outermost(masks) -> list[int] | None:
+    """The masks inside no other, once each, or None past `_MAX_MASKS`;
+    sorted by size, each can lie only in one kept before it."""
+    kept: list[int] = []
+    for m in sorted(masks, key=int.bit_count, reverse=True):
+        if all(m & ~k for k in kept):
+            if len(kept) == _MAX_MASKS:
+                return None
+            kept.append(m)
+    return kept
 
 
 @nesting_limited
 def find_countermodel_bruteforce(s: Sequent,
                                  max_vars: int = DEFAULT_MAX_VARS) -> Team | None:
     """First team (by size, then membership order) witnessing invalidity."""
-    space = _space_for(tuple(sorted(s.props())), max_vars)
-    bad = _bad_teams(space, s)
+    space, bad = _bad_teams(_space_for(tuple(sorted(s.props())), max_vars), s)
     if bad == 0:
         return None
     for k in range(space.nvals + 1):
@@ -459,6 +499,6 @@ def closure_properties(f: Formula, domain,
     flat = sat == space._avoiding(~space._points(sat))
 
     # internal consistency: flatness coincides with the three-way conjunction
-    assert flat == (empty and downward and union), \
-        f"flatness disagreement for {f} on {domain}"
+    if flat != (empty and downward and union):
+        raise TeamSeqError(f"flatness disagreement for {f} on {domain}")
     return ClosureReport(empty, downward, union, flat)

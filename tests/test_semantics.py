@@ -1,14 +1,18 @@
 import random
+import time
 import tracemalloc
 from functools import partial, reduce
 from itertools import combinations
-from operator import or_
+from operator import and_, or_
 
 import pytest
 
-from teamseq.errors import DomainMismatch, ParseError, ResourceLimit
-from teamseq.semantics import (ClosureReport, Team, _bad_teams, _without,
-                               _Space, big_or, closure_properties,
+from teamseq import semantics
+from teamseq.cli import run
+from teamseq.errors import (DomainMismatch, ParseError, ResourceLimit,
+                            TeamSeqError)
+from teamseq.semantics import (ClosureReport, Team, _bad_teams, _row_masks,
+                               _without, _Space, big_or, closure_properties,
                                eval_classical, find_countermodel_bruteforce,
                                satisfies, sequent_valid, team_from_json,
                                team_to_json)
@@ -493,28 +497,15 @@ def test_countermodel_agrees_with_validity():
             assert cm == first, str(s)
 
 
-class GivenHypothesis(_Space):
-    """A space in which the antecedent formula `HYP` (its variable is
-    outside every domain used here) stands for the set of teams `hyp`, so
-    `_bad_teams` can be fed any set; it counts the teams read in their
-    own row space and the cover images built over all teams."""
-
-    HYP = Prop("given")
-
-    def __init__(self, domain, hyp):
-        super().__init__(domain)
-        self.hyp, self.read_alone, self.images = hyp, 0, 0
-
-    def sat_set(self, f):
-        return self.hyp if f == self.HYP else super().sat_set(f)
-
-    def team_space(self, mask):
-        self.read_alone += 1
-        return super().team_space(mask)
-
-    def _or_set(self, sl, sr):
-        self.images += 1
-        return super()._or_set(sl, sr)
+def narrow(space, sub, teams):
+    """The set `teams` of team masks of the all-valuations `space`, each
+    over the rows of `sub`, as team masks of `sub`."""
+    if sub.nvals == space.nvals:
+        return teams
+    out = [sub.positions(t) for t in space._members(teams)]
+    assert [t.bit_count() for t in out] == \
+        [t.bit_count() for t in space._members(teams)], "a row outside sub"
+    return sum(1 << t for t in out)
 
 
 def reference_goal(space, suc):
@@ -537,28 +528,27 @@ BOT_FORMULAS = (BOT, Neg(BOT), Or(BOT, Neg(BOT)), Gd(BOT, Neg(BOT)),
                 And(Neg(BOT), Or(Neg(BOT), Neg(BOT))))
 
 
-def test_bad_teams_matches_the_cover_image_reference():
-    # both paths of `_bad_teams` against `hyp & ~goal`, the goal folded
-    # from the succedent's sets by the loop reference, with the antecedent
-    # set given directly: none, the empty team alone, arbitrary sets, all
-    # teams, and sets whose cost sum(4^|t|) is at the team-by-team bound
-    # or just past it; succedents of none to three formulas
+def test_bad_teams_matches_the_cover_image_reference(monkeypatch):
+    # the succedent fold of `_bad_teams` against `hyp & ~goal`, the goal
+    # folded from the succedent's sets by the loop reference over all
+    # teams, with the antecedent set given directly in the space of its
+    # row union U: none, the empty team alone, one team, arbitrary sets
+    # (not downward closed), all teams; succedents of none to three
+    # formulas.  Every cover image is built over the 2^|U| teams of U.
     rng = random.Random(83)
-    # per arity, a set at the bound nteams/256 and one just past it
-    bounds = {0: (0, 1), 1: (0, 1), 2: (0, 1), 3: (1, 1 | 2),
-              4: (1 << 0b1111, 1 << 0b1111 | 1)}
+    widths = []
+    or_set = _Space._or_set
+
+    def counted(self, sl, sr):
+        widths.append(self.nvals)
+        return or_set(self, sl, sr)
+
+    monkeypatch.setattr(_Space, "_or_set", counted)
     for n in range(5):
         domain = ("a", "b", "c", "d")[:n]
         nteams = 1 << (1 << n)
-        cap = nteams >> 8
-
-        def cost(hyp):
-            return sum(4 ** t.bit_count() for t in range(nteams)
-                       if (hyp >> t) & 1)
-
-        at, past = bounds[n]
-        assert cost(at) == cap < cost(past)
-        hyps = [0, 1, (1 << nteams) - 1, at, past]
+        hyps = [0, 1, 1 << (nteams - 1), 1 << (nteams // 3),
+                (1 << nteams) - 1]
         for density in (0.02, 0.3, 0.8):
             hyps.append(sum(1 << t for t in range(nteams)
                             if rng.random() < density))
@@ -575,15 +565,17 @@ def test_bad_teams_matches_the_cover_image_reference():
         for suc in succedents:
             goal = reference_goal(_Space(domain), suc)
             for hyp in hyps:
-                space = GivenHypothesis(domain, hyp)
-                got = _bad_teams(space, Sequent((space.HYP,), suc))
-                assert got == hyp & ~goal, (n, suc, hyp)
-                # the team-by-team path reads every team of the set and
-                # builds no cover image
-                by_team = cost(hyp) <= cap
-                assert space.read_alone == (hyp.bit_count() if by_team
-                                            else 0)
-                assert not (by_team and space.images)
+                space = _Space(domain)
+                rows = reduce(or_, space._members(hyp), 0)
+                sub = space.team_space(rows)
+                monkeypatch.setattr(semantics, "_hypothesis", lambda *_: (
+                    sub, narrow(space, sub, hyp)))
+                widths.clear()
+                got_space, got = _bad_teams(space, Sequent((), suc))
+                assert got_space is sub
+                assert got == narrow(space, sub, hyp & ~goal), (n, suc, hyp)
+                assert widths.count(rows.bit_count()) == len(widths) \
+                    >= len(suc) - 1
 
 
 def test_countermodels_match_the_cover_image_reference():
@@ -609,7 +601,8 @@ def test_countermodels_match_the_cover_image_reference():
             hyp = reduce(lambda x, y: x & y, map(space.sat_set, s.ant),
                          (1 << space.nteams) - 1)
             bad = hyp & ~reference_goal(space, s.suc)
-            assert _bad_teams(_Space(domain), s) == bad, str(s)
+            sub, got = _bad_teams(_Space(domain), s)
+            assert got == narrow(space, sub, bad), str(s)
             assert find_countermodel_bruteforce(s) == \
                 first_in_order(domain, bad), str(s)
             assert sequent_valid(s) == (bad == 0)
@@ -620,8 +613,8 @@ SMALL_HYPOTHESIS = pf("a & b & c & d")  # the empty team and {1111}
 
 
 def test_long_succedent_under_a_small_antecedent():
-    # four variables, an antecedent set of two teams: each team is read
-    # against the 1000 formulas one by one, and no formula nests them
+    # four variables, an antecedent of two teams over one row U: the
+    # 1000 formulas are folded over U's teams one by one, none nesting
     a = Prop("a")
     for suc, valid in (((a,) * 1000, True), ((Neg(a),) * 1000, False)):
         s = Sequent((SMALL_HYPOTHESIS,), suc)
@@ -633,8 +626,8 @@ def test_long_succedent_under_a_small_antecedent():
 @pytest.mark.parametrize("entry", [sequent_valid,
                                    find_countermodel_bruteforce])
 def test_deep_succedent_under_a_small_antecedent_is_a_resource_limit(entry):
-    # a 3000-deep `a | (a | …)` chain read team by team still meets its
-    # whole depth in the single-team clauses
+    # a 3000-deep `a | (a | …)` chain read over the one row of U still
+    # meets its whole depth in the clauses of `sat_set`
     a = Prop("a")
     f = a
     for _ in range(3000):
@@ -663,6 +656,85 @@ def test_small_antecedent_builds_no_cover_image(monkeypatch):
     # with no antecedent every team is read, by cover images
     assert not sequent_valid(ps("=> a | b, c || d"))
     assert len(calls) >= 1
+
+
+def test_row_masks_match_the_antecedent_sets():
+    # the subteam sets of the masks together are the antecedent's set over
+    # all teams, bit for bit, on seeded formulas over 0-4 variables
+    rng = random.Random(97)
+    seen = set()
+    for n in range(5):
+        domain = ("a", "b", "c", "d")[:n]
+        space = _Space(domain)
+        for _ in range(15 if n == 4 else 60):
+            ant = tuple(
+                rng.choice(BOT_FORMULAS) if not n
+                else gen_formula(rng, rng.randint(0, 4), 2, vars=domain)
+                for _ in range(rng.randint(0, 3)))
+            masks = _row_masks(space, ant)
+            want = reduce(and_, map(space.sat_set, ant),
+                          (1 << space.nteams) - 1)
+            assert reduce(or_, (space._avoiding(~m) for m in masks)) \
+                == want, ant
+            text = " ".join(map(render, ant))
+            seen |= {op for op in ("||", "|", "~", "bot") if op in text}
+            seen |= {"empty"} if not ant else set()
+    assert seen == {"||", "|", "~", "bot", "empty"}
+
+
+def blow_up_sequents():
+    """(a) the 28 `l || l'` over pairs of the 8 literals of four
+    variables, conjoined; (b) a `||`-chain of 30 `|`s of three literals
+    of three variables; (c) a `|` of two `||`-chains of `&`-pairs."""
+    lits = [lit for v in "pqrs" for lit in (Prop(v), Neg(Prop(v)))]
+    pairs = list(combinations(lits, 2))
+    p, q, r, s = map(Prop, "pqrs")
+    a = Sequent((reduce(And, [Gd(x, y) for x, y in pairs]),), (BOT,))
+    triples = [t for t in combinations(lits, 3)
+               if len({render(x).strip("~") for x in t}) == 3][:30]
+    b = Sequent((reduce(Gd, [Or(Or(x, y), z) for x, y, z in triples]),),
+                (Or(Or(Or(p, q), r), s),))
+    c = Sequent((Or(reduce(Gd, [And(x, y) for x, y in pairs]),
+                    reduce(Gd, [And(y, x) for x, y in reversed(pairs)])),),
+                (Gd(p, q),))
+    return a, b, c
+
+
+def test_antecedent_mask_blow_up():
+    # products of masks are capped: (a) and (b) are read as masks, (c)
+    # goes past the cap to the sets over all teams; each gives the
+    # verdict and countermodel of those sets, within 50 ms
+    domain = ("p", "q", "r", "s")
+    readings = []
+    for s in blow_up_sequents():
+        space = _Space(domain)
+        readings.append(_row_masks(space, s.ant) is not None)
+        bad = reduce(and_, map(space.sat_set, s.ant)) \
+            & ~reference_goal(space, s.suc)
+        best = 1.0
+        for _ in range(3):
+            start = time.perf_counter()
+            valid, cm = sequent_valid(s), find_countermodel_bruteforce(s)
+            best = min(best, time.perf_counter() - start)
+        assert valid == (bad == 0), str(s)
+        assert cm == (first_in_order(domain, bad) if bad else None), str(s)
+        assert best < 0.05, (str(s), best)
+    assert readings == [True, True, False]
+
+
+@pytest.mark.parametrize("op", [And, Or, Gd])
+def test_deep_antecedent_answers(op):
+    # the masks are read on an explicit stack, so a 3000-deep chain in
+    # the antecedent answers; only a deep succedent meets the recursion
+    a = Prop("a")
+    f = a
+    for _ in range(3000):
+        f = op(a, f)
+        render(f)
+        props(f)
+    assert sequent_valid(Sequent((f,), (a,)))
+    assert find_countermodel_bruteforce(Sequent((f,), (Neg(a),))) == \
+        team("a", (1,))
 
 
 def test_closure_properties_golden():
@@ -731,6 +803,17 @@ def test_closure_properties_of_any_team_set(monkeypatch):
                        if (sat >> t) & 1}
             assert closure_properties(BOT, domain) == \
                 closure_reference(members, domain), (n, sat)
+
+
+def test_closure_disagreement_is_an_error(monkeypatch, capsys):
+    # flatness must equal the conjunction of the other three properties;
+    # a broken `_maximal` makes them disagree, which is an error (exit 2),
+    # not an assertion that `python -O` would skip, nor a verdict
+    monkeypatch.setattr(_Space, "_maximal", lambda self, sat: None)
+    with pytest.raises(TeamSeqError, match="flatness disagreement"):
+        closure_properties(pf("p"), ("p",))
+    assert run(["closure", "p"]) == 2
+    assert "flatness disagreement" in capsys.readouterr().err
 
 
 def test_team_json():
