@@ -194,7 +194,9 @@ def _cmd_interpolate(args) -> int:
         if args.verbose:
             print("left:", json.dumps(derivation_to_json(res.left_derivation)))
             print("right:", json.dumps(derivation_to_json(res.right_derivation)))
-    return 0
+    for failure in report.failures:
+        print(f"verification failed: {failure}", file=sys.stderr)
+    return 0 if report.ok else 1
 
 
 @functools.cache

@@ -334,7 +334,7 @@ def subformula_at(f: Formula, path) -> Formula:
     cur = f
     for i, step in enumerate(path):
         kids = children(cur)
-        if step < 0 or step >= len(kids):
+        if type(step) is not int or not 0 <= step < len(kids):
             raise InvalidPath(f"path {list(path)} invalid at step {i} in {render(f)}")
         cur = kids[step]
     return cur

@@ -28,26 +28,29 @@ rebuilt over its transformed premises.  A walk stops at the axioms, at
 an RAnd or LOr whose implicit weakening holds the formula, and at a rule
 on the formula itself, where it recurses only into a strictly smaller
 formula.  So they answer at any height, and shared nodes stay shared.
-Inversion covers the three ways two left deep-rule applications on the
-same formula can interact (disjoint occurrences, one inside the kept
-disjunct, one inside the discarded disjunct).
 
-Inversion and contraction read each rule the way the calculus steps back
-through it: `calculus.actives` gives, per premise, the active formulas
-that premise adds, and `calculus.infer` (or `rebuild` on a recorded rule)
-reapplies the rule, with another principal formula or path where a
-commutation moves it; it raises ValueError on misaligned premises.  So
-each commutation is one case over all rules.
+Inversion at a rule on the inverted formula is one commutation case.
+`_lands` gives where an occurrence of that formula lands in each premise
+of a rule: a shallow rule sends it into a child, and a deep rule keeps
+it outside the `||` it replaces by a disjunct, shortens its path inside
+that disjunct and drops it inside the other (`_track`).  The premises
+where the inverted occurrence lands are inverted, and `calculus.rebuild`
+reapplies the rule, with another principal formula and path, in each
+output where the rule's own occurrence lands.  Contraction reads each
+rule the way the calculus steps back through it: `calculus.actives`
+gives, per premise, the active formulas that premise adds.  `rebuild`
+raises ValueError on misaligned premises.
 """
 
 from __future__ import annotations
 
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 from .calculus import (PRINCIPAL_SIDE, Derivation, actives, axiom, derive,
-                       fold, infer, is_cutfree, premises_of, rebuild,
-                       replay_rgd, rule_nodes)
+                       fold, is_cutfree, premises_of, rebuild, replay_rgd,
+                       rule_nodes)
 from .errors import (ContainsCut, FormulaNotDuplicated, NonClassicalAntecedent,
                      NonClassicalRightContraction, ShapeMismatch,
                      nesting_limited)
@@ -115,10 +118,13 @@ def _every(d: Derivation) -> tuple:
     return tuple(range(len(d.premises)))
 
 
-def _side(side: str) -> str:
-    """The sequent side 'ant' or 'suc' a transform names 'L' or 'R'."""
+def _side(side: str, f) -> str:
+    """The sequent side 'ant' or 'suc' a transform names 'L' or 'R', where
+    it adds or removes the formula `f`."""
     if side not in ("L", "R"):
         raise ShapeMismatch(f"side {side!r} is neither 'L' nor 'R'")
+    if not isinstance(f, Formula):
+        raise ShapeMismatch(f"{f!r} is not a formula")
     return "ant" if side == "L" else "suc"
 
 
@@ -128,7 +134,7 @@ def _side(side: str) -> str:
 @nesting_limited
 def weaken(d: Derivation, side: str, f: Formula) -> Derivation:
     """Add `f` to one side of the endsequent; height-preserving on G3."""
-    _side(side)
+    _side(side, f)
     return _weaken(_g3(d), side, (f,))
 
 
@@ -156,41 +162,45 @@ def _weaken(d: Derivation, side: str, fs) -> Derivation:
 # ---------------------------------------------------------------------------
 # Inversion
 
-@dataclass(frozen=True)
-class _Item:
-    tag: str            # LNeg RNeg LAnd RAnd LOr ROr LGd RGd
-    active: Formula
-    path: tuple[int, ...] = ()
+def _track(q: tuple, p: tuple, k: int):
+    """The path of the occurrence at `q` once the `||` at another path `p`
+    is replaced by its disjunct `k`: `q` itself outside that `||`, one
+    step shorter inside disjunct `k`, and None inside the other one."""
+    if q[:len(p)] != p:
+        return q
+    return p + q[len(p) + 1:] if q[len(p)] == k else None
 
 
-def _with(prems, idx: int, d: Derivation) -> tuple:
-    """`prems` with premise `idx` replaced by `d`."""
-    return tuple(prems[:idx]) + (d,) + tuple(prems[idx + 1:])
+def _lands(tag: str, f: Formula, path, side, q: tuple) -> list:
+    """Per premise of the rule `tag` on `f` (a deep rule at `path`, RGd on
+    `side`), the (formula, path) where the occurrence at `q` in `f` lands,
+    or None where that premise drops it.  A shallow rule sends it into
+    child q[0]: premise q[0] of RAnd and LOr, the one premise otherwise."""
+    if tag in ("LGd", "RGd"):
+        hosts = gd_sides(f, path)
+        return [None if (t := _track(q, path, k)) is None else (hosts[k], t)
+                for k in ((0, 1) if tag == "LGd" else ("LR".index(side),))]
+    at = (children(f)[q[0]], q[1:])
+    if tag in ("RAnd", "LOr"):
+        return [at if k == q[0] else None for k in (0, 1)]
+    return [at]
 
 
-def _path_rel(p: tuple, q: tuple):
-    """Relation of p to a different path q: 'disjoint',
-    ('p_inside_q', j, rest), or ('q_inside_p', j, rest)."""
-    if p[:len(q)] == q:
-        return ("p_inside_q", p[len(q)], p[len(q) + 1:])
-    if q[:len(p)] == p:
-        return ("q_inside_p", q[len(p)], q[len(p) + 1:])
-    return "disjoint"
-
-
-def _invert(d: Derivation, item: _Item):
+def _invert(d: Derivation, item: tuple):
     """Returns a list of derivations (conjunctive items), or a pair
-    (derivation, side) for the disjunctive RGd item.  The walk goes up the
+    (derivation, side) for the disjunctive RGd item.  An item is the
+    (tag, formula, path) of the occurrence inverted.  The walk goes up the
     rules that hold the item's occurrence as context; an RGd item goes up
     one premise at each, so it stops at one node, which keeps the side."""
-    side = PRINCIPAL_SIDE[item.tag]
+    tag, f, path = item
+    side = PRINCIPAL_SIDE[tag]
     kept = []  # the side that node keeps, for an RGd item
 
     def step(n: Derivation):
         r = n.rule
-        if PRINCIPAL_SIDE.get(r.rule) == side and r.formula == item.active:
+        if PRINCIPAL_SIDE.get(r.rule) == side and r.formula == f:
             outs = _invert_principal(n, item)
-            if item.tag != "RGd":
+            if tag != "RGd":
                 return outs
             kept.append(outs[1])
             return [outs[0]]
@@ -199,21 +209,19 @@ def _invert(d: Derivation, item: _Item):
         if r.rule in ("At", "LBot"):
             c = n.conclusion
             outs = [axiom(a, s, r.formula)
-                    for a, s in premises_of(item.tag, c.ant, c.suc,
-                                            item.active, item.path)]
-        elif side == "suc" and r.rule in _WEAK \
-                and item.active in (r.weak or ()):
+                    for a, s in premises_of(tag, c.ant, c.suc, f, path)]
+        elif side == "suc" and r.rule in _WEAK and f in (r.weak or ()):
             # introduced by the implicit weakening: rebuild, adjusting it
-            rest = mset_remove(r.weak, item.active)
+            rest = mset_remove(r.weak, f)
             outs = [rebuild(r, tuple(_weaken(p, "L", ant) for p in n.premises),
                             weak=mset_add(rest, *suc))
-                    for ant, suc in actives(item.tag, item.active, item.path)]
+                    for ant, suc in actives(tag, f, path)]
         elif r.rule == "Cut":
             p1 = n.premises[0].conclusion
-            return (0,) if item.active in (
+            return (0,) if f in (
                 p1.ant if side == "ant"
                 else mset_remove(p1.suc, r.cutformula)) else (1,)
-        elif item.tag == "RGd" and len(n.premises) != 1:
+        elif tag == "RGd" and len(n.premises) != 1:
             # restricted binary contexts are classical, so this is reached
             # only below a cut on a nonclassical formula, where the choice
             # of side need not be uniform across premises
@@ -226,96 +234,38 @@ def _invert(d: Derivation, item: _Item):
         return outs
 
     outs = _walk(d, step)
-    return (outs[0], kept[0]) if item.tag == "RGd" else outs
+    return (outs[0], kept[0]) if tag == "RGd" else outs
 
 
-def _invert_principal(d: Derivation, item: _Item):
-    """The root rule acts on the very formula occurrence being inverted."""
-    r, chi = d.rule, item.active
-    t_i, t_r = item.tag, r.rule
-
-    if t_i == t_r == "LGd":
-        return _invert_lgd_lgd(d, item)
-    if t_i == t_r == "RGd":
-        return _invert_rgd_rgd(d, item)
-    if t_i == t_r:
-        return [_weaken(p, "R", r.weak or ()) for p in d.premises]
-
-    if t_i in ("LGd", "RGd"):
-        # a shallow rule on the formula holding the item's deep occurrence:
-        # invert the premise that receives the child holding it
-        i, rest = item.path[0], item.path[1:]
-        k = i if len(d.premises) == 2 else 0
-        sub = _invert(d.premises[k], _Item(t_i, children(chi)[i], rest))
-        hosts = gd_sides(chi, item.path)
-
-        def out(m: int, o: Derivation) -> Derivation:
-            return rebuild(replace(r, formula=hosts[m]),
-                           _with(d.premises, k, o))
-        if t_i == "RGd":
-            o, side = sub
-            return out("LR".index(side), o), side
-        return [out(m, o) for m, o in enumerate(sub)]
-
-    # a deep rule inside the formula the shallow item decomposes: invert
-    # each premise, then reapply the deep rule in the output holding it
-    i, rest = r.path[0], r.path[1:]
-    hosts = gd_sides(chi, r.path)
-    if t_r == "RGd":
-        hosts = (hosts["LR".index(r.side)],)
-    subs = [_invert(p, _Item(t_i, g)) for p, g in zip(d.premises, hosts)]
-    inner = replace(r, formula=children(chi)[i], path=rest)
-    return [rebuild(inner, [sub[k] for sub in subs])
-            if len(subs[0]) == 1 or k == i else subs[0][k]
-            for k in range(len(subs[0]))]
-
-
-def _invert_lgd_lgd(d: Derivation, item: _Item):
-    chi = item.active
-    pi, pr = item.path, d.rule.path
-    if pr == pi:
-        return [d.premises[0], d.premises[1]]
-    hosts = gd_sides(chi, pi)
-    prem_l, prem_r = gd_sides(chi, pr)
-    rel = _path_rel(pr, pi)
-    if rel == "disjoint" or rel[0] == "p_inside_q":
-        # apart, or the root rule's occurrence lies inside the item's
-        # disjunct j: the root rule stays in each output that keeps it
-        u1 = _invert(d.premises[0], _Item("LGd", prem_l, pi))
-        u2 = _invert(d.premises[1], _Item("LGd", prem_r, pi))
-        j, path = (None, pr) if rel == "disjoint" else (rel[1], pi + rel[2])
-        return [infer("LGd", (u1[k], u2[k]), hosts[k], path) if j in (None, k)
-                else u1[k] for k in (0, 1)]
-    # the item's occurrence lies inside the root rule's disjunct j
-    _, j, rest = rel
-    w = _invert(d.premises[j], _Item("LGd", (prem_l, prem_r)[j], pr + rest))
-    return [infer("LGd", _with(d.premises, j, w[k]), host, pr)
-            for k, host in enumerate(hosts)]
-
-
-def _invert_rgd_rgd(d: Derivation, item: _Item):
-    chi = item.active
-    pi, pr = item.path, d.rule.path
-    sr = d.rule.side
-    if pr == pi:
-        return d.premises[0], sr
-    prem_formula = gd_sides(chi, pr)["LR".index(sr)]
-    rel = _path_rel(pr, pi)
-    if rel == "disjoint" or rel[0] == "p_inside_q":
-        # apart, or the root rule's occurrence lies inside the item's
-        # disjunct j: the root rule stays if the output keeps it
-        o, s = _invert(d.premises[0], _Item("RGd", prem_formula, pi))
-        if rel != "disjoint" and "LR".index(s) != rel[1]:
-            return o, s
-        path = pr if rel == "disjoint" else pi + rel[2]
-        return infer("RGd", (o,), gd_sides(chi, pi)["LR".index(s)], path, sr), s
-    # item's occurrence inside the root rule's disjunct j
-    _, j, rest = rel
-    if "LR".index(sr) == j:
-        o, s = _invert(d.premises[0], _Item("RGd", prem_formula, pr + rest))
-        return infer("RGd", (o,), gd_sides(chi, pi)["LR".index(s)], pr, sr), s
-    # the item's occurrence sits in the discarded disjunct: reintroduce
-    return infer("RGd", d.premises, gd_sides(chi, pi)[0], pr, sr), "L"
+def _invert_principal(d: Derivation, item: tuple):
+    """The item inverted at a rule on its formula.  The same rule at the
+    same path gives its premises.  Any other rule commutes with the
+    inversion: each premise where the item lands is inverted, and the rule
+    is reapplied in each output where its own occurrence lands; an output
+    where it does not land is the first inverted premise's.  An RGd item
+    keeps the side of the premise it inverted, or the left side where the
+    rule drops it."""
+    tag, f, path = item
+    r = d.rule
+    if r.rule == tag and (r.path or ()) == path:
+        outs = [_weaken(p, "R", r.weak or ()) for p in d.premises]
+        return (outs[0], r.side) if tag == "RGd" else outs
+    prems, subs, side = list(d.premises), {}, "L"
+    for i, at in enumerate(_lands(r.rule, f, r.path, r.side, path)):
+        if at is not None:
+            sub = _invert(prems[i], (tag, *at))
+            if tag == "RGd":
+                sub, side = [sub[0]], sub[1]
+            subs[i] = sub
+    outs = []
+    for k, at in enumerate(_lands(tag, f, path, side, r.path or ())):
+        if at is None:
+            outs.append(next(iter(subs.values()))[k])
+            continue
+        for i, sub in subs.items():
+            prems[i] = sub[k]
+        outs.append(rebuild(replace(r, formula=at[0], path=at[1]), prems))
+    return (outs[0], side) if tag == "RGd" else outs
 
 
 @nesting_limited
@@ -324,10 +274,15 @@ def invert(d: Derivation, tag: str, pos: int, path=()):
     index into the canonical antecedent/succedent); height-preserving on G3.
 
     Returns a list of derivations; for tag 'RGd' a pair (derivation, side).
+    `path` is read for the deep rules only.
     """
     side = PRINCIPAL_SIDE.get(tag)
     if side is None:
         raise ShapeMismatch(f"unknown inversion tag {tag}")
+    if type(pos) is not int:
+        raise ShapeMismatch(f"position {pos!r} is not an integer")
+    if not isinstance(path, Sequence):
+        raise ShapeMismatch(f"path {path!r} is not a sequence")
     pool = d.conclusion.ant if side == "ant" else d.conclusion.suc
     if not 0 <= pos < len(pool):
         raise ShapeMismatch(f"no formula at position {pos}")
@@ -337,14 +292,14 @@ def invert(d: Derivation, tag: str, pos: int, path=()):
     if expected is not None and not isinstance(f, expected):
         raise ShapeMismatch(f"{tag} inversion needs a {expected.__name__}, "
                             f"got {render(f)}")
-    path = tuple(path)
+    path = tuple(path) if tag in ("LGd", "RGd") else ()
     if tag in ("LGd", "RGd") and not isinstance(subformula_at(f, path), Gd):
         raise ShapeMismatch(f"path {list(path)} in {render(f)} is not a "
                             f"global disjunction")
     if tag == "RGd" and not all(is_classical(g) for g in d.conclusion.ant):
         raise NonClassicalAntecedent(
             "right deep-rule inversion needs a classical antecedent")
-    return _invert(_g3(d), _Item(tag, f, path))
+    return _invert(_g3(d), (tag, f, path))
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +311,7 @@ def contract(d: Derivation, side: str, f: Formula) -> Derivation:
 
     Right contraction demands a classical formula.
     """
-    pool = getattr(d.conclusion, _side(side))
+    pool = getattr(d.conclusion, _side(side, f))
     if side == "R" and not is_classical(f):
         raise NonClassicalRightContraction(render(f))
     if pool.count(f) < 2:
@@ -370,7 +325,7 @@ def _contract(d: Derivation, side: str, f: Formula) -> Derivation:
     holds `f` in its implicit weakening gives that copy up, and a rule on
     `f` contracts its premises' active formulas (`_contract_principal`).
     A Cut passes the contraction to the premise that holds both copies."""
-    principal = _side(side)
+    principal = _side(side, f)
 
     def step(n: Derivation):
         r, c = n.rule, n.conclusion
@@ -405,9 +360,9 @@ def _contract_principal(d: Derivation, side: str, f: Formula) -> Derivation:
     """Invert premise k on the other copy of `f` and keep output k: it
     holds each active formula of premise k twice, so contract each."""
     r = d.rule
-    item = _Item(r.rule, f, r.path or ())
+    item = (r.rule, f, r.path or ())
     prems = []
-    for k, (ant, suc) in enumerate(actives(item.tag, f, item.path)):
+    for k, (ant, suc) in enumerate(actives(*item)):
         u = _invert(d.premises[k], item)[k]
         for g in ant:
             u = _contract(u, "L", g)
@@ -556,13 +511,13 @@ def _split(n: Derivation) -> dict[tuple, tuple[Derivation, tuple]]:
         ant = d.conclusion.ant
         hit = first_gd(ant)
         if hit is not None:
-            todo.extend(reversed(_invert(d, _Item("LGd", *hit))))
+            todo.extend(reversed(_invert(d, ("LGd", *hit))))
         elif ant not in out:
             pairs = []
             for f in n.conclusion.suc:
                 g = f
                 while (hit := first_gd((g,))) is not None:
-                    d, side = _invert(d, _Item("RGd", g, hit[1]))
+                    d, side = _invert(d, ("RGd", g, hit[1]))
                     g = gd_sides(g, hit[1])["LR".index(side)]
                 pairs.append((f, g))
             out[ant] = (d, tuple(pairs))

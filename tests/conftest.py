@@ -138,6 +138,31 @@ def gen_shuffled(rng: random.Random, s: Sequent, steps: int):
     return infer(tag, prems, f, path)
 
 
+def inversion_candidates(concl):
+    """Every (tag, position, path) that `invert` accepts on `concl`."""
+    cands = []
+    for pos, f in enumerate(concl.ant):
+        if isinstance(f, Neg):
+            cands.append(("LNeg", pos, ()))
+        if isinstance(f, And):
+            cands.append(("LAnd", pos, ()))
+        if isinstance(f, Or):
+            cands.append(("LOr", pos, ()))
+        for pth in gd_paths(f):
+            cands.append(("LGd", pos, pth))
+    for pos, f in enumerate(concl.suc):
+        if isinstance(f, Neg):
+            cands.append(("RNeg", pos, ()))
+        if isinstance(f, And):
+            cands.append(("RAnd", pos, ()))
+        if isinstance(f, Or):
+            cands.append(("ROr", pos, ()))
+        if all(is_classical(g) for g in concl.ant):
+            for pth in gd_paths(f):
+                cands.append(("RGd", pos, pth))
+    return cands
+
+
 def shared_chain(n: int, leaf: Derivation | None = None) -> Derivation:
     """The axiom `x0 => x0, x1, …, xn` (or `leaf`), then n RAnd steps on
     `x_k & x_k`, each with both premises the same node: n + 1 node

@@ -19,13 +19,13 @@ from teamseq.prover import prove_classical, prove_or_countermodel
 from teamseq.resolutions import partial_resolutions, resolutions_multiset
 from teamseq.semantics import (Team, _Space, big_or, eval_classical,
                                satisfies, sequent_valid)
-from teamseq.syntax import (And, Gd, Neg, Or, Prop, Sequent, gd_paths,
-                            is_classical, mset, parse_formula, parse_sequent,
-                            render)
+from teamseq.syntax import (And, Gd, Neg, Or, Prop, Sequent, is_classical,
+                            mset, parse_formula, parse_sequent, render)
 from teamseq.transforms import (contract, eliminate_cuts, invert, is_normal,
                                 normalize, resolve_derivation, weaken)
 
-from conftest import gen_formula, gen_sequent, gen_side, inject_cut
+from conftest import (gen_formula, gen_sequent, gen_side, inject_cut,
+                      inversion_candidates)
 
 pf, ps = parse_formula, parse_sequent
 
@@ -142,27 +142,7 @@ def test_criterion_6_structural_rules():
             contract(dup_bad, "R", bad)
         rejected += 1
 
-        concl = d.conclusion
-        cands = []
-        for pos, x in enumerate(concl.ant):
-            if isinstance(x, Neg):
-                cands.append(("LNeg", pos, ()))
-            if isinstance(x, And):
-                cands.append(("LAnd", pos, ()))
-            if isinstance(x, Or):
-                cands.append(("LOr", pos, ()))
-            for pth in gd_paths(x):
-                cands.append(("LGd", pos, pth))
-        for pos, x in enumerate(concl.suc):
-            if isinstance(x, Neg):
-                cands.append(("RNeg", pos, ()))
-            if isinstance(x, And):
-                cands.append(("RAnd", pos, ()))
-            if isinstance(x, Or):
-                cands.append(("ROr", pos, ()))
-            if all(is_classical(y) for y in concl.ant):
-                for pth in gd_paths(x):
-                    cands.append(("RGd", pos, pth))
+        cands = inversion_candidates(d.conclusion)
         if cands:
             tag, pos, pth = rng.choice(cands)
             out = invert(d, tag, pos, pth)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from dataclasses import replace
 from itertools import product
 from pathlib import Path
 
@@ -342,7 +343,7 @@ def test_every_emitted_derivation_checks(tmp_path, capsys):
     assert invoke(capsys, "check", str(path))[0] == 2
 
 
-def test_interpolate(capsys):
+def test_interpolate(capsys, monkeypatch):
     code, out = invoke(capsys, "interpolate", "(p||q)|r ; ~p => r|s ; q||x")
     assert code == 0
     assert out.strip() == "p | bot || q | bot"
@@ -360,6 +361,19 @@ def test_interpolate(capsys):
         payload = json.loads(out)
         assert code == 0 and payload["verified"]
         assert payload["oracle_checked"] is checked
+    # an interpolant that fails `verify_interpolant` is printed as it is,
+    # and the failures go to stderr with exit code 1
+    real = cli.interpolate_partition
+    monkeypatch.setattr(cli, "interpolate_partition", lambda d, p: replace(
+        real(d, p), interpolant=parse_formula("x")))
+    assert run(["interpolate", "p & q => p | r"]) == 1
+    out, err = capsys.readouterr()
+    assert out.strip() == "x" and err.startswith("verification failed: ")
+    assert run(["--json", "interpolate", "p & q => p | r"]) == 1
+    out, err = capsys.readouterr()
+    payload = json.loads(out)
+    assert payload["interpolant"] == "x" and payload["verified"] is False
+    assert err.startswith("verification failed: ")
 
 
 def test_usage_and_parse_errors(tmp_path, capsys):

@@ -615,6 +615,10 @@ def test_substitute_at():
         substitute_at(parse_formula("~p"), (0,), parse_formula("q || r"))
     with pytest.raises(InvalidPath):
         subformula_at(p, (0,))
+    # a step that is not an int, as the JSON reader refuses it
+    for path in (("a",), (1.0,), (True,), (None,)):
+        with pytest.raises(InvalidPath):
+            subformula_at(host, path)
     with pytest.raises(InvalidPath):
         substitute_at(host, (1, 0, 0), q)
     assert gd_sides(host, (1,)) == (parse_formula("p & q"),

@@ -5,27 +5,28 @@ from dataclasses import replace
 import pytest
 
 from teamseq import transforms
-from teamseq.calculus import (Derivation, antecedent_taken, check_derivation,
-                              cutrank, derivation_to_json, fold, height,
-                              infer, is_cutfree, make_at, make_cut,
-                              rule_nodes, swap_antecedents)
-from teamseq.errors import (ContainsCut, FormulaNotDuplicated,
+from teamseq.calculus import (PRINCIPAL_SIDE, Derivation, antecedent_taken,
+                              check_derivation, cutrank, derivation_to_json,
+                              fold, height, infer, is_cutfree, make_at,
+                              make_cut, premises_of, rule_nodes,
+                              swap_antecedents)
+from teamseq.errors import (ContainsCut, FormulaNotDuplicated, InvalidPath,
                             NonClassicalAntecedent,
                             NonClassicalRightContraction, ResourceLimit,
                             ShapeMismatch)
 from teamseq.interpolation import interpolate_partition, verify_interpolant
 from teamseq.prover import prove_classical, prove_or_countermodel
 from teamseq.semantics import Team, sequent_valid
-from teamseq.syntax import (And, Neg, Or, PartitionSequent, Prop, Sequent,
-                            first_gd, gd_paths, gd_sides, is_classical,
-                            mset_add, mset_remove, parse_formula,
-                            parse_sequent)
+from teamseq.syntax import (And, PartitionSequent, Prop, Sequent, first_gd,
+                            gd_sides, is_classical, mset_add, mset_remove,
+                            parse_formula, parse_sequent)
 from teamseq.transforms import (ResolvedDerivation, contract, eliminate_cuts,
                                 invert, is_normal, normalize, reassemble,
                                 resolve_derivation, weaken)
 
 from conftest import (gen_formula, gen_sequent, gen_shuffled,
-                      identity_derivation, inject_cut, shared_chain)
+                      identity_derivation, inject_cut, inversion_candidates,
+                      shared_chain)
 
 pf, ps = parse_formula, parse_sequent
 p, q = Prop("p"), Prop("q")
@@ -92,6 +93,10 @@ def test_weaken_refuses_a_side_other_than_l_or_r():
     for side in ("X", "left", "r", None):
         with pytest.raises(ShapeMismatch, match="neither 'L' nor 'R'"):
             weaken(d, side, q)
+    # and anything but a formula to add
+    for f in ("q", None):
+        with pytest.raises(ShapeMismatch, match="is not a formula"):
+            weaken(d, "L", f)
 
 
 # ---------------------------------------------------------------------------
@@ -119,6 +124,24 @@ def test_invert_rgd_needs_classical_antecedent():
         invert(d, "RGd", 0, ())
 
 
+def test_invert_refuses_a_bad_position_or_path():
+    d = proved("(p||q) & r => p | q")
+    pos = d.conclusion.ant.index(pf("(p||q) & r"))
+    for bad, match in (((pos, None), "is not a sequence"),
+                       ((pos, 0), "is not a sequence"),
+                       ((float(pos), (0,)), "is not an integer"),
+                       ((None, (0,)), "is not an integer"),
+                       ((len(d.conclusion.ant), (0,)), "no formula"),
+                       ((pos, (1,)), "not a global disjunction")):
+        with pytest.raises(ShapeMismatch, match=match):
+            invert(d, "LGd", *bad)
+    for path in (("a",), (0.0,), (True,)):
+        with pytest.raises(InvalidPath):
+            invert(d, "LGd", pos, path)
+    with pytest.raises(ShapeMismatch, match="unknown inversion tag"):
+        invert(d, "LC", pos, ())
+
+
 def test_invert_lgd_two_outputs():
     d = proved("(p||q) & r => p | q")
     pos = d.conclusion.ant.index(pf("(p||q) & r"))
@@ -131,45 +154,40 @@ def test_invert_lgd_two_outputs():
 
 
 def test_invert_property_suite():
+    # every inversion of prover derivations (nearly all in normal form)
+    # and of shuffled ones (seldom in normal form): output k concludes
+    # premise k of the inverted rule (for RGd, the premise on the side it
+    # returns), is checked, and is no higher than the input
     rng = random.Random(127)
-    done = 0
-    while done < 80:
-        d = prove_or_countermodel(gen_sequent(rng))
-        if isinstance(d, Team):
-            continue
-        concl = d.conclusion
-        cands = []
-        for pos, f in enumerate(concl.ant):
-            if isinstance(f, Neg):
-                cands.append(("LNeg", pos, ()))
-            if isinstance(f, And):
-                cands.append(("LAnd", pos, ()))
-            if isinstance(f, Or):
-                cands.append(("LOr", pos, ()))
-            for pth in gd_paths(f):
-                cands.append(("LGd", pos, pth))
-        for pos, f in enumerate(concl.suc):
-            if isinstance(f, Neg):
-                cands.append(("RNeg", pos, ()))
-            if isinstance(f, And):
-                cands.append(("RAnd", pos, ()))
-            if isinstance(f, Or):
-                cands.append(("ROr", pos, ()))
-            if all(is_classical(g) for g in concl.ant):
-                for pth in gd_paths(f):
-                    cands.append(("RGd", pos, pth))
-        if not cands:
-            continue
-        done += 1
-        tag, pos, pth = rng.choice(cands)
-        out = invert(d, tag, pos, pth)
-        outs = [out[0]] if tag == "RGd" else out
-        for o in outs:
-            check_derivation(o)
-            assert height(o) <= height(d), (tag, str(d.conclusion))
-            # all rules are semantically invertible (the deep right rule
-            # in the choice sense), so inverted sequents stay valid
-            assert sequent_valid(o.conclusion), (tag, str(o.conclusion))
+    for shuffled, count in ((False, 80), (True, 200)):
+        done = 0
+        while done < count:
+            s = gen_sequent(rng)
+            d = gen_shuffled(rng, s, rng.randint(1, 6)) if shuffled \
+                else prove_or_countermodel(s)
+            if d is None or isinstance(d, Team):
+                continue
+            concl = d.conclusion
+            cands = inversion_candidates(concl)
+            if not cands:
+                continue
+            done += 1
+            for tag, pos, pth in cands:
+                out = invert(d, tag, pos, pth)
+                f = getattr(concl, PRINCIPAL_SIDE[tag])[pos]
+                side = out[1] if tag == "RGd" else "L"
+                outs = [out[0]] if tag == "RGd" else out
+                want = premises_of(tag, concl.ant, concl.suc, f, pth, side)
+                assert len(outs) == len(want), (tag, str(concl))
+                for o, w in zip(outs, want):
+                    assert (o.conclusion.ant, o.conclusion.suc) == w, \
+                        (tag, str(concl))
+                    check_derivation(o)
+                    assert height(o) <= height(d), (tag, str(concl))
+                    # all rules are semantically invertible (the deep right
+                    # rule in the choice sense), so inverted sequents stay
+                    # valid
+                    assert sequent_valid(o.conclusion), (tag, str(o.conclusion))
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +223,10 @@ def test_contract_refuses_a_side_other_than_l_or_r():
     for side in ("left", "X", "l"):
         with pytest.raises(ShapeMismatch, match="neither 'L' nor 'R'"):
             contract(d, side, p)
+    # and anything but a formula to remove
+    for side in ("L", "R"):
+        with pytest.raises(ShapeMismatch, match="is not a formula"):
+            contract(d, side, "p")
 
 
 def test_contract_missing_duplicate():
@@ -629,7 +651,7 @@ def test_an_idle_split_is_inverted_by_one_fold():
             continue
         idle += 1
         folded = [swap_antecedents(n, ((hit[0], g),)) for g in gd_sides(*hit)]
-        inverted = transforms._invert(n, transforms._Item("LGd", *hit))
+        inverted = transforms._invert(n, ("LGd", *hit))
         assert [derivation_to_json(x) for x in folded] == \
             [derivation_to_json(x) for x in inverted]
     assert idle > 100, idle
